@@ -15,7 +15,7 @@
 //! ## Discipline
 //!
 //! * All raw `epoll_*`/`sched_*` syscalls in the workspace live in THIS
-//!   file — `xtask lint` (rule `reactor-syscalls`) enforces it. There is
+//!   file — `xtask analyze` (rule `reactor-syscalls`) enforces it. There is
 //!   no libc crate; the syscalls are issued with `core::arch::asm!`.
 //! * The reactor does I/O only. Every protocol decision still goes
 //!   through [`Session::on_frame_view`], the same state machine the
@@ -279,9 +279,6 @@ struct Conn {
     want_write: bool,
     /// Close once `wbuf` drains (a fatal reply is in flight).
     close_after_flush: Option<WireError>,
-    /// The wire version the peer stamped on its latest frame; replies are
-    /// encoded at this version so down-level (v2) peers keep parsing us.
-    peer_version: u8,
 }
 
 /// Flight-event codes for [`felip_obs::flight::KIND_CONN`] records.
@@ -419,7 +416,6 @@ fn accept_ready(
                     partial_since: None,
                     want_write: false,
                     close_after_flush: None,
-                    peer_version: crate::wire::VERSION,
                 };
                 let idx = match free.pop() {
                     Some(i) => i,
@@ -559,7 +555,6 @@ fn on_readable(
                 carry = 0;
                 let frame_kind = view.kind as u16;
                 let frame_len = view.payload.len() as u64;
-                conn.peer_version = view.version;
                 let outcome = conn.session.on_frame_view(view, ctx, &conn.queue, stats);
                 consumed += used;
                 let t_ingested = Instant::now();
@@ -574,11 +569,8 @@ fn on_readable(
                     conn.session.client_id().unwrap_or(0),
                     frame_len,
                 );
-                // Replies are stamped with the peer's own version so a
-                // v2 client keeps decoding a v3 server.
-                crate::wire::append_frame_versioned(
+                crate::wire::append_frame(
                     &mut conn.wbuf,
-                    conn.peer_version,
                     outcome.reply.kind,
                     outcome.reply.plan_hash,
                     &outcome.reply.payload,
@@ -606,9 +598,8 @@ fn on_readable(
                     0,
                 );
                 let reply = Frame::error(ctx.plan_hash, &e.to_string());
-                crate::wire::append_frame_versioned(
+                crate::wire::append_frame(
                     &mut conn.wbuf,
-                    conn.peer_version,
                     reply.kind,
                     reply.plan_hash,
                     &reply.payload,
@@ -729,13 +720,7 @@ fn sweep_deadlines(
             ));
             stats.bump_rejected();
             let reply = Frame::error(ctx.plan_hash, &e.to_string());
-            crate::wire::append_frame_versioned(
-                &mut conn.wbuf,
-                conn.peer_version,
-                reply.kind,
-                reply.plan_hash,
-                &reply.payload,
-            );
+            crate::wire::append_frame(&mut conn.wbuf, reply.kind, reply.plan_hash, &reply.payload);
             let _ = flush(conn);
             Some(Closed::Error(e))
         } else if now.duration_since(conn.last_byte) >= config.idle_timeout {

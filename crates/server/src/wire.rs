@@ -37,15 +37,11 @@
 //! client that receives a stale reply can discard it — the
 //! exactly-once-or-rejected invariant the chaos harness asserts.
 //!
-//! Version 3 adds the **STAT admin plane**: a `Stat` request (one `mode`
+//! Version 3 added the **STAT admin plane**: a `Stat` request (one `mode`
 //! byte: full snapshot, delta rollup, or flight-recorder dump) answered by
-//! a `StatReply` whose payload is the metrics JSON / flight JSONL. The
-//! change is backward compatible: decoders accept versions 2 through 4
-//! ([`MIN_VERSION`]), an old peer simply never sends the new kinds, and the
-//! server echoes each connection's negotiated version in its replies
-//! ([`append_frame_versioned`]) so old clients keep parsing them.
+//! a `StatReply` whose payload is the metrics JSON / flight JSONL.
 //!
-//! Version 4 adds the **cluster tier** (DESIGN.md §16): an ingest node
+//! Version 4 added the **cluster tier** (DESIGN.md §16): an ingest node
 //! streams epoch-numbered count deltas to its aggregator via `Delta`
 //! frames, answered by `DeltaAck`. A `Delta` payload carries the sending
 //! node's id, the epoch, a flavor byte (incremental add vs. full cumulative
@@ -76,9 +72,11 @@
 //!
 //! `QueryReply` is fixed-size: `query_id:u64  answer_bits:u64 (f64 bit
 //! pattern — bit-identical to the offline batch estimate on the same cut)
-//! epoch:u64  head_epoch:u64  reports:u64`. As with v3/v4, the change is
-//! backward compatible: old peers never send the new kinds, and replies
-//! echo each connection's negotiated version.
+//! epoch:u64  head_epoch:u64  reports:u64`.
+//!
+//! Every peer speaks exactly one version: decoders accept [`VERSION`] only
+//! and reject anything else as [`WireError::BadVersion`], and every frame
+//! is stamped with [`VERSION`]. There is no per-connection negotiation.
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -94,11 +92,6 @@ pub const MAGIC: u32 = u32::from_le_bytes(*b"FELP");
 /// frames answering λ-D frequency queries from snapshot-consistent count
 /// reads).
 pub const VERSION: u8 = 5;
-
-/// Oldest protocol version decoders still accept. Versions 2 through 4
-/// differ from version 5 only in lacking the newer kinds, so they parse
-/// unchanged; anything older predates idempotent batches and is rejected.
-pub const MIN_VERSION: u8 = 2;
 
 /// Fixed header size in bytes (everything before the payload).
 pub const HEADER_LEN: usize = 20;
@@ -421,26 +414,10 @@ impl Frame {
 /// computed over the bytes just written, so header and payload are never
 /// assembled in a scratch buffer first.
 pub fn append_frame(out: &mut Vec<u8>, kind: FrameKind, plan_hash: u64, payload: &[u8]) {
-    append_frame_versioned(out, VERSION, kind, plan_hash, payload);
-}
-
-/// [`append_frame`] with an explicit version byte — the negotiation path:
-/// a server answering a v2 peer stamps v2 on its replies so the peer's
-/// decoder keeps accepting them. `version` must be in
-/// `[MIN_VERSION, VERSION]` (debug-asserted; release builds emit whatever
-/// they are told, which the peer's decoder will police).
-pub fn append_frame_versioned(
-    out: &mut Vec<u8>,
-    version: u8,
-    kind: FrameKind,
-    plan_hash: u64,
-    payload: &[u8],
-) {
-    debug_assert!((MIN_VERSION..=VERSION).contains(&version));
     let start = out.len();
     out.reserve(HEADER_LEN + payload.len() + TRAILER_LEN);
     out.extend_from_slice(&MAGIC.to_le_bytes());
-    out.push(version);
+    out.push(VERSION);
     out.push(kind as u8);
     out.extend_from_slice(&0u16.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -456,9 +433,6 @@ pub fn append_frame_versioned(
 /// the payload never needs to outlive the wakeup that decoded it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameView<'a> {
-    /// The protocol version the sender stamped on the frame — what the
-    /// receiver echoes back so v2 peers keep parsing our replies.
-    pub version: u8,
     /// The frame kind.
     pub kind: FrameKind,
     /// The sender's plan schema hash.
@@ -491,7 +465,6 @@ impl<'a> FrameView<'a> {
         }
         Ok(Some((
             FrameView {
-                version: head.version,
                 kind: head.kind,
                 plan_hash: head.plan_hash,
                 payload: &buf[HEADER_LEN..HEADER_LEN + head.payload_len as usize],
@@ -511,11 +484,9 @@ impl<'a> FrameView<'a> {
 }
 
 impl Frame {
-    /// Borrows the frame as a [`FrameView`] (stamped with the current
-    /// [`VERSION`] — owned frames do not track their wire version).
+    /// Borrows the frame as a [`FrameView`].
     pub fn view(&self) -> FrameView<'_> {
         FrameView {
-            version: VERSION,
             kind: self.kind,
             plan_hash: self.plan_hash,
             payload: &self.payload,
@@ -525,25 +496,22 @@ impl Frame {
 
 /// A parsed fixed-size frame header.
 struct ParsedHeader {
-    version: u8,
     kind: FrameKind,
     plan_hash: u64,
     payload_len: u32,
 }
 
-/// Parses a fixed-size header. Accepts any version in
-/// `[MIN_VERSION, VERSION]` — the CRC trailer covers the version byte, so
-/// a corrupted version still fails the checksum, and every accepted
-/// version shares this header layout.
+/// Parses a fixed-size header. Accepts [`VERSION`] only — the CRC trailer
+/// covers the version byte, so a corrupted version still fails the
+/// checksum.
 fn parse_header(h: &[u8]) -> Result<ParsedHeader, WireError> {
     debug_assert_eq!(h.len(), HEADER_LEN);
     let magic = le_u32(&h[0..4]);
     if magic != MAGIC {
         return Err(WireError::BadMagic(magic));
     }
-    let version = h[4];
-    if !(MIN_VERSION..=VERSION).contains(&version) {
-        return Err(WireError::BadVersion(version));
+    if h[4] != VERSION {
+        return Err(WireError::BadVersion(h[4]));
     }
     let kind = FrameKind::from_u8(h[5])?;
     let reserved = le_u16(&h[6..8]);
@@ -558,7 +526,6 @@ fn parse_header(h: &[u8]) -> Result<ParsedHeader, WireError> {
     }
     let plan_hash = le_u64(&h[12..20]);
     Ok(ParsedHeader {
-        version,
         kind,
         plan_hash,
         payload_len,
@@ -1450,20 +1417,8 @@ mod tests {
     }
 
     #[test]
-    fn version_2_frames_still_decode() {
-        let mut bytes = Vec::new();
-        append_frame_versioned(&mut bytes, 2, FrameKind::Hello, 7, &encode_hello(42));
-        let frame = Frame::decode(&bytes).unwrap();
-        assert_eq!(frame.kind, FrameKind::Hello);
-        assert_eq!(decode_hello(&frame.payload).unwrap(), 42);
-        let (view, used) = FrameView::decode_prefix(&bytes).unwrap().unwrap();
-        assert_eq!(view.version, 2, "decoders surface the peer's version");
-        assert_eq!(used, bytes.len());
-    }
-
-    #[test]
     fn versions_outside_the_window_are_rejected() {
-        for v in [0u8, 1, VERSION + 1, 0xFF] {
+        for v in [0u8, 1, 2, 3, 4, VERSION + 1, 0xFF] {
             let mut bytes = Frame::control(FrameKind::Hello, 0).encode();
             bytes[4] = v;
             // Recompute the CRC so only the version check can object.

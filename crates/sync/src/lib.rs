@@ -3,7 +3,7 @@
 //!
 //! Every crate that does real concurrency (today: `felip-server`) imports
 //! `Mutex`, `Condvar`, `RwLock`, atomics, and `thread` from here instead of
-//! `std` (enforced by `cargo run -p xtask -- lint`). In a normal build the
+//! `std` (enforced by `cargo run -p xtask -- analyze`). In a normal build the
 //! types are zero-cost `#[inline]` wrappers over `std::sync` — same
 //! codegen, same semantics, minus lock poisoning (a poisoned lock yields
 //! its data; the panic that poisoned it is already propagating).

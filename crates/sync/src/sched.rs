@@ -7,7 +7,7 @@
 //! only **one task runs at a time**: each synchronization point calls back
 //! into the scheduler, which decides who runs next and parks everyone
 //! else. Because every shared-memory access the program performs goes
-//! through a shim (enforced by `xtask lint` for `crates/server`), the
+//! through a shim (enforced by `xtask analyze` for `crates/server`), the
 //! sequence of scheduler decisions fully determines the execution — same
 //! choices, same run.
 //!

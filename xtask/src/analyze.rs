@@ -6,19 +6,20 @@
 //! * `taint`  — privacy-taint: raw values must not reach wire/log sinks
 //! * `locks`  — static lock-order graph over felip-sync mutexes, no cycles
 //! * `arith`  — explicit overflow semantics on count arithmetic
-//! * `rules`  — token-level ports of the PR-5 lint rules R1/R2/R3/R5/R6
+//! * `rules`  — the repo rules R1–R7 (no-panic, sync-shims,
+//!   safety-comments, golden-constants, metric-registry,
+//!   reactor-syscalls, bench-schema)
 //!
-//! plus the two content-anchored PR-5 string rules (golden-constants,
-//! bench-schema) which stay on the line scanner. Output is the PR-5
-//! `file:line: [rule] message` shape, or `--format json` for tooling.
+//! Output is one `file:line: [rule] message` line per finding, or
+//! `--format json` for tooling.
 
 use std::path::{Path, PathBuf};
 
 use crate::tree::Workspace;
 use crate::{arith, locks, rules, taint};
 
-/// One analyzer finding. Like the PR-5 `Diagnostic` plus an optional
-/// flow trace (taint findings explain where the raw value came from).
+/// One analyzer finding, with an optional flow trace (taint findings
+/// explain where the raw value came from).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Finding {
     pub file: PathBuf,
@@ -78,18 +79,6 @@ pub fn analyze_root(root: &Path) -> AnalyzeReport {
     findings.extend(lock_report.findings.iter().cloned());
     findings.extend(arith::run(&ws));
     findings.extend(rules::run(&ws, root));
-
-    // Content-anchored string rules stay on the PR-5 scanner.
-    let mut diags = Vec::new();
-    crate::rule_golden_constants(root, &mut diags);
-    crate::rule_bench_schema(root, &mut diags);
-    findings.extend(diags.into_iter().map(|d| Finding {
-        file: d.file,
-        line: d.line as u32,
-        rule: d.rule,
-        message: d.message,
-        trace: Vec::new(),
-    }));
 
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     AnalyzeReport {

@@ -1,38 +1,17 @@
-//! `xtask` — workspace automation. The one subcommand, `lint`, is a
-//! hand-rolled static-analysis pass (zero dependencies; DESIGN.md §14)
-//! enforcing repo-specific rules ordinary tooling cannot express:
+//! `xtask` — workspace automation. Its one subcommand, `analyze`, is the
+//! repo's zero-dependency static analyzer (DESIGN.md §18):
 //!
-//! * **R1 `no-panic`** — no `.unwrap()` / `.expect(` / `panic!(` in
-//!   non-test code of `crates/server`, `crates/fo`, `crates/cli`:
-//!   ingestion-path failures must be typed errors, not aborts.
-//! * **R2 `sync-shims`** — no raw `std::sync` / `std::thread` in
-//!   `crates/server`: every synchronization point must go through the
-//!   `felip-sync` shims, or the model checker silently loses sight of it.
-//! * **R3 `safety-comments`** — every `unsafe` token in the workspace is
-//!   preceded by a `// SAFETY:` comment (attributes may sit in between).
-//! * **R4 `golden-constants`** — wire/snapshot magic numbers, protocol
-//!   versions, and the `schema_hash` domain tag must not drift: changing
-//!   any of them silently invalidates every snapshot and client in the
-//!   field, so a change must show up here, in review, on purpose.
-//! * **R5 `metric-registry`** — the set of metric/span names emitted in
-//!   code equals the DESIGN.md §11 catalogue, in both directions.
-//! * **R6 `reactor-syscalls`** — raw syscall plumbing (`epoll_*`,
-//!   `sched_*affinity`, inline `asm!`) appears only in
-//!   `crates/server/src/reactor.rs`: one auditable file owns every
-//!   kernel-ABI assumption (DESIGN.md §15).
-//! * **R7 `bench-schema`** — checked-in `BENCH_*.json` files keep their
-//!   headline keys, so CI gates and dashboards reading them never break
-//!   silently when a bench is reshaped.
+//! ```text
+//! cargo run -p xtask -- analyze [--format text|json] [--dump-locks]
+//! ```
 //!
-//! The pass works on a comment- and string-stripped view of each source
-//! file (so `"panic!("` inside a string or an example in a doc comment
-//! never trips a rule) and skips test code: `#[cfg(…test…)]`-gated items
-//! and files claimed by `#[cfg(…test…)] mod x;` declarations. Integration
-//! `tests/` trees are outside `src/` and are never scanned.
+//! A lossless lexer (`lex`) and item-tree builder (`tree`) feed four
+//! passes: privacy-taint (raw attribute values must not reach the wire or
+//! a log unperturbed), lock-order (the felip-sync acquisition graph stays
+//! acyclic), checked-arith (count arithmetic states its overflow
+//! semantics), and the repo rules R1–R7 (`rules`). Any finding exits 1;
+//! a bad command line exits 2.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
-use std::fs;
 use std::path::{Path, PathBuf};
 
 pub mod analyze;
@@ -43,1346 +22,107 @@ mod rules;
 mod taint;
 pub mod tree;
 
-/// One rule violation, printed as `file:line: [rule] message`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Diagnostic {
-    /// File the violation is in (workspace-relative when possible).
-    pub file: PathBuf,
-    /// 1-based line number.
-    pub line: usize,
-    /// Short rule identifier (`no-panic`, `sync-shims`, …).
-    pub rule: &'static str,
-    /// Human explanation of what is wrong.
-    pub message: String,
-}
+const USAGE: &str = "usage: cargo run -p xtask -- analyze [--format text|json] [--dump-locks]";
 
-impl fmt::Display for Diagnostic {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}:{}: [{}] {}",
-            self.file.display(),
-            self.line,
-            self.rule,
-            self.message
-        )
+/// `analyze` flags: `(json, dump_locks)`, or `None` for a bad command line.
+fn analyze_flags(mut args: impl Iterator<Item = String>) -> Option<(bool, bool)> {
+    let mut json = false;
+    let mut dump_locks = false;
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--format" => match args.next().as_deref() {
+                Some("text") => json = false,
+                Some("json") => json = true,
+                _ => return None,
+            },
+            "--dump-locks" => dump_locks = true,
+            _ => return None,
+        }
     }
+    Some((json, dump_locks))
 }
 
 /// CLI entry: returns the process exit code.
 pub fn run(mut args: impl Iterator<Item = String>) -> i32 {
+    let flags = match args.next().as_deref() {
+        Some("analyze") => analyze_flags(args),
+        _ => None,
+    };
+    let Some((json, dump_locks)) = flags else {
+        felip_obs::diag::error(USAGE);
+        return 2;
+    };
     // xtask sits directly under the workspace root.
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .map(Path::to_path_buf)
         .unwrap_or_else(|| PathBuf::from("."));
-    match args.next().as_deref() {
-        Some("lint") => {
-            let diags = lint_root(&root);
-            for d in &diags {
-                felip_obs::diag::line(&d.to_string());
-            }
-            if diags.is_empty() {
-                felip_obs::diag::line("xtask lint: all rules clean");
-                0
-            } else {
-                felip_obs::diag::error(&format!("xtask lint: {} violation(s)", diags.len()));
-                1
-            }
+    let report = analyze::analyze_root(&root);
+    if dump_locks {
+        felip_obs::diag::line(report.locks.dump().trim_end());
+    }
+    if json {
+        // JSON goes to stdout — it is the machine product.
+        println!("{}", analyze::to_json(&report));
+    } else {
+        for f in &report.findings {
+            felip_obs::diag::line(&f.to_string());
         }
-        Some("analyze") => {
-            let mut json = false;
-            let mut dump_locks = false;
-            for a in args {
-                match a.as_str() {
-                    "--format" => {} // value follows
-                    "json" | "--format=json" => json = true,
-                    "--dump-locks" => dump_locks = true,
-                    other => {
-                        felip_obs::diag::error(&format!(
-                            "unknown analyze flag {other:?} \
-                             (expected `--format json` or `--dump-locks`)"
-                        ));
-                        return 2;
-                    }
-                }
-            }
-            let report = analyze::analyze_root(&root);
-            if dump_locks {
-                felip_obs::diag::line(report.locks.dump().trim_end());
-            }
-            if json {
-                // JSON goes to stdout — it is the machine product.
-                println!("{}", analyze::to_json(&report));
-            } else {
-                for f in &report.findings {
-                    felip_obs::diag::line(&f.to_string());
-                }
-                for f in &report.taint_ok {
-                    felip_obs::diag::line(&format!(
-                        "{}:{}: [taint-ok] waived: {}",
-                        f.file.display(),
-                        f.line,
-                        f.message
-                    ));
-                }
-            }
-            if report.findings.is_empty() {
-                if !json {
-                    felip_obs::diag::line(&format!(
-                        "xtask analyze: all passes clean ({} taint waiver(s) catalogued)",
-                        report.taint_ok.len()
-                    ));
-                }
-                0
-            } else {
-                if !json {
-                    felip_obs::diag::error(&format!(
-                        "xtask analyze: {} finding(s)",
-                        report.findings.len()
-                    ));
-                }
-                1
-            }
-        }
-        other => {
-            felip_obs::diag::error(&format!(
-                "usage: cargo run -p xtask -- <lint|analyze> [--format json] [--dump-locks]\n  \
-                 unknown subcommand {:?}",
-                other.unwrap_or("<none>")
+        for f in &report.taint_ok {
+            felip_obs::diag::line(&format!(
+                "{}:{}: [taint-ok] waived: {}",
+                f.file.display(),
+                f.line,
+                f.message
             ));
-            2
         }
     }
-}
-
-/// Runs every rule against the workspace at `root`.
-pub fn lint_root(root: &Path) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    rule_no_panic(root, &mut diags);
-    rule_sync_shims(root, &mut diags);
-    rule_safety_comments(root, &mut diags);
-    rule_golden_constants(root, &mut diags);
-    rule_metric_registry(root, &mut diags);
-    rule_reactor_syscalls(root, &mut diags);
-    rule_bench_schema(root, &mut diags);
-    diags.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-    diags
-}
-
-// ---------------------------------------------------------------------------
-// Source scanning: comment/string stripping + test-code detection
-// ---------------------------------------------------------------------------
-
-/// A source file split into parallel per-line views: `code` has comments
-/// and string/char-literal contents blanked to spaces (line structure and
-/// column positions preserved), `comments` holds each line's comment text,
-/// `test_line` marks lines inside `#[cfg(…test…)]`-gated items.
-struct Scan {
-    raw: Vec<String>,
-    code: Vec<String>,
-    comments: Vec<String>,
-    test_line: Vec<bool>,
-    /// Modules declared `#[cfg(…test…)] mod name;` — their files are test
-    /// code in their entirety.
-    test_mods: Vec<String>,
-}
-
-fn scan_source(src: &str) -> Scan {
-    let (code_text, comment_text) = strip(src);
-    let code: Vec<String> = code_text.lines().map(str::to_string).collect();
-    let comments: Vec<String> = comment_text.lines().map(str::to_string).collect();
-    let (test_line, test_mods) = mark_test_regions(&code);
-    Scan {
-        raw: src.lines().map(str::to_string).collect(),
-        code,
-        comments,
-        test_line,
-        test_mods,
+    if report.findings.is_empty() {
+        if !json {
+            felip_obs::diag::line(&format!(
+                "xtask analyze: all passes clean ({} taint waiver(s) catalogued)",
+                report.taint_ok.len()
+            ));
+        }
+        0
+    } else {
+        if !json {
+            felip_obs::diag::error(&format!(
+                "xtask analyze: {} finding(s)",
+                report.findings.len()
+            ));
+        }
+        1
     }
 }
-
-/// Splits `src` into a code view and a comment view of identical shape:
-/// every character lands in one view as itself, a space, or (for string
-/// and char-literal contents) a space in both. Handles nested block
-/// comments, escapes, raw/byte strings, and lifetimes (`'a` is code, not
-/// an unterminated char literal).
-fn strip(src: &str) -> (String, String) {
-    enum St {
-        Code,
-        LineComment,
-        BlockComment(usize),
-        Str,
-        RawStr(usize),
-        CharLit,
-    }
-    const CODE: u8 = 0;
-    const COMMENT: u8 = 1;
-    const BLANK: u8 = 2;
-    fn emit(code: &mut String, com: &mut String, c: char, dest: u8) {
-        if c == '\n' {
-            code.push('\n');
-            com.push('\n');
-        } else {
-            match dest {
-                CODE => {
-                    code.push(c);
-                    com.push(' ');
-                }
-                COMMENT => {
-                    code.push(' ');
-                    com.push(c);
-                }
-                _ => {
-                    code.push(' ');
-                    com.push(' ');
-                }
-            }
-        }
-    }
-    let b: Vec<char> = src.chars().collect();
-    let mut code = String::with_capacity(src.len());
-    let mut com = String::with_capacity(src.len());
-    let mut st = St::Code;
-    let mut i = 0;
-    while i < b.len() {
-        let c = b[i];
-        let next = b.get(i + 1).copied();
-        match st {
-            St::Code => match c {
-                '/' if next == Some('/') => {
-                    st = St::LineComment;
-                    emit(&mut code, &mut com, c, COMMENT);
-                }
-                '/' if next == Some('*') => {
-                    st = St::BlockComment(1);
-                    emit(&mut code, &mut com, c, COMMENT);
-                }
-                '"' => {
-                    st = St::Str;
-                    emit(&mut code, &mut com, c, BLANK);
-                }
-                'r' | 'b' => {
-                    // Raw/byte string starts: r"…", r#"…"#, br#"…"#, b"…".
-                    let mut j = i;
-                    if b[j] == 'b' {
-                        j += 1;
-                    }
-                    let has_r = b.get(j) == Some(&'r');
-                    if has_r {
-                        j += 1;
-                    }
-                    let mut hashes = 0usize;
-                    while has_r && b.get(j) == Some(&'#') {
-                        hashes += 1;
-                        j += 1;
-                    }
-                    if b.get(j) == Some(&'"') && (has_r || c == 'b') {
-                        while i <= j {
-                            emit(&mut code, &mut com, b[i], BLANK);
-                            i += 1;
-                        }
-                        st = if has_r { St::RawStr(hashes) } else { St::Str };
-                        continue;
-                    }
-                    emit(&mut code, &mut com, c, CODE);
-                }
-                '\'' => {
-                    // Char literal ('x', '\n') vs lifetime ('a, 'static).
-                    if next == Some('\\') || b.get(i + 2) == Some(&'\'') {
-                        st = St::CharLit;
-                        emit(&mut code, &mut com, c, BLANK);
-                    } else {
-                        emit(&mut code, &mut com, c, CODE);
-                    }
-                }
-                _ => emit(&mut code, &mut com, c, CODE),
-            },
-            St::LineComment => {
-                if c == '\n' {
-                    st = St::Code;
-                }
-                emit(&mut code, &mut com, c, COMMENT);
-            }
-            St::BlockComment(depth) => {
-                if c == '*' && next == Some('/') {
-                    emit(&mut code, &mut com, '*', COMMENT);
-                    emit(&mut code, &mut com, '/', COMMENT);
-                    i += 2;
-                    st = if depth == 1 {
-                        St::Code
-                    } else {
-                        St::BlockComment(depth - 1)
-                    };
-                    continue;
-                }
-                if c == '/' && next == Some('*') {
-                    st = St::BlockComment(depth + 1);
-                }
-                emit(&mut code, &mut com, c, COMMENT);
-            }
-            St::Str => {
-                if c == '\\' && next.is_some() {
-                    emit(&mut code, &mut com, c, BLANK);
-                    emit(&mut code, &mut com, b[i + 1], BLANK);
-                    i += 2;
-                    continue;
-                }
-                if c == '"' {
-                    st = St::Code;
-                }
-                emit(&mut code, &mut com, c, BLANK);
-            }
-            St::RawStr(hashes) => {
-                if c == '"' && (1..=hashes).all(|k| b.get(i + k) == Some(&'#')) {
-                    for k in 0..=hashes {
-                        emit(&mut code, &mut com, b[i + k], BLANK);
-                    }
-                    i += hashes + 1;
-                    st = St::Code;
-                    continue;
-                }
-                emit(&mut code, &mut com, c, BLANK);
-            }
-            St::CharLit => {
-                if c == '\\' && next.is_some() {
-                    emit(&mut code, &mut com, c, BLANK);
-                    emit(&mut code, &mut com, b[i + 1], BLANK);
-                    i += 2;
-                    continue;
-                }
-                if c == '\'' {
-                    st = St::Code;
-                }
-                emit(&mut code, &mut com, c, BLANK);
-            }
-        }
-        i += 1;
-    }
-    (code, com)
-}
-
-/// Marks lines covered by `#[cfg(…test…)]`-gated items (brace-matched) and
-/// collects `#[cfg(…test…)] mod name;` out-of-line module names.
-fn mark_test_regions(code: &[String]) -> (Vec<bool>, Vec<String>) {
-    let n = code.len();
-    let mut test = vec![false; n];
-    let mut mods = Vec::new();
-    let mut i = 0;
-    while i < n {
-        let t = code[i].trim_start();
-        let gate = t.starts_with("#[cfg(") && t.contains("test") && !t.contains("not(test");
-        if !gate {
-            i += 1;
-            continue;
-        }
-        // Scan forward for the gated item; attribute text (through the
-        // final `]`) never counts toward the item's braces.
-        let mut depth = 0i64;
-        let mut entered = false;
-        let mut j = i;
-        let end;
-        loop {
-            if j >= n {
-                end = n - 1;
-                break;
-            }
-            let full = &code[j];
-            let text: &str = if !entered && full.trim_start().starts_with("#[") {
-                full.rfind(']').map(|p| &full[p + 1..]).unwrap_or("")
-            } else {
-                full
-            };
-            if !entered {
-                if let Some(name) = out_of_line_mod(text) {
-                    mods.push(name);
-                    end = j;
-                    break;
-                }
-                if text.contains(';') && !text.contains('{') {
-                    // `#[cfg(test)] use …;`, trait-method signature, etc.
-                    end = j;
-                    break;
-                }
-            }
-            for c in text.chars() {
-                match c {
-                    '{' => {
-                        depth += 1;
-                        entered = true;
-                    }
-                    '}' => depth -= 1,
-                    _ => {}
-                }
-            }
-            if entered && depth <= 0 {
-                end = j;
-                break;
-            }
-            j += 1;
-        }
-        for m in test.iter_mut().take(end + 1).skip(i) {
-            *m = true;
-        }
-        i = end + 1;
-    }
-    (test, mods)
-}
-
-/// `mod name;` (no body) → `Some(name)`.
-fn out_of_line_mod(code_line: &str) -> Option<String> {
-    let t = code_line.trim();
-    let rest = t
-        .strip_prefix("pub mod ")
-        .or_else(|| t.strip_prefix("pub(crate) mod "))
-        .or_else(|| t.strip_prefix("mod "))?;
-    let name = rest.strip_suffix(';')?.trim();
-    (!name.is_empty() && name.chars().all(|c| c.is_alphanumeric() || c == '_'))
-        .then(|| name.to_string())
-}
-
-/// All `.rs` files under `dir`, recursively, sorted for stable output.
-fn rust_files(dir: &Path) -> Vec<PathBuf> {
-    let mut out = Vec::new();
-    let mut stack = vec![dir.to_path_buf()];
-    while let Some(d) = stack.pop() {
-        let Ok(entries) = fs::read_dir(&d) else {
-            continue;
-        };
-        for e in entries.flatten() {
-            let p = e.path();
-            if p.is_dir() {
-                stack.push(p);
-            } else if p.extension().is_some_and(|x| x == "rs") {
-                out.push(p);
-            }
-        }
-    }
-    out.sort();
-    out
-}
-
-/// Loads and scans every source file of a crate's `src/` directory,
-/// dropping files claimed by `#[cfg(…test…)] mod x;` declarations.
-fn scan_crate_src(crate_src: &Path) -> Vec<(PathBuf, Scan)> {
-    let mut scans: Vec<(PathBuf, Scan)> = rust_files(crate_src)
-        .into_iter()
-        .filter_map(|p| {
-            let src = fs::read_to_string(&p).ok()?;
-            Some((p, scan_source(&src)))
-        })
-        .collect();
-    let gated: Vec<String> = scans
-        .iter()
-        .flat_map(|(_, s)| s.test_mods.iter().cloned())
-        .collect();
-    scans.retain(|(p, _)| {
-        let stem = p.file_stem().and_then(|s| s.to_str()).unwrap_or("");
-        let dir = p
-            .parent()
-            .and_then(|d| d.file_name())
-            .and_then(|s| s.to_str())
-            .unwrap_or("");
-        let name = if stem == "mod" { dir } else { stem };
-        !gated.iter().any(|g| g == name)
-    });
-    scans
-}
-
-/// Every `crates/*/src` directory under `root`, sorted.
-fn crate_src_dirs(root: &Path) -> Vec<PathBuf> {
-    let Ok(entries) = fs::read_dir(root.join("crates")) else {
-        return Vec::new();
-    };
-    let mut dirs: Vec<PathBuf> = entries
-        .flatten()
-        .map(|e| e.path().join("src"))
-        .filter(|p| p.is_dir())
-        .collect();
-    dirs.sort();
-    dirs
-}
-
-fn rel(root: &Path, p: &Path) -> PathBuf {
-    p.strip_prefix(root).unwrap_or(p).to_path_buf()
-}
-
-// ---------------------------------------------------------------------------
-// R1: no unwrap/expect/panic! in non-test server/fo/cli code
-// ---------------------------------------------------------------------------
-
-fn rule_no_panic(root: &Path, diags: &mut Vec<Diagnostic>) {
-    const NEEDLES: [(&str, &str); 3] = [
-        (".unwrap()", "`unwrap()` aborts on Err/None"),
-        (".expect(", "`expect()` aborts on Err/None"),
-        ("panic!(", "`panic!` aborts the worker"),
-    ];
-    for krate in ["server", "fo", "cli", "cluster"] {
-        let src = root.join("crates").join(krate).join("src");
-        for (path, scan) in scan_crate_src(&src) {
-            for (idx, line) in scan.code.iter().enumerate() {
-                if scan.test_line[idx] {
-                    continue;
-                }
-                for (needle, why) in NEEDLES {
-                    if line.contains(needle) {
-                        diags.push(Diagnostic {
-                            file: rel(root, &path),
-                            line: idx + 1,
-                            rule: "no-panic",
-                            message: format!(
-                                "{why} in non-test ingestion-path code; return a typed error"
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// R2: no raw std::sync / std::thread inside crates/server or crates/cluster
-// ---------------------------------------------------------------------------
-
-fn rule_sync_shims(root: &Path, diags: &mut Vec<Diagnostic>) {
-    for krate in ["server", "cluster"] {
-        let src = root.join("crates").join(krate).join("src");
-        for (path, scan) in scan_crate_src(&src) {
-            for (idx, line) in scan.code.iter().enumerate() {
-                if scan.test_line[idx] {
-                    continue;
-                }
-                for needle in ["std::sync", "std::thread"] {
-                    if line.contains(needle) {
-                        diags.push(Diagnostic {
-                            file: rel(root, &path),
-                            line: idx + 1,
-                            rule: "sync-shims",
-                            message: format!(
-                                "raw `{needle}` in crates/{krate} — route it through \
-                                 `felip_sync` so the model checker can schedule it"
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// R3: every `unsafe` is preceded by a SAFETY: comment
-// ---------------------------------------------------------------------------
-
-fn rule_safety_comments(root: &Path, diags: &mut Vec<Diagnostic>) {
-    for src in crate_src_dirs(root) {
-        for (path, scan) in scan_crate_src(&src) {
-            for (idx, line) in scan.code.iter().enumerate() {
-                if has_word(line, "unsafe") && !safety_comment_precedes(&scan, idx) {
-                    diags.push(Diagnostic {
-                        file: rel(root, &path),
-                        line: idx + 1,
-                        rule: "safety-comments",
-                        message: "`unsafe` without a preceding `// SAFETY:` comment \
-                                  justifying why the contract holds"
-                            .to_string(),
-                    });
-                }
-            }
-        }
-    }
-}
-
-/// Whole-word search (identifier boundaries on both sides), so
-/// `forbid(unsafe_code)` does not count as `unsafe`.
-fn has_word(line: &str, word: &str) -> bool {
-    let bytes = line.as_bytes();
-    let mut from = 0;
-    while let Some(pos) = line[from..].find(word) {
-        let start = from + pos;
-        let end = start + word.len();
-        let left_ok = start == 0 || !is_ident_byte(bytes[start - 1]);
-        let right_ok = end >= bytes.len() || !is_ident_byte(bytes[end]);
-        if left_ok && right_ok {
-            return true;
-        }
-        from = end;
-    }
-    false
-}
-
-fn is_ident_byte(b: u8) -> bool {
-    b == b'_' || b.is_ascii_alphanumeric()
-}
-
-/// Whether line `idx` (containing `unsafe`) has `SAFETY:` on the same line
-/// or in the contiguous comment block directly above it; attribute lines
-/// between the comment and the `unsafe` are allowed.
-fn safety_comment_precedes(scan: &Scan, idx: usize) -> bool {
-    if scan.comments[idx].contains("SAFETY:") {
-        return true;
-    }
-    let mut i = idx;
-    while i > 0 {
-        i -= 1;
-        let code = scan.code[i].trim();
-        let com = scan.comments[i].trim();
-        if code.starts_with("#[") || code.starts_with("#![") {
-            continue;
-        }
-        if code.is_empty() && !com.is_empty() {
-            if com.contains("SAFETY:") {
-                return true;
-            }
-            continue; // still inside the comment block directly above
-        }
-        return false; // code or a blank line breaks adjacency
-    }
-    false
-}
-
-// ---------------------------------------------------------------------------
-// R4: golden constants must not drift
-// ---------------------------------------------------------------------------
-
-/// `(file, anchor, expected-fragment)`: the first line containing `anchor`
-/// must also contain `expected`. A missing anchor (constant removed or
-/// renamed) is equally a drift.
-const GOLDEN: [(&str, &str, &str); 11] = [
-    (
-        "crates/server/src/wire.rs",
-        "pub const MAGIC",
-        "u32::from_le_bytes(*b\"FELP\")",
-    ),
-    (
-        "crates/server/src/wire.rs",
-        "pub const VERSION",
-        ": u8 = 5;",
-    ),
-    // The cluster verbs' frame-kind discriminants: ingest nodes and
-    // aggregators of mixed builds interoperate only if these never move.
-    ("crates/server/src/wire.rs", "Delta =", "= 7,"),
-    ("crates/server/src/wire.rs", "DeltaAck =", "= 8,"),
-    // The online-query verbs (wire v5): clients and servers of mixed
-    // builds interoperate only if these never move.
-    ("crates/server/src/wire.rs", "Query =", "= 9,"),
-    ("crates/server/src/wire.rs", "QueryReply =", "= 10,"),
-    (
-        "crates/cluster/src/state.rs",
-        "pub const CLUSTER_MAGIC",
-        "u32::from_le_bytes(*b\"FCLU\")",
-    ),
-    (
-        "crates/cluster/src/state.rs",
-        "pub const CLUSTER_VERSION",
-        ": u8 = 1;",
-    ),
-    (
-        "crates/server/src/snapshot.rs",
-        "pub const SNAPSHOT_MAGIC",
-        "u32::from_le_bytes(*b\"FSNP\")",
-    ),
-    (
-        "crates/server/src/snapshot.rs",
-        "pub const SNAPSHOT_VERSION",
-        ": u8 = 2;",
-    ),
-    (
-        "crates/felip/src/plan.rs",
-        "fold(0, 0x",
-        "0x4645_4c49_505f_4831", // "FELIP_H1" — the schema_hash domain tag
-    ),
-];
-
-fn rule_golden_constants(root: &Path, diags: &mut Vec<Diagnostic>) {
-    for (file, anchor, expected) in GOLDEN {
-        let path = root.join(file);
-        let Ok(src) = fs::read_to_string(&path) else {
-            diags.push(Diagnostic {
-                file: PathBuf::from(file),
-                line: 1,
-                rule: "golden-constants",
-                message: format!("file missing — golden constant `{anchor}` unverifiable"),
-            });
-            continue;
-        };
-        match src.lines().enumerate().find(|(_, l)| l.contains(anchor)) {
-            Some((_, l)) if l.contains(expected) => {}
-            Some((i, _)) => diags.push(Diagnostic {
-                file: PathBuf::from(file),
-                line: i + 1,
-                rule: "golden-constants",
-                message: format!(
-                    "`{anchor}` drifted from golden value `{expected}` — changing it \
-                     invalidates deployed snapshots/clients; if intentional, bump the \
-                     format version and update xtask::GOLDEN in the same change"
-                ),
-            }),
-            None => diags.push(Diagnostic {
-                file: PathBuf::from(file),
-                line: 1,
-                rule: "golden-constants",
-                message: format!("golden constant `{anchor}` removed or renamed"),
-            }),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// R5: metric names in code == DESIGN.md §11 catalogue
-// ---------------------------------------------------------------------------
-
-/// Call forms that introduce a metric/span name as their first string
-/// literal argument.
-const METRIC_CALLS: [&str; 7] = [
-    "felip_obs::counter!(",
-    "felip_obs::gauge!(",
-    "felip_obs::gauge_f64!(",
-    "felip_obs::hist!(",
-    "felip_obs::span!(",
-    "felip_obs::event(",
-    ".span_child(",
-];
-
-fn rule_metric_registry(root: &Path, diags: &mut Vec<Diagnostic>) {
-    // Every crate except obs itself (obs defines the machinery and emits
-    // nothing; its internal plumbing would false-positive `.span_child(`).
-    let mut emitted: Vec<(String, PathBuf, usize)> = Vec::new();
-    for src in crate_src_dirs(root) {
-        if src
-            .parent()
-            .and_then(|p| p.file_name())
-            .is_some_and(|n| n == "obs")
-        {
-            continue;
-        }
-        for (path, scan) in scan_crate_src(&src) {
-            for (idx, line) in scan.code.iter().enumerate() {
-                if scan.test_line[idx] {
-                    continue;
-                }
-                for call in METRIC_CALLS {
-                    let mut from = 0;
-                    while let Some(pos) = line[from..].find(call) {
-                        let col = from + pos + call.len();
-                        if let Some(name) = first_string_literal(&scan.raw, idx, col) {
-                            emitted.push((name, rel(root, &path), idx + 1));
-                        }
-                        from = col;
-                    }
-                }
-            }
-        }
-    }
-    let code_names: BTreeSet<&str> = emitted.iter().map(|(n, _, _)| n.as_str()).collect();
-
-    let design = root.join("DESIGN.md");
-    let Ok(text) = fs::read_to_string(&design) else {
-        diags.push(Diagnostic {
-            file: PathBuf::from("DESIGN.md"),
-            line: 1,
-            rule: "metric-registry",
-            message: "DESIGN.md missing — metric catalogue unverifiable".to_string(),
-        });
-        return;
-    };
-    let catalogue = parse_catalogue(&text);
-    if catalogue.is_empty() {
-        diags.push(Diagnostic {
-            file: PathBuf::from("DESIGN.md"),
-            line: 1,
-            rule: "metric-registry",
-            message: "no metric-catalogue table rows found under §11".to_string(),
-        });
-        return;
-    }
-    let mut reported = BTreeSet::new();
-    for (name, file, line) in &emitted {
-        if !catalogue.contains_key(name.as_str()) && reported.insert(name.as_str()) {
-            diags.push(Diagnostic {
-                file: file.clone(),
-                line: *line,
-                rule: "metric-registry",
-                message: format!(
-                    "metric `{name}` emitted here but missing from the DESIGN.md §11 \
-                     metric catalogue"
-                ),
-            });
-        }
-    }
-    for (name, line) in &catalogue {
-        if !code_names.contains(name.as_str()) {
-            diags.push(Diagnostic {
-                file: PathBuf::from("DESIGN.md"),
-                line: *line,
-                rule: "metric-registry",
-                message: format!("metric `{name}` catalogued in §11 but never emitted in code"),
-            });
-        }
-    }
-}
-
-/// Finds the first `"…"` literal at or after `(start_line, col)`, spanning
-/// forward over at most a few lines (multi-line macro calls). Only
-/// whitespace may separate the call from its name argument.
-fn first_string_literal(raw: &[String], start_line: usize, col: usize) -> Option<String> {
-    for (n, line) in raw.iter().enumerate().skip(start_line).take(4) {
-        let s: &str = if n == start_line {
-            line.get(col..).unwrap_or("")
-        } else {
-            line
-        };
-        if let Some(open) = s.find('"') {
-            let rest = &s[open + 1..];
-            return Some(rest[..rest.find('"')?].to_string());
-        }
-        if !s.trim().is_empty() {
-            return None;
-        }
-    }
-    None
-}
-
-/// Backticked names from the first column of the table that follows the
-/// `**Metric catalogue.**` marker in §11 (other §11 tables — e.g. the
-/// trace schema — are not catalogues). Returns name → line number.
-fn parse_catalogue(design: &str) -> BTreeMap<String, usize> {
-    let mut names = BTreeMap::new();
-    let mut in_section = false;
-    let mut in_table = false;
-    for (i, line) in design.lines().enumerate() {
-        if let Some(h) = line.strip_prefix("## ") {
-            in_section = h.starts_with("11");
-            in_table = false;
-            continue;
-        }
-        if !in_section {
-            continue;
-        }
-        if line.contains("**Metric catalogue.**") {
-            in_table = true;
-            continue;
-        }
-        let t = line.trim();
-        if !in_table || !t.starts_with('|') {
-            if in_table && !t.is_empty() && !t.starts_with('|') {
-                in_table = false; // prose after the table ends it
-            }
-            continue;
-        }
-        let first_cell = t.trim_start_matches('|').split('|').next().unwrap_or("");
-        let mut rest = first_cell;
-        while let Some(open) = rest.find('`') {
-            let after = &rest[open + 1..];
-            let Some(close) = after.find('`') else { break };
-            let name = &after[..close];
-            if !name.is_empty() {
-                names.entry(name.to_string()).or_insert(i + 1);
-            }
-            rest = &after[close + 1..];
-        }
-    }
-    names
-}
-
-// ---------------------------------------------------------------------------
-// R6: raw syscall plumbing stays inside crates/server/src/reactor.rs
-// ---------------------------------------------------------------------------
-
-/// The reactor module (DESIGN.md §15) is the single place allowed to
-/// speak the raw kernel ABI; these tokens anywhere else mean someone is
-/// duplicating syscall plumbing outside the one audited file.
-fn rule_reactor_syscalls(root: &Path, diags: &mut Vec<Diagnostic>) {
-    const NEEDLES: [&str; 4] = ["epoll_", "sched_setaffinity", "sched_getaffinity", "asm!("];
-    let allowed = Path::new("crates/server/src/reactor.rs");
-    for src in crate_src_dirs(root) {
-        for (path, scan) in scan_crate_src(&src) {
-            let rel_path = rel(root, &path);
-            if rel_path == allowed {
-                continue;
-            }
-            for (idx, line) in scan.code.iter().enumerate() {
-                for needle in NEEDLES {
-                    if line.contains(needle) {
-                        diags.push(Diagnostic {
-                            file: rel_path.clone(),
-                            line: idx + 1,
-                            rule: "reactor-syscalls",
-                            message: format!(
-                                "`{needle}` outside crates/server/src/reactor.rs — all raw \
-                                 syscall plumbing lives in the reactor module (DESIGN.md §15)"
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// R7: checked-in BENCH_*.json headline keys must not drift
-// ---------------------------------------------------------------------------
-
-/// Headline keys per bench artefact. CI gates (`.github/workflows/ci.yml`)
-/// and the README's numbers read these by name; reshaping a bench without
-/// updating both is the drift this rule catches. Absent files are skipped —
-/// presence is the bench job's concern, shape is lint's.
-const BENCH_SCHEMAS: [(&str, &[&str]); 5] = [
-    (
-        "BENCH_ingest.json",
-        &["bench", "oracle", "results", "batched_reports_per_sec"],
-    ),
-    (
-        "BENCH_obs.json",
-        &[
-            "bench",
-            "disabled_reports_per_sec",
-            "enabled_reports_per_sec",
-            "overhead_pct",
-        ],
-    ),
-    (
-        "BENCH_serve.json",
-        &[
-            "bench",
-            "transport",
-            "reports_per_sec",
-            "frame_p50_us",
-            "frame_p99_us",
-        ],
-    ),
-    (
-        "BENCH_cluster.json",
-        &[
-            "bench",
-            "nodes",
-            "aggregate_reports_per_sec",
-            "delta_merge_p50_us",
-            "delta_merge_p99_us",
-            "catchup_ms",
-        ],
-    ),
-    (
-        "BENCH_query.json",
-        &[
-            "bench",
-            "queries",
-            "query_p50_ms",
-            "query_p99_ms",
-            "max_staleness_epochs",
-            "cache_hits",
-            "cache_misses",
-            "ingest_reports_per_sec",
-        ],
-    ),
-];
-
-fn rule_bench_schema(root: &Path, diags: &mut Vec<Diagnostic>) {
-    for (file, keys) in BENCH_SCHEMAS {
-        let Ok(text) = fs::read_to_string(root.join(file)) else {
-            continue;
-        };
-        if text.trim_start().as_bytes().first() != Some(&b'{') {
-            diags.push(Diagnostic {
-                file: PathBuf::from(file),
-                line: 1,
-                rule: "bench-schema",
-                message: "bench artefact must be a JSON object".to_string(),
-            });
-            continue;
-        }
-        for key in keys {
-            let quoted = format!("\"{key}\"");
-            if !text.contains(&quoted) {
-                diags.push(Diagnostic {
-                    file: PathBuf::from(file),
-                    line: 1,
-                    rule: "bench-schema",
-                    message: format!(
-                        "headline key `{key}` missing — CI gates and docs read it by name; \
-                         update them together with the bench shape"
-                    ),
-                });
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Self-test fixtures (acceptance: nonzero + file:line on violations; the
-// zero-diagnostics run on the real tree lives in `tests/real_tree.rs`).
-// ---------------------------------------------------------------------------
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    struct Fixture {
-        root: PathBuf,
-    }
-
-    impl Fixture {
-        fn new(tag: &str) -> Fixture {
-            let root = std::env::temp_dir()
-                .join(format!("xtask-lint-fixture-{tag}-{}", std::process::id()));
-            let _ = fs::remove_dir_all(&root);
-            fs::create_dir_all(&root).unwrap();
-            Fixture { root }
-        }
-
-        fn write(&self, path: &str, contents: &str) {
-            let p = self.root.join(path);
-            fs::create_dir_all(p.parent().unwrap()).unwrap();
-            fs::write(p, contents).unwrap();
-        }
-    }
-
-    impl Drop for Fixture {
-        fn drop(&mut self) {
-            let _ = fs::remove_dir_all(&self.root);
-        }
-    }
-
-    /// The golden files + catalogue a fixture needs to pass R4/R5 with one
-    /// emitted metric.
-    fn write_clean_base(f: &Fixture) {
-        f.write(
-            "crates/server/src/wire.rs",
-            "pub const MAGIC: u32 = u32::from_le_bytes(*b\"FELP\");\n\
-             pub const VERSION: u8 = 5;\n\
-             enum FrameKind {\n    Delta = 7,\n    DeltaAck = 8,\n    \
-             Query = 9,\n    QueryReply = 10,\n}\n",
-        );
-        f.write(
-            "crates/cluster/src/state.rs",
-            "pub const CLUSTER_MAGIC: u32 = u32::from_le_bytes(*b\"FCLU\");\n\
-             pub const CLUSTER_VERSION: u8 = 1;\n",
-        );
-        f.write(
-            "crates/server/src/snapshot.rs",
-            "pub const SNAPSHOT_MAGIC: u32 = u32::from_le_bytes(*b\"FSNP\");\n\
-             pub const SNAPSHOT_VERSION: u8 = 2;\n",
-        );
-        f.write(
-            "crates/felip/src/plan.rs",
-            "fn schema_hash() -> u64 { fold(0, 0x4645_4c49_505f_4831) }\n\
-             fn emit() { felip_obs::counter!(\"server.accept\", 1, \"conns\"); }\n",
-        );
-        f.write(
-            "DESIGN.md",
-            "## 11. Observability\n\n**Metric catalogue.**\n\n\
-             | name | type (unit) | meaning |\n|---|---|---|\n\
-             | `server.accept` | counter (conns) | accepted connections |\n\n\
-             ## 12. Other\n",
-        );
+    fn flags(args: &[&str]) -> Option<(bool, bool)> {
+        analyze_flags(args.iter().map(|a| a.to_string()))
     }
 
     #[test]
-    fn clean_fixture_passes_every_rule() {
-        let f = Fixture::new("clean");
-        write_clean_base(&f);
-        let ok_rs = concat!(
-            "//! Exercises every non-violation the rules must tolerate:\n",
-            "//! doc examples may call `.unwrap()` or even panic!(freely).\n",
-            "use felip_sync::{Mutex, thread};\n",
-            "\n",
-            "fn fine<'a>(x: &'a str) -> &'a str {\n",
-            "    let _s = \"call .unwrap() or panic!(now) or std::thread::spawn\";\n",
-            "    let _q = '\"';\n",
-            "    let _r = r\"raw .expect( string\";\n",
-            "    let _b = b\"byte panic!( string\";\n",
-            "    /* block comment: .unwrap() */\n",
-            "    x\n",
-            "}\n",
-            "\n",
-            "// SAFETY: the pointer is valid for the whole call; see `fine`.\n",
-            "unsafe fn justified() {}\n",
-            "\n",
-            "#[cfg(test)]\n",
-            "mod tests {\n",
-            "    #[test]\n",
-            "    fn tests_may_unwrap() {\n",
-            "        Some(1).unwrap();\n",
-            "        std::thread::spawn(|| panic!(\"fine in tests\"));\n",
-            "    }\n",
-            "}\n",
+    fn format_takes_exactly_one_value() {
+        assert_eq!(flags(&[]), Some((false, false)));
+        assert_eq!(flags(&["--format", "text"]), Some((false, false)));
+        assert_eq!(flags(&["--format", "json"]), Some((true, false)));
+        assert_eq!(
+            flags(&["--dump-locks", "--format", "json"]),
+            Some((true, true))
         );
-        f.write("crates/server/src/ok.rs", ok_rs);
-        let diags = lint_root(&f.root);
-        assert!(diags.is_empty(), "false positives: {diags:?}");
-    }
-
-    #[test]
-    fn no_panic_rule_fires_with_file_and_line() {
-        let f = Fixture::new("nopanic");
-        write_clean_base(&f);
-        f.write(
-            "crates/server/src/bad.rs",
-            "fn f() {\n    let x: Option<u32> = None;\n    x.unwrap();\n}\n",
-        );
-        f.write(
-            "crates/cli/src/bad.rs",
-            "fn g() {\n    panic!(\"boom\");\n}\n",
-        );
-        f.write(
-            "crates/fo/src/bad.rs",
-            "fn h() {\n    let r: Result<(), ()> = Ok(());\n    r.expect(\"oops\");\n}\n",
-        );
-        f.write(
-            "crates/cluster/src/bad.rs",
-            "fn k() {\n    let v: Vec<u8> = Vec::new();\n    let _ = v.first().unwrap();\n}\n",
-        );
-        let msgs: Vec<String> = lint_root(&f.root).iter().map(|d| d.to_string()).collect();
-        for want in [
-            ("crates/server/src/bad.rs:3", "no-panic"),
-            ("crates/cli/src/bad.rs:2", "no-panic"),
-            ("crates/fo/src/bad.rs:3", "no-panic"),
-            ("crates/cluster/src/bad.rs:3", "no-panic"),
+        for bad in [
+            &["--format"][..],
+            &["json"],
+            &["--format", "yaml"],
+            &["--format", "--dump-locks"],
+            &["--format=json"],
         ] {
-            assert!(
-                msgs.iter()
-                    .any(|m| m.contains(want.0) && m.contains(want.1)),
-                "missing {want:?} in {msgs:?}"
-            );
+            assert_eq!(flags(bad), None, "{bad:?} accepted");
+            let argv = ["analyze"].iter().chain(bad).map(|a| a.to_string());
+            assert_eq!(run(argv), 2, "{bad:?} must exit 2");
         }
-    }
-
-    #[test]
-    fn sync_shim_rule_fires_only_in_modelled_crates() {
-        let f = Fixture::new("sync");
-        write_clean_base(&f);
-        f.write(
-            "crates/server/src/bad_sync.rs",
-            "use std::sync::Mutex;\nfn f() { std::thread::spawn(|| {}); }\n",
-        );
-        f.write(
-            "crates/cluster/src/bad_sync.rs",
-            "fn h() { std::thread::spawn(|| {}); }\n",
-        );
-        f.write(
-            "crates/fo/src/fine.rs",
-            "use std::sync::Arc;\nfn g() -> Arc<u32> { Arc::new(1) }\n",
-        );
-        let diags = lint_root(&f.root);
-        let sync: Vec<&Diagnostic> = diags.iter().filter(|d| d.rule == "sync-shims").collect();
-        assert_eq!(sync.len(), 3, "{diags:?}");
-        assert!(sync
-            .iter()
-            .all(|d| d.file.starts_with("crates/server") || d.file.starts_with("crates/cluster")));
-        assert!(
-            sync.iter()
-                .any(|d| d.file == Path::new("crates/cluster/src/bad_sync.rs") && d.line == 1),
-            "{sync:?}"
-        );
-    }
-
-    #[test]
-    fn safety_rule_accepts_attrs_between_comment_and_unsafe() {
-        let f = Fixture::new("safety");
-        write_clean_base(&f);
-        f.write(
-            "crates/fo/src/kernels.rs",
-            "// SAFETY: feature detected by the caller.\n\
-             #[cfg(target_arch = \"x86_64\")]\n\
-             #[target_feature(enable = \"avx2\")]\n\
-             unsafe fn ok() {}\n\
-             \n\
-             unsafe fn bad() {}\n",
-        );
-        let diags = lint_root(&f.root);
-        let safety: Vec<&Diagnostic> = diags
-            .iter()
-            .filter(|d| d.rule == "safety-comments")
-            .collect();
-        assert_eq!(safety.len(), 1, "{diags:?}");
-        assert_eq!(safety[0].line, 6);
-        assert_eq!(safety[0].file, PathBuf::from("crates/fo/src/kernels.rs"));
-    }
-
-    #[test]
-    fn golden_constant_drift_is_reported() {
-        let f = Fixture::new("golden");
-        write_clean_base(&f);
-        f.write(
-            "crates/server/src/wire.rs",
-            "pub const MAGIC: u32 = u32::from_le_bytes(*b\"XXXX\");\n\
-             pub const VERSION: u8 = 9;\n\
-             enum FrameKind {\n    Delta = 7,\n    DeltaAck = 8,\n    \
-             Query = 9,\n    QueryReply = 10,\n}\n",
-        );
-        let diags = lint_root(&f.root);
-        let golden: Vec<&Diagnostic> = diags
-            .iter()
-            .filter(|d| d.rule == "golden-constants")
-            .collect();
-        assert_eq!(golden.len(), 2, "{diags:?}");
-        assert!(golden[0].message.contains("drifted"));
-        assert_eq!(golden[0].file, PathBuf::from("crates/server/src/wire.rs"));
-        assert_eq!((golden[0].line, golden[1].line), (1, 2));
-    }
-
-    #[test]
-    fn metric_registry_checks_both_directions() {
-        let f = Fixture::new("metrics");
-        write_clean_base(&f);
-        // Emits a metric that is not catalogued…
-        f.write(
-            "crates/grid/src/x.rs",
-            "fn f() { felip_obs::hist!(\"grid.unregistered\", 1, \"items\"); }\n",
-        );
-        // …while the catalogue lists one that is never emitted.
-        f.write(
-            "DESIGN.md",
-            "## 11. Observability\n\n**Metric catalogue.**\n\n\
-             | name | type (unit) | meaning |\n|---|---|---|\n\
-             | `server.accept` | counter (conns) | accepted connections |\n\
-             | `ghost.metric` | counter | never emitted |\n",
-        );
-        let reg: Vec<String> = lint_root(&f.root)
-            .iter()
-            .filter(|d| d.rule == "metric-registry")
-            .map(|d| d.to_string())
-            .collect();
-        assert!(
-            reg.iter()
-                .any(|m| m.contains("grid.unregistered") && m.contains("crates/grid/src/x.rs:1")),
-            "{reg:?}"
-        );
-        assert!(
-            reg.iter()
-                .any(|m| m.contains("ghost.metric") && m.contains("DESIGN.md:8")),
-            "{reg:?}"
-        );
-    }
-
-    #[test]
-    fn cfg_test_gated_module_files_are_skipped() {
-        let f = Fixture::new("gated");
-        write_clean_base(&f);
-        f.write(
-            "crates/server/src/lib.rs",
-            "#[cfg(all(test, feature = \"model\"))]\nmod model_tests;\npub mod queue;\n",
-        );
-        f.write(
-            "crates/server/src/model_tests.rs",
-            "fn t() { Some(1).unwrap(); panic!(\"test-only\"); std::thread::yield_now(); }\n",
-        );
-        f.write("crates/server/src/queue.rs", "pub fn q() {}\n");
-        let diags = lint_root(&f.root);
-        assert!(
-            diags.iter().all(|d| !d.file.ends_with("model_tests.rs")),
-            "gated module file was linted: {diags:?}"
-        );
-    }
-
-    #[test]
-    fn multiline_metric_calls_resolve_their_name() {
-        let f = Fixture::new("multiline");
-        write_clean_base(&f);
-        f.write(
-            "crates/grid/src/y.rs",
-            "fn f() {\n    felip_obs::hist!(\n        \"grid.wrapped\",\n        1,\n        \"items\",\n    );\n}\n",
-        );
-        let diags = lint_root(&f.root);
-        assert!(
-            diags.iter().any(|d| d.message.contains("grid.wrapped")),
-            "wrapped metric name not extracted: {diags:?}"
-        );
-    }
-
-    #[test]
-    fn reactor_syscall_rule_fires_outside_reactor_module() {
-        let f = Fixture::new("reactor");
-        write_clean_base(&f);
-        // Inside the reactor module: allowed, even without test gating.
-        f.write(
-            "crates/server/src/reactor.rs",
-            "// SAFETY: fixture.\nunsafe fn w() { epoll_wait(); sched_setaffinity(); }\n",
-        );
-        // Anywhere else: each token is a violation with file:line.
-        f.write(
-            "crates/bench/src/sneaky.rs",
-            "fn f() {\n    epoll_ctl();\n}\n",
-        );
-        let diags = lint_root(&f.root);
-        let hits: Vec<_> = diags
-            .iter()
-            .filter(|d| d.rule == "reactor-syscalls")
-            .collect();
-        assert_eq!(hits.len(), 1, "{diags:?}");
-        assert_eq!(hits[0].file, PathBuf::from("crates/bench/src/sneaky.rs"));
-        assert_eq!(hits[0].line, 2);
-    }
-
-    #[test]
-    fn reactor_syscall_rule_ignores_strings_and_comments() {
-        let f = Fixture::new("reactorstr");
-        write_clean_base(&f);
-        f.write(
-            "crates/obs/src/doc.rs",
-            "// mentioning epoll_wait in prose is fine\n\
-             fn f() { let _ = \"epoll_wait sched_setaffinity asm!(\"; }\n",
-        );
-        let diags = lint_root(&f.root);
-        assert!(
-            !diags.iter().any(|d| d.rule == "reactor-syscalls"),
-            "false positives: {diags:?}"
-        );
-    }
-
-    #[test]
-    fn bench_schema_rule_fires_on_missing_headline_key() {
-        let f = Fixture::new("benchschema");
-        write_clean_base(&f);
-        // Renamed key: `reports_per_sec` → `rate` must be flagged.
-        f.write(
-            "BENCH_serve.json",
-            "{\n  \"bench\": \"serve_loadgen\",\n  \"transport\": \"tcp loopback\",\n\
-             \"rate\": 1.0,\n  \"frame_p50_us\": 1.0,\n  \"frame_p99_us\": 2.0\n}\n",
-        );
-        let diags = lint_root(&f.root);
-        let hits: Vec<_> = diags.iter().filter(|d| d.rule == "bench-schema").collect();
-        assert_eq!(hits.len(), 1, "{diags:?}");
-        assert!(hits[0].message.contains("reports_per_sec"));
-        assert_eq!(hits[0].file, PathBuf::from("BENCH_serve.json"));
-    }
-
-    #[test]
-    fn bench_schema_rule_accepts_conforming_file_and_skips_absent_ones() {
-        let f = Fixture::new("benchok");
-        write_clean_base(&f);
-        // Only serve is present; ingest/obs absent files are skipped.
-        f.write(
-            "BENCH_serve.json",
-            "{\n  \"bench\": \"serve_loadgen\",\n  \"transport\": \"tcp loopback\",\n\
-             \"reports_per_sec\": 1.0,\n  \"frame_p50_us\": 1.0,\n  \"frame_p99_us\": 2.0\n}\n",
-        );
-        let diags = lint_root(&f.root);
-        assert!(
-            !diags.iter().any(|d| d.rule == "bench-schema"),
-            "false positives: {diags:?}"
-        );
-    }
-
-    #[test]
-    fn bench_schema_rule_rejects_non_object_artefact() {
-        let f = Fixture::new("benchnonobj");
-        write_clean_base(&f);
-        f.write("BENCH_obs.json", "[1, 2, 3]\n");
-        let diags = lint_root(&f.root);
-        assert!(
-            diags
-                .iter()
-                .any(|d| d.rule == "bench-schema" && d.message.contains("JSON object")),
-            "{diags:?}"
-        );
-    }
-
-    #[test]
-    fn unknown_subcommand_exits_nonzero() {
-        assert_eq!(run(["frobnicate".to_string()].into_iter()), 2);
-        assert_eq!(run(std::iter::empty()), 2);
     }
 }

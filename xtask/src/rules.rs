@@ -1,19 +1,15 @@
-//! Token-level ports of the PR-5 string rules (DESIGN.md §14 → §18).
+//! The seven repo rules of DESIGN.md §18 (R1–R7), run by `xtask analyze`
+//! beside the taint, lock-order and arith passes.
 //!
-//! The old `xtask lint` works on a comment/string-stripped line view and
-//! needs hand-rolled false-positive handling (whole-word matching,
-//! column bookkeeping, multi-line literal chasing). On the token tree the
-//! same rules fall out directly: a `Str` token can never trip `panic!(`,
-//! `forbid(unsafe_code)` is three tokens none of which is the `unsafe`
-//! keyword, and test gating is the item tree's `#[cfg(test)]` scopes
-//! rather than a per-line bitmap.
-//!
-//! Content-anchored rules — golden-constants (R4) and bench-schema (R7) —
-//! stay on the string scanner: they match literal byte sequences in
-//! specific files and gain nothing from tokens. The analyze driver runs
-//! them via the PR-5 entry points.
+//! Five of them work on the token tree: a `Str` token can never trip
+//! `panic!(`, `forbid(unsafe_code)` is three tokens none of which is the
+//! `unsafe` keyword, and test gating is the item tree's `#[cfg(test)]`
+//! scopes. The other two — golden-constants (R4) and bench-schema (R7) —
+//! check anchored content of specific files (a constant's source line, a
+//! JSON artefact's keys), so they read those files directly: tokens add
+//! nothing there.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::Path;
 
@@ -72,6 +68,8 @@ pub fn run(ws: &Workspace, root: &Path) -> Vec<Finding> {
         reactor_syscalls(f, &mut out);
     }
     metric_registry(ws, root, &mut out);
+    golden_constants(root, &mut out);
+    bench_schema(root, &mut out);
     out.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     out
 }
@@ -192,13 +190,13 @@ fn reactor_syscalls(f: &SourceFile, out: &mut Vec<Finding>) {
 }
 
 /// The macro/function names that introduce a metric name (token form of
-/// the PR-5 `METRIC_CALLS` table).
+/// `felip_obs::<m>!(` call forms).
 const METRIC_MACROS: &[&str] = &["counter", "gauge", "gauge_f64", "hist", "span"];
 
 /// R5: metric/span names emitted in code equal the DESIGN.md §11 catalogue
 /// in both directions. Emission sites are `felip_obs::<m>!("name", …)`,
 /// `felip_obs::event("name", …)`, and `.span_child("name", …)`; the name
-/// must be the first token after the paren (same adjacency as PR-5).
+/// must be the first token after the paren.
 fn metric_registry(ws: &Workspace, root: &Path, out: &mut Vec<Finding>) {
     let mut emitted: Vec<(String, std::path::PathBuf, u32)> = Vec::new();
     for f in &ws.files {
@@ -252,7 +250,7 @@ fn metric_registry(ws: &Workspace, root: &Path, out: &mut Vec<Finding>) {
         });
         return;
     };
-    let catalogue = crate::parse_catalogue(&text);
+    let catalogue = parse_catalogue(&text);
     if catalogue.is_empty() {
         out.push(Finding {
             file: "DESIGN.md".into(),
@@ -287,6 +285,223 @@ fn metric_registry(ws: &Workspace, root: &Path, out: &mut Vec<Finding>) {
                 message: format!("metric `{name}` catalogued in §11 but never emitted in code"),
                 trace: Vec::new(),
             });
+        }
+    }
+}
+
+/// Backticked names from the first column of the table that follows the
+/// `**Metric catalogue.**` marker in §11 (other §11 tables — e.g. the
+/// trace schema — are not catalogues). Returns name → line number.
+fn parse_catalogue(design: &str) -> BTreeMap<String, usize> {
+    let mut names = BTreeMap::new();
+    let mut in_section = false;
+    let mut in_table = false;
+    for (i, line) in design.lines().enumerate() {
+        if let Some(h) = line.strip_prefix("## ") {
+            in_section = h.starts_with("11");
+            in_table = false;
+            continue;
+        }
+        if !in_section {
+            continue;
+        }
+        if line.contains("**Metric catalogue.**") {
+            in_table = true;
+            continue;
+        }
+        let t = line.trim();
+        if !in_table || !t.starts_with('|') {
+            if in_table && !t.is_empty() && !t.starts_with('|') {
+                in_table = false; // prose after the table ends it
+            }
+            continue;
+        }
+        let first_cell = t.trim_start_matches('|').split('|').next().unwrap_or("");
+        let mut rest = first_cell;
+        while let Some(open) = rest.find('`') {
+            let after = &rest[open + 1..];
+            let Some(close) = after.find('`') else { break };
+            let name = &after[..close];
+            if !name.is_empty() {
+                names.entry(name.to_string()).or_insert(i + 1);
+            }
+            rest = &after[close + 1..];
+        }
+    }
+    names
+}
+
+/// R4 table, `(file, anchor, expected-fragment)`: the first line
+/// containing `anchor` must also contain `expected`. A missing anchor
+/// (constant removed or renamed) is equally a drift.
+const GOLDEN: [(&str, &str, &str); 11] = [
+    (
+        "crates/server/src/wire.rs",
+        "pub const MAGIC",
+        "u32::from_le_bytes(*b\"FELP\")",
+    ),
+    (
+        "crates/server/src/wire.rs",
+        "pub const VERSION",
+        ": u8 = 5;",
+    ),
+    // The cluster verbs' frame-kind discriminants: ingest nodes and
+    // aggregators of mixed builds interoperate only if these never move.
+    ("crates/server/src/wire.rs", "Delta =", "= 7,"),
+    ("crates/server/src/wire.rs", "DeltaAck =", "= 8,"),
+    // The online-query verbs (wire v5): clients and servers of mixed
+    // builds interoperate only if these never move.
+    ("crates/server/src/wire.rs", "Query =", "= 9,"),
+    ("crates/server/src/wire.rs", "QueryReply =", "= 10,"),
+    (
+        "crates/cluster/src/state.rs",
+        "pub const CLUSTER_MAGIC",
+        "u32::from_le_bytes(*b\"FCLU\")",
+    ),
+    (
+        "crates/cluster/src/state.rs",
+        "pub const CLUSTER_VERSION",
+        ": u8 = 1;",
+    ),
+    (
+        "crates/server/src/snapshot.rs",
+        "pub const SNAPSHOT_MAGIC",
+        "u32::from_le_bytes(*b\"FSNP\")",
+    ),
+    (
+        "crates/server/src/snapshot.rs",
+        "pub const SNAPSHOT_VERSION",
+        ": u8 = 2;",
+    ),
+    (
+        "crates/felip/src/plan.rs",
+        "fold(0, 0x",
+        "0x4645_4c49_505f_4831", // "FELIP_H1" — the schema_hash domain tag
+    ),
+];
+
+/// R4: wire/snapshot magic numbers, protocol versions and the
+/// `schema_hash` domain tag must not drift — changing any of them
+/// silently invalidates every snapshot and client in the field.
+fn golden_constants(root: &Path, out: &mut Vec<Finding>) {
+    for (file, anchor, expected) in GOLDEN {
+        let Ok(src) = fs::read_to_string(root.join(file)) else {
+            out.push(Finding {
+                file: file.into(),
+                line: 1,
+                rule: "golden-constants",
+                message: format!("file missing — golden constant `{anchor}` unverifiable"),
+                trace: Vec::new(),
+            });
+            continue;
+        };
+        let (line, message) = match src.lines().enumerate().find(|(_, l)| l.contains(anchor)) {
+            Some((_, l)) if l.contains(expected) => continue,
+            Some((i, _)) => (
+                i + 1,
+                format!(
+                    "`{anchor}` drifted from golden value `{expected}` — changing it \
+                     invalidates deployed snapshots/clients; if intentional, bump the \
+                     format version and update `GOLDEN` in xtask/src/rules.rs in the \
+                     same change"
+                ),
+            ),
+            None => (1, format!("golden constant `{anchor}` removed or renamed")),
+        };
+        out.push(Finding {
+            file: file.into(),
+            line: line as u32,
+            rule: "golden-constants",
+            message,
+            trace: Vec::new(),
+        });
+    }
+}
+
+/// R7 table: headline keys per bench artefact. CI gates
+/// (`.github/workflows/ci.yml`) and the README's numbers read these by
+/// name; reshaping a bench without updating both is the drift R7 catches.
+/// Absent files are skipped — presence is the bench job's concern.
+const BENCH_SCHEMAS: [(&str, &[&str]); 5] = [
+    (
+        "BENCH_ingest.json",
+        &["bench", "oracle", "results", "batched_reports_per_sec"],
+    ),
+    (
+        "BENCH_obs.json",
+        &[
+            "bench",
+            "disabled_reports_per_sec",
+            "enabled_reports_per_sec",
+            "overhead_pct",
+        ],
+    ),
+    (
+        "BENCH_serve.json",
+        &[
+            "bench",
+            "transport",
+            "reports_per_sec",
+            "frame_p50_us",
+            "frame_p99_us",
+        ],
+    ),
+    (
+        "BENCH_cluster.json",
+        &[
+            "bench",
+            "nodes",
+            "aggregate_reports_per_sec",
+            "delta_merge_p50_us",
+            "delta_merge_p99_us",
+            "catchup_ms",
+        ],
+    ),
+    (
+        "BENCH_query.json",
+        &[
+            "bench",
+            "queries",
+            "query_p50_ms",
+            "query_p99_ms",
+            "max_staleness_epochs",
+            "cache_hits",
+            "cache_misses",
+            "ingest_reports_per_sec",
+        ],
+    ),
+];
+
+/// R7: checked-in `BENCH_*.json` files are JSON objects that keep their
+/// headline keys.
+fn bench_schema(root: &Path, out: &mut Vec<Finding>) {
+    for (file, keys) in BENCH_SCHEMAS {
+        let Ok(text) = fs::read_to_string(root.join(file)) else {
+            continue;
+        };
+        if text.trim_start().as_bytes().first() != Some(&b'{') {
+            out.push(Finding {
+                file: file.into(),
+                line: 1,
+                rule: "bench-schema",
+                message: "bench artefact must be a JSON object".to_string(),
+                trace: Vec::new(),
+            });
+            continue;
+        }
+        for key in keys {
+            if !text.contains(&format!("\"{key}\"")) {
+                out.push(Finding {
+                    file: file.into(),
+                    line: 1,
+                    rule: "bench-schema",
+                    message: format!(
+                        "headline key `{key}` missing — CI gates and docs read it by name; \
+                         update them together with the bench shape"
+                    ),
+                    trace: Vec::new(),
+                });
+            }
         }
     }
 }

@@ -172,8 +172,8 @@ pub struct Workspace {
 
 impl Workspace {
     /// Loads and indexes every `crates/*/src` file under `root`, dropping
-    /// files claimed by `#[cfg(…test…)] mod x;` declarations (mirrors the
-    /// PR-5 lint's scoping: integration `tests/` trees are never scanned).
+    /// files claimed by `#[cfg(…test…)] mod x;` declarations (integration
+    /// `tests/` trees are never scanned).
     pub fn load(root: &Path) -> Workspace {
         let mut ws = Workspace {
             files: Vec::new(),

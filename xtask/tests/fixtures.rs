@@ -1,7 +1,7 @@
 //! End-to-end fixture crates driven through `analyze_root` — the same
 //! entry point CI uses — one violating and one clean fixture per pass,
-//! plus the negative control showing the PR-5 string linter misses a
-//! taint flow the token-tree pass catches.
+//! plus the negative control showing that no rule without dataflow sees
+//! the raw-report-to-wire flow the taint pass catches.
 //!
 //! Fixtures are written to per-test temp directories shaped like a real
 //! workspace (`crates/<name>/src/*.rs`); findings are filtered by rule
@@ -73,9 +73,9 @@ fn raw_report_to_wire_flow_is_rejected() {
     );
 }
 
-/// Negative control: the same raw-report-to-wire fixture sails through the
-/// PR-5 string linter (it has no dataflow concept), while `analyze_root`
-/// rejects it — the token-tree pass is strictly stronger here.
+/// Negative control: on the same raw-report-to-wire fixture, every pass
+/// without a dataflow concept stays silent about `bad.rs` — only the
+/// taint pass sees the leak.
 #[test]
 fn old_string_lint_misses_the_taint_flow() {
     let root = fixture(
@@ -92,17 +92,27 @@ fn old_string_lint_misses_the_taint_flow() {
             ),
         ],
     );
-    let old = xtask::lint_root(&root);
+    let rep = analyze_root(&root);
+    let on_bad = |rule: &str| -> Vec<&Finding> {
+        by_rule(&rep.findings, rule)
+            .into_iter()
+            .filter(|f| f.file.ends_with("bad.rs"))
+            .collect()
+    };
+    for rule in [
+        "no-panic",
+        "sync-shims",
+        "safety-comments",
+        "reactor-syscalls",
+        "lock-order",
+        "checked-arith",
+    ] {
+        assert!(on_bad(rule).is_empty(), "{rule} flagged the flow file");
+    }
     assert!(
-        old.iter().all(|d| !d.file.ends_with("bad.rs")),
-        "string linter unexpectedly flagged the flow file: {old:?}"
-    );
-    let new = analyze_root(&root);
-    assert!(
-        by_rule(&new.findings, "privacy-taint")
-            .iter()
-            .any(|f| f.file.ends_with("bad.rs")),
-        "token-tree pass should flag what the string linter missed"
+        !on_bad("privacy-taint").is_empty(),
+        "taint pass should flag what the dataflow-free rules miss: {:?}",
+        rep.findings
     );
 }
 
@@ -282,13 +292,207 @@ fn wrapping_add_without_justification_is_rejected() {
 fn unwrap_in_server_is_rejected() {
     let root = fixture(
         "rules-panic",
-        &[(
-            "crates/server/src/u.rs",
-            "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n",
-        )],
+        &[
+            (
+                "crates/server/src/u.rs",
+                "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n",
+            ),
+            // A file claimed by a test-gated `mod x;` is never analyzed.
+            (
+                "crates/server/src/lib.rs",
+                "#[cfg(all(test, feature = \"model\"))]\nmod model_tests;\npub mod u;\n",
+            ),
+            (
+                "crates/server/src/model_tests.rs",
+                "fn t() { Some(1).unwrap(); panic!(\"test-only\"); std::thread::yield_now(); }\n",
+            ),
+        ],
     );
     let rep = analyze_root(&root);
-    assert_eq!(by_rule(&rep.findings, "no-panic").len(), 1);
+    let hits = by_rule(&rep.findings, "no-panic");
+    assert_eq!(hits.len(), 1, "{:?}", rep.findings);
+    assert!(hits[0].file.ends_with("u.rs"));
+    assert!(
+        rep.findings
+            .iter()
+            .all(|f| !f.file.ends_with("model_tests.rs")),
+        "gated module file was analyzed: {:?}",
+        rep.findings
+    );
+}
+
+#[test]
+fn token_rules_fire_with_file_and_line() {
+    let root = fixture(
+        "rules-ports",
+        &[
+            (
+                "crates/cluster/src/s.rs",
+                "fn f() {}\nfn g() { std::thread::spawn(|| {}); }\n",
+            ),
+            // Outside server/cluster raw std::sync is allowed.
+            (
+                "crates/fo/src/fine.rs",
+                "use std::sync::Arc;\nfn g() -> Arc<u32> { Arc::new(1) }\n",
+            ),
+            (
+                "crates/fo/src/kernels.rs",
+                "// SAFETY: feature detected by the caller.\n\
+                 #[target_feature(enable = \"avx2\")]\n\
+                 unsafe fn ok() {}\n\
+                 \n\
+                 unsafe fn bad() {}\n",
+            ),
+            // The reactor module may speak the raw kernel ABI…
+            (
+                "crates/server/src/reactor.rs",
+                "// SAFETY: fixture.\nunsafe fn w() { epoll_wait(); sched_setaffinity(); }\n",
+            ),
+            // …nothing else may, but prose and strings never count.
+            (
+                "crates/bench/src/sneaky.rs",
+                "// mentioning epoll_wait in prose is fine\n\
+                 fn f() {\n    let _ = \"epoll_wait asm!(\";\n    epoll_ctl();\n}\n",
+            ),
+        ],
+    );
+    let rep = analyze_root(&root);
+    for (rule, file, line) in [
+        ("sync-shims", "crates/cluster/src/s.rs", 2),
+        ("safety-comments", "crates/fo/src/kernels.rs", 5),
+        ("reactor-syscalls", "crates/bench/src/sneaky.rs", 4),
+    ] {
+        let hits = by_rule(&rep.findings, rule);
+        assert_eq!(hits.len(), 1, "{rule}: {:?}", rep.findings);
+        assert_eq!((hits[0].file.to_str(), hits[0].line), (Some(file), line));
+    }
+}
+
+// ------------------------------------------------- content-anchored rules
+
+/// The golden files, catalogue and emitter a fixture needs so the
+/// content-anchored rules have nothing to say.
+const GOLDEN_BASE: [(&str, &str); 4] = [
+    (
+        "crates/server/src/wire.rs",
+        "pub const MAGIC: u32 = u32::from_le_bytes(*b\"FELP\");\n\
+         pub const VERSION: u8 = 5;\n\
+         enum FrameKind {\n    Delta = 7,\n    DeltaAck = 8,\n    \
+         Query = 9,\n    QueryReply = 10,\n}\n",
+    ),
+    (
+        "crates/cluster/src/state.rs",
+        "pub const CLUSTER_MAGIC: u32 = u32::from_le_bytes(*b\"FCLU\");\n\
+         pub const CLUSTER_VERSION: u8 = 1;\n",
+    ),
+    (
+        "crates/server/src/snapshot.rs",
+        "pub const SNAPSHOT_MAGIC: u32 = u32::from_le_bytes(*b\"FSNP\");\n\
+         pub const SNAPSHOT_VERSION: u8 = 2;\n",
+    ),
+    (
+        "crates/felip/src/plan.rs",
+        "fn schema_hash() -> u64 { fold(0, 0x4645_4c49_505f_4831) }\n\
+         fn emit() { felip_obs::counter!(\"server.accept\", 1, \"conns\"); }\n",
+    ),
+];
+
+const CATALOGUE: &str = "## 11. Observability\n\n**Metric catalogue.**\n\n\
+     | name | type (unit) | meaning |\n|---|---|---|\n\
+     | `server.accept` | counter (conns) | accepted connections |\n";
+
+#[test]
+fn golden_constants_pass_clean_and_catch_drift() {
+    let mut files = GOLDEN_BASE.to_vec();
+    files.push(("DESIGN.md", CATALOGUE));
+    let rep = analyze_root(&fixture("golden-clean", &files));
+    assert!(rep.findings.is_empty(), "{:?}", rep.findings);
+
+    // Drifted magic and version, removed query verbs, missing snapshot.rs.
+    files[0].1 = "pub const MAGIC: u32 = u32::from_le_bytes(*b\"XXXX\");\n\
+                  pub const VERSION: u8 = 9;\n\
+                  enum FrameKind {\n    Delta = 7,\n    DeltaAck = 8,\n}\n";
+    files.remove(2);
+    let rep = analyze_root(&fixture("golden-drift", &files));
+    let got: Vec<String> = by_rule(&rep.findings, "golden-constants")
+        .iter()
+        .map(|f| f.to_string())
+        .collect();
+    assert_eq!(got.len(), 6, "{got:?}");
+    for want in [
+        "crates/server/src/wire.rs:1: [golden-constants] `pub const MAGIC` drifted",
+        "crates/server/src/wire.rs:2: [golden-constants] `pub const VERSION` drifted",
+        "crates/server/src/wire.rs:1: [golden-constants] golden constant `Query =` removed",
+        "crates/server/src/wire.rs:1: [golden-constants] golden constant `QueryReply =` removed",
+        "crates/server/src/snapshot.rs:1: [golden-constants] file missing — golden constant \
+         `pub const SNAPSHOT_MAGIC`",
+        "crates/server/src/snapshot.rs:1: [golden-constants] file missing — golden constant \
+         `pub const SNAPSHOT_VERSION`",
+    ] {
+        assert!(
+            got.iter().any(|m| m.starts_with(want)),
+            "missing {want:?} in {got:?}"
+        );
+    }
+}
+
+#[test]
+fn bench_schema_checks_present_artefacts_only() {
+    let serve_ok = "{\n  \"bench\": \"serve_loadgen\",\n  \"transport\": \"tcp\",\n  \
+                    \"reports_per_sec\": 1.0,\n  \"frame_p50_us\": 1.0,\n  \
+                    \"frame_p99_us\": 2.0\n}\n";
+    // Renamed key: `reports_per_sec` → `rate` must be flagged.
+    let serve_renamed = serve_ok.replace("reports_per_sec", "rate");
+    let mut files = GOLDEN_BASE.to_vec();
+    files.push(("DESIGN.md", CATALOGUE));
+    files.push(("BENCH_serve.json", serve_ok));
+    let rep = analyze_root(&fixture("bench-ok", &files));
+    assert!(rep.findings.is_empty(), "{:?}", rep.findings);
+
+    files.pop();
+    files.push(("BENCH_serve.json", &serve_renamed));
+    files.push(("BENCH_obs.json", "[1, 2, 3]\n"));
+    let rep = analyze_root(&fixture("bench-bad", &files));
+    let hits = by_rule(&rep.findings, "bench-schema");
+    assert_eq!(hits.len(), 2, "{:?}", rep.findings);
+    assert!(hits[0].file.ends_with("BENCH_obs.json") && hits[0].message.contains("JSON object"));
+    assert!(
+        hits[1].file.ends_with("BENCH_serve.json") && hits[1].message.contains("reports_per_sec")
+    );
+}
+
+#[test]
+fn metric_registry_checks_both_directions() {
+    let mut files = GOLDEN_BASE.to_vec();
+    // The catalogue lists a metric that is never emitted…
+    let design = format!("{CATALOGUE}| `ghost.metric` | counter | never emitted |\n");
+    files.push(("DESIGN.md", &design));
+    // …while code emits two that are not catalogued, one of them with
+    // its name on a later line of the call.
+    files.push((
+        "crates/grid/src/x.rs",
+        "fn f() { felip_obs::hist!(\"grid.unregistered\", 1, \"items\"); }\n",
+    ));
+    files.push((
+        "crates/grid/src/y.rs",
+        "fn f() {\n    felip_obs::hist!(\n        \"grid.wrapped\",\n        1,\n        \"items\",\n    );\n}\n",
+    ));
+    let rep = analyze_root(&fixture("metrics", &files));
+    let got: Vec<String> = by_rule(&rep.findings, "metric-registry")
+        .iter()
+        .map(|f| f.to_string())
+        .collect();
+    assert_eq!(got.len(), 3, "{got:?}");
+    for want in [
+        "DESIGN.md:8: [metric-registry] metric `ghost.metric`",
+        "crates/grid/src/x.rs:1: [metric-registry] metric `grid.unregistered`",
+        "crates/grid/src/y.rs:3: [metric-registry] metric `grid.wrapped`",
+    ] {
+        assert!(
+            got.iter().any(|m| m.starts_with(want)),
+            "missing {want:?} in {got:?}"
+        );
+    }
 }
 
 // ------------------------------------------------------- driver plumbing
@@ -304,6 +508,17 @@ fn lex_failure_is_a_coverage_hole_finding() {
     );
     let rep = analyze_root(&root);
     assert_eq!(by_rule(&rep.findings, "lex").len(), 1);
+}
+
+#[test]
+fn unknown_subcommand_exits_with_usage_code() {
+    for argv in [&["frobnicate"][..], &["--format", "json"], &[]] {
+        assert_eq!(
+            xtask::run(argv.iter().map(|a| a.to_string())),
+            2,
+            "{argv:?}"
+        );
+    }
 }
 
 #[test]

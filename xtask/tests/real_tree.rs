@@ -1,4 +1,4 @@
-//! The workspace itself must lint clean: any rule violation introduced in
+//! The workspace itself must analyze clean: any finding introduced in
 //! `crates/` (or catalogue drift in DESIGN.md §11) fails the test suite,
 //! not just the CI lint job.
 
@@ -26,23 +26,5 @@ fn workspace_passes_every_analyzer_pass() {
     assert!(
         !rep.locks.edges.is_empty(),
         "lock-order pass saw no acquisition edges — scope regression"
-    );
-}
-
-#[test]
-fn workspace_passes_every_lint_rule() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .expect("xtask sits under the workspace root");
-    let diags = xtask::lint_root(root);
-    assert!(
-        diags.is_empty(),
-        "xtask lint found {} violation(s):\n{}",
-        diags.len(),
-        diags
-            .iter()
-            .map(|d| d.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
     );
 }
