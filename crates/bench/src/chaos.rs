@@ -1,23 +1,25 @@
-//! `perf_smoke --chaos`: the CLI front end of the deterministic
+//! The `chaos` binary: the CLI front end of the deterministic
 //! fault-injection harness (`felip_server::simharness`).
 //!
 //! Runs the standard chaos mix over a seed range (or one `--seed N`, which
-//! is how a failing CI seed is reproduced locally) and writes a JSON
-//! summary. Any invariant violation prints the seed and fails the process,
-//! so CI surfaces the exact reproduction command.
+//! is how a failing CI seed is reproduced locally) and, with `--out PATH`,
+//! writes a JSON summary. Any invariant violation prints the seed and
+//! fails the process, so CI surfaces the exact reproduction command.
 
 use felip_server::simharness::{run_sim, SimConfig, SimReport};
 use serde_json::{json, Value};
 
-/// Options for the chaos sweep (`--chaos` flag family).
+use crate::profile::parse;
+
+/// Options of the `chaos` binary.
 #[derive(Debug, Clone)]
 pub struct ChaosOptions {
     /// Seeds `0..seeds` to sweep (ignored when `seed` is set).
     pub seeds: u64,
     /// Run exactly one seed — the reproduction path for a CI failure.
     pub seed: Option<u64>,
-    /// Output JSON path.
-    pub out: String,
+    /// Output JSON path (`None` → print the per-seed lines only).
+    pub out: Option<String>,
 }
 
 impl Default for ChaosOptions {
@@ -25,8 +27,32 @@ impl Default for ChaosOptions {
         ChaosOptions {
             seeds: 64,
             seed: None,
-            out: "BENCH_chaos.json".to_string(),
+            out: None,
         }
+    }
+}
+
+impl ChaosOptions {
+    /// Parses `--seeds N`, `--seed N` and `--out PATH`. Unknown flags and
+    /// malformed values exit 2 with a usage message.
+    pub fn from_args(mut args: impl Iterator<Item = String>) -> Self {
+        let mut opts = ChaosOptions::default();
+        while let Some(a) = args.next() {
+            let mut take = |name: &str| -> String {
+                args.next().unwrap_or_else(|| {
+                    felip_obs::diag::usage_exit(&format!("missing value for {name}"))
+                })
+            };
+            match a.as_str() {
+                "--seeds" => opts.seeds = parse(&take("--seeds")),
+                "--seed" => opts.seed = Some(parse(&take("--seed"))),
+                "--out" => opts.out = Some(take("--out")),
+                other => felip_obs::diag::usage_exit(&format!(
+                    "unknown flag `{other}`\nusage: chaos [--seeds N] [--seed N] [--out PATH]"
+                )),
+            }
+        }
+        opts
     }
 }
 
@@ -52,16 +78,16 @@ fn report_json(r: &SimReport) -> Value {
     })
 }
 
-/// Runs the sweep, prints one line per seed, writes the JSON summary, and
-/// returns an error naming every failing seed (CI turns that into a red
-/// build with the reproduction command in the log).
-pub fn chaos_smoke(opts: &ChaosOptions) -> std::io::Result<()> {
+/// Runs the sweep, prints one line per seed, writes the JSON summary when
+/// asked to, and returns an error naming every failing seed (CI turns that
+/// into a red build with the reproduction command in the log).
+pub fn chaos_sweep(opts: &ChaosOptions) -> std::io::Result<()> {
     let seeds: Vec<u64> = match opts.seed {
         Some(s) => vec![s],
         None => (0..opts.seeds).collect(),
     };
     println!(
-        "perf_smoke --chaos: {} seed(s), every fault kind armed, kill+resume per seed",
+        "chaos: {} seed(s), every fault kind armed, kill+resume per seed",
         seeds.len()
     );
     let mut reports = Vec::with_capacity(seeds.len());
@@ -86,21 +112,20 @@ pub fn chaos_smoke(opts: &ChaosOptions) -> std::io::Result<()> {
         }
         reports.push(r);
     }
-    let doc = json!({
-        "bench": "chaos_sim",
-        "seeds": seeds,
-        "failing": failing,
-        "runs": reports.iter().map(report_json).collect::<Vec<_>>(),
-    });
-    std::fs::write(
-        &opts.out,
-        serde_json::to_string_pretty(&doc).expect("serialize"),
-    )?;
-    println!("wrote {}", opts.out);
+    if let Some(out) = &opts.out {
+        let doc = json!({
+            "bench": "chaos_sim",
+            "seeds": seeds,
+            "failing": failing,
+            "runs": reports.iter().map(report_json).collect::<Vec<_>>(),
+        });
+        std::fs::write(out, serde_json::to_string_pretty(&doc).expect("serialize"))?;
+        println!("wrote {out}");
+    }
     if !failing.is_empty() {
         return Err(std::io::Error::other(format!(
             "chaos invariant violated for seed(s) {failing:?}; reproduce with \
-             `perf_smoke --chaos --seed N`"
+             `cargo run --release -p bench --bin chaos -- --seed N`"
         )));
     }
     Ok(())
@@ -114,12 +139,12 @@ mod tests {
     fn single_seed_run_writes_summary() {
         let out =
             std::env::temp_dir().join(format!("felip-chaos-test-{}.json", std::process::id()));
-        let opts = ChaosOptions {
-            seed: Some(5),
-            out: out.to_str().unwrap().to_string(),
-            ..ChaosOptions::default()
-        };
-        chaos_smoke(&opts).unwrap();
+        let opts = ChaosOptions::from_args(
+            ["--seed", "5", "--out", out.to_str().unwrap()]
+                .into_iter()
+                .map(String::from),
+        );
+        chaos_sweep(&opts).unwrap();
         let doc: Value = serde_json::from_str(&std::fs::read_to_string(&out).unwrap()).unwrap();
         assert_eq!(doc["failing"].as_array().unwrap().len(), 0);
         assert_eq!(doc["runs"].as_array().unwrap().len(), 1);

@@ -9,7 +9,11 @@
 //! plots. Ablation binaries (`afo_crossover`, `ablation_partitioning`,
 //! `ablation_postprocess`, `ablation_selectivity`, `ablation_marginals`,
 //! `ablation_twophase`, `sw_vs_olh`) cover the design choices and
-//! extensions DESIGN.md calls out.
+//! extensions DESIGN.md calls out. Two more binaries check the serving
+//! stack: `chaos` sweeps the deterministic fault-injection harness, and
+//! `olh_kernel` compares the batched OLH kernel with the scalar path and
+//! measures the recorder's overhead on it. Throughput and latency at the
+//! paper's scale are measured by `perfbench/`, not here.
 //!
 //! # Profiles
 //!
@@ -24,13 +28,9 @@
 
 pub mod ablations;
 pub mod chaos;
-pub mod cluster;
 pub mod figures;
-pub mod perf;
 pub mod profile;
-pub mod query;
 pub mod runner;
-pub mod serve;
 pub mod table;
 
 pub use profile::Profile;

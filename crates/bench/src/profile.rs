@@ -108,7 +108,7 @@ impl Profile {
     }
 }
 
-fn parse<T: std::str::FromStr>(s: &str) -> T {
+pub(crate) fn parse<T: std::str::FromStr>(s: &str) -> T {
     s.parse()
         .unwrap_or_else(|_| felip_obs::diag::usage_exit(&format!("cannot parse `{s}`")))
 }

@@ -4,7 +4,8 @@
 //! counter: the i-th decision of a run is `mix64(derive_seed(seed, i))`
 //! reduced to the needed range, so replaying the same seed replays the
 //! exact fault sequence — byte-for-byte, which is what makes a failing
-//! chaos seed reproducible from the CLI (`perf_smoke --chaos --seed N`).
+//! chaos seed reproducible from the CLI
+//! (`cargo run --release -p bench --bin chaos -- --seed N`).
 //!
 //! Faults model what real deployments see between a reporting client and
 //! the aggregation server: lost and truncated frames, duplicated and

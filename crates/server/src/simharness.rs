@@ -17,7 +17,8 @@
 //! 3. every batch was either server-accepted or its client exhausted the
 //!    retry budget (a typed, observable failure — never silence).
 //!
-//! A failing seed reproduces from the CLI: `perf_smoke --chaos --seed N`.
+//! A failing seed reproduces from the CLI:
+//! `cargo run --release -p bench --bin chaos -- --seed N`.
 
 use felip_sync::Arc;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};

@@ -3,7 +3,7 @@
 //! fault kind, kill+resume with torn snapshot writes included.
 //!
 //! A seed that fails here reproduces exactly with
-//! `cargo run --release -p felip-bench --bin perf_smoke -- --chaos --seed N`.
+//! `cargo run --release -p bench --bin chaos -- --seed N`.
 
 use std::collections::HashSet;
 

@@ -6,9 +6,9 @@
 //! * `taint`  — privacy-taint: raw values must not reach wire/log sinks
 //! * `locks`  — static lock-order graph over felip-sync mutexes, no cycles
 //! * `arith`  — explicit overflow semantics on count arithmetic
-//! * `rules`  — the repo rules R1–R7 (no-panic, sync-shims,
+//! * `rules`  — the repo rules R1–R6 (no-panic, sync-shims,
 //!   safety-comments, golden-constants, metric-registry,
-//!   reactor-syscalls, bench-schema)
+//!   reactor-syscalls)
 //!
 //! Output is one `file:line: [rule] message` line per finding, or
 //! `--format json` for tooling.

@@ -9,7 +9,7 @@
 //! passes: privacy-taint (raw attribute values must not reach the wire or
 //! a log unperturbed), lock-order (the felip-sync acquisition graph stays
 //! acyclic), checked-arith (count arithmetic states its overflow
-//! semantics), and the repo rules R1–R7 (`rules`). Any finding exits 1;
+//! semantics), and the repo rules R1–R6 (`rules`). Any finding exits 1;
 //! a bad command line exits 2.
 
 use std::path::{Path, PathBuf};

@@ -1,12 +1,11 @@
-//! The seven repo rules of DESIGN.md §18 (R1–R7), run by `xtask analyze`
+//! The six repo rules of DESIGN.md §18 (R1–R6), run by `xtask analyze`
 //! beside the taint, lock-order and arith passes.
 //!
 //! Five of them work on the token tree: a `Str` token can never trip
 //! `panic!(`, `forbid(unsafe_code)` is three tokens none of which is the
 //! `unsafe` keyword, and test gating is the item tree's `#[cfg(test)]`
-//! scopes. The other two — golden-constants (R4) and bench-schema (R7) —
-//! check anchored content of specific files (a constant's source line, a
-//! JSON artefact's keys), so they read those files directly: tokens add
+//! scopes. The other one — golden-constants (R4) — checks a constant's
+//! anchored source line, so it reads those files directly: tokens add
 //! nothing there.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -69,7 +68,6 @@ pub fn run(ws: &Workspace, root: &Path) -> Vec<Finding> {
     }
     metric_registry(ws, root, &mut out);
     golden_constants(root, &mut out);
-    bench_schema(root, &mut out);
     out.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     out
 }
@@ -415,94 +413,6 @@ fn golden_constants(root: &Path, out: &mut Vec<Finding>) {
             message,
             trace: Vec::new(),
         });
-    }
-}
-
-/// R7 table: headline keys per bench artefact. CI gates
-/// (`.github/workflows/ci.yml`) and the README's numbers read these by
-/// name; reshaping a bench without updating both is the drift R7 catches.
-/// Absent files are skipped — presence is the bench job's concern.
-const BENCH_SCHEMAS: [(&str, &[&str]); 5] = [
-    (
-        "BENCH_ingest.json",
-        &["bench", "oracle", "results", "batched_reports_per_sec"],
-    ),
-    (
-        "BENCH_obs.json",
-        &[
-            "bench",
-            "disabled_reports_per_sec",
-            "enabled_reports_per_sec",
-            "overhead_pct",
-        ],
-    ),
-    (
-        "BENCH_serve.json",
-        &[
-            "bench",
-            "transport",
-            "reports_per_sec",
-            "frame_p50_us",
-            "frame_p99_us",
-        ],
-    ),
-    (
-        "BENCH_cluster.json",
-        &[
-            "bench",
-            "nodes",
-            "aggregate_reports_per_sec",
-            "delta_merge_p50_us",
-            "delta_merge_p99_us",
-            "catchup_ms",
-        ],
-    ),
-    (
-        "BENCH_query.json",
-        &[
-            "bench",
-            "queries",
-            "query_p50_ms",
-            "query_p99_ms",
-            "max_staleness_epochs",
-            "cache_hits",
-            "cache_misses",
-            "ingest_reports_per_sec",
-        ],
-    ),
-];
-
-/// R7: checked-in `BENCH_*.json` files are JSON objects that keep their
-/// headline keys.
-fn bench_schema(root: &Path, out: &mut Vec<Finding>) {
-    for (file, keys) in BENCH_SCHEMAS {
-        let Ok(text) = fs::read_to_string(root.join(file)) else {
-            continue;
-        };
-        if text.trim_start().as_bytes().first() != Some(&b'{') {
-            out.push(Finding {
-                file: file.into(),
-                line: 1,
-                rule: "bench-schema",
-                message: "bench artefact must be a JSON object".to_string(),
-                trace: Vec::new(),
-            });
-            continue;
-        }
-        for key in keys {
-            if !text.contains(&format!("\"{key}\"")) {
-                out.push(Finding {
-                    file: file.into(),
-                    line: 1,
-                    rule: "bench-schema",
-                    message: format!(
-                        "headline key `{key}` missing — CI gates and docs read it by name; \
-                         update them together with the bench shape"
-                    ),
-                    trace: Vec::new(),
-                });
-            }
-        }
     }
 }
 

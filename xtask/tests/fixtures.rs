@@ -437,31 +437,6 @@ fn golden_constants_pass_clean_and_catch_drift() {
 }
 
 #[test]
-fn bench_schema_checks_present_artefacts_only() {
-    let serve_ok = "{\n  \"bench\": \"serve_loadgen\",\n  \"transport\": \"tcp\",\n  \
-                    \"reports_per_sec\": 1.0,\n  \"frame_p50_us\": 1.0,\n  \
-                    \"frame_p99_us\": 2.0\n}\n";
-    // Renamed key: `reports_per_sec` → `rate` must be flagged.
-    let serve_renamed = serve_ok.replace("reports_per_sec", "rate");
-    let mut files = GOLDEN_BASE.to_vec();
-    files.push(("DESIGN.md", CATALOGUE));
-    files.push(("BENCH_serve.json", serve_ok));
-    let rep = analyze_root(&fixture("bench-ok", &files));
-    assert!(rep.findings.is_empty(), "{:?}", rep.findings);
-
-    files.pop();
-    files.push(("BENCH_serve.json", &serve_renamed));
-    files.push(("BENCH_obs.json", "[1, 2, 3]\n"));
-    let rep = analyze_root(&fixture("bench-bad", &files));
-    let hits = by_rule(&rep.findings, "bench-schema");
-    assert_eq!(hits.len(), 2, "{:?}", rep.findings);
-    assert!(hits[0].file.ends_with("BENCH_obs.json") && hits[0].message.contains("JSON object"));
-    assert!(
-        hits[1].file.ends_with("BENCH_serve.json") && hits[1].message.contains("reports_per_sec")
-    );
-}
-
-#[test]
 fn metric_registry_checks_both_directions() {
     let mut files = GOLDEN_BASE.to_vec();
     // The catalogue lists a metric that is never emitted…
