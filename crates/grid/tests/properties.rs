@@ -10,7 +10,7 @@ use felip_grid::postprocess::norm_sub;
 use felip_grid::response::ResponseMatrix;
 use felip_grid::{EstimatedGrid, GridSpec};
 
-use felip_common::{Attribute, Schema};
+use felip_common::{Attribute, Predicate, Schema};
 use felip_fo::FoKind;
 
 proptest! {
@@ -332,5 +332,100 @@ proptest! {
                 c.answer
             );
         }
+    }
+}
+
+/// A predicate on `attr` from raw draws: none, a range or a set, with
+/// values reaching up to three past the domain `d`.
+fn drawn_predicate(
+    attr: usize,
+    d: u32,
+    kind: u32,
+    ends: (u32, u32),
+    set: &[u32],
+) -> Option<Predicate> {
+    let clip = |v: u32| v % (d + 3);
+    let (a, b) = (clip(ends.0), clip(ends.1));
+    match kind {
+        0 => None,
+        1 => Some(Predicate::between(attr, a.min(b), a.max(b))),
+        _ => Some(Predicate::in_set(
+            attr,
+            set.iter().map(|&v| clip(v)).collect(),
+        )),
+    }
+}
+
+/// A grid over `spec` whose cells carry `weights` (repeated as needed,
+/// plus 1e-3 so no cell is empty), normalised to sum to 1.
+fn weighted_grid(spec: GridSpec, weights: &[f64]) -> EstimatedGrid {
+    let cells = spec.num_cells() as usize;
+    let mut freqs: Vec<f64> = weights
+        .iter()
+        .cycle()
+        .take(cells)
+        .map(|w| w + 1e-3)
+        .collect();
+    let total: f64 = freqs.iter().sum();
+    freqs.iter_mut().for_each(|f| *f /= total);
+    EstimatedGrid::new(spec, freqs)
+}
+
+proptest! {
+    /// Answers read from the prefix-sum table equal the dense sum of the
+    /// selected entries, for matrices fitted against a 2-D grid plus 1-D
+    /// grids of any cell count, nesting or not, and any mix of range, set
+    /// and open predicates; `get`, the marginals and `total` agree with
+    /// each other.
+    #[test]
+    fn response_answers_match_dense_sums(
+        (dx, dy) in (2u32..32, 2u32..32),
+        (lx, ly, l1x, l1y) in (1u32..9, 1u32..9, 1u32..32, 1u32..32),
+        weights in proptest::collection::vec(0.0f64..1.0, 2..64),
+        (kind_i, kind_j) in (0u32..3, 0u32..3),
+        (ends_i, ends_j) in ((0u32..64, 0u32..64), (0u32..64, 0u32..64)),
+        (set_i, set_j) in (
+            proptest::collection::vec(0u32..64, 1..8),
+            proptest::collection::vec(0u32..64, 1..8),
+        ),
+    ) {
+        let schema = Schema::new(vec![
+            Attribute::numerical("x", dx),
+            Attribute::numerical("y", dy),
+        ]).unwrap();
+        let g2 = weighted_grid(
+            GridSpec::two_dim(&schema, 0, 1, lx.min(dx), ly.min(dy), FoKind::Olh).unwrap(),
+            &weights,
+        );
+        let gx = weighted_grid(GridSpec::one_dim(&schema, 0, l1x.min(dx), FoKind::Olh).unwrap(), &weights[1..]);
+        let gy = weighted_grid(GridSpec::one_dim(&schema, 1, l1y.min(dy), FoKind::Olh).unwrap(), &weights);
+        let m = ResponseMatrix::build(0, 1, dx, dy, &[&g2, &gx, &gy], 1e-9).unwrap();
+
+        let pi = drawn_predicate(0, dx, kind_i, ends_i, &set_i);
+        let pj = drawn_predicate(1, dy, kind_j, ends_j, &set_j);
+        let selects = |p: &Option<Predicate>, v: u32| p.as_ref().map_or(true, |p| p.target.matches(v));
+        let mut dense = 0.0;
+        for x in (0..dx).filter(|&x| selects(&pi, x)) {
+            for y in (0..dy).filter(|&y| selects(&pj, y)) {
+                dense += m.get(x, y);
+            }
+        }
+        let got = m.answer(pi.as_ref(), pj.as_ref());
+        prop_assert!((got - dense).abs() <= 1e-12, "answer {got} vs dense {dense}");
+
+        let rows = m.row_marginal();
+        let cols = m.col_marginal();
+        for (x, r) in rows.iter().enumerate() {
+            let s: f64 = (0..dy).map(|y| m.get(x as u32, y)).sum();
+            prop_assert!((r - s).abs() <= 1e-12, "row {x}: {r} vs {s}");
+        }
+        for (y, c) in cols.iter().enumerate() {
+            let s: f64 = (0..dx).map(|x| m.get(x, y as u32)).sum();
+            prop_assert!((c - s).abs() <= 1e-12, "col {y}: {c} vs {s}");
+        }
+        let total = m.total();
+        prop_assert!((rows.iter().sum::<f64>() - total).abs() <= 1e-12);
+        prop_assert!((cols.iter().sum::<f64>() - total).abs() <= 1e-12);
+        prop_assert!((m.answer(None, None) - total).abs() <= 1e-12);
     }
 }
