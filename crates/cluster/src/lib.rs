@@ -23,7 +23,6 @@
 
 #[cfg(all(test, feature = "model"))]
 mod model_tests;
-mod query;
 pub mod server;
 pub mod state;
 pub mod streamer;

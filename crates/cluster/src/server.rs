@@ -24,9 +24,13 @@ use felip_server::wire::{
     decode_delta, decode_hello, decode_query, decode_stat, encode_ack, encode_delta_ack,
     encode_query_reply, Frame, FrameKind, WireError,
 };
+use felip_server::QueryService;
 
-use crate::query::ClusterQuery;
 use crate::state::ClusterState;
+
+/// The aggregator's query service: the shared engine over the merged
+/// cluster view, keyed on the change version.
+type ClusterQuery = QueryService<Arc<ClusterState>>;
 
 /// How an aggregator run is wired together.
 #[derive(Debug, Clone)]
@@ -173,11 +177,16 @@ impl AggregatorServer {
         // The query engine is always built cold here — even (especially)
         // on the resume path, so a restarted aggregator can never answer
         // from a grid cached before the restore.
-        let query = Arc::new(ClusterQuery::new(&state));
+        let state = Arc::new(state);
+        let query = Arc::new(QueryService::new(
+            state.plan_handle(),
+            state.oracles_handle(),
+            Arc::clone(&state),
+        ));
         Ok(AggregatorServer {
             listener,
             local_addr,
-            state: Arc::new(state),
+            state,
             query,
             config,
             shutdown: Arc::new(AtomicBool::new(false)),
@@ -460,8 +469,9 @@ fn handle_conn<F: Fn() -> bool>(
                                 return Ok(());
                             }
                         };
-                        match query.answer(state, &req) {
+                        match query.answer(&req) {
                             Ok(ans) => {
+                                felip_obs::counter!("cluster.query.answered", 1, "queries");
                                 transport.send(&Frame {
                                     kind: FrameKind::QueryReply,
                                     plan_hash,

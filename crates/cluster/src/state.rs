@@ -45,6 +45,7 @@ use felip::aggregator::{Aggregator, OracleSet};
 use felip::plan::CollectionPlan;
 use felip_server::snapshot::Snapshot;
 use felip_server::wire::{self, CountDelta, DeltaFlavor, DeltaStatus, WireError};
+use felip_server::CutSource;
 
 /// Cluster-state magic: the bytes `FCLU` read as a little-endian u32.
 pub const CLUSTER_MAGIC: u32 = u32::from_le_bytes(*b"FCLU");
@@ -409,6 +410,19 @@ fn le_u64(b: &[u8]) -> u64 {
     let mut a = [0u8; 8];
     a.copy_from_slice(&b[..8]);
     u64::from_le_bytes(a)
+}
+
+/// The aggregator's query cut source: the versioned merge, keyed on the
+/// change version (bumped under the nodes lock on every applied delta),
+/// so an unchanged merged view stays warm across queries.
+impl CutSource for ClusterState {
+    fn head(&self) -> u64 {
+        self.change_version()
+    }
+
+    fn cut(&self) -> Result<(Aggregator, u64), felip_common::Error> {
+        self.merged_versioned()
+    }
 }
 
 #[cfg(test)]

@@ -28,7 +28,7 @@ pub mod fault;
 pub mod loadgen;
 #[cfg(all(test, feature = "model"))]
 mod model_tests;
-mod query;
+pub mod query;
 pub mod queue;
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 mod reactor;
@@ -43,6 +43,7 @@ pub mod wire;
 
 pub use client::{BatchReply, Client, PipelinedClient, PumpStats, RetryPolicy};
 pub use fault::{FaultConfig, FaultKind, FaultSchedule};
+pub use query::{CutSource, QueryService};
 pub use server::{CutHook, CutState, Server, ServerConfig, ServerError, ServerRun, ServerStats};
 pub use simharness::{SimConfig, SimReport, SimTransport};
 pub use snapshot::Snapshot;

@@ -22,7 +22,7 @@ use felip_common::{Attribute, Schema};
 use felip::query::QueryEngine;
 
 use crate::loadgen;
-use crate::query::QueryService;
+use crate::query::{QueryService, ServeCut};
 use crate::queue::{BoundedQueue, PopResult};
 use crate::server::{consistent_cut, AtomicStats};
 use crate::session::{Session, SessionCtx};
@@ -222,6 +222,98 @@ fn model_consistent_cut_counts_match_cursors() {
     assert!(stats.schedules > 1, "exploration degenerated: {stats:?}");
 }
 
+/// The consistent cut's quiescence wait never misses a wakeup: under
+/// every interleaving of a worker draining two batches and a waiter
+/// blocked in `wait_quiescent`, the waiter wakes (a lost wakeup is a
+/// deadlock the checker reports) and only once both are processed.
+#[test]
+fn model_quiescence_wait_never_misses_the_last_task_done() {
+    let stats = model::check(|| {
+        let q = Arc::new(BoundedQueue::<u32>::new(2));
+        q.try_push(1).expect("capacity 2");
+        q.try_push(2).expect("capacity 2");
+        let done = Arc::new(AtomicU64::new(0));
+        let worker = {
+            let (q, done) = (Arc::clone(&q), Arc::clone(&done));
+            thread::spawn(move || {
+                for _ in 0..2 {
+                    match q.pop_timeout(Duration::from_millis(1)) {
+                        PopResult::Item(_) => {
+                            done.fetch_add(1, Ordering::SeqCst);
+                            q.task_done();
+                        }
+                        other => panic!("queue lost an item: {other:?}"),
+                    }
+                }
+            })
+        };
+        q.wait_quiescent();
+        assert_eq!(
+            done.load(Ordering::SeqCst),
+            2,
+            "woke before the last task_done"
+        );
+        worker.join().expect("worker");
+    })
+    .expect("the quiescence wait must wake on every schedule");
+    assert!(stats.schedules > 1, "exploration degenerated: {stats:?}");
+}
+
+/// The blocking cut against a worker still draining two acked batches:
+/// on every schedule it returns (no missed wakeup) with counts exactly
+/// matching the cursors it captured — never cursors ahead of counts.
+#[test]
+fn model_blocking_cut_never_captures_cursors_ahead_of_counts() {
+    let (plan, oracles) = tiny_plan();
+    let reports = two_reports(&plan);
+    let plan_hash = plan.schema_hash();
+    let per_batch = reports.len() as u64;
+    let stats = model::check(move || {
+        let ctx = Arc::new(SessionCtx::new(
+            Arc::clone(&plan),
+            Arc::clone(&oracles),
+            vec![],
+        ));
+        let q = Arc::new(BoundedQueue::<Vec<UserReport>>::new(4));
+        let stats = Arc::new(AtomicStats::default());
+        let base = Mutex::new(Aggregator::with_oracles(
+            Arc::clone(&plan),
+            Arc::clone(&oracles),
+        ));
+        let shards = Arc::new(vec![Mutex::new(Aggregator::with_oracles(
+            Arc::clone(&plan),
+            Arc::clone(&oracles),
+        ))]);
+        // Both batches are acked before the race starts: the cut can only
+        // wait for the worker.
+        let mut session = Session::new();
+        session.on_frame(hello_frame(plan_hash, 3), &ctx, &q, &stats);
+        for batch_id in 1..=2 {
+            let out =
+                session.on_frame(batch_frame(plan_hash, batch_id, &reports), &ctx, &q, &stats);
+            assert!(out.accepted.is_some(), "uncontended batch must be accepted");
+        }
+        let worker = {
+            let (q, shards) = (Arc::clone(&q), Arc::clone(&shards));
+            thread::spawn(move || {
+                drain_one(&q, &shards[0]);
+                drain_one(&q, &shards[0]);
+            })
+        };
+        let (cut, pairs) =
+            consistent_cut(&ctx, &plan, &oracles, &base, &shards, &[Arc::clone(&q)]).expect("cut");
+        assert_eq!(pairs, vec![(3, 2)]);
+        assert_eq!(
+            cut.reports_ingested() as u64,
+            2 * per_batch,
+            "cut captured cursors ahead of counts"
+        );
+        worker.join().expect("worker task");
+    })
+    .expect("the blocking cut must hold on every schedule");
+    assert!(stats.schedules > 1, "exploration degenerated: {stats:?}");
+}
+
 /// The pre-review bug this crate's review fixed: the cursor check and the
 /// queue push under *separate* dedup-lock holds. Two connections racing
 /// the same batch can then both pass the check and both queue the batch —
@@ -400,10 +492,14 @@ fn model_query_epoch_and_counts_never_tear() {
         let service = Arc::new(QueryService::new(
             Arc::clone(&plan),
             Arc::clone(&oracles),
-            Arc::clone(&base),
-            Arc::clone(&shards),
-            vec![Arc::clone(&q)],
-            0,
+            ServeCut {
+                ctx: Arc::clone(&ctx),
+                stats: Arc::clone(&stats),
+                base: Arc::clone(&base),
+                shards: Arc::clone(&shards),
+                queues: vec![Arc::clone(&q)],
+                base_reports: 0,
+            },
         ));
         let session = {
             let (ctx, q, stats) = (Arc::clone(&ctx), Arc::clone(&q), Arc::clone(&stats));
@@ -424,8 +520,7 @@ fn model_query_epoch_and_counts_never_tear() {
             })
         };
         let querier = {
-            let (ctx, stats, service) =
-                (Arc::clone(&ctx), Arc::clone(&stats), Arc::clone(&service));
+            let service = Arc::clone(&service);
             let plan = Arc::clone(&plan);
             thread::spawn(move || {
                 for query_id in 0..2u64 {
@@ -434,7 +529,7 @@ fn model_query_epoch_and_counts_never_tear() {
                         mode: QueryMode::Cached,
                         predicates: probe(&plan).predicates().to_vec(),
                     };
-                    match service.answer(&ctx, &stats, &req) {
+                    match service.answer(&req) {
                         // An empty cut is the one admissible error.
                         Err(_) => {}
                         Ok(ans) => {
@@ -464,7 +559,7 @@ fn model_query_epoch_and_counts_never_tear() {
             mode: QueryMode::Fresh,
             predicates: probe(&plan).predicates().to_vec(),
         };
-        let ans = service.answer(&ctx, &stats, &req).expect("final answer");
+        let ans = service.answer(&req).expect("final answer");
         assert_eq!(ans.reports, 3);
         assert_eq!(ans.answer.to_bits(), after_b2);
         assert_eq!(ans.epoch, ans.head_epoch, "quiesced head cannot be stale");

@@ -1,10 +1,13 @@
 //! A bounded multi-producer queue with non-blocking push — the
-//! backpressure primitive of the ingestion pipeline (DESIGN.md §12.2).
+//! backpressure primitive of the ingestion pipeline (DESIGN.md §12.2) —
+//! plus the [`Mailbox`] the reactor and its query worker hand work
+//! through (DESIGN.md §15).
 //!
 //! Connection handlers `try_push`; when a worker falls behind and its queue
 //! is full the push fails *immediately* and the handler answers the client
 //! with a RETRY frame instead of buffering unboundedly. Workers block on
-//! `pop_timeout` so they can periodically observe shutdown.
+//! `pop_timeout` so they can periodically observe shutdown; a consistent
+//! cut blocks on `wait_quiescent`, which the last `task_done` wakes.
 
 use std::collections::VecDeque;
 use std::time::Duration;
@@ -42,11 +45,20 @@ struct Inner<T> {
     in_flight: usize,
 }
 
+impl<T> Inner<T> {
+    fn quiescent(&self) -> bool {
+        self.items.is_empty() && self.in_flight == 0
+    }
+}
+
 /// A fixed-capacity FIFO shared between connection handlers (producers)
 /// and one ingest worker (consumer).
 pub struct BoundedQueue<T> {
     inner: Mutex<Inner<T>>,
     not_empty: Condvar,
+    /// Signalled when the queue turns quiescent (see
+    /// [`BoundedQueue::wait_quiescent`]).
+    drained: Condvar,
     capacity: usize,
 }
 
@@ -65,6 +77,7 @@ impl<T> BoundedQueue<T> {
                 in_flight: 0,
             }),
             not_empty: Condvar::new(),
+            drained: Condvar::new(),
             capacity,
         }
     }
@@ -117,18 +130,33 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Marks one previously popped item as fully processed (ingested into
-    /// an aggregator), clearing its in-flight mark.
+    /// an aggregator), clearing its in-flight mark. The call that leaves
+    /// the queue quiescent wakes every [`BoundedQueue::wait_quiescent`]
+    /// caller.
     pub fn task_done(&self) {
         let mut inner = self.inner.lock();
         inner.in_flight = inner.in_flight.saturating_sub(1);
+        if inner.quiescent() {
+            drop(inner);
+            self.drained.notify_all();
+        }
     }
 
     /// Whether the queue holds no items *and* nothing popped is still being
     /// processed — i.e. every batch ever pushed is in an aggregator. Only
     /// meaningful while producers are paused (the snapshot consistent cut).
     pub fn is_quiescent(&self) -> bool {
-        let inner = self.inner.lock();
-        inner.items.is_empty() && inner.in_flight == 0
+        self.inner.lock().quiescent()
+    }
+
+    /// Blocks until the queue is quiescent. Producers must be paused (the
+    /// consistent cut holds the dedup lock), or the wait may never end;
+    /// the consumer's last [`BoundedQueue::task_done`] is the wakeup.
+    pub fn wait_quiescent(&self) {
+        let mut inner = self.inner.lock();
+        while !inner.quiescent() {
+            inner = self.drained.wait(inner);
+        }
     }
 
     /// Closes the queue: further pushes fail, consumers drain what remains
@@ -146,6 +174,59 @@ impl<T> BoundedQueue<T> {
     /// Whether the queue is currently empty (racy, for observability only).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+/// An unbounded FIFO whose consumer takes everything queued at once. The
+/// reactor posts query jobs into one and the query worker posts replies
+/// into another; bounding is the producer's job (a connection has at most
+/// one query out).
+pub struct Mailbox<T> {
+    inner: Mutex<(Vec<T>, bool)>,
+    ready: Condvar,
+}
+
+impl<T> Default for Mailbox<T> {
+    fn default() -> Self {
+        Mailbox {
+            inner: Mutex::new((Vec::new(), false)),
+            ready: Condvar::new(),
+        }
+    }
+}
+
+impl<T> Mailbox<T> {
+    /// Appends `item` and wakes a waiting consumer.
+    pub fn post(&self, item: T) {
+        self.inner.lock().0.push(item);
+        self.ready.notify_one();
+    }
+
+    /// Everything queued so far, without blocking (possibly nothing).
+    pub fn take(&self) -> Vec<T> {
+        std::mem::take(&mut self.inner.lock().0)
+    }
+
+    /// Blocks until something is queued and takes all of it; `None` once
+    /// the mailbox is closed and empty.
+    pub fn wait_take(&self) -> Option<Vec<T>> {
+        let mut inner = self.inner.lock();
+        loop {
+            if !inner.0.is_empty() {
+                return Some(std::mem::take(&mut inner.0));
+            }
+            if inner.1 {
+                return None;
+            }
+            inner = self.ready.wait(inner);
+        }
+    }
+
+    /// Closes the mailbox: the consumer drains what is left, then sees
+    /// `None`.
+    pub fn close(&self) {
+        self.inner.lock().1 = true;
+        self.ready.notify_all();
     }
 }
 
@@ -215,5 +296,55 @@ mod tests {
         );
         q.task_done();
         assert!(q.is_quiescent(), "drained and processed");
+    }
+
+    #[test]
+    fn last_task_done_wakes_quiescence_waiter() {
+        use felip_sync::atomic::{AtomicBool, Ordering};
+        let q = Arc::new(BoundedQueue::new(4));
+        let woke = Arc::new(AtomicBool::new(false));
+        q.try_push(1).unwrap();
+        q.try_push(2).unwrap();
+        let waiter = {
+            let (q, woke) = (Arc::clone(&q), Arc::clone(&woke));
+            thread::spawn(move || {
+                q.wait_quiescent();
+                woke.store(true, Ordering::SeqCst);
+            })
+        };
+        for want in [1, 2] {
+            // Let the waiter block while work is still outstanding.
+            thread::sleep(Duration::from_millis(10));
+            assert!(
+                !woke.load(Ordering::SeqCst),
+                "woke before the queue drained"
+            );
+            assert_eq!(
+                q.pop_timeout(Duration::from_millis(1)),
+                PopResult::Item(want)
+            );
+            thread::sleep(Duration::from_millis(10));
+            assert!(
+                !woke.load(Ordering::SeqCst),
+                "woke with item {want} in flight"
+            );
+            q.task_done();
+        }
+        waiter.join().expect("waiter wakes on the last task_done");
+        assert!(woke.load(Ordering::SeqCst));
+    }
+
+    #[test]
+    fn mailbox_hands_over_everything_then_closes() {
+        let m = Mailbox::default();
+        assert!(m.take().is_empty());
+        m.post(1);
+        m.post(2);
+        m.post(3);
+        assert_eq!(m.wait_take(), Some(vec![1, 2, 3]));
+        m.post(4);
+        m.close();
+        assert_eq!(m.wait_take(), Some(vec![4]), "close drains first");
+        assert_eq!(m.wait_take(), None);
     }
 }

@@ -34,19 +34,22 @@
 //! frame's *first* byte is bounded by `idle_timeout`, finishing a frame
 //! that started arriving is bounded by `read_timeout`.
 
+use std::cell::Cell;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::time::{Duration, Instant};
 
-use felip_sync::Arc;
+use felip_sync::{thread, Arc};
 
 use felip::client::UserReport;
 
-use crate::queue::BoundedQueue;
+use crate::query::{reply_frame, QueryService, ServeCut};
+use crate::queue::{BoundedQueue, Mailbox};
 use crate::server::{AtomicStats, ServerConfig};
-use crate::session::{Session, SessionCtx};
-use crate::wire::{Frame, FrameView, WireError};
+use crate::session::{Reply, Session, SessionCtx};
+use crate::wire::{Frame, FrameView, QueryRequest, WireError};
 
 // ---------------------------------------------------------------------------
 // Raw syscall layer (the only one in the workspace)
@@ -236,9 +239,10 @@ fn num_cores() -> usize {
 }
 
 /// Pins ingest worker `w` under the serve pinning policy: the reactor
-/// owns core 0, workers round-robin over the remaining cores. On a
-/// single-core box pinning is skipped (everything shares the core
-/// regardless, and an explicit mask would only fight the scheduler).
+/// owns core 0, workers round-robin over the remaining cores (the query
+/// worker takes the slot after the last ingest worker). On a single-core
+/// box pinning is skipped (everything shares the core regardless, and an
+/// explicit mask would only fight the scheduler).
 pub(crate) fn pin_worker(w: usize) {
     let n = num_cores();
     if n > 1 {
@@ -253,6 +257,9 @@ pub(crate) fn pin_worker(w: usize) {
 /// The listener's epoll token; connections use their slab index.
 const LISTENER_TOKEN: u64 = u64::MAX;
 
+/// The query worker's wake socket's epoll token.
+const WAKE_TOKEN: u64 = u64::MAX - 1;
+
 /// Base interest for every connection: readable + peer-closed, edge
 /// triggered.
 const CONN_INTEREST: u32 = EPOLLIN | EPOLLRDHUP | EPOLLET;
@@ -264,8 +271,9 @@ struct Conn {
     session: Session,
     /// The worker queue this connection was pinned to at accept time.
     queue: Arc<BoundedQueue<Vec<UserReport>>>,
-    /// Bytes received but not yet decoded (at most one partial frame
-    /// after each wakeup — whole frames are consumed immediately).
+    /// Bytes received but not yet decoded: at most one partial frame
+    /// after each wakeup, or — while a query is out — what the last read
+    /// pass took before decoding parked.
     rbuf: Vec<u8>,
     /// Encoded reply bytes not yet written to the socket.
     wbuf: Vec<u8>,
@@ -279,6 +287,29 @@ struct Conn {
     want_write: bool,
     /// Close once `wbuf` drains (a fatal reply is in flight).
     close_after_flush: Option<WireError>,
+    /// Stamped at accept from a run-wide counter: a query reply names the
+    /// generation it was asked on, so a slot's next occupant never gets
+    /// its predecessor's answer.
+    generation: u64,
+    /// A query is out at the query worker. Decoding and reading are
+    /// parked until its reply lands, so replies leave in the order frames
+    /// arrived and unread bytes stay in the kernel (TCP backpressure).
+    query_out: bool,
+}
+
+/// A `Query` frame handed to the query worker, tagged with the
+/// connection it came from.
+struct QueryJob {
+    slot: usize,
+    generation: u64,
+    req: QueryRequest,
+}
+
+/// The query worker's encoded reply for one [`QueryJob`].
+struct QueryDone {
+    slot: usize,
+    generation: u64,
+    reply: Frame,
 }
 
 /// Flight-event codes for [`felip_obs::flight::KIND_CONN`] records.
@@ -297,15 +328,29 @@ enum Closed {
     Error(WireError),
 }
 
+/// What every connection handler needs besides the connection itself.
+struct Shared<'a> {
+    epoll: &'a Epoll,
+    ctx: &'a SessionCtx,
+    stats: &'a AtomicStats,
+    /// Where `Query` frames go: the query worker's inbox.
+    jobs: &'a Mailbox<QueryJob>,
+    /// Starts the query worker. The first `Query` takes it, so a run that
+    /// is never asked never has the thread.
+    start_worker: Cell<Option<Box<dyn FnOnce() + 'a>>>,
+}
+
 /// Runs the serve event loop until `stop` flips. Accepts connections,
 /// drains readable sockets, decodes and dispatches frames through the
-/// shared [`Session`] state machine, and enforces the idle/stall
-/// deadlines — all on the calling thread.
+/// shared [`Session`] state machine, hands `Query` frames to one query
+/// worker thread and writes its replies back, and enforces the idle/stall
+/// deadlines — everything but query answering on the calling thread.
 pub(crate) fn run_reactor<F: Fn() -> bool>(
     listener: &TcpListener,
     ctx: &SessionCtx,
     queues: &[Arc<BoundedQueue<Vec<UserReport>>>],
     stats: &AtomicStats,
+    query: &QueryService<ServeCut>,
     stop: &F,
     config: &ServerConfig,
 ) -> io::Result<()> {
@@ -315,7 +360,79 @@ pub(crate) fn run_reactor<F: Fn() -> bool>(
     }
     let epoll = Epoll::new()?;
     epoll.ctl(EPOLL_CTL_ADD, listener.as_raw_fd(), EPOLLIN, LISTENER_TOKEN)?;
+    // The query worker posts replies to `done`, then writes one byte to
+    // `wake_tx`. The reactor empties `wake_rx` *before* taking `done`, so
+    // a reply posted after that take always brings a fresh edge.
+    let (wake_rx, wake_tx) = UnixStream::pair()?;
+    wake_rx.set_nonblocking(true)?;
+    wake_tx.set_nonblocking(true)?;
+    epoll.ctl(
+        EPOLL_CTL_ADD,
+        wake_rx.as_raw_fd(),
+        EPOLLIN | EPOLLET,
+        WAKE_TOKEN,
+    )?;
+    let jobs = Mailbox::default();
+    let done = Mailbox::default();
+    thread::scope(|scope| {
+        let (jobs_in, done_out, wake) = (&jobs, &done, &wake_tx);
+        let shared = Shared {
+            epoll: &epoll,
+            ctx,
+            stats,
+            jobs: &jobs,
+            start_worker: Cell::new(Some(Box::new(move || {
+                scope.spawn(move || {
+                    query_worker(query, jobs_in, done_out, wake, ctx.plan_hash, queues.len())
+                });
+            }))),
+        };
+        let served = event_loop(listener, &shared, &wake_rx, &done, queues, stop, config);
+        // The worker finishes its batch and exits; replies it still posts
+        // die with their connections.
+        jobs.close();
+        served
+    })
+}
 
+/// The query worker: answers queued queries one at a time, in arrival
+/// order, posting each reply and waking the reactor as soon as it is
+/// ready.
+fn query_worker(
+    query: &QueryService<ServeCut>,
+    jobs: &Mailbox<QueryJob>,
+    done: &Mailbox<QueryDone>,
+    mut wake: &UnixStream,
+    plan_hash: u64,
+    ingest_workers: usize,
+) {
+    // Pinning policy (DESIGN.md §15): off core 0, after the ingest workers.
+    pin_worker(ingest_workers);
+    while let Some(queued) = jobs.wait_take() {
+        for job in queued {
+            let reply = reply_frame(plan_hash, query.answer(&job.req));
+            done.post(QueryDone {
+                slot: job.slot,
+                generation: job.generation,
+                reply,
+            });
+            // A full wake socket already holds an unread byte, so a
+            // refused write loses no wakeup.
+            let _ = wake.write(&[1]);
+        }
+    }
+}
+
+/// The reactor proper; see [`run_reactor`].
+fn event_loop<F: Fn() -> bool>(
+    listener: &TcpListener,
+    sh: &Shared<'_>,
+    wake_rx: &UnixStream,
+    done: &Mailbox<QueryDone>,
+    queues: &[Arc<BoundedQueue<Vec<UserReport>>>],
+    stop: &F,
+    config: &ServerConfig,
+) -> io::Result<()> {
     let mut conns: Vec<Option<Conn>> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
     let mut events = vec![EpollEvent { events: 0, data: 0 }; 1024];
@@ -323,11 +440,11 @@ pub(crate) fn run_reactor<F: Fn() -> bool>(
     // rbuf; one scratch serves every connection since the loop is
     // single-threaded.
     let mut scratch = vec![0u8; 256 * 1024];
-    let mut next_worker = 0usize;
+    let mut next_conn = 0u64;
     let mut last_sweep = Instant::now();
 
     while !stop() {
-        let n = epoll.wait(&mut events, 10)?;
+        let n = sh.epoll.wait(&mut events, 10)?;
         // Indices freed this batch are reusable only on the next one, so
         // a stale event late in `events` can never alias a fresh
         // connection accepted earlier in the same batch.
@@ -338,14 +455,36 @@ pub(crate) fn run_reactor<F: Fn() -> bool>(
                 let t0 = Instant::now();
                 accept_ready(
                     listener,
-                    &epoll,
+                    sh.epoll,
                     &mut conns,
                     &mut free,
                     queues,
-                    &mut next_worker,
-                    stats,
+                    &mut next_conn,
+                    sh.stats,
                 )?;
                 felip_obs::hist!("server.stage.accept", t0.elapsed().as_nanos() as u64, "ns");
+                continue;
+            }
+            if token == WAKE_TOKEN {
+                drain_wake(wake_rx);
+                for reply in done.take() {
+                    let slot = reply.slot;
+                    let Some(conn) = conns.get_mut(slot).and_then(|c| c.as_mut()) else {
+                        continue; // the asker closed; nobody to tell
+                    };
+                    if conn.generation != reply.generation {
+                        continue; // the slot was reused; not this peer's answer
+                    }
+                    conn.query_out = false;
+                    let r = reply.reply;
+                    crate::wire::append_frame(&mut conn.wbuf, r.kind, r.plan_hash, &r.payload);
+                    // Resume: read what the kernel held back (to EAGAIN,
+                    // so edge-triggered readiness re-arms), then decode
+                    // the frames parked behind the query.
+                    if let Some(closed) = on_readable(conn, slot as u64, sh, &mut scratch) {
+                        close_slot(&mut conns, &mut freed, slot, closed);
+                    }
+                }
                 continue;
             }
             let idx = token as usize;
@@ -354,20 +493,15 @@ pub(crate) fn run_reactor<F: Fn() -> bool>(
                 // have been replaced — see `freed`).
                 continue;
             };
-            if let Some(closed) = handle_event(conn, mask, &epoll, token, ctx, stats, &mut scratch)
-            {
-                finish(closed);
-                if let Some(slot) = conns.get_mut(idx) {
-                    *slot = None;
-                }
-                freed.push(idx);
+            if let Some(closed) = handle_event(conn, mask, token, sh, &mut scratch) {
+                close_slot(&mut conns, &mut freed, idx, closed);
             }
         }
         free.append(&mut freed);
 
         if last_sweep.elapsed() >= Duration::from_millis(10) {
             last_sweep = Instant::now();
-            sweep_deadlines(&mut conns, &mut free, ctx, stats, config);
+            sweep_deadlines(&mut conns, &mut free, sh.ctx, sh.stats, config);
         }
     }
 
@@ -379,15 +513,40 @@ pub(crate) fn run_reactor<F: Fn() -> bool>(
     Ok(())
 }
 
+/// Ends the connection in slot `idx`; the slot becomes reusable with the
+/// next event batch.
+fn close_slot(conns: &mut [Option<Conn>], freed: &mut Vec<usize>, idx: usize, closed: Closed) {
+    finish(closed);
+    if let Some(slot) = conns.get_mut(idx) {
+        *slot = None;
+    }
+    freed.push(idx);
+}
+
+/// Empties the wake socket (edge-triggered: read to `EAGAIN`).
+fn drain_wake(mut wake: &UnixStream) {
+    let mut buf = [0u8; 64];
+    loop {
+        match wake.read(&mut buf) {
+            Ok(0) => return,
+            Ok(_) => continue,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(_) => return,
+        }
+    }
+}
+
 /// Accepts until the listener would block, registering each connection
 /// edge-triggered and pinning it round-robin to a worker queue.
+/// `next_conn` numbers accepted connections: it picks the worker and
+/// becomes the connection's generation.
 fn accept_ready(
     listener: &TcpListener,
     epoll: &Epoll,
     conns: &mut Vec<Option<Conn>>,
     free: &mut Vec<usize>,
     queues: &[Arc<BoundedQueue<Vec<UserReport>>>],
-    next_worker: &mut usize,
+    next_conn: &mut u64,
     stats: &AtomicStats,
 ) -> io::Result<()> {
     loop {
@@ -399,12 +558,13 @@ fn accept_ready(
                     // The peer is already gone; nothing to clean up.
                     continue;
                 }
-                let worker = *next_worker % queues.len().max(1);
+                let generation = *next_conn;
+                let worker = (generation % queues.len().max(1) as u64) as usize;
                 let queue = match queues.get(worker) {
                     Some(q) => Arc::clone(q),
                     None => continue,
                 };
-                *next_worker += 1;
+                *next_conn += 1;
                 let conn = Conn {
                     stream,
                     session: Session::for_worker(worker),
@@ -416,6 +576,8 @@ fn accept_ready(
                     partial_since: None,
                     want_write: false,
                     close_after_flush: None,
+                    generation,
+                    query_out: false,
                 };
                 let idx = match free.pop() {
                     Some(i) => i,
@@ -460,10 +622,8 @@ fn accept_ready(
 fn handle_event(
     conn: &mut Conn,
     mask: u32,
-    epoll: &Epoll,
     token: u64,
-    ctx: &SessionCtx,
-    stats: &AtomicStats,
+    sh: &Shared<'_>,
     scratch: &mut [u8],
 ) -> Option<Closed> {
     if mask & (EPOLLERR | EPOLLHUP) != 0 {
@@ -480,7 +640,8 @@ fn handle_event(
                 }
                 // Kernel buffer drained: stop watching for writability.
                 if conn.want_write
-                    && epoll
+                    && sh
+                        .epoll
                         .ctl(EPOLL_CTL_MOD, conn.stream.as_raw_fd(), CONN_INTEREST, token)
                         .is_err()
                 {
@@ -494,22 +655,17 @@ fn handle_event(
             Err(e) => return Some(Closed::Error(WireError::Io(e))),
         }
     }
-    if mask & (EPOLLIN | EPOLLRDHUP) != 0 {
-        return on_readable(conn, epoll, token, ctx, stats, scratch);
+    // While a query is out the socket is left unread: the reply's
+    // arrival resumes with a read to EAGAIN.
+    if mask & (EPOLLIN | EPOLLRDHUP) != 0 && !conn.query_out {
+        return on_readable(conn, token, sh, scratch);
     }
     None
 }
 
-/// Drains the socket to `EAGAIN` (edge-triggered contract), decodes and
-/// dispatches every complete frame, queues replies, and flushes.
-fn on_readable(
-    conn: &mut Conn,
-    epoll: &Epoll,
-    token: u64,
-    ctx: &SessionCtx,
-    stats: &AtomicStats,
-    scratch: &mut [u8],
-) -> Option<Closed> {
+/// Drains the socket to `EAGAIN` (edge-triggered contract), then
+/// processes what arrived.
+fn on_readable(conn: &mut Conn, token: u64, sh: &Shared<'_>, scratch: &mut [u8]) -> Option<Closed> {
     let t_read = Instant::now();
     let mut eof = false;
     loop {
@@ -532,7 +688,22 @@ fn on_readable(
             }
         }
     }
+    process(conn, token, sh, t_read.elapsed().as_nanos() as u64, eof)
+}
 
+/// Decodes and dispatches every complete buffered frame, queues replies,
+/// and flushes. A `Query` goes to the query worker and parks decoding:
+/// the frames behind it wait in `rbuf` (and the kernel) until its reply
+/// lands, which reads and calls this again. `read_ns` is the socket-read
+/// time to charge to the first decoded frame; `eof` says the peer
+/// half-closed.
+fn process(
+    conn: &mut Conn,
+    token: u64,
+    sh: &Shared<'_>,
+    read_ns: u64,
+    eof: bool,
+) -> Option<Closed> {
     // Decode every complete frame in place; payloads borrow from rbuf.
     // Each stage records one histogram observation *per frame* (not the
     // old per-wakeup ns-sum counters), so the exported quantiles describe
@@ -542,8 +713,8 @@ fn on_readable(
     let mut consumed = 0usize;
     let mut fatal: Option<WireError> = None;
     let mut t_prev = Instant::now();
-    let mut carry = (t_prev - t_read).as_nanos() as u64;
-    loop {
+    let mut carry = read_ns;
+    while !conn.query_out {
         match FrameView::decode_prefix(&conn.rbuf[consumed..]) {
             Ok(Some((view, used))) => {
                 let t_decoded = Instant::now();
@@ -555,7 +726,9 @@ fn on_readable(
                 carry = 0;
                 let frame_kind = view.kind as u16;
                 let frame_len = view.payload.len() as u64;
-                let outcome = conn.session.on_frame_view(view, ctx, &conn.queue, stats);
+                let outcome = conn
+                    .session
+                    .on_frame_view(view, sh.ctx, &conn.queue, sh.stats);
                 consumed += used;
                 let t_ingested = Instant::now();
                 felip_obs::hist!(
@@ -569,12 +742,25 @@ fn on_readable(
                     conn.session.client_id().unwrap_or(0),
                     frame_len,
                 );
-                crate::wire::append_frame(
-                    &mut conn.wbuf,
-                    outcome.reply.kind,
-                    outcome.reply.plan_hash,
-                    &outcome.reply.payload,
-                );
+                match outcome.reply {
+                    Reply::Frame(reply) => crate::wire::append_frame(
+                        &mut conn.wbuf,
+                        reply.kind,
+                        reply.plan_hash,
+                        &reply.payload,
+                    ),
+                    Reply::Query(req) => {
+                        if let Some(start) = sh.start_worker.take() {
+                            start();
+                        }
+                        sh.jobs.post(QueryJob {
+                            slot: token as usize,
+                            generation: conn.generation,
+                            req,
+                        });
+                        conn.query_out = true;
+                    }
+                }
                 t_prev = Instant::now();
                 felip_obs::hist!(
                     "server.stage.ack",
@@ -590,14 +776,14 @@ fn on_readable(
             Err(e) => {
                 // Garbled framing: answer with an error (best effort)
                 // and drop the connection, like the threaded path.
-                stats.bump_rejected();
+                sh.stats.bump_rejected();
                 felip_obs::flight::flight().record(
                     felip_obs::flight::KIND_ERROR,
                     0,
                     felip_obs::flight::fnv1a(&e.to_string()),
                     0,
                 );
-                let reply = Frame::error(ctx.plan_hash, &e.to_string());
+                let reply = Frame::error(sh.ctx.plan_hash, &e.to_string());
                 crate::wire::append_frame(
                     &mut conn.wbuf,
                     reply.kind,
@@ -610,22 +796,24 @@ fn on_readable(
         }
     }
 
-    // Drop consumed bytes; whatever remains is one partial frame whose
-    // stall clock starts at the first wakeup that saw it.
+    // Drop consumed bytes. Whatever remains is one partial frame whose
+    // stall clock starts at the first pass that saw it — unless decoding
+    // is parked: then the bytes wait on us, not on the peer.
     if consumed > 0 {
         let len = conn.rbuf.len();
         conn.rbuf.copy_within(consumed..len, 0);
         conn.rbuf.truncate(len - consumed);
-        conn.partial_since = if conn.rbuf.is_empty() {
-            None
-        } else {
-            Some(Instant::now())
-        };
-    } else if conn.rbuf.is_empty() {
-        conn.partial_since = None;
-    } else if conn.partial_since.is_none() {
-        conn.partial_since = Some(Instant::now());
     }
+    conn.partial_since = if conn.query_out || conn.rbuf.is_empty() {
+        None
+    } else if consumed > 0 {
+        Some(Instant::now())
+    } else {
+        conn.partial_since.or_else(|| Some(Instant::now()))
+    };
+    // A half-closed peer is done once nothing it sent waits on a query;
+    // the resuming read sees the EOF again.
+    let eof = eof && !conn.query_out;
 
     let t_flush = Instant::now();
     let result = match flush(conn) {
@@ -647,7 +835,8 @@ fn on_readable(
                 conn.close_after_flush = Some(e);
             }
             if !conn.want_write {
-                if epoll
+                if sh
+                    .epoll
                     .ctl(
                         EPOLL_CTL_MOD,
                         conn.stream.as_raw_fd(),
@@ -723,7 +912,7 @@ fn sweep_deadlines(
             crate::wire::append_frame(&mut conn.wbuf, reply.kind, reply.plan_hash, &reply.payload);
             let _ = flush(conn);
             Some(Closed::Error(e))
-        } else if now.duration_since(conn.last_byte) >= config.idle_timeout {
+        } else if !conn.query_out && now.duration_since(conn.last_byte) >= config.idle_timeout {
             // Quiet too long: reap. Safe — a returning client
             // reconnects and resyncs its cursor from the Hello ack.
             stats.bump_reaped();

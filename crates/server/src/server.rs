@@ -25,10 +25,13 @@ use felip::aggregator::{Aggregator, OracleSet};
 use felip::client::UserReport;
 use felip::plan::CollectionPlan;
 
-use crate::queue::{BoundedQueue, PopResult};
 #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-use crate::session::Session;
+use crate::query::reply_frame;
+use crate::query::{QueryService, ServeCut};
+use crate::queue::{BoundedQueue, PopResult};
 use crate::session::SessionCtx;
+#[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
+use crate::session::{Reply, Session};
 use crate::snapshot::Snapshot;
 #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
 use crate::transport::{RecvOutcome, TcpTransport, Transport};
@@ -376,17 +379,24 @@ impl Server {
                 })
                 .collect(),
         );
-        let mut ctx = SessionCtx::new(Arc::clone(&self.plan), Arc::clone(&self.oracles), dedup0);
-        ctx.install_query(Arc::new(crate::query::QueryService::new(
+        let ctx = Arc::new(SessionCtx::new(
             Arc::clone(&self.plan),
             Arc::clone(&self.oracles),
-            Arc::clone(&base),
-            Arc::clone(&shards),
-            queues.clone(),
-            base_reports,
-        )));
-        let ctx = ctx;
-        let stats = AtomicStats::default();
+            dedup0,
+        ));
+        let stats = Arc::new(AtomicStats::default());
+        let query = QueryService::new(
+            Arc::clone(&self.plan),
+            Arc::clone(&self.oracles),
+            ServeCut {
+                ctx: Arc::clone(&ctx),
+                stats: Arc::clone(&stats),
+                base: Arc::clone(&base),
+                shards: Arc::clone(&shards),
+                queues: queues.clone(),
+                base_reports,
+            },
+        );
         let stop_snapshots = AtomicBool::new(false);
 
         let should_stop = || {
@@ -604,6 +614,7 @@ impl Server {
                 &ctx,
                 &queues,
                 &stats,
+                &query,
                 &should_stop,
                 &self.config,
             )?;
@@ -624,12 +635,13 @@ impl Server {
                             next_worker += 1;
                             let ctx = &ctx;
                             let stats = &stats;
+                            let query = &query;
                             let stop = &should_stop;
                             let config = &self.config;
                             conns.push(scope.spawn(move || {
-                                if let Err(e) =
-                                    handle_conn(stream, worker, ctx, queue, stats, stop, config)
-                                {
+                                if let Err(e) = handle_conn(
+                                    stream, worker, ctx, queue, stats, query, stop, config,
+                                ) {
                                     // Peer went away or spoke garbage; the
                                     // connection is already torn down.
                                     felip_obs::counter!("server.conn.errors", 1, "connections");
@@ -709,10 +721,11 @@ pub(crate) fn consistent_cut(
     queues: &[Arc<BoundedQueue<Vec<UserReport>>>],
 ) -> Result<(Aggregator, Vec<(u64, u64)>), felip_common::Error> {
     let dedup = ctx.dedup.lock();
-    // No session can push while we hold the dedup lock, so the backlog is
-    // bounded and this wait terminates once the workers catch up.
-    while !queues.iter().all(|q| q.is_quiescent()) {
-        thread::sleep(Duration::from_millis(1));
+    // No session can push while we hold the dedup lock, so each queue only
+    // drains from here on: once quiescent it stays so, and its worker's
+    // last `task_done` wakes the wait.
+    for q in queues {
+        q.wait_quiescent();
     }
     let merged = merge_state(plan, oracles, base, shards)?;
     let pairs = SessionCtx::sorted_pairs(&dedup);
@@ -746,12 +759,14 @@ fn merge_state(
 /// fallback path; on Linux/x86_64 the epoll reactor serves connections
 /// instead (see `reactor.rs`).
 #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
+#[allow(clippy::too_many_arguments)]
 fn handle_conn<F: Fn() -> bool>(
     stream: TcpStream,
     worker: usize,
     ctx: &SessionCtx,
     queue: Arc<BoundedQueue<Vec<UserReport>>>,
     stats: &AtomicStats,
+    query: &QueryService<ServeCut>,
     stop: &F,
     config: &ServerConfig,
 ) -> Result<(), WireError> {
@@ -767,13 +782,19 @@ fn handle_conn<F: Fn() -> bool>(
         match transport.recv() {
             RecvOutcome::Frame(frame) => {
                 let outcome = session.on_frame(frame, ctx, &queue, stats);
+                // This thread serves only its own connection, so it
+                // answers queries itself, like the aggregator's threads.
+                let reply = match outcome.reply {
+                    Reply::Frame(f) => f,
+                    Reply::Query(req) => reply_frame(ctx.plan_hash, query.answer(&req)),
+                };
                 match outcome.close {
                     // Closing anyway: the error reply is best-effort.
                     Some(e) => {
-                        let _ = transport.send(&outcome.reply);
+                        let _ = transport.send(&reply);
                         return Err(e);
                     }
-                    None => transport.send(&outcome.reply)?,
+                    None => transport.send(&reply)?,
                 }
             }
             // Clean EOF, or the shutdown flag flipped mid-wait.

@@ -33,7 +33,8 @@ use felip::plan::CollectionPlan;
 use crate::queue::{BoundedQueue, PushError};
 use crate::server::AtomicStats;
 use crate::wire::{
-    decode_batch, decode_hello, decode_stat, encode_ack, encode_retry, Frame, FrameKind, WireError,
+    decode_batch, decode_hello, decode_stat, encode_ack, encode_retry, Frame, FrameKind,
+    QueryRequest, WireError,
 };
 
 /// Server-wide state shared by every session: the plan, the oracles used
@@ -47,9 +48,6 @@ pub(crate) struct SessionCtx {
     pub plan_hash: u64,
     /// client id → highest accepted batch id.
     pub dedup: Mutex<HashMap<u64, u64>>,
-    /// The online query service (v5 `Query` verb); `None` until the serve
-    /// run installs it, and in contexts that only ingest (tests, sims).
-    pub query: Option<Arc<crate::query::QueryService>>,
 }
 
 impl SessionCtx {
@@ -66,14 +64,7 @@ impl SessionCtx {
             oracles,
             plan_hash,
             dedup: Mutex::new(dedup.into_iter().collect()),
-            query: None,
         }
-    }
-
-    /// Installs the online query service (called once by the serve run
-    /// after its shards and queues exist).
-    pub fn install_query(&mut self, service: Arc<crate::query::QueryService>) {
-        self.query = Some(service);
     }
 
     /// The dedup table as sorted pairs (the snapshot encoding).
@@ -103,10 +94,19 @@ pub(crate) struct AcceptedBatch {
     pub reports: u32,
 }
 
+/// How a frame is answered.
+pub(crate) enum Reply {
+    /// Send this frame now.
+    Frame(Frame),
+    /// A valid `Query`: the query service answers it. Frames after it on
+    /// the same connection must wait for that answer (replies are FIFO).
+    Query(QueryRequest),
+}
+
 /// What [`Session::on_frame`] decided.
 pub(crate) struct FrameOutcome {
     /// Reply to send to the peer (always present; errors reply best-effort).
-    pub reply: Frame,
+    pub reply: Reply,
     /// Set when a batch was newly accepted this frame.
     pub accepted: Option<AcceptedBatch>,
     /// Set when the connection must close after the reply (the error to
@@ -171,7 +171,7 @@ impl Session {
         let reject = |e: WireError| {
             stats.bump_rejected();
             FrameOutcome {
-                reply: Frame::error(ctx.plan_hash, &e.to_string()),
+                reply: Reply::Frame(Frame::error(ctx.plan_hash, &e.to_string())),
                 accepted: None,
                 close: Some(e),
             }
@@ -185,11 +185,11 @@ impl Session {
                 Ok(mode) => {
                     felip_obs::counter!("server.frame.stat", 1, "frames");
                     FrameOutcome {
-                        reply: Frame {
+                        reply: Reply::Frame(Frame {
                             kind: FrameKind::StatReply,
                             plan_hash: ctx.plan_hash,
                             payload: crate::stat::stat_payload(mode),
-                        },
+                        }),
                         accepted: None,
                         close: None,
                     }
@@ -215,11 +215,11 @@ impl Session {
                 self.client_id = Some(client_id);
                 let last = ctx.dedup.lock().get(&client_id).copied().unwrap_or(0);
                 FrameOutcome {
-                    reply: Frame {
+                    reply: Reply::Frame(Frame {
                         kind: FrameKind::Ack,
                         plan_hash: ctx.plan_hash,
                         payload: encode_ack(last, 0),
-                    },
+                    }),
                     accepted: None,
                     close: None,
                 }
@@ -262,11 +262,11 @@ impl Session {
                     felip_obs::counter!("server.frame.duplicate", 1, "frames");
                     stats.bump_duplicate();
                     return FrameOutcome {
-                        reply: Frame {
+                        reply: Reply::Frame(Frame {
                             kind: FrameKind::Ack,
                             plan_hash: ctx.plan_hash,
                             payload: encode_ack(batch_id, count),
-                        },
+                        }),
                         accepted: None,
                         close: None,
                     };
@@ -286,11 +286,11 @@ impl Session {
                         felip_obs::counter!("server.frame.reports", count as usize, "reports");
                         stats.bump_accepted(count as u64);
                         FrameOutcome {
-                            reply: Frame {
+                            reply: Reply::Frame(Frame {
                                 kind: FrameKind::Ack,
                                 plan_hash: ctx.plan_hash,
                                 payload: encode_ack(batch_id, count),
-                            },
+                            }),
                             accepted: Some(AcceptedBatch {
                                 client_id,
                                 batch_id,
@@ -307,50 +307,25 @@ impl Session {
                         felip_obs::counter!("server.frame.retry", 1, "frames");
                         stats.bump_retried();
                         FrameOutcome {
-                            reply: Frame {
+                            reply: Reply::Frame(Frame {
                                 kind: FrameKind::Retry,
                                 plan_hash: ctx.plan_hash,
                                 payload: encode_retry(batch_id),
-                            },
+                            }),
                             accepted: None,
                             close: None,
                         }
                     }
                 }
             }
-            FrameKind::Query => {
-                let req = match crate::wire::decode_query(frame.payload) {
-                    Ok(r) => r,
-                    Err(e) => return reject(e),
-                };
-                let Some(service) = ctx.query.as_ref() else {
-                    return reject(WireError::Malformed(
-                        "query serving not enabled on this server".into(),
-                    ));
-                };
-                match service.answer(ctx, stats, &req) {
-                    Ok(ans) => FrameOutcome {
-                        reply: Frame {
-                            kind: FrameKind::QueryReply,
-                            plan_hash: ctx.plan_hash,
-                            payload: crate::wire::encode_query_reply(&ans),
-                        },
-                        accepted: None,
-                        close: None,
-                    },
-                    Err(e) => {
-                        // An unanswerable query (invalid predicates, empty
-                        // collection) answers an Error frame but keeps the
-                        // connection — the client may fix it and retry.
-                        felip_obs::counter!("server.query.errors", 1, "queries");
-                        FrameOutcome {
-                            reply: Frame::error(ctx.plan_hash, &e.to_string()),
-                            accepted: None,
-                            close: None,
-                        }
-                    }
-                }
-            }
+            FrameKind::Query => match crate::wire::decode_query(frame.payload) {
+                Ok(req) => FrameOutcome {
+                    reply: Reply::Query(req),
+                    accepted: None,
+                    close: None,
+                },
+                Err(e) => reject(e),
+            },
             other => reject(WireError::Malformed(format!("client sent {other:?} frame"))),
         }
     }

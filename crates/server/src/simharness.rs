@@ -36,7 +36,7 @@ use crate::fault::{FaultConfig, FaultKind, FaultSchedule};
 use crate::loadgen;
 use crate::queue::{BoundedQueue, PopResult};
 use crate::server::AtomicStats;
-use crate::session::{AcceptedBatch, Session, SessionCtx};
+use crate::session::{AcceptedBatch, Reply, Session, SessionCtx};
 use crate::snapshot::Snapshot;
 use crate::transport::{RecvOutcome, Transport};
 use crate::wire::{decode_ack, encode_batch, encode_hello, Frame, FrameKind, WireError};
@@ -751,12 +751,23 @@ impl Sim {
             match transport.recv() {
                 RecvOutcome::Frame(frame) => {
                     let outcome = session.on_frame(frame, &self.ctx, &self.queue, &self.stats);
+                    // The sim's query client asks its engine directly; a
+                    // wire `Query` has no service here, so it is rejected
+                    // and the connection closed.
+                    let (reply, rejected) = match outcome.reply {
+                        Reply::Frame(f) => (f, false),
+                        Reply::Query(_) => {
+                            self.stats.bump_rejected();
+                            let msg = "query serving not enabled on this server";
+                            (Frame::error(self.plan_hash, msg), true)
+                        }
+                    };
                     // SimTransport::send is an infallible outbox push.
-                    let _ = transport.send(&outcome.reply);
+                    let _ = transport.send(&reply);
                     if let Some(batch) = outcome.accepted {
                         self.accepted.push(batch);
                     }
-                    if outcome.close.is_some() {
+                    if outcome.close.is_some() || rejected {
                         close = true;
                         break;
                     }
