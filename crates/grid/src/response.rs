@@ -9,6 +9,17 @@
 //! to match its cell's estimate, iterating until the total change falls
 //! below a threshold (`< 1/n` per the paper).
 //!
+//! The sweep is a branch-free kernel (DESIGN.md §8 item 9). Each rectangle is
+//! summed over four independent accumulators, as one contiguous slice when
+//! it spans every column; narrower strips carry the accumulator index from
+//! row to row, so even one-column strips split their add chain. Rescaling
+//! is a pure multiply, and a constraint's change is charged as
+//! `|scale − 1| · s` for its rectangle sum `s`. That equals the per-entry
+//! `Σ |v·scale − v|` because every entry stays ≥ 0: the matrix starts
+//! uniform, scales are ≥ 0, and `build` rejects negative frequencies. The
+//! kernel differs from a per-entry loop only in the order of additions; a
+//! test keeps that loop as its oracle.
+//!
 //! When both attributes are categorical the pair's grid is already at value
 //! granularity and *is* the response matrix.
 //!
@@ -16,6 +27,8 @@
 //! the same buffer. A query sums one rectangle per pair of selected value
 //! runs with four lookups each, so a range × range answer costs O(1) instead
 //! of O(d_i · d_j).
+
+use std::time::Instant;
 
 use felip_common::{Error, Predicate, PredicateTarget, Result};
 
@@ -52,7 +65,10 @@ impl ResponseMatrix {
     ///
     /// Grids carrying non-finite frequencies (NaN/Inf from a degenerate
     /// estimation) are rejected with [`Error::NumericalInstability`]: one
-    /// NaN constraint would silently poison the whole fit.
+    /// NaN constraint would silently poison the whole fit. So are strictly
+    /// negative frequencies: a negative target would flip the sign of its
+    /// whole rectangle. Post-processing ends with norm-sub, so estimated
+    /// grids never carry one.
     ///
     /// # Panics
     /// Panics when `related` is empty or contains a grid over a foreign
@@ -66,6 +82,7 @@ impl ResponseMatrix {
         threshold: f64,
     ) -> Result<Self> {
         let _span = felip_obs::span!("response_matrix");
+        let started = Instant::now();
         assert!(
             !related.is_empty(),
             "response matrix needs at least one related grid"
@@ -78,7 +95,8 @@ impl ResponseMatrix {
                     g.spec().id()
                 );
             }
-            if let Some(cell) = g.freqs().iter().position(|f| !f.is_finite()) {
+            // `-0.0` passes: it is a zero, not a negative mass.
+            if let Some(cell) = g.freqs().iter().position(|f| !f.is_finite() || *f < 0.0) {
                 return Err(Error::NumericalInstability(format!(
                     "grid {} cell {cell} frequency is {}",
                     g.spec().id(),
@@ -88,89 +106,19 @@ impl ResponseMatrix {
         }
         let (din, djn) = (di as usize, dj as usize);
         let mut values = vec![1.0 / (din as f64 * djn as f64); din * djn];
-
-        // Precompute, per grid and cell, the value-rectangle it constrains.
-        struct Constraint {
-            /// Row range `[r0, r1)` of matrix rows (attr_i values).
-            rows: (u32, u32),
-            /// Column range `[c0, c1)`.
-            cols: (u32, u32),
-            /// Target mass: the cell's estimated frequency.
-            target: f64,
-        }
-        let mut constraints: Vec<Constraint> = Vec::new();
-        for g in related {
-            let spec = g.spec();
-            for cell in 0..spec.num_cells() {
-                let (ci, cj) = spec.cell_coords(cell);
-                let (rows, cols) = match spec.id() {
-                    GridId::One(a) if a == attr_i => {
-                        (spec.axes()[0].binning.cell_range(ci), (0, dj))
-                    }
-                    GridId::One(_) => ((0, di), spec.axes()[0].binning.cell_range(ci)),
-                    GridId::Two(a, _) => {
-                        let (rx, ry) = (
-                            spec.axes()[0].binning.cell_range(ci),
-                            spec.axes()[1].binning.cell_range(cj.expect("2-D cell")),
-                        );
-                        // Grid axes are ordered (min, max) attr; the matrix is
-                        // (attr_i rows, attr_j cols).
-                        if a == attr_i {
-                            (rx, ry)
-                        } else {
-                            (ry, rx)
-                        }
-                    }
-                };
-                constraints.push(Constraint {
-                    rows,
-                    cols,
-                    target: g.freq(cell),
-                });
-            }
-        }
-
-        let mut sweeps: u64 = 0;
-        let mut converged = false;
-        for _ in 0..MAX_SWEEPS {
-            sweeps += 1;
-            let mut change = 0.0;
-            for c in &constraints {
-                let mut s = 0.0;
-                for x in c.rows.0..c.rows.1 {
-                    let row = &values[(x as usize) * djn..][..djn];
-                    for y in c.cols.0..c.cols.1 {
-                        s += row[y as usize];
-                    }
-                }
-                if s <= 0.0 {
-                    continue;
-                }
-                let scale = c.target / s;
-                if (scale - 1.0).abs() < 1e-15 {
-                    continue;
-                }
-                for x in c.rows.0..c.rows.1 {
-                    let row = &mut values[(x as usize) * djn..][..djn];
-                    for y in c.cols.0..c.cols.1 {
-                        let old = row[y as usize];
-                        let new = old * scale;
-                        change += (new - old).abs();
-                        row[y as usize] = new;
-                    }
-                }
-            }
-            if change < threshold {
-                converged = true;
-                break;
-            }
-        }
-        felip_obs::hist!("grid.response.sweeps", sweeps, "sweeps");
+        let constraints = constraints(attr_i, (din, djn), related);
+        let (sweeps, converged) = fit(&mut values, djn, &constraints, threshold);
+        felip_obs::hist!("grid.response.sweeps", sweeps as u64, "sweeps");
         if converged {
             felip_obs::counter!("grid.response.converged", 1, "builds");
         }
 
         into_prefix_sums(&mut values, djn);
+        felip_obs::hist!(
+            "grid.response.build",
+            started.elapsed().as_nanos() as u64,
+            "ns"
+        );
         Ok(ResponseMatrix {
             attr_i,
             attr_j,
@@ -268,6 +216,129 @@ impl ResponseMatrix {
     }
 }
 
+/// One grid cell's constraint on the matrix: the half-open value
+/// rectangle `rows × cols` it covers and the mass it should carry (the
+/// cell's estimated frequency).
+struct Constraint {
+    rows: (usize, usize),
+    cols: (usize, usize),
+    target: f64,
+}
+
+impl Constraint {
+    /// The rectangle as `(start, width, strips)` in a row-major buffer `dj`
+    /// wide: `strips` runs of `width` contiguous entries, the first at
+    /// `start` and each next one `dj` further. A rectangle spanning every
+    /// column is one run.
+    fn strips(&self, dj: usize) -> (usize, usize, usize) {
+        let ((r0, r1), (c0, c1)) = (self.rows, self.cols);
+        if (c0, c1) == (0, dj) {
+            (r0 * dj, (r1 - r0) * dj, 1)
+        } else {
+            (r0 * dj + c0, c1 - c0, r1 - r0)
+        }
+    }
+}
+
+/// Every cell of every related grid as a constraint on the `(d_i, d_j)`
+/// matrix of pair `(attr_i, ·)`, in grid order then cell order.
+fn constraints(
+    attr_i: usize,
+    (di, dj): (usize, usize),
+    related: &[&EstimatedGrid],
+) -> Vec<Constraint> {
+    let mut out = Vec::new();
+    for g in related {
+        let spec = g.spec();
+        let range = |axis: usize, cell: u32| {
+            let (lo, hi) = spec.axes()[axis].binning.cell_range(cell);
+            (lo as usize, hi as usize)
+        };
+        for cell in 0..spec.num_cells() {
+            let (ci, cj) = spec.cell_coords(cell);
+            let (rows, cols) = match spec.id() {
+                GridId::One(a) if a == attr_i => (range(0, ci), (0, dj)),
+                GridId::One(_) => ((0, di), range(0, ci)),
+                GridId::Two(a, _) => {
+                    let (rx, ry) = (range(0, ci), range(1, cj.expect("2-D cell")));
+                    // Grid axes are ordered (min, max) attr; the matrix is
+                    // (attr_i rows, attr_j cols).
+                    if a == attr_i {
+                        (rx, ry)
+                    } else {
+                        (ry, rx)
+                    }
+                }
+            };
+            out.push(Constraint {
+                rows,
+                cols,
+                target: g.freq(cell),
+            });
+        }
+    }
+    out
+}
+
+/// Independent accumulators in a rectangle sum.
+const LANES: usize = 4;
+
+/// The weighted-update sweeps of Algorithm 3 over the row-major matrix
+/// `values` (`dj` wide, every entry ≥ 0): each constraint rescales its
+/// rectangle to its target, until a sweep's summed change falls below
+/// `threshold` or [`MAX_SWEEPS`] have run. Returns the sweep count and
+/// whether the change fell below `threshold`.
+fn fit(values: &mut [f64], dj: usize, constraints: &[Constraint], threshold: f64) -> (usize, bool) {
+    for sweep in 1..=MAX_SWEEPS {
+        let mut change = 0.0;
+        for c in constraints {
+            let (start, width, strips) = c.strips(dj);
+            let s = rect_sum(values, start, width, strips, dj);
+            if s <= 0.0 {
+                continue;
+            }
+            let scale = c.target / s;
+            if (scale - 1.0).abs() < 1e-15 {
+                continue;
+            }
+            for k in 0..strips {
+                for v in &mut values[start + k * dj..][..width] {
+                    *v *= scale;
+                }
+            }
+            // Every entry is ≥ 0, so Σ |v·scale − v| = |scale − 1| · Σ v.
+            change += (scale - 1.0).abs() * s;
+        }
+        if change < threshold {
+            return (sweep, true);
+        }
+    }
+    (MAX_SWEEPS, false)
+}
+
+/// Sum of `strips` runs of `width` entries of `values`, the first at
+/// `start` and each next one `dj` further, over [`LANES`] accumulators.
+/// Whole chunks of a run go lane by lane; the tail of a run continues on
+/// the lane after the previous tail, so runs narrower than [`LANES`] (the
+/// one-column strips of a num × cat grid) still split their add chain.
+fn rect_sum(values: &[f64], start: usize, width: usize, strips: usize, dj: usize) -> f64 {
+    let mut acc = [0.0; LANES];
+    let mut lane = 0;
+    for k in 0..strips {
+        let mut chunks = values[start + k * dj..][..width].chunks_exact(LANES);
+        for chunk in &mut chunks {
+            for l in 0..LANES {
+                acc[l] += chunk[l];
+            }
+        }
+        for v in chunks.remainder() {
+            acc[lane] += v;
+            lane = (lane + 1) % LANES;
+        }
+    }
+    acc.iter().sum()
+}
+
 /// Overwrites a row-major buffer of rows `cols` wide with its inclusive
 /// 2-D prefix sums.
 fn into_prefix_sums(values: &mut [f64], cols: usize) {
@@ -322,8 +393,156 @@ fn runs(pred: Option<&Predicate>, d: u32) -> Vec<(usize, usize)> {
 mod tests {
     use super::*;
     use crate::spec::GridSpec;
-    use felip_common::{Attribute, Schema};
+    use felip_common::{AttrKind, Attribute, Schema};
     use felip_fo::FoKind;
+    use proptest::prelude::any;
+
+    /// The per-entry loop the kernel replaced, kept as its oracle: one
+    /// serial add chain per rectangle and the change summed entry by
+    /// entry, with the same skip rules and stop.
+    fn fit_scalar(
+        values: &mut [f64],
+        dj: usize,
+        constraints: &[Constraint],
+        threshold: f64,
+    ) -> (usize, bool) {
+        for sweep in 1..=MAX_SWEEPS {
+            let mut change = 0.0;
+            for c in constraints {
+                let mut s = 0.0;
+                for x in c.rows.0..c.rows.1 {
+                    for v in &values[x * dj..][c.cols.0..c.cols.1] {
+                        s += v;
+                    }
+                }
+                if s <= 0.0 {
+                    continue;
+                }
+                let scale = c.target / s;
+                if (scale - 1.0).abs() < 1e-15 {
+                    continue;
+                }
+                for x in c.rows.0..c.rows.1 {
+                    for v in &mut values[x * dj..][c.cols.0..c.cols.1] {
+                        let new = *v * scale;
+                        change += (new - *v).abs();
+                        *v = new;
+                    }
+                }
+            }
+            if change < threshold {
+                return (sweep, true);
+            }
+        }
+        (MAX_SWEEPS, false)
+    }
+
+    proptest::proptest! {
+        /// The lane-split kernel agrees with the scalar oracle entry by
+        /// entry and on the sweep count. Matrices are 1..=40 by 1..=40
+        /// values, most not a multiple of `LANES` wide, fitted against a
+        /// 2-D grid alone or with 1-D grids on either axis: num × num,
+        /// num × cat (one-column strips) and cat × num, with either
+        /// attribute as the matrix rows; 1-D grids on the row attribute
+        /// and one-cell 2-D axes give full-width rectangles. Targets are
+        /// one random joint's rectangle masses (consistent: the fit stops
+        /// early) or drawn per grid (the fit runs to `MAX_SWEEPS`), with or
+        /// without zero cells.
+        #[test]
+        fn kernel_matches_scalar_oracle(
+            (dx, dy) in (1u32..=40, 1u32..=40),
+            (kind, with_1d, swap) in (0u32..3, 0u32..4, any::<bool>()),
+            (lx, ly, l1x, l1y) in (1u32..=40, 1u32..=40, 1u32..=40, 1u32..=40),
+            (consistent, zeros) in (any::<bool>(), any::<bool>()),
+            threshold in 0usize..3,
+            weights in proptest::collection::vec(0.0f64..1.0, 1600),
+        ) {
+            let threshold = [1e-6, 1e-9, 1e-12][threshold];
+            // kind 0: num × num, 1: num × cat, 2: cat × num.
+            let attr = |name, d, categorical| {
+                if categorical {
+                    Attribute::categorical(name, d)
+                } else {
+                    Attribute::numerical(name, d)
+                }
+            };
+            let s = Schema::new(vec![attr("x", dx, kind == 2), attr("y", dy, kind == 1)]).unwrap();
+            let cells = |a: usize, l: u32| {
+                let d = s.attr(a).domain;
+                if s.attr(a).kind == AttrKind::Categorical { d } else { l.min(d) }
+            };
+            let mut specs =
+                vec![GridSpec::two_dim(&s, 0, 1, cells(0, lx), cells(1, ly), FoKind::Olh).unwrap()];
+            if with_1d & 1 != 0 {
+                specs.push(GridSpec::one_dim(&s, 0, cells(0, l1x), FoKind::Olh).unwrap());
+            }
+            if with_1d & 2 != 0 {
+                specs.push(GridSpec::one_dim(&s, 1, cells(1, l1y), FoKind::Olh).unwrap());
+            }
+            let (attr_i, di, dj) = if swap { (1, dy, dx) } else { (0, dx, dy) };
+            let (di, dj) = (di as usize, dj as usize);
+            let mut w = weights;
+            if zeros {
+                w.iter_mut().filter(|v| **v < 0.3).for_each(|v| *v = 0.0);
+            }
+            // Placeholder frequencies: only the rectangles are read below.
+            let grids: Vec<EstimatedGrid> = specs
+                .into_iter()
+                .map(|spec| {
+                    let n = spec.num_cells() as usize;
+                    EstimatedGrid::new(spec, vec![1.0 / n as f64; n])
+                })
+                .collect();
+            let related: Vec<&EstimatedGrid> = grids.iter().collect();
+            let mut cs = constraints(attr_i, (di, dj), &related);
+            let rect_mass = |c: &Constraint, m: &[f64]| -> f64 {
+                (c.rows.0..c.rows.1)
+                    .flat_map(|x| (c.cols.0..c.cols.1).map(move |y| m[x * dj + y]))
+                    .sum()
+            };
+            let mut first = 0;
+            for g in &grids {
+                let n = g.spec().num_cells() as usize;
+                let grid_cs = &mut cs[first..first + n];
+                if consistent {
+                    let joint = &w[..di * dj];
+                    for c in grid_cs.iter_mut() {
+                        c.target = rect_mass(c, joint);
+                    }
+                } else {
+                    for (k, c) in grid_cs.iter_mut().enumerate() {
+                        c.target = w[(first * 7 + k * 13) % w.len()];
+                    }
+                }
+                let total: f64 = grid_cs.iter().map(|c| c.target).sum();
+                for c in grid_cs.iter_mut() {
+                    c.target = if total > 0.0 { c.target / total } else { 1.0 / n as f64 };
+                }
+                first += n;
+            }
+
+            let start = vec![1.0 / (di * dj) as f64; di * dj];
+            let (mut got, mut want) = (start.clone(), start);
+            let (got_sweeps, _) = fit(&mut got, dj, &cs, threshold);
+            let (want_sweeps, _) = fit_scalar(&mut want, dj, &cs, threshold);
+            let diff = got
+                .iter()
+                .zip(&want)
+                .map(|(a, b)| (a - b).abs())
+                .fold(0.0, f64::max);
+            proptest::prop_assert!(
+                got_sweeps.abs_diff(want_sweeps) <= 1,
+                "{got_sweeps} vs {want_sweeps} sweeps"
+            );
+            // One sweep more or less moves the matrix by that sweep's
+            // change, which is below the threshold.
+            let tolerance = if got_sweeps == want_sweeps { 1e-12 } else { threshold };
+            proptest::prop_assert!(
+                diff <= tolerance,
+                "max |Δ| = {diff:e} after {got_sweeps} vs {want_sweeps} sweeps"
+            );
+        }
+    }
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -510,11 +729,14 @@ mod tests {
         ResponseMatrix::build(0, 1, 8, 8, &[], 1e-9).unwrap();
     }
 
+    /// Non-finite and strictly negative frequencies are rejected, in the
+    /// pair's 2-D grid and in a related 1-D grid; `-0.0` is a zero and is
+    /// fitted.
     #[test]
     fn rejects_nan_and_inf_frequencies() {
         use felip_common::Error;
         let s = schema();
-        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1e-12, -0.25] {
             let g = EstimatedGrid::new(
                 GridSpec::two_dim(&s, 0, 1, 2, 2, FoKind::Olh).unwrap(),
                 vec![0.25, bad, 0.25, 0.25],
@@ -530,10 +752,28 @@ mod tests {
             GridSpec::two_dim(&s, 0, 1, 2, 2, FoKind::Olh).unwrap(),
             vec![0.25; 4],
         );
-        let g1 = EstimatedGrid::new(
-            GridSpec::one_dim(&s, 0, 2, FoKind::Olh).unwrap(),
-            vec![f64::NAN, 1.0],
+        for bad in [f64::NAN, -0.1] {
+            let g1 = EstimatedGrid::new(
+                GridSpec::one_dim(&s, 1, 2, FoKind::Olh).unwrap(),
+                vec![bad, 1.0 - bad],
+            );
+            let err = ResponseMatrix::build(0, 1, 8, 8, &[&g2, &g1], 1e-9).unwrap_err();
+            assert!(
+                matches!(err, Error::NumericalInstability(_)),
+                "{bad}: {err}"
+            );
+        }
+        let g = EstimatedGrid::new(
+            GridSpec::two_dim(&s, 0, 1, 2, 2, FoKind::Olh).unwrap(),
+            vec![0.5, -0.0, 0.25, 0.25],
         );
-        assert!(ResponseMatrix::build(0, 1, 8, 8, &[&g2, &g1], 1e-9).is_err());
+        let m = ResponseMatrix::build(0, 1, 8, 8, &[&g], 1e-9).unwrap();
+        assert_eq!(
+            m.answer(
+                Some(&Predicate::between(0, 0, 3)),
+                Some(&Predicate::between(1, 4, 7))
+            ),
+            0.0
+        );
     }
 }

@@ -403,7 +403,7 @@ proptest! {
 
         let pi = drawn_predicate(0, dx, kind_i, ends_i, &set_i);
         let pj = drawn_predicate(1, dy, kind_j, ends_j, &set_j);
-        let selects = |p: &Option<Predicate>, v: u32| p.as_ref().map_or(true, |p| p.target.matches(v));
+        let selects = |p: &Option<Predicate>, v: u32| p.as_ref().is_none_or(|p| p.target.matches(v));
         let mut dense = 0.0;
         for x in (0..dx).filter(|&x| selects(&pi, x)) {
             for y in (0..dy).filter(|&y| selects(&pj, y)) {

@@ -1,7 +1,8 @@
 //! The query worker's live stages (DESIGN.md §11, §15): concurrent
 //! askers over a settled head share one cut and refresh — the first
 //! answer refreshes, the rest hit the cached epoch — and `felip stat`
-//! shows the `server.query.*` histograms. Its own test binary, so the
+//! shows the `server.query.*` histograms and, after a `Fresh` query, the
+//! `grid.response.build` fit time. Its own test binary, so the
 //! process-global metrics it reads count this test's queries only. The
 //! worker belongs to the epoll reactor; the thread-per-connection
 //! fallback answers on each connection's thread.
@@ -115,6 +116,25 @@ fn concurrent_cached_askers_share_one_refresh() {
     ] {
         assert!(table.contains(name), "felip stat misses {name}:\n{table}");
     }
+
+    // A `Fresh` query after more ingest refreshes onto the new head and
+    // fits the pair's response matrix again; `felip stat` shows the fit.
+    let builds = hist_count(&doc, "grid.response.build");
+    let more: Vec<_> = (300..400)
+        .map(|u| user_report(&plan, u, 5).unwrap())
+        .collect();
+    feeder.send_batch_retrying(&more).expect("send");
+    let mut client = Client::connect(addr, plan_hash).expect("connect");
+    let ans = client.query(preds, QueryMode::Fresh).expect("answer");
+    assert_eq!(ans.reports, 400);
+    let doc = stat(addr);
+    assert_eq!(hist_count(&doc, "grid.response.build"), builds + 1);
+    let table = felip_obs::render_metrics_table(&doc).expect("table");
+    let row = table
+        .lines()
+        .find(|l| l.trim_start().starts_with("grid.response.build "))
+        .unwrap_or_else(|| panic!("felip stat misses grid.response.build:\n{table}"));
+    assert!(row.contains(&format!("n={}", builds + 1)), "{row}");
 
     shutdown.store(true, Ordering::SeqCst);
     server_thread.join().expect("join server");
