@@ -32,7 +32,6 @@ pub fn aggregate(args: &[String]) -> CmdResult {
         state_path: flags.get("state").map(PathBuf::from),
         resume: flags.get("resume").map(PathBuf::from),
         persist_every: Duration::from_millis(flags.get_or("persist-every-ms", 500u64)?.max(1)),
-        ..AggregatorConfig::default()
     };
 
     // Like `serve`, the aggregator's STAT verb reads the live recorder,

@@ -83,7 +83,6 @@ pub fn serve(args: &[String]) -> CmdResult {
         metrics_every: Duration::from_millis(flags.get_or("metrics-every-ms", 1_000u64)?.max(1)),
         cut_hook: streamer.as_ref().map(|s| s.hook()),
         cut_every: Duration::from_millis(flags.get_or("delta-every-ms", 200u64)?.max(1)),
-        ..ServerConfig::default()
     };
 
     // The server's telemetry is always on: STAT replies and the

@@ -15,7 +15,8 @@
 //!
 //! * [`state`] — per-node cumulative state, epoch discipline, FCLU
 //!   persistence.
-//! * [`server`] — the aggregator's accept loop and session handling.
+//! * [`server`] — the aggregator's frame handler on the shared serve loop
+//!   (`felip_server::serve`) and its periodic persist.
 //! * [`streamer`] — the ingest-node side: cut coalescing, delta
 //!   derivation, reconnect/resync.
 

@@ -1,12 +1,14 @@
 //! The aggregator-tier server: accepts ingest-node connections, applies
 //! their epoch-numbered deltas to the shared [`ClusterState`], answers
-//! `STAT` with process-wide telemetry, and periodically persists both the
-//! FCLU per-node container and a plain merged FSNP snapshot.
+//! `STAT` with process-wide telemetry and `Query` from the merged view, and
+//! periodically persists both the FCLU per-node container and a plain
+//! merged FSNP snapshot.
 //!
-//! Delta traffic is low-rate by construction (one frame per node per cut
-//! interval), so connections are served by a portable thread-per-connection
-//! loop over [`TcpTransport`] — the epoll reactor stays an ingest-tier
-//! specialisation.
+//! Connections run on the ingest tier's serve loop (`felip_server::serve`,
+//! DESIGN.md §15): this module only supplies the [`Handler`] for Hello and
+//! Delta frames. The loop brings the STAT-first and plan-hash prelude, the
+//! query worker, per-connection reply order, backpressure and the
+//! deadlines.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -18,11 +20,11 @@ use felip_sync::{thread, Arc};
 
 use felip::aggregator::{Aggregator, OracleSet};
 use felip::plan::CollectionPlan;
-use felip_server::stat::stat_payload;
-use felip_server::transport::{RecvOutcome, TcpTransport, Transport};
+use felip_server::queue::Periodic;
+use felip_server::serve::{serve, AtomicStats, FrameOutcome, Handler, Loop, Tier};
 use felip_server::wire::{
-    decode_delta, decode_hello, decode_query, decode_stat, encode_ack, encode_delta_ack,
-    encode_query_reply, Frame, FrameKind, WireError,
+    decode_delta, decode_hello, decode_query, encode_ack, encode_delta_ack, DeltaStatus, Frame,
+    FrameKind, FrameView, WireError,
 };
 use felip_server::QueryService;
 
@@ -31,6 +33,13 @@ use crate::state::ClusterState;
 /// The aggregator's query service: the shared engine over the merged
 /// cluster view, keyed on the change version.
 type ClusterQuery = QueryService<Arc<ClusterState>>;
+
+/// Deadline for finishing a frame once its first byte arrived.
+const READ_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Idle-connection reap window. Generous: an ingest node only speaks once
+/// per cut interval.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// How an aggregator run is wired together.
 #[derive(Debug, Clone)]
@@ -45,13 +54,6 @@ pub struct AggregatorConfig {
     pub resume: Option<PathBuf>,
     /// Cadence of periodic persists (requires a path to write).
     pub persist_every: Duration,
-    /// Deadline for finishing a frame once its first byte arrived.
-    pub read_timeout: Duration,
-    /// Deadline for writing a reply frame.
-    pub write_timeout: Duration,
-    /// Idle-connection reap window. Generous by default: an ingest node
-    /// only speaks once per cut interval.
-    pub idle_timeout: Duration,
 }
 
 impl Default for AggregatorConfig {
@@ -62,9 +64,6 @@ impl Default for AggregatorConfig {
             state_path: None,
             resume: None,
             persist_every: Duration::from_millis(500),
-            read_timeout: Duration::from_secs(5),
-            write_timeout: Duration::from_secs(10),
-            idle_timeout: Duration::from_secs(60),
         }
     }
 }
@@ -84,25 +83,12 @@ pub struct AggregatorStats {
     pub frames_rejected: u64,
 }
 
+/// Delta dispositions; the serve loop counts connections and rejections.
 #[derive(Default)]
-struct AtomicAggStats {
-    connections: AtomicU64,
-    deltas_applied: AtomicU64,
-    deltas_duplicate: AtomicU64,
-    deltas_resync: AtomicU64,
-    frames_rejected: AtomicU64,
-}
-
-impl AtomicAggStats {
-    fn snapshot(&self) -> AggregatorStats {
-        AggregatorStats {
-            connections: self.connections.load(Ordering::Relaxed),
-            deltas_applied: self.deltas_applied.load(Ordering::Relaxed),
-            deltas_duplicate: self.deltas_duplicate.load(Ordering::Relaxed),
-            deltas_resync: self.deltas_resync.load(Ordering::Relaxed),
-            frames_rejected: self.frames_rejected.load(Ordering::Relaxed),
-        }
-    }
+struct DeltaCounts {
+    applied: AtomicU64,
+    duplicate: AtomicU64,
+    resync: AtomicU64,
 }
 
 /// The result of a completed (gracefully shut down) aggregator run.
@@ -152,7 +138,7 @@ pub struct AggregatorServer {
     listener: TcpListener,
     local_addr: SocketAddr,
     state: Arc<ClusterState>,
-    query: Arc<ClusterQuery>,
+    query: ClusterQuery,
     config: AggregatorConfig,
     shutdown: Arc<AtomicBool>,
 }
@@ -178,11 +164,11 @@ impl AggregatorServer {
         // on the resume path, so a restarted aggregator can never answer
         // from a grid cached before the restore.
         let state = Arc::new(state);
-        let query = Arc::new(QueryService::new(
+        let query = QueryService::new(
             state.plan_handle(),
             state.oracles_handle(),
             Arc::clone(&state),
-        ));
+        );
         Ok(AggregatorServer {
             listener,
             local_addr,
@@ -214,306 +200,163 @@ impl AggregatorServer {
         self,
         external_shutdown: Option<&AtomicBool>,
     ) -> Result<AggregatorRun, AggregatorError> {
+        self.run_on(external_shutdown, Loop::Native)
+    }
+
+    /// [`AggregatorServer::run`] on the given serve loop.
+    fn run_on(
+        self,
+        external_shutdown: Option<&AtomicBool>,
+        serve_loop: Loop,
+    ) -> Result<AggregatorRun, AggregatorError> {
         let mut run_span = felip_obs::span!("cluster.run");
-        let stats = AtomicAggStats::default();
-        let connected = AtomicU64::new(0);
-        let stop_persist = AtomicBool::new(false);
+        let stats = AtomicStats::default();
+        let tier = Tier {
+            plan_hash: self.state.plan_hash(),
+            stats: &stats,
+            query: &self.query,
+            read_timeout: READ_TIMEOUT,
+            idle_timeout: IDLE_TIMEOUT,
+            workers: 0,
+        };
+        let handler = AggregatorHandler {
+            state: &self.state,
+            stats: &stats,
+            deltas: DeltaCounts::default(),
+        };
+        let periodic = Periodic::default();
         let should_stop = || {
             self.shutdown.load(Ordering::SeqCst)
                 || external_shutdown.is_some_and(|f| f.load(Ordering::SeqCst))
         };
-        self.listener.set_nonblocking(true)?;
 
-        thread::scope(|scope| -> Result<(), AggregatorError> {
+        thread::scope(|scope| -> io::Result<()> {
             // Periodic persist: FCLU container + merged FSNP snapshot.
             if self.config.state_path.is_some() || self.config.snapshot_path.is_some() {
-                let state = Arc::clone(&self.state);
-                let state_path = self.config.state_path.clone();
-                let snapshot_path = self.config.snapshot_path.clone();
-                let every = self.config.persist_every;
-                let stop = &stop_persist;
+                let (this, periodic) = (&self, &periodic);
                 scope.spawn(move || {
-                    let mut last = Instant::now();
-                    while !stop.load(Ordering::SeqCst) {
-                        thread::sleep(Duration::from_millis(25));
-                        if last.elapsed() < every {
-                            continue;
-                        }
-                        last = Instant::now();
-                        if let Err(e) =
-                            persist(&state, state_path.as_deref(), snapshot_path.as_deref())
-                        {
+                    periodic.every(this.config.persist_every, || {
+                        if let Err(e) = this.persist() {
                             felip_obs::diag::warn(&format!("cluster persist failed: {e}"));
                         }
-                    }
+                    });
                 });
             }
-
-            let mut conns = Vec::new();
-            while !should_stop() {
-                match self.listener.accept() {
-                    Ok((stream, _peer)) => {
-                        felip_obs::counter!("cluster.accept", 1, "connections");
-                        stats.connections.fetch_add(1, Ordering::Relaxed);
-                        let state = Arc::clone(&self.state);
-                        let query = Arc::clone(&self.query);
-                        let stats = &stats;
-                        let connected = &connected;
-                        let stop = &should_stop;
-                        let config = &self.config;
-                        conns.push(scope.spawn(move || {
-                            connected.fetch_add(1, Ordering::Relaxed);
-                            felip_obs::gauge!(
-                                "cluster.node.connected",
-                                connected.load(Ordering::Relaxed) as usize,
-                                "nodes"
-                            );
-                            if let Err(e) =
-                                handle_conn(&stream, &state, &query, stats, stop, config)
-                            {
-                                felip_obs::diag::line(&format!("cluster connection closed: {e}"));
-                            }
-                            connected.fetch_sub(1, Ordering::Relaxed);
-                            felip_obs::gauge!(
-                                "cluster.node.connected",
-                                connected.load(Ordering::Relaxed) as usize,
-                                "nodes"
-                            );
-                        }));
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(AggregatorError::Io(e)),
-                }
-            }
-            for c in conns {
-                let _ = c.join();
-            }
-            stop_persist.store(true, Ordering::SeqCst);
-            Ok(())
+            let served = serve(serve_loop, &self.listener, &tier, &handler, &should_stop);
+            periodic.stop();
+            served
         })?;
 
         // Final persist after every connection drained.
-        persist(
-            &self.state,
-            self.config.state_path.as_deref(),
-            self.config.snapshot_path.as_deref(),
-        )?;
+        self.persist()?;
         let merged = self
             .state
             .merged()
             .map_err(|e| AggregatorError::State(WireError::Malformed(e.to_string())))?;
         run_span.field("reports", merged.reports_ingested());
+        let conns = stats.snapshot();
         Ok(AggregatorRun {
             nodes: self.state.node_rows(),
             merged,
-            stats: stats.snapshot(),
+            stats: AggregatorStats {
+                connections: conns.connections,
+                deltas_applied: handler.deltas.applied.load(Ordering::Relaxed),
+                deltas_duplicate: handler.deltas.duplicate.load(Ordering::Relaxed),
+                deltas_resync: handler.deltas.resync.load(Ordering::Relaxed),
+                frames_rejected: conns.frames_rejected,
+            },
         })
     }
+
+    /// Writes the FCLU container and/or the merged FSNP snapshot.
+    fn persist(&self) -> Result<(), AggregatorError> {
+        if let Some(path) = &self.config.state_path {
+            self.state.write_atomic(path)?;
+            felip_obs::counter!("cluster.state.persisted", 1, "containers");
+        }
+        if let Some(path) = &self.config.snapshot_path {
+            self.state
+                .capture_merged()
+                .map_err(|e| AggregatorError::State(WireError::Malformed(e.to_string())))?
+                .write_verified(path, None)
+                .map_err(AggregatorError::State)?;
+        }
+        Ok(())
+    }
 }
 
-/// Writes the FCLU container and/or the merged FSNP snapshot.
-fn persist(
-    state: &ClusterState,
-    state_path: Option<&std::path::Path>,
-    snapshot_path: Option<&std::path::Path>,
-) -> Result<(), AggregatorError> {
-    if let Some(path) = state_path {
-        state.write_atomic(path)?;
-        felip_obs::counter!("cluster.state.persisted", 1, "containers");
-    }
-    if let Some(path) = snapshot_path {
-        state
-            .capture_merged()
-            .map_err(|e| AggregatorError::State(WireError::Malformed(e.to_string())))?
-            .write_verified(path, None)
-            .map_err(AggregatorError::State)?;
-    }
-    Ok(())
+/// The aggregator's [`Handler`]: Hello resyncs a node's epoch cursor and
+/// Delta applies under the cluster lock. Query needs no handshake — a
+/// read-only client may connect just to ask — and the serve loop answers
+/// it from the merged view.
+struct AggregatorHandler<'a> {
+    state: &'a ClusterState,
+    stats: &'a AtomicStats,
+    deltas: DeltaCounts,
 }
 
-/// Serves one node connection: Hello resyncs the epoch cursor, Delta
-/// applies under the cluster lock, Stat answers pre-plan-check like the
-/// ingest tier's admin plane, and Query — which needs no handshake, a
-/// read-only client may connect just to ask — answers from the merged
-/// cluster view.
-fn handle_conn<F: Fn() -> bool>(
-    stream: &std::net::TcpStream,
-    state: &ClusterState,
-    query: &ClusterQuery,
-    stats: &AtomicAggStats,
-    stop: &F,
-    config: &AggregatorConfig,
-) -> Result<(), WireError> {
-    let mut transport = TcpTransport::new(
-        stream,
-        stop,
-        config.read_timeout,
-        config.write_timeout,
-        config.idle_timeout,
-    )?;
-    let plan_hash = state.plan_hash();
-    let mut hello_seen = false;
-    loop {
-        match transport.recv() {
-            RecvOutcome::Frame(frame) => {
-                let reject = |e: WireError, stats: &AtomicAggStats| {
-                    stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
-                    Frame::error(plan_hash, &e.to_string())
+impl Handler for AggregatorHandler<'_> {
+    /// The node id the connection's Hello named, if any.
+    type Conn = Option<u64>;
+
+    fn open(&self, _seq: u64) -> Option<u64> {
+        None
+    }
+
+    fn on_frame(&self, node: &mut Option<u64>, frame: FrameView<'_>) -> FrameOutcome {
+        let plan_hash = self.state.plan_hash();
+        let reject = |e: WireError| FrameOutcome::reject(plan_hash, e, self.stats);
+        match frame.kind {
+            FrameKind::Hello => match decode_hello(frame.payload) {
+                Ok(node_id) => {
+                    *node = Some(node_id);
+                    FrameOutcome::reply(Frame {
+                        kind: FrameKind::Ack,
+                        plan_hash,
+                        payload: encode_ack(self.state.last_epoch(node_id), 0),
+                    })
+                }
+                Err(e) => reject(e),
+            },
+            FrameKind::Delta => {
+                if node.is_none() {
+                    return reject(WireError::Malformed("delta before hello handshake".into()));
+                }
+                let delta = match decode_delta(frame.payload) {
+                    Ok(d) => d,
+                    Err(e) => return reject(e),
                 };
-                // STAT first: plan-agnostic, handshake-agnostic.
-                if frame.kind == FrameKind::Stat {
-                    match decode_stat(&frame.payload) {
-                        Ok(mode) => {
-                            felip_obs::counter!("cluster.frame.stat", 1, "frames");
-                            transport.send(&Frame {
-                                kind: FrameKind::StatReply,
-                                plan_hash,
-                                payload: stat_payload(mode),
-                            })?;
-                            continue;
-                        }
-                        Err(e) => {
-                            let reply = reject(e, stats);
-                            let _ = transport.send(&reply);
-                            return Ok(());
-                        }
-                    }
-                }
-                if frame.plan_hash != plan_hash {
-                    let e = WireError::PlanMismatch {
-                        ours: plan_hash,
-                        theirs: frame.plan_hash,
-                    };
-                    let reply = reject(e, stats);
-                    let _ = transport.send(&reply);
-                    return Ok(());
-                }
-                match frame.kind {
-                    FrameKind::Hello => match decode_hello(&frame.payload) {
-                        Ok(node_id) => {
-                            hello_seen = true;
-                            let last = state.last_epoch(node_id);
-                            transport.send(&Frame {
-                                kind: FrameKind::Ack,
-                                plan_hash,
-                                payload: encode_ack(last, 0),
-                            })?;
-                        }
-                        Err(e) => {
-                            let reply = reject(e, stats);
-                            let _ = transport.send(&reply);
-                            return Ok(());
-                        }
-                    },
-                    FrameKind::Delta => {
-                        if !hello_seen {
-                            let e = WireError::Malformed("delta before hello handshake".into());
-                            let reply = reject(e, stats);
-                            let _ = transport.send(&reply);
-                            return Ok(());
-                        }
-                        let delta = match decode_delta(&frame.payload) {
-                            Ok(d) => d,
-                            Err(e) => {
-                                let reply = reject(e, stats);
-                                let _ = transport.send(&reply);
-                                return Ok(());
-                            }
-                        };
-                        let epoch = delta.epoch;
-                        let t0 = Instant::now();
-                        match state.apply(&delta) {
-                            Ok(result) => {
-                                felip_obs::hist!(
-                                    "cluster.delta.apply",
-                                    t0.elapsed().as_micros() as u64,
-                                    "us"
-                                );
-                                match result.status {
-                                    felip_server::wire::DeltaStatus::Applied => {
-                                        stats.deltas_applied.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    felip_server::wire::DeltaStatus::Duplicate => {
-                                        stats.deltas_duplicate.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    felip_server::wire::DeltaStatus::ResyncRequired => {
-                                        stats.deltas_resync.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                }
-                                transport.send(&Frame {
-                                    kind: FrameKind::DeltaAck,
-                                    plan_hash,
-                                    payload: encode_delta_ack(
-                                        epoch,
-                                        result.last_applied,
-                                        result.status,
-                                    ),
-                                })?;
-                            }
-                            Err(e) => {
-                                let reply = reject(e, stats);
-                                let _ = transport.send(&reply);
-                                return Ok(());
-                            }
-                        }
-                    }
-                    FrameKind::Query => {
-                        let req = match decode_query(&frame.payload) {
-                            Ok(r) => r,
-                            Err(e) => {
-                                let reply = reject(e, stats);
-                                let _ = transport.send(&reply);
-                                return Ok(());
-                            }
-                        };
-                        match query.answer(&req) {
-                            Ok(ans) => {
-                                felip_obs::counter!("cluster.query.answered", 1, "queries");
-                                transport.send(&Frame {
-                                    kind: FrameKind::QueryReply,
-                                    plan_hash,
-                                    payload: encode_query_reply(&ans),
-                                })?;
-                            }
-                            Err(e) => {
-                                // Unanswerable (bad predicates, no reports
-                                // yet): answer an Error frame but keep the
-                                // connection — the client may retry.
-                                felip_obs::counter!("cluster.query.errors", 1, "queries");
-                                transport.send(&Frame::error(plan_hash, &e.to_string()))?;
-                            }
-                        }
-                    }
-                    other => {
-                        let e = WireError::Malformed(format!("node sent {other:?} frame"));
-                        let reply = reject(e, stats);
-                        let _ = transport.send(&reply);
-                        return Ok(());
-                    }
-                }
+                let t0 = Instant::now();
+                let result = match self.state.apply(&delta) {
+                    Ok(result) => result,
+                    Err(e) => return reject(e),
+                };
+                felip_obs::hist!("cluster.delta.apply", t0.elapsed().as_micros() as u64, "us");
+                let counter = match result.status {
+                    DeltaStatus::Applied => &self.deltas.applied,
+                    DeltaStatus::Duplicate => &self.deltas.duplicate,
+                    DeltaStatus::ResyncRequired => &self.deltas.resync,
+                };
+                counter.fetch_add(1, Ordering::Relaxed);
+                FrameOutcome::reply(Frame {
+                    kind: FrameKind::DeltaAck,
+                    plan_hash,
+                    payload: encode_delta_ack(delta.epoch, result.last_applied, result.status),
+                })
             }
-            RecvOutcome::Eof | RecvOutcome::Shutdown => return Ok(()),
-            RecvOutcome::NoData => continue,
-            RecvOutcome::Idle => {
-                felip_obs::counter!("cluster.conn.reaped", 1, "connections");
-                return Ok(());
-            }
-            RecvOutcome::Err(e) => {
-                stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
-                let _ = transport.send(&Frame::error(plan_hash, &e.to_string()));
-                return Err(e);
-            }
+            FrameKind::Query => match decode_query(frame.payload) {
+                Ok(req) => FrameOutcome::query(req),
+                Err(e) => reject(e),
+            },
+            other => reject(WireError::Malformed(format!("node sent {other:?} frame"))),
         }
     }
+
+    fn peer_id(&self, node: &Option<u64>) -> u64 {
+        node.unwrap_or(0)
+    }
 }
 
-// The ClusterState lock guard must not be held across `transport.send`
-// (a blocked peer would stall every other node's applies); `state.apply`
-// and `state.last_epoch` each take and release the lock internally, so
-// the reply path above is lock-free by construction.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -539,7 +382,6 @@ mod tests {
         let server = AggregatorServer::bind(
             Arc::clone(&plan),
             AggregatorConfig {
-                idle_timeout: Duration::from_secs(5),
                 ..AggregatorConfig::default()
             },
         )
@@ -734,6 +576,162 @@ mod tests {
             stop.store(true, Ordering::SeqCst);
             handle.join().unwrap();
         });
+    }
+
+    fn full_delta(plan: &Arc<CollectionPlan>, node_id: u64, agg: &Aggregator) -> Frame {
+        Frame {
+            kind: FrameKind::Delta,
+            plan_hash: plan.schema_hash(),
+            payload: encode_delta(&CountDelta {
+                node_id,
+                epoch: 1,
+                flavor: DeltaFlavor::Full,
+                total: agg.reports_ingested() as u64,
+                counts: agg.counts().to_vec(),
+                group_sizes: agg.group_sizes().iter().map(|&s| s as u64).collect(),
+            })
+            .unwrap(),
+        }
+    }
+
+    /// Hello, Query, Delta and STAT written back to back on one connection
+    /// get their replies in frame order, on either loop. The query is
+    /// answered before the Delta behind it is applied, bit-identical to
+    /// the offline estimate of what was merged when it was asked.
+    fn pipelined_frames_reply_in_frame_order(serve_loop: Loop) {
+        use felip_common::Predicate;
+        use felip_server::wire::{
+            decode_ack, decode_delta_ack, decode_query_reply, encode_query, encode_stat,
+            read_frame, QueryMode, QueryRequest, StatMode,
+        };
+
+        let plan = tiny_plan();
+        let plan_hash = plan.schema_hash();
+        let server =
+            AggregatorServer::bind(Arc::clone(&plan), AggregatorConfig::default()).unwrap();
+        let addr = server.local_addr();
+        let stop = server.shutdown_handle();
+        let first = felip_server::loadgen::offline_reference(&plan, 0..15, 5).unwrap();
+        let second = felip_server::loadgen::offline_reference(&plan, 15..30, 5).unwrap();
+        let preds = vec![
+            Predicate::between(0, 4, 20),
+            Predicate::in_set(1, vec![1, 2]),
+        ];
+        let hello = |node: u64| Frame {
+            kind: FrameKind::Hello,
+            plan_hash,
+            payload: hello_payload(node),
+        };
+
+        let run = thread::scope(|s| {
+            let handle = s.spawn(|| server.run_on(None, serve_loop).unwrap());
+            let mut conn = std::net::TcpStream::connect(addr).unwrap();
+            let next = |conn: &mut std::net::TcpStream| read_frame(conn).unwrap().unwrap();
+            let mut burst = hello(7).encode();
+            burst.extend(full_delta(&plan, 7, &first).encode());
+            std::io::Write::write_all(&mut conn, &burst).unwrap();
+            assert_eq!(next(&mut conn).kind, FrameKind::Ack);
+            assert_eq!(next(&mut conn).kind, FrameKind::DeltaAck);
+
+            let mut burst = hello(8).encode();
+            burst.extend(
+                Frame {
+                    kind: FrameKind::Query,
+                    plan_hash,
+                    payload: encode_query(&QueryRequest {
+                        query_id: 4,
+                        mode: QueryMode::Fresh,
+                        predicates: preds.clone(),
+                    })
+                    .unwrap(),
+                }
+                .encode(),
+            );
+            burst.extend(full_delta(&plan, 8, &second).encode());
+            burst.extend(
+                Frame {
+                    kind: FrameKind::Stat,
+                    plan_hash: 0,
+                    payload: encode_stat(StatMode::Full),
+                }
+                .encode(),
+            );
+            std::io::Write::write_all(&mut conn, &burst).unwrap();
+
+            let ack = next(&mut conn);
+            assert_eq!(ack.kind, FrameKind::Ack);
+            assert_eq!(decode_ack(&ack.payload).unwrap(), (0, 0));
+            let answer = next(&mut conn);
+            assert_eq!(answer.kind, FrameKind::QueryReply);
+            let ans = decode_query_reply(&answer.payload).unwrap();
+            let query = felip_common::Query::new(plan.schema(), preds).unwrap();
+            let offline = first.estimate().unwrap().answer(&query).unwrap();
+            assert_eq!((ans.query_id, ans.reports), (4, 15));
+            assert_eq!(ans.answer.to_bits(), offline.to_bits());
+            let delta_ack = next(&mut conn);
+            assert_eq!(delta_ack.kind, FrameKind::DeltaAck);
+            let (epoch, last, status) = decode_delta_ack(&delta_ack.payload).unwrap();
+            assert_eq!((epoch, last, status), (1, 1, DeltaStatus::Applied));
+            assert_eq!(next(&mut conn).kind, FrameKind::StatReply);
+            drop(conn);
+            stop.store(true, Ordering::SeqCst);
+            handle.join().unwrap()
+        });
+        assert_eq!(run.stats.deltas_applied, 2);
+        assert_eq!(run.stats.frames_rejected, 0);
+        assert_eq!(run.merged.reports_ingested(), 30);
+    }
+
+    #[test]
+    fn pipelined_frames_reply_in_frame_order_on_the_reactor() {
+        pipelined_frames_reply_in_frame_order(Loop::Native);
+    }
+
+    #[test]
+    fn pipelined_frames_reply_in_frame_order_on_the_portable_loop() {
+        pipelined_frames_reply_in_frame_order(Loop::Portable);
+    }
+
+    /// A node that stalls mid-frame past the read deadline gets an Error
+    /// frame and is closed, on either loop.
+    fn stalled_peer_gets_an_error_and_is_closed(serve_loop: Loop) {
+        use std::io::{Read, Write};
+        let plan = tiny_plan();
+        let server =
+            AggregatorServer::bind(Arc::clone(&plan), AggregatorConfig::default()).unwrap();
+        let addr = server.local_addr();
+        let stop = server.shutdown_handle();
+        let run = thread::scope(|s| {
+            let handle = s.spawn(|| server.run_on(None, serve_loop).unwrap());
+            let mut conn = std::net::TcpStream::connect(addr).unwrap();
+            let bytes = Frame {
+                kind: FrameKind::Hello,
+                plan_hash: plan.schema_hash(),
+                payload: hello_payload(3),
+            }
+            .encode();
+            conn.write_all(&bytes[..bytes.len() - 3]).unwrap();
+            let start = Instant::now();
+            let reply = felip_server::wire::read_frame(&mut conn).unwrap().unwrap();
+            assert_eq!(reply.kind, FrameKind::Error);
+            assert!(start.elapsed() >= READ_TIMEOUT - Duration::from_millis(100));
+            let mut rest = Vec::new();
+            conn.read_to_end(&mut rest).expect("read to EOF");
+            assert!(rest.is_empty(), "nothing after the error frame");
+            stop.store(true, Ordering::SeqCst);
+            handle.join().unwrap()
+        });
+        assert_eq!(run.stats.frames_rejected, 1);
+    }
+
+    #[test]
+    fn stalled_peer_gets_an_error_and_is_closed_on_the_reactor() {
+        stalled_peer_gets_an_error_and_is_closed(Loop::Native);
+    }
+
+    #[test]
+    fn stalled_peer_gets_an_error_and_is_closed_on_the_portable_loop() {
+        stalled_peer_gets_an_error_and_is_closed(Loop::Portable);
     }
 
     #[test]

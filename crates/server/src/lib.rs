@@ -15,7 +15,9 @@
 //! [`simharness`] can drive the *same* code over an in-memory transport
 //! on a virtual clock, injecting seeded [`fault`]s (drops, corruption,
 //! resets, torn snapshot writes) and asserting the
-//! exactly-once-or-rejected invariant for every seed.
+//! exactly-once-or-rejected invariant for every seed. Real sockets are
+//! served by the one loop in [`serve`], which the cluster aggregator runs
+//! on too, with its own frame handler.
 //!
 //! The crate follows the workspace's vendored-only policy: it depends on
 //! nothing outside the workspace (`std::net` sockets, `std::thread`
@@ -32,6 +34,7 @@ pub mod query;
 pub mod queue;
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 mod reactor;
+pub mod serve;
 pub mod server;
 mod session;
 pub mod signal;

@@ -23,7 +23,7 @@ use felip::query::QueryEngine;
 
 use crate::loadgen;
 use crate::query::{QueryService, ServeCut};
-use crate::queue::{BoundedQueue, PopResult};
+use crate::queue::{BoundedQueue, Periodic, PopResult};
 use crate::server::{consistent_cut, AtomicStats};
 use crate::session::{Session, SessionCtx};
 use crate::wire::{encode_batch, encode_hello, Frame, FrameKind, QueryMode, QueryRequest};
@@ -139,7 +139,7 @@ fn model_racing_sessions_accept_exactly_once() {
             let (ctx, q, stats) = (Arc::clone(&ctx), Arc::clone(&q), Arc::clone(&stats));
             let reports = reports.clone();
             thread::spawn(move || {
-                let mut session = Session::new();
+                let mut session = Session::default();
                 session.on_frame(hello_frame(plan_hash, 9), &ctx, &q, &stats);
                 let out = session.on_frame(batch_frame(plan_hash, 1, &reports), &ctx, &q, &stats);
                 u32::from(out.accepted.is_some())
@@ -191,7 +191,7 @@ fn model_consistent_cut_counts_match_cursors() {
             let (ctx, q, stats) = (Arc::clone(&ctx), Arc::clone(&q), Arc::clone(&stats));
             let reports = reports.clone();
             thread::spawn(move || {
-                let mut s = Session::new();
+                let mut s = Session::default();
                 s.on_frame(hello_frame(plan_hash, 3), &ctx, &q, &stats);
                 let out = s.on_frame(batch_frame(plan_hash, 1, &reports), &ctx, &q, &stats);
                 assert!(out.accepted.is_some(), "uncontended batch must be accepted");
@@ -259,6 +259,31 @@ fn model_quiescence_wait_never_misses_the_last_task_done() {
     assert!(stats.schedules > 1, "exploration degenerated: {stats:?}");
 }
 
+/// Shutdown never waits out a period: under every interleaving of a
+/// periodic task going to sleep and `stop`, the task is woken by the
+/// stop, never by its one-hour deadline. Under the model a timeout fires
+/// only when nothing else can run, so a lost wakeup would show as a tick.
+#[test]
+fn model_periodic_stop_is_never_lost() {
+    let stats = model::check(|| {
+        let periodic = Arc::new(Periodic::default());
+        let ticks = Arc::new(AtomicU64::new(0));
+        let task = {
+            let (periodic, ticks) = (Arc::clone(&periodic), Arc::clone(&ticks));
+            thread::spawn(move || {
+                periodic.every(Duration::from_secs(3600), || {
+                    ticks.fetch_add(1, Ordering::SeqCst);
+                })
+            })
+        };
+        periodic.stop();
+        task.join().expect("task");
+        assert_eq!(ticks.load(Ordering::SeqCst), 0, "the stop was lost");
+    })
+    .expect("stop must wake the periodic task on every schedule");
+    assert!(stats.schedules > 1, "exploration degenerated: {stats:?}");
+}
+
 /// The blocking cut against a worker still draining two acked batches:
 /// on every schedule it returns (no missed wakeup) with counts exactly
 /// matching the cursors it captured — never cursors ahead of counts.
@@ -286,7 +311,7 @@ fn model_blocking_cut_never_captures_cursors_ahead_of_counts() {
         ))]);
         // Both batches are acked before the race starts: the cut can only
         // wait for the worker.
-        let mut session = Session::new();
+        let mut session = Session::default();
         session.on_frame(hello_frame(plan_hash, 3), &ctx, &q, &stats);
         for batch_id in 1..=2 {
             let out =
@@ -505,7 +530,7 @@ fn model_query_epoch_and_counts_never_tear() {
             let (ctx, q, stats) = (Arc::clone(&ctx), Arc::clone(&q), Arc::clone(&stats));
             let (batch1, batch2) = (batch1.clone(), batch2.clone());
             thread::spawn(move || {
-                let mut s = Session::new();
+                let mut s = Session::default();
                 s.on_frame(hello_frame(plan_hash, 3), &ctx, &q, &stats);
                 let a = s.on_frame(batch_frame(plan_hash, 1, &batch1), &ctx, &q, &stats);
                 let b = s.on_frame(batch_frame(plan_hash, 2, &batch2), &ctx, &q, &stats);

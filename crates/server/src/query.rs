@@ -185,7 +185,7 @@ fn timed_answer(estimator: &Estimator, query: &Query) -> Result<f64, felip_commo
     Ok(answer)
 }
 
-/// The ingest server's reply frame for one answered query (`QueryReply`,
+/// The reply frame for one answered query on either tier (`QueryReply`,
 /// or an `Error` frame that keeps the connection open).
 pub(crate) fn reply_frame(plan_hash: u64, answer: Result<QueryAnswer, WireError>) -> Frame {
     match answer {

@@ -1,7 +1,8 @@
 //! A bounded multi-producer queue with non-blocking push — the
 //! backpressure primitive of the ingestion pipeline (DESIGN.md §12.2) —
 //! plus the [`Mailbox`] the reactor and its query worker hand work
-//! through (DESIGN.md §15).
+//! through (DESIGN.md §15) and the [`Periodic`] signal the servers'
+//! periodic tasks run on.
 //!
 //! Connection handlers `try_push`; when a worker falls behind and its queue
 //! is full the push fails *immediately* and the handler answers the client
@@ -10,7 +11,7 @@
 //! cut blocks on `wait_quiescent`, which the last `task_done` wakes.
 
 use std::collections::VecDeque;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use felip_sync::{Condvar, Mutex};
 
@@ -230,6 +231,60 @@ impl<T> Mailbox<T> {
     }
 }
 
+/// The stop signal of a server's periodic tasks (snapshots, cuts, the
+/// metrics rollup, the aggregator's persist). Each task runs
+/// [`Periodic::every`] on its own thread, asleep on a condvar between
+/// ticks; [`Periodic::stop`] wakes them all at once, so shutdown never
+/// waits out a period.
+#[derive(Default)]
+pub struct Periodic {
+    stopped: Mutex<bool>,
+    wake: Condvar,
+}
+
+impl Periodic {
+    /// Runs `task` every `period` — measured from one tick's start to the
+    /// next — until [`Periodic::stop`]. The first tick is one period in; a
+    /// period too long for the clock never ticks.
+    pub fn every(&self, period: Duration, mut task: impl FnMut()) {
+        let mut next = Instant::now().checked_add(period);
+        while self.wait_until(next) {
+            next = Instant::now().checked_add(period);
+            task();
+        }
+    }
+
+    /// Stops every task and wakes the ones waiting for their next tick.
+    pub fn stop(&self) {
+        *self.stopped.lock() = true;
+        self.wake.notify_all();
+    }
+
+    /// Sleeps until `deadline` (`true`: tick) or until stopped (`false`).
+    fn wait_until(&self, deadline: Option<Instant>) -> bool {
+        let mut stopped = self.stopped.lock();
+        while !*stopped {
+            let Some(deadline) = deadline else {
+                stopped = self.wake.wait(stopped);
+                continue;
+            };
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return true;
+            }
+            let (guard, wait) = self.wake.wait_timeout(stopped, left);
+            // The deadline passed: tick, even if a stop raced it (the next
+            // wait sees the stop). The model checker fires a timeout only
+            // when nothing else can run, so there a lost stop is a tick.
+            if wait.timed_out() {
+                return true;
+            }
+            stopped = guard;
+        }
+        false
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -346,5 +401,41 @@ mod tests {
         m.close();
         assert_eq!(m.wait_take(), Some(vec![4]), "close drains first");
         assert_eq!(m.wait_take(), None);
+    }
+
+    #[test]
+    fn periodic_ticks_until_stopped() {
+        use felip_sync::atomic::{AtomicUsize, Ordering};
+        let periodic = Periodic::default();
+        let ticks = AtomicUsize::new(0);
+        thread::scope(|s| {
+            let task = s.spawn(|| {
+                periodic.every(Duration::from_millis(5), || {
+                    ticks.fetch_add(1, Ordering::SeqCst);
+                })
+            });
+            while ticks.load(Ordering::SeqCst) < 3 {
+                thread::sleep(Duration::from_millis(1));
+            }
+            periodic.stop();
+            task.join().expect("task returns once stopped");
+        });
+        let seen = ticks.load(Ordering::SeqCst);
+        thread::sleep(Duration::from_millis(20));
+        assert_eq!(ticks.load(Ordering::SeqCst), seen, "no tick after stop");
+    }
+
+    #[test]
+    fn periodic_stop_wakes_a_task_mid_period() {
+        let periodic = Periodic::default();
+        let start = std::time::Instant::now();
+        thread::scope(|s| {
+            s.spawn(|| periodic.every(Duration::from_secs(3600), || panic!("ticked")));
+            // Too long to add to the clock: waits for the stop alone.
+            s.spawn(|| periodic.every(Duration::MAX, || panic!("ticked")));
+            thread::sleep(Duration::from_millis(20));
+            periodic.stop();
+        });
+        assert!(start.elapsed() < Duration::from_secs(60));
     }
 }

@@ -1,5 +1,6 @@
 //! The readiness-driven serve hot path: a single-threaded epoll event
-//! loop that replaces thread-per-connection accept on Linux/x86_64.
+//! loop that serves both tiers' connections on Linux/x86_64 (the portable
+//! loop in `serve.rs` serves them elsewhere).
 //!
 //! ## Why an event loop
 //!
@@ -17,22 +18,23 @@
 //! * All raw `epoll_*`/`sched_*` syscalls in the workspace live in THIS
 //!   file — `xtask analyze` (rule `reactor-syscalls`) enforces it. There is
 //!   no libc crate; the syscalls are issued with `core::arch::asm!`.
-//! * The reactor does I/O only. Every protocol decision still goes
-//!   through [`Session::on_frame_view`], the same state machine the
-//!   deterministic chaos harness drives over `SimTransport` — reactor
-//!   I/O sits outside the modeled sync points, so the model checker's
-//!   session/queue/snapshot results keep applying verbatim.
+//! * The reactor does I/O only. Every protocol decision goes through the
+//!   tier's [`Handler`] behind the shared prelude ([`dispatch`]) — on the
+//!   ingest tier the same `Session` state machine the deterministic chaos
+//!   harness drives over `SimTransport`. Reactor I/O sits outside the
+//!   modeled sync points, so the model checker's session/queue/snapshot
+//!   results keep applying verbatim.
 //! * The loop is single-threaded: connection state needs no locks. The
-//!   only shared mutation (dedup cursors, queue pushes) happens inside
-//!   the session call, under the same `felip_sync` primitives as before.
+//!   only shared mutation (dedup cursors, queue pushes, delta applies)
+//!   happens inside the handler call, under `felip_sync` primitives.
 //!
 //! ## Deadlines
 //!
 //! `epoll_wait` uses a 10 ms tick so the shutdown flag and the two
 //! connection deadlines (idle reap; mid-frame stall) are swept at least
 //! every ~10 ms, mirroring the `TcpTransport` semantics: waiting for a
-//! frame's *first* byte is bounded by `idle_timeout`, finishing a frame
-//! that started arriving is bounded by `read_timeout`.
+//! frame's *first* byte is bounded by the tier's idle timeout, finishing
+//! a frame that started arriving by its read timeout.
 
 use std::cell::Cell;
 use std::io::{self, Read, Write};
@@ -41,14 +43,12 @@ use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::time::{Duration, Instant};
 
-use felip_sync::{thread, Arc};
+use felip_sync::thread;
 
-use felip::client::UserReport;
-
-use crate::query::{reply_frame, QueryService, ServeCut};
-use crate::queue::{BoundedQueue, Mailbox};
-use crate::server::{AtomicStats, ServerConfig};
-use crate::session::{Reply, Session, SessionCtx};
+use crate::query::{reply_frame, CutSource};
+use crate::queue::Mailbox;
+use crate::serve::{dispatch, Handler, Tier};
+use crate::session::Reply;
 use crate::wire::{Frame, FrameView, QueryRequest, WireError};
 
 // ---------------------------------------------------------------------------
@@ -242,7 +242,8 @@ fn num_cores() -> usize {
 /// owns core 0, workers round-robin over the remaining cores (the query
 /// worker takes the slot after the last ingest worker). On a single-core
 /// box pinning is skipped (everything shares the core regardless, and an
-/// explicit mask would only fight the scheduler).
+/// explicit mask would only fight the scheduler). A tier without ingest
+/// workers (the cluster aggregator) pins nothing.
 pub(crate) fn pin_worker(w: usize) {
     let n = num_cores();
     if n > 1 {
@@ -266,11 +267,10 @@ const CONN_INTEREST: u32 = EPOLLIN | EPOLLRDHUP | EPOLLET;
 
 /// Per-connection state owned by the reactor (single-threaded, so none
 /// of this needs locks).
-struct Conn {
+struct Conn<C> {
     stream: TcpStream,
-    session: Session,
-    /// The worker queue this connection was pinned to at accept time.
-    queue: Arc<BoundedQueue<Vec<UserReport>>>,
+    /// The handler's protocol state for this connection.
+    state: C,
     /// Bytes received but not yet decoded: at most one partial frame
     /// after each wakeup, or — while a query is out — what the last read
     /// pass took before decoding parked.
@@ -319,20 +319,20 @@ const CONN_CLOSE_CLEAN: u16 = 1;
 /// Close after a protocol/transport error.
 const CONN_CLOSE_ERROR: u16 = 2;
 
-/// Why a connection ended (mirrors the thread-per-connection paths).
+/// Why a connection ended (mirrors the portable loop's paths).
 enum Closed {
     /// Clean EOF, idle reap, or shutdown — not an error.
     Clean,
-    /// Protocol/transport failure; logged like the threaded path logs
-    /// `handle_conn` errors.
+    /// Protocol/transport failure; logged like the portable loop logs
+    /// its connection errors.
     Error(WireError),
 }
 
-/// What every connection handler needs besides the connection itself.
-struct Shared<'a> {
+/// What every connection needs besides the connection itself.
+struct Shared<'a, H, C> {
     epoll: &'a Epoll,
-    ctx: &'a SessionCtx,
-    stats: &'a AtomicStats,
+    tier: &'a Tier<'a, C>,
+    handler: &'a H,
     /// Where `Query` frames go: the query worker's inbox.
     jobs: &'a Mailbox<QueryJob>,
     /// Starts the query worker. The first `Query` takes it, so a run that
@@ -342,19 +342,16 @@ struct Shared<'a> {
 
 /// Runs the serve event loop until `stop` flips. Accepts connections,
 /// drains readable sockets, decodes and dispatches frames through the
-/// shared [`Session`] state machine, hands `Query` frames to one query
-/// worker thread and writes its replies back, and enforces the idle/stall
+/// shared prelude and `handler`, hands `Query` frames to one query worker
+/// thread and writes its replies back, and enforces the idle/stall
 /// deadlines — everything but query answering on the calling thread.
-pub(crate) fn run_reactor<F: Fn() -> bool>(
+pub(crate) fn run_reactor<C: CutSource + Sync, H: Handler, F: Fn() -> bool>(
     listener: &TcpListener,
-    ctx: &SessionCtx,
-    queues: &[Arc<BoundedQueue<Vec<UserReport>>>],
-    stats: &AtomicStats,
-    query: &QueryService<ServeCut>,
+    tier: &Tier<'_, C>,
+    handler: &H,
     stop: &F,
-    config: &ServerConfig,
 ) -> io::Result<()> {
-    if num_cores() > 1 {
+    if tier.workers > 0 && num_cores() > 1 {
         // Keep the hot loop cache-resident on core 0; workers take 1..n.
         let _ = pin_to_core(0);
     }
@@ -378,16 +375,14 @@ pub(crate) fn run_reactor<F: Fn() -> bool>(
         let (jobs_in, done_out, wake) = (&jobs, &done, &wake_tx);
         let shared = Shared {
             epoll: &epoll,
-            ctx,
-            stats,
+            tier,
+            handler,
             jobs: &jobs,
             start_worker: Cell::new(Some(Box::new(move || {
-                scope.spawn(move || {
-                    query_worker(query, jobs_in, done_out, wake, ctx.plan_hash, queues.len())
-                });
+                scope.spawn(move || query_worker(tier, jobs_in, done_out, wake));
             }))),
         };
-        let served = event_loop(listener, &shared, &wake_rx, &done, queues, stop, config);
+        let served = event_loop(listener, &shared, &wake_rx, &done, stop);
         // The worker finishes its batch and exits; replies it still posts
         // die with their connections.
         jobs.close();
@@ -398,19 +393,19 @@ pub(crate) fn run_reactor<F: Fn() -> bool>(
 /// The query worker: answers queued queries one at a time, in arrival
 /// order, posting each reply and waking the reactor as soon as it is
 /// ready.
-fn query_worker(
-    query: &QueryService<ServeCut>,
+fn query_worker<C: CutSource>(
+    tier: &Tier<'_, C>,
     jobs: &Mailbox<QueryJob>,
     done: &Mailbox<QueryDone>,
     mut wake: &UnixStream,
-    plan_hash: u64,
-    ingest_workers: usize,
 ) {
     // Pinning policy (DESIGN.md §15): off core 0, after the ingest workers.
-    pin_worker(ingest_workers);
+    if tier.workers > 0 {
+        pin_worker(tier.workers);
+    }
     while let Some(queued) = jobs.wait_take() {
         for job in queued {
-            let reply = reply_frame(plan_hash, query.answer(&job.req));
+            let reply = reply_frame(tier.plan_hash, tier.query.answer(&job.req));
             done.post(QueryDone {
                 slot: job.slot,
                 generation: job.generation,
@@ -424,16 +419,14 @@ fn query_worker(
 }
 
 /// The reactor proper; see [`run_reactor`].
-fn event_loop<F: Fn() -> bool>(
+fn event_loop<H: Handler, C, F: Fn() -> bool>(
     listener: &TcpListener,
-    sh: &Shared<'_>,
+    sh: &Shared<'_, H, C>,
     wake_rx: &UnixStream,
     done: &Mailbox<QueryDone>,
-    queues: &[Arc<BoundedQueue<Vec<UserReport>>>],
     stop: &F,
-    config: &ServerConfig,
 ) -> io::Result<()> {
-    let mut conns: Vec<Option<Conn>> = Vec::new();
+    let mut conns: Vec<Option<Conn<H::Conn>>> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
     let mut events = vec![EpollEvent { events: 0, data: 0 }; 1024];
     // Socket reads land here first, then append to the connection's
@@ -453,15 +446,7 @@ fn event_loop<F: Fn() -> bool>(
             let (mask, token) = (ev.events, ev.data);
             if token == LISTENER_TOKEN {
                 let t0 = Instant::now();
-                accept_ready(
-                    listener,
-                    sh.epoll,
-                    &mut conns,
-                    &mut free,
-                    queues,
-                    &mut next_conn,
-                    sh.stats,
-                )?;
+                accept_ready(listener, sh, &mut conns, &mut free, &mut next_conn)?;
                 felip_obs::hist!("server.stage.accept", t0.elapsed().as_nanos() as u64, "ns");
                 continue;
             }
@@ -501,7 +486,9 @@ fn event_loop<F: Fn() -> bool>(
 
         if last_sweep.elapsed() >= Duration::from_millis(10) {
             last_sweep = Instant::now();
-            sweep_deadlines(&mut conns, &mut free, sh.ctx, sh.stats, config);
+            sweep_deadlines(&mut conns, &mut free, sh.tier);
+            let open = conns.len() - free.len();
+            felip_obs::gauge!("server.conn.open", open, "connections");
         }
     }
 
@@ -515,7 +502,12 @@ fn event_loop<F: Fn() -> bool>(
 
 /// Ends the connection in slot `idx`; the slot becomes reusable with the
 /// next event batch.
-fn close_slot(conns: &mut [Option<Conn>], freed: &mut Vec<usize>, idx: usize, closed: Closed) {
+fn close_slot<C>(
+    conns: &mut [Option<Conn<C>>],
+    freed: &mut Vec<usize>,
+    idx: usize,
+    closed: Closed,
+) {
     finish(closed);
     if let Some(slot) = conns.get_mut(idx) {
         *slot = None;
@@ -537,38 +529,30 @@ fn drain_wake(mut wake: &UnixStream) {
 }
 
 /// Accepts until the listener would block, registering each connection
-/// edge-triggered and pinning it round-robin to a worker queue.
-/// `next_conn` numbers accepted connections: it picks the worker and
-/// becomes the connection's generation.
-fn accept_ready(
+/// edge-triggered with the handler's state for it. `next_conn` numbers
+/// accepted connections: the handler sees the number (the ingest tier
+/// picks a worker with it) and it becomes the connection's generation.
+fn accept_ready<H: Handler, C>(
     listener: &TcpListener,
-    epoll: &Epoll,
-    conns: &mut Vec<Option<Conn>>,
+    sh: &Shared<'_, H, C>,
+    conns: &mut Vec<Option<Conn<H::Conn>>>,
     free: &mut Vec<usize>,
-    queues: &[Arc<BoundedQueue<Vec<UserReport>>>],
     next_conn: &mut u64,
-    stats: &AtomicStats,
 ) -> io::Result<()> {
     loop {
         match listener.accept() {
             Ok((stream, _peer)) => {
                 felip_obs::counter!("server.accept", 1, "connections");
-                stats.bump_connection();
+                sh.tier.stats.bump_connection();
                 if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
                     // The peer is already gone; nothing to clean up.
                     continue;
                 }
                 let generation = *next_conn;
-                let worker = (generation % queues.len().max(1) as u64) as usize;
-                let queue = match queues.get(worker) {
-                    Some(q) => Arc::clone(q),
-                    None => continue,
-                };
                 *next_conn += 1;
                 let conn = Conn {
                     stream,
-                    session: Session::for_worker(worker),
-                    queue,
+                    state: sh.handler.open(generation),
                     rbuf: Vec::new(),
                     wbuf: Vec::new(),
                     wpos: 0,
@@ -590,7 +574,8 @@ fn accept_ready(
                 if let Some(slot) = conns.get_mut(idx) {
                     *slot = Some(conn);
                 }
-                if epoll
+                if sh
+                    .epoll
                     .ctl(EPOLL_CTL_ADD, fd, CONN_INTEREST, idx as u64)
                     .is_err()
                 {
@@ -619,11 +604,11 @@ fn accept_ready(
 
 /// Handles one epoll event for a connection. Returns `Some` when the
 /// connection must be dropped.
-fn handle_event(
-    conn: &mut Conn,
+fn handle_event<H: Handler, C>(
+    conn: &mut Conn<H::Conn>,
     mask: u32,
     token: u64,
-    sh: &Shared<'_>,
+    sh: &Shared<'_, H, C>,
     scratch: &mut [u8],
 ) -> Option<Closed> {
     if mask & (EPOLLERR | EPOLLHUP) != 0 {
@@ -665,7 +650,12 @@ fn handle_event(
 
 /// Drains the socket to `EAGAIN` (edge-triggered contract), then
 /// processes what arrived.
-fn on_readable(conn: &mut Conn, token: u64, sh: &Shared<'_>, scratch: &mut [u8]) -> Option<Closed> {
+fn on_readable<H: Handler, C>(
+    conn: &mut Conn<H::Conn>,
+    token: u64,
+    sh: &Shared<'_, H, C>,
+    scratch: &mut [u8],
+) -> Option<Closed> {
     let t_read = Instant::now();
     let mut eof = false;
     loop {
@@ -697,10 +687,10 @@ fn on_readable(conn: &mut Conn, token: u64, sh: &Shared<'_>, scratch: &mut [u8])
 /// lands, which reads and calls this again. `read_ns` is the socket-read
 /// time to charge to the first decoded frame; `eof` says the peer
 /// half-closed.
-fn process(
-    conn: &mut Conn,
+fn process<H: Handler, C>(
+    conn: &mut Conn<H::Conn>,
     token: u64,
-    sh: &Shared<'_>,
+    sh: &Shared<'_, H, C>,
     read_ns: u64,
     eof: bool,
 ) -> Option<Closed> {
@@ -726,9 +716,7 @@ fn process(
                 carry = 0;
                 let frame_kind = view.kind as u16;
                 let frame_len = view.payload.len() as u64;
-                let outcome = conn
-                    .session
-                    .on_frame_view(view, sh.ctx, &conn.queue, sh.stats);
+                let outcome = dispatch(sh.tier, sh.handler, &mut conn.state, view);
                 consumed += used;
                 let t_ingested = Instant::now();
                 felip_obs::hist!(
@@ -739,7 +727,7 @@ fn process(
                 felip_obs::flight::flight().record(
                     felip_obs::flight::KIND_FRAME,
                     frame_kind,
-                    conn.session.client_id().unwrap_or(0),
+                    sh.handler.peer_id(&conn.state),
                     frame_len,
                 );
                 match outcome.reply {
@@ -775,15 +763,15 @@ fn process(
             Ok(None) => break,
             Err(e) => {
                 // Garbled framing: answer with an error (best effort)
-                // and drop the connection, like the threaded path.
-                sh.stats.bump_rejected();
+                // and drop the connection, like the portable loop.
+                sh.tier.stats.bump_rejected();
                 felip_obs::flight::flight().record(
                     felip_obs::flight::KIND_ERROR,
                     0,
                     felip_obs::flight::fnv1a(&e.to_string()),
                     0,
                 );
-                let reply = Frame::error(sh.ctx.plan_hash, &e.to_string());
+                let reply = Frame::error(sh.tier.plan_hash, &e.to_string());
                 crate::wire::append_frame(
                     &mut conn.wbuf,
                     reply.kind,
@@ -865,7 +853,7 @@ fn process(
 
 /// Writes pending reply bytes until done (`Ok(true)`) or the kernel
 /// buffer fills (`Ok(false)`).
-fn flush(conn: &mut Conn) -> io::Result<bool> {
+fn flush<C>(conn: &mut Conn<C>) -> io::Result<bool> {
     while conn.wpos < conn.wbuf.len() {
         match (&conn.stream).write(&conn.wbuf[conn.wpos..]) {
             Ok(0) => {
@@ -887,19 +875,13 @@ fn flush(conn: &mut Conn) -> io::Result<bool> {
 
 /// Enforces the idle and mid-frame-stall deadlines across all live
 /// connections (runs on the 10 ms tick).
-fn sweep_deadlines(
-    conns: &mut [Option<Conn>],
-    free: &mut Vec<usize>,
-    ctx: &SessionCtx,
-    stats: &AtomicStats,
-    config: &ServerConfig,
-) {
+fn sweep_deadlines<S, C>(conns: &mut [Option<Conn<S>>], free: &mut Vec<usize>, tier: &Tier<'_, C>) {
     let now = Instant::now();
     for (idx, slot) in conns.iter_mut().enumerate() {
         let Some(conn) = slot.as_mut() else { continue };
         let closed = if conn
             .partial_since
-            .is_some_and(|t| now.duration_since(t) >= config.read_timeout)
+            .is_some_and(|t| now.duration_since(t) >= tier.read_timeout)
         {
             // A frame started arriving and stalled: an error, not
             // idleness — matches `TcpTransport`'s stall semantics.
@@ -907,15 +889,15 @@ fn sweep_deadlines(
                 io::ErrorKind::TimedOut,
                 "read deadline exceeded mid-frame",
             ));
-            stats.bump_rejected();
-            let reply = Frame::error(ctx.plan_hash, &e.to_string());
+            tier.stats.bump_rejected();
+            let reply = Frame::error(tier.plan_hash, &e.to_string());
             crate::wire::append_frame(&mut conn.wbuf, reply.kind, reply.plan_hash, &reply.payload);
             let _ = flush(conn);
             Some(Closed::Error(e))
-        } else if !conn.query_out && now.duration_since(conn.last_byte) >= config.idle_timeout {
+        } else if !conn.query_out && now.duration_since(conn.last_byte) >= tier.idle_timeout {
             // Quiet too long: reap. Safe — a returning client
             // reconnects and resyncs its cursor from the Hello ack.
-            stats.bump_reaped();
+            tier.stats.bump_reaped();
             Some(Closed::Clean)
         } else {
             None
@@ -929,7 +911,7 @@ fn sweep_deadlines(
 }
 
 /// Final accounting for a closing connection (parity with how the
-/// threaded accept loop logs `handle_conn` results).
+/// portable loop logs its connection results).
 fn finish(closed: Closed) {
     match closed {
         Closed::Error(e) => {

@@ -1,22 +1,21 @@
-//! The streaming ingestion server: accept thread, fixed worker pool with
-//! bounded queues, shard aggregators, periodic + final snapshots.
+//! The streaming ingestion server: the shared serve loop, fixed worker
+//! pool with bounded queues, shard aggregators, periodic + final
+//! snapshots.
 //!
-//! Data path (DESIGN.md §12.2): connection handlers decode and *validate*
-//! frames, then `try_push` whole batches onto the worker queue the
-//! connection was pinned to at accept time. A full queue answers RETRY —
-//! the client backs off and resends, so a slow worker never grows memory
-//! beyond `workers × queue_capacity` batches. Each worker folds batches
-//! into its private shard [`Aggregator`]; exact `u64` counts make the final
-//! merge independent of how batches interleaved, which is why a served run
-//! reproduces an offline collection bit for bit.
+//! Data path (DESIGN.md §12.2): the serve loop decodes frames and the
+//! session *validates* them, then `try_push`es whole batches onto the
+//! worker queue the connection was pinned to at accept time. A full queue
+//! answers RETRY — the client backs off and resends, so a slow worker
+//! never grows memory beyond `workers × queue_capacity` batches. Each
+//! worker folds batches into its private shard [`Aggregator`]; exact `u64`
+//! counts make the final merge independent of how batches interleaved,
+//! which is why a served run reproduces an offline collection bit for bit.
 
 use std::fs::OpenOptions;
 use std::io::{self, Write};
-#[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-use std::net::TcpStream;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use felip_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use felip_sync::{thread, Arc, Mutex};
@@ -25,17 +24,12 @@ use felip::aggregator::{Aggregator, OracleSet};
 use felip::client::UserReport;
 use felip::plan::CollectionPlan;
 
-#[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-use crate::query::reply_frame;
 use crate::query::{QueryService, ServeCut};
-use crate::queue::{BoundedQueue, PopResult};
-use crate::session::SessionCtx;
-#[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-use crate::session::{Reply, Session};
+use crate::queue::{BoundedQueue, Periodic, PopResult};
+use crate::serve::{serve, FrameOutcome, Handler, Loop, Tier};
+use crate::session::{Session, SessionCtx};
 use crate::snapshot::Snapshot;
-#[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-use crate::transport::{RecvOutcome, TcpTransport, Transport};
-use crate::wire::WireError;
+use crate::wire::{FrameView, WireError};
 
 /// A point-in-time copy of the server's merged count state, captured at a
 /// consistent cut and handed to [`ServerConfig::cut_hook`]. This is the
@@ -74,10 +68,8 @@ pub struct ServerConfig {
     /// Deadline for finishing a frame once its first byte arrived; a peer
     /// that stalls mid-frame longer than this is dropped with an error.
     pub read_timeout: Duration,
-    /// Deadline for writing a reply frame.
-    pub write_timeout: Duration,
     /// How long a connection may sit with no traffic before the idle
-    /// reaper closes it (frees handler threads from abandoned peers).
+    /// reaper closes it.
     pub idle_timeout: Duration,
     /// Where the periodic metrics rollup appends delta snapshots as a
     /// JSONL time-series; `None` disables the rollup thread.
@@ -103,7 +95,6 @@ impl std::fmt::Debug for ServerConfig {
             .field("snapshot_every", &self.snapshot_every)
             .field("resume", &self.resume)
             .field("read_timeout", &self.read_timeout)
-            .field("write_timeout", &self.write_timeout)
             .field("idle_timeout", &self.idle_timeout)
             .field("metrics_out", &self.metrics_out)
             .field("metrics_every", &self.metrics_every)
@@ -123,7 +114,6 @@ impl Default for ServerConfig {
             snapshot_every: None,
             resume: None,
             read_timeout: Duration::from_secs(5),
-            write_timeout: Duration::from_secs(10),
             idle_timeout: Duration::from_secs(30),
             metrics_out: None,
             metrics_every: Duration::from_secs(1),
@@ -181,10 +171,11 @@ pub struct ServerStats {
     pub snapshots_quarantined: u64,
 }
 
-/// Lock-free counter twin of [`ServerStats`], shared by the connection
-/// handlers and the session state machine.
+/// Lock-free counter twin of [`ServerStats`], shared by the serve loop and
+/// the session state machine. The aggregator's serve loop bumps the same
+/// connection, rejection and reap counters.
 #[derive(Default)]
-pub(crate) struct AtomicStats {
+pub struct AtomicStats {
     connections: AtomicU64,
     frames_ok: AtomicU64,
     frames_retried: AtomicU64,
@@ -197,7 +188,8 @@ pub(crate) struct AtomicStats {
 }
 
 impl AtomicStats {
-    pub(crate) fn snapshot(&self) -> ServerStats {
+    /// The counters' current values.
+    pub fn snapshot(&self) -> ServerStats {
         ServerStats {
             connections: self.connections.load(Ordering::Relaxed),
             frames_ok: self.frames_ok.load(Ordering::Relaxed),
@@ -341,6 +333,15 @@ impl Server {
     /// alongside the internal handle so SIGTERM/ctrl-c trigger the same
     /// graceful path.
     pub fn run(self, external_shutdown: Option<&AtomicBool>) -> Result<ServerRun, ServerError> {
+        self.run_on(external_shutdown, Loop::Native)
+    }
+
+    /// [`Server::run`] on the given serve loop.
+    fn run_on(
+        self,
+        external_shutdown: Option<&AtomicBool>,
+        serve_loop: Loop,
+    ) -> Result<ServerRun, ServerError> {
         let mut run_span = felip_obs::span!("server.run");
         let workers = self.config.workers.max(1);
         run_span.field("workers", workers);
@@ -397,14 +398,12 @@ impl Server {
                 base_reports,
             },
         );
-        let stop_snapshots = AtomicBool::new(false);
+        let periodic = Periodic::default();
 
         let should_stop = || {
             self.shutdown.load(Ordering::SeqCst)
                 || external_shutdown.is_some_and(|f| f.load(Ordering::SeqCst))
         };
-
-        self.listener.set_nonblocking(true)?;
 
         thread::scope(|scope| -> Result<(), ServerError> {
             // Ingest workers: drain their queue into their shard.
@@ -442,43 +441,30 @@ impl Server {
                 });
             }
 
+            // What the snapshot and cut threads capture on each tick.
+            let cut = || consistent_cut(&ctx, &self.plan, &self.oracles, &base, &shards, &queues);
+            let periodic = &periodic;
+
             // Periodic snapshot thread: merge base + shards and persist.
             if let (Some(path), Some(every)) = (
                 self.config.snapshot_path.clone(),
                 self.config.snapshot_every,
             ) {
-                let plan = Arc::clone(&self.plan);
-                let oracles = Arc::clone(&self.oracles);
-                let base = &base;
-                let shards = &shards;
-                let stats = &stats;
-                let stop = &stop_snapshots;
-                let plan_hash = self.plan_hash;
-                let ctx = &ctx;
-                let queues = &queues;
+                let (stats, plan_hash) = (&stats, self.plan_hash);
                 scope.spawn(move || {
-                    let mut last = Instant::now();
-                    while !stop.load(Ordering::SeqCst) {
-                        thread::sleep(Duration::from_millis(25));
-                        if last.elapsed() < every {
-                            continue;
-                        }
-                        last = Instant::now();
-                        let (merged, dedup) =
-                            match consistent_cut(ctx, &plan, &oracles, base, shards, queues) {
-                                Ok(cut) => cut,
-                                Err(e) => {
-                                    // Counts overflowed mid-run: the shards
-                                    // are intact, but no consistent merged
-                                    // view exists. Keep the last good
-                                    // snapshot and surface the condition.
-                                    stats.snapshots_quarantined.fetch_add(1, Ordering::Relaxed);
-                                    felip_obs::diag::error(&format!(
-                                        "periodic snapshot skipped: {e}"
-                                    ));
-                                    continue;
-                                }
-                            };
+                    periodic.every(every, || {
+                        let (merged, dedup) = match cut() {
+                            Ok(cut) => cut,
+                            Err(e) => {
+                                // Counts overflowed mid-run: the shards
+                                // are intact, but no consistent merged
+                                // view exists. Keep the last good
+                                // snapshot and surface the condition.
+                                stats.snapshots_quarantined.fetch_add(1, Ordering::Relaxed);
+                                felip_obs::diag::error(&format!("periodic snapshot skipped: {e}"));
+                                return;
+                            }
+                        };
                         let reports = merged.reports_ingested() as u64;
                         let snap = Snapshot::capture_with_dedup(&merged, plan_hash, dedup);
                         match snap.write_verified(&path, None) {
@@ -511,7 +497,7 @@ impl Server {
                                 felip_obs::flight::postmortem("snapshot-quarantine");
                             }
                         }
-                    }
+                    });
                 });
             }
 
@@ -522,35 +508,15 @@ impl Server {
             // cuts are safe.
             if let Some(hook) = self.config.cut_hook.clone() {
                 let every = self.config.cut_every;
-                let plan = Arc::clone(&self.plan);
-                let oracles = Arc::clone(&self.oracles);
-                let base = &base;
-                let shards = &shards;
-                let stop = &stop_snapshots;
-                let ctx = &ctx;
-                let queues = &queues;
                 scope.spawn(move || {
-                    let mut last = Instant::now();
-                    while !stop.load(Ordering::SeqCst) {
-                        thread::sleep(Duration::from_millis(5));
-                        if last.elapsed() < every {
-                            continue;
-                        }
-                        last = Instant::now();
-                        let (merged, _dedup) =
-                            match consistent_cut(ctx, &plan, &oracles, base, shards, queues) {
-                                Ok(cut) => cut,
-                                Err(e) => {
-                                    felip_obs::diag::error(&format!("periodic cut skipped: {e}"));
-                                    continue;
-                                }
-                            };
-                        hook(CutState {
+                    periodic.every(every, || match cut() {
+                        Ok((merged, _dedup)) => hook(CutState {
                             counts: merged.counts().to_vec(),
                             group_sizes: merged.group_sizes().to_vec(),
                             reports: merged.reports_ingested() as u64,
-                        });
-                    }
+                        }),
+                        Err(e) => felip_obs::diag::error(&format!("periodic cut skipped: {e}")),
+                    });
                 });
             }
 
@@ -561,10 +527,9 @@ impl Server {
             // whole run).
             if let Some(path) = self.config.metrics_out.clone() {
                 let every = self.config.metrics_every;
-                let stop = &stop_snapshots;
                 scope.spawn(move || {
                     let mut out = match OpenOptions::new().create(true).append(true).open(&path) {
-                        Ok(f) => f,
+                        Ok(f) => Some(f),
                         Err(e) => {
                             felip_obs::diag::warn(&format!(
                                 "metrics rollup disabled ({}): {e}",
@@ -574,101 +539,50 @@ impl Server {
                         }
                     };
                     let mut prev: Option<felip_obs::MetricsSnapshot> = None;
-                    let mut last = Instant::now();
-                    loop {
-                        let stopping = stop.load(Ordering::SeqCst);
-                        if !stopping {
-                            thread::sleep(Duration::from_millis(25));
-                            if last.elapsed() < every {
-                                continue;
-                            }
-                        }
-                        last = Instant::now();
+                    let mut roll = || {
+                        let Some(file) = out.as_mut() else { return };
                         let cur = felip_obs::global().metrics_snapshot();
                         let line = match prev.as_ref() {
                             Some(p) => cur.delta_since(p).to_json(),
                             None => cur.to_json(),
                         };
                         prev = Some(cur);
-                        if let Err(e) = writeln!(out, "{line}") {
+                        if let Err(e) = writeln!(file, "{line}") {
                             felip_obs::diag::warn(&format!("metrics rollup stopped: {e}"));
+                            out = None;
                             return;
                         }
                         felip_obs::counter!("server.metrics.rollups", 1, "snapshots");
-                        if stopping {
-                            return;
-                        }
-                    }
+                    };
+                    periodic.every(every, &mut roll);
+                    roll();
                 });
             }
 
-            // Serve until shutdown. On Linux/x86_64 a single
-            // readiness-driven epoll reactor owns every connection
-            // (accept, decode, session dispatch, ack) — see
-            // `reactor.rs` and DESIGN.md §15. Elsewhere the portable
-            // thread-per-connection loop below does the same work over
-            // blocking `TcpTransport`s.
-            #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-            crate::reactor::run_reactor(
-                &self.listener,
-                &ctx,
-                &queues,
-                &stats,
-                &query,
-                &should_stop,
-                &self.config,
-            )?;
+            // Serve until shutdown: the reactor on Linux/x86_64, the
+            // portable loop elsewhere (`serve.rs`, DESIGN.md §15).
+            let tier = Tier {
+                plan_hash: self.plan_hash,
+                stats: &stats,
+                query: &query,
+                read_timeout: self.config.read_timeout,
+                idle_timeout: self.config.idle_timeout,
+                workers,
+            };
+            let handler = IngestHandler {
+                ctx: &ctx,
+                queues: &queues,
+                stats: &stats,
+            };
+            let served = serve(serve_loop, &self.listener, &tier, &handler, &should_stop);
 
-            #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-            {
-                // Accept loop. Connections are pinned round-robin to
-                // workers.
-                let mut conns = Vec::new();
-                let mut next_worker = 0usize;
-                while !should_stop() {
-                    match self.listener.accept() {
-                        Ok((stream, _peer)) => {
-                            felip_obs::counter!("server.accept", 1, "connections");
-                            stats.bump_connection();
-                            let worker = next_worker % workers;
-                            let queue = Arc::clone(&queues[worker]);
-                            next_worker += 1;
-                            let ctx = &ctx;
-                            let stats = &stats;
-                            let query = &query;
-                            let stop = &should_stop;
-                            let config = &self.config;
-                            conns.push(scope.spawn(move || {
-                                if let Err(e) = handle_conn(
-                                    stream, worker, ctx, queue, stats, query, stop, config,
-                                ) {
-                                    // Peer went away or spoke garbage; the
-                                    // connection is already torn down.
-                                    felip_obs::counter!("server.conn.errors", 1, "connections");
-                                    felip_obs::diag::line(&format!("connection closed: {e}"));
-                                }
-                            }));
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            thread::sleep(Duration::from_millis(5));
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        Err(e) => return Err(ServerError::Io(e)),
-                    }
-                }
-
-                // Graceful drain: stop accepting (done), let in-flight
-                // connections finish.
-                for c in conns {
-                    let _ = c.join();
-                }
-            }
-
-            // Close queues so workers drain their backlog and exit.
+            // Close queues so workers drain their backlog and exit, and
+            // wake the periodic threads.
             for q in &queues {
                 q.close();
             }
-            stop_snapshots.store(true, Ordering::SeqCst);
+            periodic.stop();
+            served?;
             Ok(())
         })?;
 
@@ -752,69 +666,28 @@ fn merge_state(
     Ok(merged)
 }
 
-/// Serves one connection: frames come off a deadline-aware
-/// [`TcpTransport`], protocol decisions are made by the shared
-/// [`Session`] state machine, and the idle reaper closes connections
-/// that go quiet past `config.idle_timeout`. This is the portable
-/// fallback path; on Linux/x86_64 the epoll reactor serves connections
-/// instead (see `reactor.rs`).
-#[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-#[allow(clippy::too_many_arguments)]
-fn handle_conn<F: Fn() -> bool>(
-    stream: TcpStream,
-    worker: usize,
-    ctx: &SessionCtx,
-    queue: Arc<BoundedQueue<Vec<UserReport>>>,
-    stats: &AtomicStats,
-    query: &QueryService<ServeCut>,
-    stop: &F,
-    config: &ServerConfig,
-) -> Result<(), WireError> {
-    let mut transport = TcpTransport::new(
-        &stream,
-        stop,
-        config.read_timeout,
-        config.write_timeout,
-        config.idle_timeout,
-    )?;
-    let mut session = Session::for_worker(worker);
-    loop {
-        match transport.recv() {
-            RecvOutcome::Frame(frame) => {
-                let outcome = session.on_frame(frame, ctx, &queue, stats);
-                // This thread serves only its own connection, so it
-                // answers queries itself, like the aggregator's threads.
-                let reply = match outcome.reply {
-                    Reply::Frame(f) => f,
-                    Reply::Query(req) => reply_frame(ctx.plan_hash, query.answer(&req)),
-                };
-                match outcome.close {
-                    // Closing anyway: the error reply is best-effort.
-                    Some(e) => {
-                        let _ = transport.send(&reply);
-                        return Err(e);
-                    }
-                    None => transport.send(&reply)?,
-                }
-            }
-            // Clean EOF, or the shutdown flag flipped mid-wait.
-            RecvOutcome::Eof | RecvOutcome::Shutdown => return Ok(()),
-            RecvOutcome::NoData => continue,
-            RecvOutcome::Idle => {
-                // The reaper: nothing arrived for the whole idle window.
-                // Closing is safe — a client that comes back reconnects
-                // and resyncs its batch cursor from the Hello ack.
-                stats.bump_reaped();
-                return Ok(());
-            }
-            RecvOutcome::Err(e) => {
-                // Garbled framing or a mid-frame stall: tell the peer
-                // (best effort) and drop the connection.
-                stats.bump_rejected();
-                let _ = transport.send(&crate::wire::Frame::error(ctx.plan_hash, &e.to_string()));
-                return Err(e);
-            }
-        }
+/// The ingest tier's [`Handler`]: each connection is a [`Session`] feeding
+/// the worker queue it was pinned to round-robin at accept time.
+struct IngestHandler<'a> {
+    ctx: &'a SessionCtx,
+    queues: &'a [Arc<BoundedQueue<Vec<UserReport>>>],
+    stats: &'a AtomicStats,
+}
+
+impl Handler for IngestHandler<'_> {
+    type Conn = Session;
+
+    fn open(&self, seq: u64) -> Session {
+        Session::for_worker((seq % self.queues.len() as u64) as usize)
+    }
+
+    fn on_frame(&self, session: &mut Session, frame: FrameView<'_>) -> FrameOutcome {
+        let queue = &self.queues[session.worker()];
+        session.handle(frame, self.ctx, queue, self.stats)
+    }
+
+    fn peer_id(&self, session: &Session) -> u64 {
+        session.client_id().unwrap_or(0)
     }
 }
 
@@ -825,6 +698,104 @@ mod tests {
     use crate::wire::{encode_batch, encode_hello, Frame, FrameKind};
     use felip::config::FelipConfig;
     use felip_common::{Attribute, Schema};
+
+    /// The portable loop serves the ingest tier like the reactor: frames
+    /// written back to back get their replies in frame order, the query
+    /// covers exactly the batch before it, bit-identical to offline, and
+    /// STAT and a plan mismatch go through the shared prelude.
+    #[test]
+    fn portable_loop_serves_the_ingest_tier() {
+        use crate::wire::{
+            decode_ack, decode_query_reply, encode_query, encode_stat, read_frame, QueryMode,
+            QueryRequest, StatMode,
+        };
+        use felip_common::Predicate;
+
+        let schema = Schema::new(vec![
+            Attribute::numerical("a", 32),
+            Attribute::categorical("c", 4),
+        ])
+        .unwrap();
+        let plan = Arc::new(CollectionPlan::build(&schema, 60, &FelipConfig::new(1.0), 3).unwrap());
+        let plan_hash = plan.schema_hash();
+        let server = Server::bind(Arc::clone(&plan), ServerConfig::default()).unwrap();
+        let addr = server.local_addr();
+        let stop = server.shutdown_handle();
+        let batch = |id: u64, users: std::ops::Range<usize>| {
+            let reports: Vec<_> = users
+                .map(|u| crate::loadgen::user_report(&plan, u, 5).unwrap())
+                .collect();
+            Frame {
+                kind: FrameKind::ReportBatch,
+                plan_hash,
+                payload: encode_batch(id, &reports).unwrap(),
+            }
+            .encode()
+        };
+        let preds = vec![
+            Predicate::between(0, 4, 20),
+            Predicate::in_set(1, vec![1, 2]),
+        ];
+        let query = Frame {
+            kind: FrameKind::Query,
+            plan_hash,
+            payload: encode_query(&QueryRequest {
+                query_id: 9,
+                mode: QueryMode::Cached,
+                predicates: preds.clone(),
+            })
+            .unwrap(),
+        };
+
+        let run = thread::scope(|s| {
+            let handle = s.spawn(|| server.run_on(None, Loop::Portable).unwrap());
+            let mut conn = std::net::TcpStream::connect(addr).unwrap();
+            let mut burst = Frame {
+                kind: FrameKind::Hello,
+                plan_hash,
+                payload: encode_hello(3),
+            }
+            .encode();
+            burst.extend(batch(1, 0..30));
+            burst.extend(query.encode());
+            burst.extend(batch(2, 30..60));
+            burst.extend(
+                Frame {
+                    kind: FrameKind::Stat,
+                    plan_hash: 0,
+                    payload: encode_stat(StatMode::Full),
+                }
+                .encode(),
+            );
+            burst.extend(Frame::control(FrameKind::Hello, plan_hash ^ 1).encode());
+            std::io::Write::write_all(&mut conn, &burst).unwrap();
+
+            let mut next = || read_frame(&mut conn).unwrap().unwrap();
+            for want in [0, 1] {
+                let ack = next();
+                assert_eq!(ack.kind, FrameKind::Ack);
+                assert_eq!(decode_ack(&ack.payload).unwrap().0, want);
+            }
+            let answer = next();
+            assert_eq!(answer.kind, FrameKind::QueryReply);
+            let ans = decode_query_reply(&answer.payload).unwrap();
+            let offline = crate::loadgen::offline_reference(&plan, 0..30, 5).unwrap();
+            let q = felip_common::Query::new(plan.schema(), preds).unwrap();
+            let expected = offline.estimate().unwrap().answer(&q).unwrap();
+            assert_eq!((ans.query_id, ans.reports), (9, 30));
+            assert_eq!(ans.answer.to_bits(), expected.to_bits());
+            assert_eq!(decode_ack(&next().payload).unwrap().0, 2);
+            assert_eq!(next().kind, FrameKind::StatReply);
+            assert_eq!(next().kind, FrameKind::Error, "plan mismatch");
+            assert!(read_frame(&mut conn).unwrap().is_none(), "closed after it");
+            stop.store(true, Ordering::SeqCst);
+            handle.join().unwrap()
+        });
+        assert_eq!(run.stats.connections, 1);
+        assert_eq!(run.stats.reports_accepted, 60);
+        assert_eq!(run.stats.frames_rejected, 1);
+        assert_eq!(run.aggregator.reports_ingested(), 60);
+    }
 
     /// Regression for the acked-but-unsnapshotted race: batches sit acked
     /// (cursor advanced) in the worker queue while a periodic snapshot
@@ -853,7 +824,7 @@ mod tests {
             Arc::clone(&oracles),
         ))];
         let stats = AtomicStats::default();
-        let mut session = Session::new();
+        let mut session = Session::default();
 
         let hello = Frame {
             kind: FrameKind::Hello,

@@ -1,10 +1,12 @@
 //! The transport-agnostic per-connection protocol state machine.
 //!
-//! Both the TCP connection handler and the deterministic sim harness feed
-//! decoded frames through [`Session::on_frame`]; all protocol decisions —
-//! plan pinning, batch validation, duplicate suppression, backpressure —
-//! live here exactly once, so what the chaos harness proves about the
-//! session logic holds for the production server verbatim.
+//! Both serve loops (DESIGN.md §15) and the deterministic sim harness
+//! feed decoded frames through the same [`prelude`] and
+//! [`Session::handle`]; all protocol decisions — plan pinning, batch
+//! validation, duplicate suppression, backpressure — live here exactly
+//! once, so what the chaos harness proves about the session logic holds
+//! for the production server verbatim. The prelude (STAT first, then the
+//! plan-hash check) is shared with the cluster aggregator's handler.
 //!
 //! ## Exactly-once-or-rejected
 //!
@@ -33,7 +35,7 @@ use felip::plan::CollectionPlan;
 use crate::queue::{BoundedQueue, PushError};
 use crate::server::AtomicStats;
 use crate::wire::{
-    decode_batch, decode_hello, decode_stat, encode_ack, encode_retry, Frame, FrameKind,
+    decode_batch, decode_hello, decode_stat, encode_ack, encode_retry, Frame, FrameKind, FrameView,
     QueryRequest, WireError,
 };
 
@@ -103,20 +105,86 @@ pub(crate) enum Reply {
     Query(QueryRequest),
 }
 
-/// What [`Session::on_frame`] decided.
-pub(crate) struct FrameOutcome {
+/// What a frame handler decided: the reply, and whether the connection
+/// closes after it.
+pub struct FrameOutcome {
     /// Reply to send to the peer (always present; errors reply best-effort).
-    pub reply: Reply,
+    pub(crate) reply: Reply,
     /// Set when a batch was newly accepted this frame.
-    pub accepted: Option<AcceptedBatch>,
+    pub(crate) accepted: Option<AcceptedBatch>,
     /// Set when the connection must close after the reply (the error to
     /// report); duplicate and retry frames do *not* close.
-    pub close: Option<WireError>,
+    pub(crate) close: Option<WireError>,
+}
+
+impl FrameOutcome {
+    /// Answers `frame` and keeps the connection.
+    pub fn reply(frame: Frame) -> FrameOutcome {
+        FrameOutcome {
+            reply: Reply::Frame(frame),
+            accepted: None,
+            close: None,
+        }
+    }
+
+    /// Hands a valid query to the tier's query service.
+    pub fn query(req: QueryRequest) -> FrameOutcome {
+        FrameOutcome {
+            reply: Reply::Query(req),
+            accepted: None,
+            close: None,
+        }
+    }
+
+    /// Answers an `Error` frame for `e`, counts the rejection, and closes
+    /// the connection.
+    pub fn reject(plan_hash: u64, e: WireError, stats: &AtomicStats) -> FrameOutcome {
+        stats.bump_rejected();
+        FrameOutcome {
+            reply: Reply::Frame(Frame::error(plan_hash, &e.to_string())),
+            accepted: None,
+            close: Some(e),
+        }
+    }
+}
+
+/// The prelude every frame passes first, on both tiers. STAT is an admin
+/// verb: any connection — even pre-handshake, even a plan-agnostic
+/// operator tool that sends plan hash 0 — may ask for a metrics snapshot,
+/// so it is answered before plan pinning. Every other frame must carry
+/// `plan_hash`. Returns the outcome of a frame it settles; `None` passes
+/// the frame on to the tier's handler.
+pub(crate) fn prelude(
+    frame: &FrameView<'_>,
+    plan_hash: u64,
+    stats: &AtomicStats,
+) -> Option<FrameOutcome> {
+    if frame.kind == FrameKind::Stat {
+        return Some(match decode_stat(frame.payload) {
+            Ok(mode) => {
+                felip_obs::counter!("server.frame.stat", 1, "frames");
+                FrameOutcome::reply(Frame {
+                    kind: FrameKind::StatReply,
+                    plan_hash,
+                    payload: crate::stat::stat_payload(mode),
+                })
+            }
+            Err(e) => FrameOutcome::reject(plan_hash, e, stats),
+        });
+    }
+    (frame.plan_hash != plan_hash).then(|| {
+        let e = WireError::PlanMismatch {
+            ours: plan_hash,
+            theirs: frame.plan_hash,
+        };
+        FrameOutcome::reject(plan_hash, e, stats)
+    })
 }
 
 /// Per-connection protocol state: the handshaken client id plus the index
 /// of the ingest worker this connection's accepted batches feed (used to
-/// label the per-worker queue-depth gauge).
+/// label the per-worker queue-depth gauge). The default is a fresh,
+/// pre-handshake session feeding worker 0.
 #[derive(Default)]
 pub(crate) struct Session {
     client_id: Option<u64>,
@@ -124,11 +192,6 @@ pub(crate) struct Session {
 }
 
 impl Session {
-    /// A fresh, pre-handshake session feeding worker 0.
-    pub fn new() -> Session {
-        Session::default()
-    }
-
     /// A fresh session pinned to ingest worker `worker`.
     pub fn for_worker(worker: usize) -> Session {
         Session {
@@ -137,17 +200,19 @@ impl Session {
         }
     }
 
+    /// The ingest worker this session feeds.
+    pub fn worker(&self) -> usize {
+        self.worker
+    }
+
     /// The handshaken client id (`None` before `Hello`) — the reactor
     /// stamps it on flight-recorder events.
-    #[cfg_attr(
-        not(all(target_os = "linux", target_arch = "x86_64")),
-        allow(dead_code)
-    )]
     pub fn client_id(&self) -> Option<u64> {
         self.client_id
     }
 
-    /// Processes one decoded frame and decides the reply.
+    /// Runs one decoded frame through the [`prelude`] and, if it passes,
+    /// [`Session::handle`] — the entry the sim harness drives.
     pub fn on_frame(
         &mut self,
         frame: Frame,
@@ -155,56 +220,20 @@ impl Session {
         queue: &BoundedQueue<Vec<UserReport>>,
         stats: &AtomicStats,
     ) -> FrameOutcome {
-        self.on_frame_view(frame.view(), ctx, queue, stats)
+        let view = frame.view();
+        prelude(&view, ctx.plan_hash, stats).unwrap_or_else(|| self.handle(view, ctx, queue, stats))
     }
 
-    /// Processes one decoded frame *view* (payload borrowed from the
-    /// receive buffer) and decides the reply — the zero-copy entry the
-    /// reactor uses; [`Session::on_frame`] is the owned-frame shim over it.
-    pub fn on_frame_view(
+    /// Decides the reply to one frame that passed the [`prelude`]
+    /// (payload borrowed from the receive buffer).
+    pub fn handle(
         &mut self,
-        frame: crate::wire::FrameView<'_>,
+        frame: FrameView<'_>,
         ctx: &SessionCtx,
         queue: &BoundedQueue<Vec<UserReport>>,
         stats: &AtomicStats,
     ) -> FrameOutcome {
-        let reject = |e: WireError| {
-            stats.bump_rejected();
-            FrameOutcome {
-                reply: Reply::Frame(Frame::error(ctx.plan_hash, &e.to_string())),
-                accepted: None,
-                close: Some(e),
-            }
-        };
-
-        // STAT is an admin verb: any connection — even pre-handshake, even
-        // a plan-agnostic operator tool that sends plan hash 0 — may ask
-        // for a metrics snapshot, so it is handled before plan pinning.
-        if frame.kind == FrameKind::Stat {
-            return match decode_stat(frame.payload) {
-                Ok(mode) => {
-                    felip_obs::counter!("server.frame.stat", 1, "frames");
-                    FrameOutcome {
-                        reply: Reply::Frame(Frame {
-                            kind: FrameKind::StatReply,
-                            plan_hash: ctx.plan_hash,
-                            payload: crate::stat::stat_payload(mode),
-                        }),
-                        accepted: None,
-                        close: None,
-                    }
-                }
-                Err(e) => reject(e),
-            };
-        }
-
-        if frame.plan_hash != ctx.plan_hash {
-            return reject(WireError::PlanMismatch {
-                ours: ctx.plan_hash,
-                theirs: frame.plan_hash,
-            });
-        }
-
+        let reject = |e: WireError| FrameOutcome::reject(ctx.plan_hash, e, stats);
         match frame.kind {
             FrameKind::Hello => {
                 let client_id = match decode_hello(frame.payload) {
@@ -214,15 +243,11 @@ impl Session {
                 felip_obs::counter!("server.frame.hello", 1, "frames");
                 self.client_id = Some(client_id);
                 let last = ctx.dedup.lock().get(&client_id).copied().unwrap_or(0);
-                FrameOutcome {
-                    reply: Reply::Frame(Frame {
-                        kind: FrameKind::Ack,
-                        plan_hash: ctx.plan_hash,
-                        payload: encode_ack(last, 0),
-                    }),
-                    accepted: None,
-                    close: None,
-                }
+                FrameOutcome::reply(Frame {
+                    kind: FrameKind::Ack,
+                    plan_hash: ctx.plan_hash,
+                    payload: encode_ack(last, 0),
+                })
             }
             FrameKind::ReportBatch => {
                 let Some(client_id) = self.client_id else {
@@ -261,15 +286,11 @@ impl Session {
                     // acknowledge again, ingest nothing.
                     felip_obs::counter!("server.frame.duplicate", 1, "frames");
                     stats.bump_duplicate();
-                    return FrameOutcome {
-                        reply: Reply::Frame(Frame {
-                            kind: FrameKind::Ack,
-                            plan_hash: ctx.plan_hash,
-                            payload: encode_ack(batch_id, count),
-                        }),
-                        accepted: None,
-                        close: None,
-                    };
+                    return FrameOutcome::reply(Frame {
+                        kind: FrameKind::Ack,
+                        plan_hash: ctx.plan_hash,
+                        payload: encode_ack(batch_id, count),
+                    });
                 }
                 if batch_id > last + 1 {
                     drop(dedup);
@@ -306,24 +327,16 @@ impl Session {
                         // advance, so the resend is the expected next id.
                         felip_obs::counter!("server.frame.retry", 1, "frames");
                         stats.bump_retried();
-                        FrameOutcome {
-                            reply: Reply::Frame(Frame {
-                                kind: FrameKind::Retry,
-                                plan_hash: ctx.plan_hash,
-                                payload: encode_retry(batch_id),
-                            }),
-                            accepted: None,
-                            close: None,
-                        }
+                        FrameOutcome::reply(Frame {
+                            kind: FrameKind::Retry,
+                            plan_hash: ctx.plan_hash,
+                            payload: encode_retry(batch_id),
+                        })
                     }
                 }
             }
             FrameKind::Query => match crate::wire::decode_query(frame.payload) {
-                Ok(req) => FrameOutcome {
-                    reply: Reply::Query(req),
-                    accepted: None,
-                    close: None,
-                },
+                Ok(req) => FrameOutcome::query(req),
                 Err(e) => reject(e),
             },
             other => reject(WireError::Malformed(format!("client sent {other:?} frame"))),

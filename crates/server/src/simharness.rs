@@ -744,7 +744,7 @@ impl Sim {
         let (transport, session) = self
             .server_conns
             .entry(conn)
-            .or_insert_with(|| (SimTransport::new(), Session::new()));
+            .or_insert_with(|| (SimTransport::new(), Session::default()));
         transport.deliver(&bytes);
         let mut close = false;
         loop {

@@ -1,7 +1,8 @@
 //! The [`Transport`] abstraction over the frame read/write path.
 //!
-//! Production traffic flows over [`TcpTransport`] (a thin deadline-aware
-//! wrapper around `TcpStream` + the wire codec); the deterministic chaos
+//! The portable serve loop (`serve.rs`) speaks over [`TcpTransport`] (a
+//! thin deadline-aware wrapper around `TcpStream` + the wire codec), and
+//! the reactor keeps its deadline semantics; the deterministic chaos
 //! harness drives the *same* session logic over
 //! [`crate::simharness::SimTransport`], an in-memory frame pipe on a
 //! virtual clock. Everything above this trait — the session state machine,
