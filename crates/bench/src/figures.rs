@@ -25,6 +25,9 @@ pub fn epsilon_sweep(quick: bool) -> Vec<f64> {
     }
 }
 
+/// The MAE of one plotted point, averaged over `profile.repeats`
+/// collections. A failed repeat is an error naming the strategy, ε and the
+/// repeat's seed: dropping it would silently average fewer repeats.
 fn average_mae(
     strategy: StrategyUnderTest,
     data: &Dataset,
@@ -33,26 +36,16 @@ fn average_mae(
     selectivity: f64,
     profile: &Profile,
     point_seed: u64,
-) -> f64 {
-    let maes: Vec<f64> = (0..profile.repeats.max(1))
+) -> std::io::Result<f64> {
+    let maes = (0..profile.repeats.max(1))
         .map(|r| {
-            evaluate_mae(
-                strategy,
-                data,
-                queries,
-                epsilon,
-                selectivity,
-                point_seed ^ (r as u64) << 32,
-            )
-            .unwrap_or(f64::NAN)
+            let seed = point_seed ^ (r as u64) << 32;
+            evaluate_mae(strategy, data, queries, epsilon, selectivity, seed).map_err(|e| {
+                std::io::Error::other(format!("{strategy} at ε = {epsilon}, seed {seed}: {e}"))
+            })
         })
-        .filter(|m| m.is_finite())
-        .collect();
-    if maes.is_empty() {
-        f64::NAN
-    } else {
-        mean(&maes)
-    }
+        .collect::<std::io::Result<Vec<f64>>>()?;
+    Ok(mean(&maes))
 }
 
 /// Figure 1: MAE vs privacy budget ε, four datasets, λ ∈ {2, 4},
@@ -76,7 +69,7 @@ pub fn fig1(profile: &Profile) -> std::io::Result<()> {
             .expect("default schema supports lambda in {2,4}");
             for eps in epsilon_sweep(quick) {
                 for strat in StrategyUnderTest::main_contenders() {
-                    let m = average_mae(strat, &data, &queries, eps, 0.5, profile, profile.seed);
+                    let m = average_mae(strat, &data, &queries, eps, 0.5, profile, profile.seed)?;
                     sink.write_row(&format!("fig1,{kind},{lambda},{eps},{strat},{m:.6}"))?;
                 }
             }
@@ -113,7 +106,7 @@ pub fn fig2(profile: &Profile) -> std::io::Result<()> {
                 )
                 .expect("valid workload");
                 for strat in StrategyUnderTest::main_contenders() {
-                    let m = average_mae(strat, &data, &queries, 1.0, s, profile, profile.seed);
+                    let m = average_mae(strat, &data, &queries, 1.0, s, profile, profile.seed)?;
                     sink.write_row(&format!("fig2,{kind},{lambda},{s},{strat},{m:.6}"))?;
                 }
             }
@@ -162,7 +155,7 @@ pub fn fig3(profile: &Profile) -> std::io::Result<()> {
                 )
                 .expect("valid workload");
                 for strat in StrategyUnderTest::main_contenders() {
-                    let m = average_mae(strat, &data, &queries, 1.0, 0.5, profile, profile.seed);
+                    let m = average_mae(strat, &data, &queries, 1.0, 0.5, profile, profile.seed)?;
                     sink.write_row(&format!("fig3,{kind},{lambda},{dn},{strat},{m:.6}"))?;
                 }
             }
@@ -201,7 +194,7 @@ pub fn fig4(profile: &Profile) -> std::io::Result<()> {
             )
             .expect("10-attribute schema supports lambda up to 10");
             for strat in StrategyUnderTest::main_contenders() {
-                let m = average_mae(strat, &data, &queries, 1.0, 0.5, profile, profile.seed);
+                let m = average_mae(strat, &data, &queries, 1.0, 0.5, profile, profile.seed)?;
                 sink.write_row(&format!("fig4,{kind},{lambda},{lambda},{strat},{m:.6}"))?;
             }
         }
@@ -240,7 +233,7 @@ pub fn fig5(profile: &Profile) -> std::io::Result<()> {
                 )
                 .expect("k >= 4 supports lambda in {2,4}");
                 for strat in StrategyUnderTest::main_contenders() {
-                    let m = average_mae(strat, &data, &queries, 1.0, 0.5, profile, profile.seed);
+                    let m = average_mae(strat, &data, &queries, 1.0, 0.5, profile, profile.seed)?;
                     sink.write_row(&format!("fig5,{kind},{lambda},{k},{strat},{m:.6}"))?;
                 }
             }
@@ -287,7 +280,7 @@ pub fn fig6(profile: &Profile) -> std::io::Result<()> {
             for &n in &sweep {
                 let data = full.truncated(n);
                 for strat in StrategyUnderTest::main_contenders() {
-                    let m = average_mae(strat, &data, &queries, 1.0, 0.5, profile, profile.seed);
+                    let m = average_mae(strat, &data, &queries, 1.0, 0.5, profile, profile.seed)?;
                     sink.write_row(&format!("fig6,{kind},{lambda},{n},{strat},{m:.6}"))?;
                 }
             }
@@ -326,7 +319,7 @@ pub fn fig7(profile: &Profile) -> std::io::Result<()> {
                 .into_iter()
                 .chain(StrategyUnderTest::fig7_hybrid())
             {
-                let m = average_mae(strat, &data, &queries, eps, 0.5, profile, profile.seed);
+                let m = average_mae(strat, &data, &queries, eps, 0.5, profile, profile.seed)?;
                 sink.write_row(&format!("fig7,{kind},3,{eps},{strat},{m:.6}"))?;
             }
         }
@@ -367,5 +360,38 @@ mod tests {
     #[test]
     fn fig7_smoke() {
         fig7(&micro()).unwrap();
+    }
+
+    #[test]
+    fn a_failed_repeat_is_an_error_naming_strategy_epsilon_and_seed() {
+        let profile = micro();
+        let data = DatasetKind::all()[0].generate(profile.gen_options(0x01));
+        let queries = generate_queries(
+            data.schema(),
+            WorkloadOptions {
+                lambda: 2,
+                selectivity: 0.5,
+                count: 2,
+                seed: 3,
+                range_only: false,
+            },
+        )
+        .unwrap();
+        // ε = 0 gives no privacy budget: every repeat fails.
+        let err = average_mae(
+            StrategyUnderTest::Ohg,
+            &data,
+            &queries,
+            0.0,
+            0.5,
+            &profile,
+            7,
+        )
+        .expect_err("a failed repeat must not average to a number");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("OHG") && msg.contains("ε = 0") && msg.contains("seed 7"),
+            "{msg}"
+        );
     }
 }

@@ -84,9 +84,7 @@ pub fn evaluate_mae(
     selectivity_prior: f64,
     seed: u64,
 ) -> Result<f64> {
-    let mut span = felip_obs::span!("bench.evaluate");
-    span.field("strategy", strategy.to_string());
-    span.field("queries", queries.len());
+    let _span = felip_obs::span!("bench.evaluate");
     let truth: Vec<f64> = queries.iter().map(|q| q.true_answer(dataset)).collect();
     let estimates: Vec<f64> = match strategy {
         StrategyUnderTest::Oug

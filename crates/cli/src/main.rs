@@ -70,7 +70,10 @@ fn finish_obs(obs: &ObsFlags) -> std::io::Result<()> {
         f.flush()?;
     }
     if obs.metrics {
-        diag::line(&felip_obs::global().summary_table());
+        let doc = felip_obs::jsonread::parse(&felip_obs::global().metrics_snapshot().to_json())
+            .map_err(|e| std::io::Error::other(e.to_string()))?;
+        let table = felip_obs::render_metrics_table(&doc).map_err(std::io::Error::other)?;
+        diag::line(&table);
     }
     Ok(())
 }

@@ -209,7 +209,7 @@ impl AggregatorServer {
         external_shutdown: Option<&AtomicBool>,
         serve_loop: Loop,
     ) -> Result<AggregatorRun, AggregatorError> {
-        let mut run_span = felip_obs::span!("cluster.run");
+        let _run_span = felip_obs::span!("cluster.run");
         let stats = AtomicStats::default();
         let tier = Tier {
             plan_hash: self.state.plan_hash(),
@@ -253,7 +253,6 @@ impl AggregatorServer {
             .state
             .merged()
             .map_err(|e| AggregatorError::State(WireError::Malformed(e.to_string())))?;
-        run_span.field("reports", merged.reports_ingested());
         let conns = stats.snapshot();
         Ok(AggregatorRun {
             nodes: self.state.node_rows(),
@@ -271,7 +270,9 @@ impl AggregatorServer {
     /// Writes the FCLU container and/or the merged FSNP snapshot.
     fn persist(&self) -> Result<(), AggregatorError> {
         if let Some(path) = &self.config.state_path {
-            self.state.write_atomic(path)?;
+            self.state
+                .write_verified(path, None)
+                .map_err(AggregatorError::State)?;
             felip_obs::counter!("cluster.state.persisted", 1, "containers");
         }
         if let Some(path) = &self.config.snapshot_path {

@@ -43,7 +43,7 @@ use felip_sync::{Arc, Mutex};
 
 use felip::aggregator::{Aggregator, OracleSet};
 use felip::plan::CollectionPlan;
-use felip_server::snapshot::Snapshot;
+use felip_server::snapshot::{write_file_verified, MangleFn, Snapshot};
 use felip_server::wire::{self, CountDelta, DeltaFlavor, DeltaStatus, WireError};
 use felip_server::CutSource;
 
@@ -361,19 +361,27 @@ impl ClusterState {
         })
     }
 
-    /// Writes the container atomically (temp + fsync + rename), same
-    /// discipline as FSNP snapshots.
-    pub fn write_atomic(&self, path: &Path) -> std::io::Result<()> {
-        use std::io::Write;
+    /// Writes the container with the same durable writer as FSNP snapshots
+    /// ([`write_file_verified`]): the read-back must equal the encoded bytes
+    /// and decode, or the write is quarantined and the previous container
+    /// at `path` stays.
+    /// `mangle` is the fault-injection hook (`None` = write faithfully).
+    pub fn write_verified(
+        &self,
+        path: &Path,
+        mangle: Option<&mut MangleFn<'_>>,
+    ) -> Result<(), WireError> {
         let bytes = self.encode();
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        Ok(())
+        let expected = bytes.clone();
+        write_file_verified(path, bytes, mangle, |read_back| {
+            if read_back != expected {
+                return Err(WireError::Malformed(
+                    "cluster state read-back differs from what was written".into(),
+                ));
+            }
+            ClusterState::decode(read_back, Arc::clone(&self.plan), Arc::clone(&self.oracles))
+                .map(drop)
+        })
     }
 
     /// Reads and validates a container from disk.
@@ -573,7 +581,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("felip-fclu-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cluster.fclu");
-        st.write_atomic(&path).unwrap();
+        st.write_verified(&path, None).unwrap();
         let restored = ClusterState::read(
             &path,
             st.plan_handle(),
@@ -585,6 +593,39 @@ mod tests {
             restored.merged().expect("merged").counts(),
             st.merged().expect("merged").counts()
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn torn_fclu_write_is_quarantined_and_the_previous_container_restores() {
+        let st = state();
+        st.apply(&delta_of(&st, 9, 4, DeltaFlavor::Full, 0..25, 2))
+            .unwrap();
+        let dir = std::env::temp_dir().join(format!("felip-fclu-torn-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cluster.fclu");
+        st.write_verified(&path, None).unwrap();
+        let good = std::fs::read(&path).unwrap();
+
+        // More state arrives, and its write is torn mid-file.
+        st.apply(&delta_of(&st, 9, 5, DeltaFlavor::Full, 0..60, 2))
+            .unwrap();
+        let mut tear = |bytes: &[u8]| Some(bytes[..bytes.len() / 2].to_vec());
+        assert!(st.write_verified(&path, Some(&mut tear)).is_err());
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            good,
+            "previous container clobbered"
+        );
+        let quarantine = path.with_extension("quarantine");
+        assert!(quarantine.exists(), "torn write not kept for post-mortem");
+
+        let plan = st.plan_handle();
+        let oracles = Arc::new(OracleSet::build(&plan));
+        let restored = ClusterState::read(&path, Arc::clone(&plan), Arc::clone(&oracles)).unwrap();
+        assert_eq!(restored.last_epoch(9), 4);
+        assert_eq!(restored.merged().expect("merged").reports_ingested(), 25);
+        assert!(ClusterState::read(&quarantine, plan, oracles).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -343,8 +343,7 @@ impl Aggregator {
     /// (consistency + non-negativity, §5.4), and returns the query-answering
     /// [`Estimator`].
     pub fn estimate(&self) -> Result<Estimator> {
-        let mut span = felip_obs::span!("estimate");
-        span.field("reports", self.reports_ingested());
+        let _span = felip_obs::span!("estimate");
         if self.reports_ingested() == 0 {
             return Err(Error::InvalidParameter("no reports ingested".into()));
         }

@@ -119,8 +119,7 @@ impl Estimator {
     /// * λ ≥ 3 — split into `C(λ, 2)` 2-D queries answered from response
     ///   matrices, then fitted with Algorithm 4.
     pub fn answer(&self, query: &Query) -> Result<f64> {
-        let mut span = felip_obs::span!("answer");
-        span.field("lambda", query.predicates().len());
+        let _span = felip_obs::span!("answer");
         // Re-validate against this plan's schema (queries are cheap to check
         // and may originate elsewhere).
         let query = Query::new(self.plan.schema(), query.predicates().to_vec())?;

@@ -84,7 +84,7 @@ impl CollectionPlan {
         assignment_seed: u64,
         weights: Option<&[Option<Vec<f64>>]>,
     ) -> Result<Self> {
-        let mut span = felip_obs::span!("plan");
+        let _span = felip_obs::span!("plan");
         config.validate(schema)?;
         if n == 0 {
             return Err(felip_common::Error::InvalidParameter(
@@ -93,23 +93,10 @@ impl CollectionPlan {
         }
         let ids = Self::grid_ids(schema, config.strategy);
         let m = ids.len();
-        span.field("grids", m);
-        span.field("n", n);
-
-        let mut grids = Vec::with_capacity(m);
-        for (index, id) in ids.into_iter().enumerate() {
-            let spec = Self::size_one_grid(schema, n, m, config, id, weights)?;
-            felip_obs::event(
-                "plan.grid",
-                &[
-                    ("index", index.into()),
-                    ("grid", id.to_string().into()),
-                    ("cells", spec.num_cells().into()),
-                    ("fo", spec.fo.to_string().into()),
-                ],
-            );
-            grids.push(spec);
-        }
+        let grids = ids
+            .into_iter()
+            .map(|id| Self::size_one_grid(schema, n, m, config, id, weights))
+            .collect::<Result<Vec<_>>>()?;
         Ok(CollectionPlan {
             schema: schema.clone(),
             config: config.clone(),

@@ -25,8 +25,7 @@ use crate::plan::CollectionPlan;
 /// aggregator; shards merge at the end, which
 /// [`Aggregator::merge`] makes exactly equivalent to sequential ingestion).
 pub fn simulate(dataset: &Dataset, config: &FelipConfig, seed: u64) -> Result<Estimator> {
-    let mut span = felip_obs::span!("simulate");
-    span.field("users", dataset.len());
+    let _span = felip_obs::span!("simulate");
     let plan = CollectionPlan::build(
         dataset.schema(),
         dataset.len(),
@@ -40,7 +39,7 @@ pub fn simulate(dataset: &Dataset, config: &FelipConfig, seed: u64) -> Result<Es
 /// Runs only the collection phase, returning the raw [`Aggregator`] (used by
 /// tests and ablations that inspect pre-post-processing state).
 pub fn collect(dataset: &Dataset, plan: &CollectionPlan, seed: u64) -> Result<Aggregator> {
-    let mut collect_span = felip_obs::span!("collect");
+    let _span = felip_obs::span!("collect");
     // One shared plan handle and one oracle set for the whole collection;
     // every shard clones the `Arc`s instead of rebuilding either.
     let plan = Arc::new(plan.clone());
@@ -54,25 +53,19 @@ pub fn collect(dataset: &Dataset, plan: &CollectionPlan, seed: u64) -> Result<Ag
         ));
     }
     let num_shards = n.div_ceil(SHARD);
-    collect_span.field("shards", num_shards);
-    collect_span.field("reports", n);
-    // Shard work runs on rayon workers whose thread-local span stacks are
-    // empty; parent the per-shard spans to `collect` explicitly.
-    let collect_id = collect_span.id();
     let mut shards: Vec<Aggregator> = (0..num_shards)
         .into_par_iter()
         .map(|s| {
-            let mut shard_span = felip_obs::global().span_child("shard", collect_id);
+            let _span = felip_obs::span!("shard");
             let mut rng = seeded_rng(derive_seed(seed, s as u64));
             let lo = s * SHARD;
             let hi = ((s + 1) * SHARD).min(n);
-            shard_span.field("reports", hi - lo);
             // Perturb into per-group report buffers first (record order, so
             // the RNG stream is identical to per-report ingestion), then
             // hand each buffer to the batch kernel in one call per grid.
             let mut buffers: Vec<Vec<Report>> = vec![Vec::new(); plan.num_groups()];
             {
-                let _perturb = felip_obs::global().span_child("perturb", shard_span.id());
+                let _perturb = felip_obs::span!("perturb");
                 for u in lo..hi {
                     let record = dataset.row(u);
                     let group = plan.group_of(u);
@@ -83,7 +76,7 @@ pub fn collect(dataset: &Dataset, plan: &CollectionPlan, seed: u64) -> Result<Ag
             }
             let mut agg = Aggregator::with_oracles(Arc::clone(&plan), Arc::clone(&oracles));
             {
-                let _ingest = felip_obs::global().span_child("ingest", shard_span.id());
+                let _ingest = felip_obs::span!("ingest");
                 for (group, reports) in buffers.iter().enumerate() {
                     agg.ingest_group_batch(group, reports)
                         .expect("group index is valid");

@@ -1,16 +1,17 @@
 //! Integration tests for the pipeline's observability instrumentation:
-//! a full [`simulate`] run must emit the expected stage spans, correctly
-//! nested and ordered, and recording must never perturb the estimates.
+//! a full [`simulate`] run must time every stage into its histogram, and
+//! recording must never perturb the estimates.
 //!
 //! All tests here toggle the process-global recorder, so they serialize on
 //! one lock (the test binary runs them on concurrent threads otherwise).
 
 use std::sync::Mutex;
 
+use felip::plan::CollectionPlan;
 use felip::simulate::uniform_dataset;
 use felip::{simulate, FelipConfig};
 use felip_common::{Attribute, Predicate, Query, Schema};
-use felip_obs::SpanRecord;
+use felip_obs::{HistogramSnapshot, MetricValue};
 use proptest::prelude::*;
 
 static RECORDER_LOCK: Mutex<()> = Mutex::new(());
@@ -29,19 +30,16 @@ fn schema() -> Schema {
     .unwrap()
 }
 
-fn find<'a>(spans: &'a [SpanRecord], name: &str) -> &'a SpanRecord {
-    spans
-        .iter()
-        .find(|s| s.name == name)
-        .unwrap_or_else(|| panic!("no `{name}` span recorded"))
-}
-
-fn end_ns(s: &SpanRecord) -> u64 {
-    s.start_ns + s.dur_ns
+/// The histogram a span (or `hist!`) recorded into on the global recorder.
+fn hist(name: &str) -> HistogramSnapshot {
+    match felip_obs::global().metric(name).map(|m| m.value) {
+        Some(MetricValue::Histogram(h)) => h,
+        other => panic!("no `{name}` histogram: {other:?}"),
+    }
 }
 
 #[test]
-fn simulate_emits_stage_spans_in_order() {
+fn simulate_times_every_stage_into_histograms() {
     let _g = lock();
     felip_obs::global().reset();
     felip_obs::enable();
@@ -57,78 +55,38 @@ fn simulate_emits_stage_spans_in_order() {
     est.answer(&q).unwrap();
     felip_obs::disable();
 
-    let spans = felip_obs::global().finished_spans();
-    for name in [
-        "simulate",
-        "plan",
-        "collect",
-        "shard",
-        "perturb",
-        "ingest",
-        "estimate",
-        "postprocess",
-        "answer",
-        "response_matrix",
+    // One observation per stage run: 20k users / 16384 per shard = 2
+    // shards, each perturbing and ingesting once.
+    for (name, runs) in [
+        ("simulate", 1),
+        ("plan", 1),
+        ("collect", 1),
+        ("shard", 2),
+        ("perturb", 2),
+        ("ingest", 2),
+        ("estimate", 1),
+        ("postprocess", 1),
+        ("answer", 1),
+        ("grid.response.build", 1),
     ] {
-        assert!(
-            spans.iter().any(|s| s.name == name),
-            "missing `{name}` span; got {:?}",
-            spans.iter().map(|s| s.name).collect::<Vec<_>>()
+        let h = hist(name);
+        assert_eq!(h.count, runs, "`{name}` ran {runs}×: {h:?}");
+        assert_eq!(
+            felip_obs::global().metric(name).unwrap().unit,
+            "ns",
+            "`{name}` is a span"
         );
     }
 
-    // Nesting: plan/collect/estimate under simulate; every shard under
-    // collect; every perturb/ingest under a shard; postprocess under
-    // estimate (same-thread stack nesting).
-    let simulate_span = find(&spans, "simulate");
-    let plan = find(&spans, "plan");
-    let collect = find(&spans, "collect");
-    let estimate = find(&spans, "estimate");
-    let postprocess = find(&spans, "postprocess");
-    assert_eq!(plan.parent, Some(simulate_span.id));
-    assert_eq!(collect.parent, Some(simulate_span.id));
-    assert_eq!(estimate.parent, Some(simulate_span.id));
-    assert_eq!(postprocess.parent, Some(estimate.id));
-    let shard_ids: Vec<u64> = spans
-        .iter()
-        .filter(|s| s.name == "shard")
-        .map(|s| {
-            assert_eq!(s.parent, Some(collect.id), "shard not under collect");
-            s.id
-        })
-        .collect();
-    assert_eq!(shard_ids.len(), 2, "20k users / 16384 per shard = 2 shards");
-    for s in spans
-        .iter()
-        .filter(|s| s.name == "perturb" || s.name == "ingest")
-    {
-        let p = s.parent.expect("perturb/ingest spans have a parent");
-        assert!(shard_ids.contains(&p), "`{}` not under a shard", s.name);
-    }
-
-    // Ordering: the pipeline stages do not overlap.
-    assert!(end_ns(plan) <= collect.start_ns, "plan before collect");
-    assert!(
-        end_ns(collect) <= estimate.start_ns,
-        "collect before estimate"
-    );
-    let answer = find(&spans, "answer");
-    assert!(
-        end_ns(estimate) <= answer.start_ns,
-        "estimate before answer"
-    );
-    // Within each shard, perturbation completes before ingestion starts.
-    for &sid in &shard_ids {
-        let pert = spans
-            .iter()
-            .find(|s| s.name == "perturb" && s.parent == Some(sid))
-            .expect("each shard perturbs");
-        let ing = spans
-            .iter()
-            .find(|s| s.name == "ingest" && s.parent == Some(sid))
-            .expect("each shard ingests");
-        assert!(end_ns(pert) <= ing.start_ns, "perturb before ingest");
-    }
+    // The stages nest: `simulate` encloses plan, collect and estimate,
+    // which run one after another; `collect` waits for its slowest shard,
+    // and each shard perturbs and then ingests.
+    let sum = |name: &str| hist(name).sum;
+    assert!(sum("simulate") >= sum("plan") + sum("collect") + sum("estimate"));
+    assert!(sum("estimate") >= sum("postprocess"));
+    assert!(hist("collect").max >= hist("shard").max);
+    assert!(sum("shard") >= sum("perturb") + sum("ingest"));
+    assert!(sum("answer") >= sum("grid.response.build"));
 }
 
 #[test]
@@ -158,10 +116,9 @@ fn simulate_records_afo_and_ingest_metrics() {
         .as_u64()
         .expect("counter is integral");
     assert_eq!(ingested, 20_000, "every report counted exactly once");
-    // One plan.grid event per grid, each carrying the chosen oracle.
-    let events = rec.finished_events();
-    let plan_events = events.iter().filter(|e| e.name == "plan.grid").count();
-    assert_eq!(plan_events as u64, grids);
+    // One AFO decision per grid of the plan.
+    let plan = CollectionPlan::build(&schema(), 20_000, &FelipConfig::new(1.0), 0).unwrap();
+    assert_eq!(grids, plan.grids().len() as u64);
 }
 
 proptest! {

@@ -286,19 +286,6 @@ impl FrequencyOracle for Olh {
         }
     }
 
-    fn aggregate(&self, reports: &[Report]) -> Result<Vec<f64>> {
-        let d = self.domain as usize;
-        if reports.is_empty() {
-            return Ok(vec![0.0; d]);
-        }
-        // Support counting: C(v) = |{ j : H_j(v) = x_j }|. This is the hot
-        // loop of the whole system (|reports| × d hash evaluations) and runs
-        // through the batched, cache-blocked kernel.
-        let mut counts = vec![0u64; d];
-        self.accumulate_batch(reports, &mut counts)?;
-        Ok(self.estimate_from_counts(&counts, reports.len()))
-    }
-
     fn accumulate(&self, report: &Report, counts: &mut [u64]) -> Result<()> {
         self.check_report(report)?;
         match report {

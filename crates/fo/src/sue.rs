@@ -97,16 +97,6 @@ impl FrequencyOracle for Sue {
         }
     }
 
-    fn aggregate(&self, reports: &[Report]) -> Result<Vec<f64>> {
-        let d = self.domain as usize;
-        if reports.is_empty() {
-            return Ok(vec![0.0; d]);
-        }
-        let mut counts = vec![0u64; d];
-        self.accumulate_batch(reports, &mut counts)?;
-        Ok(self.estimate_from_counts(&counts, reports.len()))
-    }
-
     fn accumulate(&self, report: &Report, counts: &mut [u64]) -> Result<()> {
         self.check_report(report)?;
         match report {

@@ -50,7 +50,19 @@ pub trait FrequencyOracle: Send + Sync {
     /// Returns all-zeros when `reports` is empty, and
     /// [`felip_common::Error::ReportMismatch`] when any report fails
     /// [`FrequencyOracle::check_report`].
-    fn aggregate(&self, reports: &[Report]) -> Result<Vec<f64>>;
+    ///
+    /// Counts supports with [`FrequencyOracle::accumulate_batch`] (OLH's
+    /// cache-blocked kernel, for OLH) and de-biases them with
+    /// [`FrequencyOracle::estimate_from_counts`].
+    fn aggregate(&self, reports: &[Report]) -> Result<Vec<f64>> {
+        let d = self.domain() as usize;
+        if reports.is_empty() {
+            return Ok(vec![0.0; d]);
+        }
+        let mut counts = vec![0u64; d];
+        self.accumulate_batch(reports, &mut counts)?;
+        Ok(self.estimate_from_counts(&counts, reports.len()))
+    }
 
     /// Streaming server side: folds one report into a per-value support
     /// count vector of length `domain()`. Together with

@@ -28,8 +28,6 @@
 //! runs with four lookups each, so a range × range answer costs O(1) instead
 //! of O(d_i · d_j).
 
-use std::time::Instant;
-
 use felip_common::{Error, Predicate, PredicateTarget, Result};
 
 use crate::estimate::EstimatedGrid;
@@ -81,8 +79,7 @@ impl ResponseMatrix {
         related: &[&EstimatedGrid],
         threshold: f64,
     ) -> Result<Self> {
-        let _span = felip_obs::span!("response_matrix");
-        let started = Instant::now();
+        let _span = felip_obs::span!("grid.response.build");
         assert!(
             !related.is_empty(),
             "response matrix needs at least one related grid"
@@ -114,11 +111,6 @@ impl ResponseMatrix {
         }
 
         into_prefix_sums(&mut values, djn);
-        felip_obs::hist!(
-            "grid.response.build",
-            started.elapsed().as_nanos() as u64,
-            "ns"
-        );
         Ok(ResponseMatrix {
             attr_i,
             attr_j,

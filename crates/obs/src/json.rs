@@ -1,11 +1,12 @@
-//! Minimal JSON serialization helpers for the JSONL trace exporter.
+//! Minimal JSON serialization helpers for metric snapshots, the JSONL
+//! trace and flight-recorder dumps.
 //!
-//! Hand-rolled on purpose: the workspace vendors its dependencies, and the
-//! trace format only needs objects, strings, integers, floats, bools and
-//! null. `serde_json` (the vendored shim) is used in *tests* to prove the
-//! output parses.
+//! Hand-rolled on purpose: the workspace vendors its dependencies, and
+//! these formats only need objects, strings, integers, floats and null.
+//! `serde_json` (the vendored shim) is used in *tests* to prove the output
+//! parses.
 
-use crate::metrics::Value;
+use crate::metrics::{MetricSnapshot, MetricValue};
 
 /// Appends `s` as a JSON string literal (quoted, escaped) to `out`.
 pub(crate) fn push_str(out: &mut String, s: &str) {
@@ -42,25 +43,45 @@ pub(crate) fn push_f64(out: &mut String, v: f64) {
     }
 }
 
-/// Appends a [`Value`] in its natural JSON form.
-pub(crate) fn push_value(out: &mut String, v: &Value) {
-    match v {
-        Value::U64(n) => out.push_str(&n.to_string()),
-        Value::I64(n) => out.push_str(&n.to_string()),
-        Value::F64(f) => push_f64(out, *f),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Str(s) => push_str(out, s),
-    }
-}
-
-/// Appends a `"key":value` list (no surrounding braces) for a field set,
-/// prefixing each pair with a comma. Used to extend an already-open object.
-pub(crate) fn push_fields(out: &mut String, fields: &[(&'static str, Value)]) {
-    for (k, v) in fields {
-        out.push(',');
-        push_str(out, k);
-        out.push(':');
-        push_value(out, v);
+/// Appends one metric's `"name":…,"kind":…,"unit":…` fields and its value
+/// fields (`"value"` for counters and gauges; `"count"`, `"sum"`, `"min"`,
+/// `"max"`, `"mean"`, `"p50"`, `"p90"`, `"p99"`, `"p999"` for histograms),
+/// without surrounding braces. The one per-metric writer behind both the
+/// STAT snapshot and the JSONL trace.
+pub(crate) fn push_metric(out: &mut String, m: &MetricSnapshot) {
+    out.push_str("\"name\":");
+    push_str(out, m.name);
+    out.push_str(",\"kind\":");
+    push_str(out, m.kind.as_str());
+    out.push_str(",\"unit\":");
+    push_str(out, m.unit);
+    match &m.value {
+        MetricValue::Counter(v) | MetricValue::Gauge(v) => {
+            out.push_str(",\"value\":");
+            out.push_str(&v.to_string());
+        }
+        MetricValue::GaugeF64(v) => {
+            out.push_str(",\"value\":");
+            push_f64(out, *v);
+        }
+        MetricValue::Histogram(h) => {
+            out.push_str(",\"count\":");
+            out.push_str(&h.count.to_string());
+            out.push_str(",\"sum\":");
+            out.push_str(&h.sum.to_string());
+            out.push_str(",\"min\":");
+            out.push_str(&h.min.to_string());
+            out.push_str(",\"max\":");
+            out.push_str(&h.max.to_string());
+            out.push_str(",\"mean\":");
+            push_f64(out, h.mean());
+            for (label, p) in [("p50", 50.0), ("p90", 90.0), ("p99", 99.0), ("p999", 99.9)] {
+                out.push_str(",\"");
+                out.push_str(label);
+                out.push_str("\":");
+                push_f64(out, h.percentile(p));
+            }
+        }
     }
 }
 
@@ -91,21 +112,6 @@ mod tests {
             let mut out = String::new();
             push_f64(&mut out, v);
             assert_eq!(out, "null");
-        }
-    }
-
-    #[test]
-    fn values_serialize_naturally() {
-        let cases: Vec<(Value, &str)> = vec![
-            (Value::U64(7), "7"),
-            (Value::I64(-2), "-2"),
-            (Value::Bool(true), "true"),
-            (Value::Str("hi".into()), "\"hi\""),
-        ];
-        for (v, want) in cases {
-            let mut out = String::new();
-            push_value(&mut out, &v);
-            assert_eq!(out, want);
         }
     }
 }

@@ -1,26 +1,25 @@
 //! `felip-obs` — hand-rolled structured observability for the FELIP stack.
 //!
-//! Three primitives, all behind one [`Recorder`]:
+//! One [`Recorder`] holds typed counters, gauges and histograms:
 //!
-//! * **Spans** — RAII wall-clock timers ([`Recorder::span`], the [`span!`]
-//!   macro) that nest via a thread-local stack and support explicit
-//!   cross-thread parenting ([`Recorder::span_child`]) for work fanned out
-//!   over rayon shards.
-//! * **Metrics** — typed counters, gauges and histograms. Counters are
-//!   sharded over cache-padded atomic cells and touched with one relaxed
-//!   `fetch_add` on the hot path; registration (the only locking step)
-//!   happens once per call site and is cached in a static [`CallsiteId`].
-//! * **Export** — a JSON-lines trace ([`Recorder::export_jsonl`]) written
-//!   with the crate's own serializer (no external dependencies, consistent
-//!   with the workspace's vendored-shim policy) plus an in-process summary
-//!   table ([`Recorder::summary_table`]) for humans.
+//! * **Metrics** — counters are sharded over cache-padded atomic cells and
+//!   touched with one relaxed `fetch_add` on the hot path; histograms use
+//!   power-of-two buckets. Registration (the only locking step) happens
+//!   once per call site and is cached in a static [`CallsiteId`].
+//! * **Spans** — RAII wall-clock timers (the [`span!`] macro). A span is a
+//!   histogram: dropping the guard records the elapsed nanoseconds under
+//!   the span's name, so stage timings are live in every snapshot and
+//!   nothing the recorder keeps grows with uptime.
+//! * **Export** — one JSON writer per metric serves the STAT snapshot
+//!   ([`MetricsSnapshot::to_json`]) and the JSON-lines trace
+//!   ([`Recorder::export_jsonl`]); one renderer ([`render_metrics_table`])
+//!   turns either into a table for humans.
 //!
 //! The recorder is **disabled by default**: every recording entry point is
 //! gated on one relaxed atomic load, so an un-enabled binary pays a few
 //! cycles per instrumentation site. Compiling with the `noop` feature
-//! removes even that: all entry points become empty inline functions and
-//! the guards are zero-sized, so instrumented code is bit-identical to
-//! un-instrumented code.
+//! removes even that: the gate constant-folds to `false`, so instrumented
+//! code records nothing.
 //!
 //! Most call sites use the process-global recorder through the macros:
 //!
@@ -30,7 +29,7 @@
 //!     let _outer = felip_obs::span!("collect");
 //!     felip_obs::counter!("reports.ingested", 128, "reports");
 //!     let _inner = felip_obs::span!("ingest");
-//! } // guards close the spans in reverse order
+//! } // each guard records its elapsed time into its histogram
 //! let mut out = Vec::new();
 //! felip_obs::global().export_jsonl(&mut out).unwrap();
 //! felip_obs::disable();
@@ -41,36 +40,32 @@
 mod json;
 mod metrics;
 mod snapshot;
-mod span;
-mod summary;
 
 pub mod diag;
 pub mod flight;
 pub mod jsonread;
 
-pub use metrics::{CallsiteId, HistogramSnapshot, MetricKind, MetricSnapshot, MetricValue, Value};
+pub use metrics::{
+    CallsiteId, HistogramSnapshot, MetricKind, MetricSnapshot, MetricValue, SpanGuard,
+};
 pub use snapshot::{render_metrics_table, MetricsSnapshot, METRICS_SNAPSHOT_VERSION};
-pub use span::{EventRecord, SpanGuard, SpanRecord, SpanTotal};
-pub use summary::{summarize_jsonl, StageTotal, TraceSummary};
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// `true` when the crate was compiled with the `noop` feature: every
 /// recording entry point constant-folds to nothing.
 pub const COMPILED_OUT: bool = cfg!(feature = "noop");
 
-/// The observability recorder: metric storage, span/event logs, and the
-/// enabled switch. One process-global instance serves the macros; tests
-/// construct private instances to stay isolated.
+/// The observability recorder: metric storage and the enabled switch. One
+/// process-global instance serves the macros; tests construct private
+/// instances to stay isolated.
 pub struct Recorder {
     enabled: AtomicBool,
-    /// Epoch all span/event timestamps are relative to.
+    /// Epoch snapshot timestamps are relative to.
     epoch: Instant,
     pub(crate) metrics: metrics::MetricStore,
-    pub(crate) spans: Mutex<Vec<SpanRecord>>,
-    pub(crate) events: Mutex<Vec<EventRecord>>,
 }
 
 impl Default for Recorder {
@@ -86,8 +81,6 @@ impl Recorder {
             enabled: AtomicBool::new(false),
             epoch: Instant::now(),
             metrics: metrics::MetricStore::new(),
-            spans: Mutex::new(Vec::new()),
-            events: Mutex::new(Vec::new()),
         }
     }
 
@@ -108,23 +101,10 @@ impl Recorder {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    /// Clears recorded spans, events and metric *values* (metric
-    /// registrations survive — call-site caches stay valid).
+    /// Clears metric *values* (registrations survive — call-site caches
+    /// stay valid).
     pub fn reset(&self) {
-        self.spans.lock().expect("span log poisoned").clear();
-        self.events.lock().expect("event log poisoned").clear();
         self.metrics.reset_values();
-        span::reset_thread_stack();
-    }
-
-    /// Completed spans, in completion order.
-    pub fn finished_spans(&self) -> Vec<SpanRecord> {
-        self.spans.lock().expect("span log poisoned").clone()
-    }
-
-    /// Recorded point events, in recording order.
-    pub fn finished_events(&self) -> Vec<EventRecord> {
-        self.events.lock().expect("event log poisoned").clone()
     }
 
     /// A merged snapshot of every registered metric.
@@ -155,16 +135,19 @@ pub fn disable() {
     global().set_enabled(false);
 }
 
-/// Opens a span on the global recorder. Expands through a static
-/// [`CallsiteId`]-free path (spans are not hot enough to need one).
+/// Opens a span on the global recorder: a guard that, when dropped,
+/// records the elapsed nanoseconds into the histogram `$name`. The
+/// histogram id is cached per call site like [`hist!`]'s.
 ///
 /// Bind the result — `let _span = span!("stage");` — so the guard lives to
 /// the end of the scope.
 #[macro_export]
 macro_rules! span {
-    ($name:expr) => {
-        $crate::global().span($name)
-    };
+    ($name:expr) => {{
+        static __CS: $crate::CallsiteId =
+            $crate::CallsiteId::new($name, $crate::MetricKind::Histogram, "ns");
+        $crate::global().span(&__CS)
+    }};
 }
 
 /// Adds to a named counter on the global recorder. The metric id is
@@ -222,17 +205,18 @@ macro_rules! hist {
     }};
 }
 
-/// Records a point event with fields on the global recorder.
-///
-/// Events are for low-frequency, high-cardinality facts (one per grid, not
-/// one per report): each call allocates its field list.
-pub fn event(name: &'static str, fields: &[(&'static str, Value)]) {
-    global().event(name, fields);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    static SPAN: CallsiteId = CallsiteId::new("test.lib.span", MetricKind::Histogram, "ns");
+
+    fn span_count(rec: &Recorder) -> u64 {
+        match rec.metric("test.lib.span").map(|m| m.value) {
+            Some(MetricValue::Histogram(h)) => h.count,
+            _ => 0,
+        }
+    }
 
     #[test]
     fn global_recorder_starts_disabled() {
@@ -246,12 +230,8 @@ mod tests {
     #[test]
     fn disabled_recorder_records_nothing() {
         let rec = Recorder::new();
-        {
-            let _s = rec.span("quiet");
-            rec.event("e", &[]);
-        }
-        assert!(rec.finished_spans().is_empty());
-        assert!(rec.finished_events().is_empty());
+        drop(rec.span(&SPAN));
+        assert_eq!(span_count(&rec), 0);
     }
 
     #[test]
@@ -260,22 +240,21 @@ mod tests {
         let rec = Recorder::new();
         rec.set_enabled(true);
         assert!(!rec.is_enabled());
-        drop(rec.span("s"));
-        rec.event("e", &[]);
-        assert!(rec.finished_spans().is_empty());
-        assert!(rec.finished_events().is_empty());
+        drop(rec.span(&SPAN));
+        assert_eq!(span_count(&rec), 0);
     }
 
     #[test]
     #[cfg(not(feature = "noop"))]
-    fn reset_clears_logs_but_keeps_registrations() {
+    fn reset_clears_values_but_keeps_registrations() {
         let rec = Recorder::new();
         rec.set_enabled(true);
         static CS: CallsiteId = CallsiteId::new("reset.counter", MetricKind::Counter, "");
         rec.counter_add(&CS, 3);
-        drop(rec.span("s"));
+        drop(rec.span(&SPAN));
+        assert_eq!(span_count(&rec), 1);
         rec.reset();
-        assert!(rec.finished_spans().is_empty());
+        assert_eq!(span_count(&rec), 0);
         let m = rec.metric("reset.counter").expect("still registered");
         assert_eq!(m.value, MetricValue::Counter(0));
     }

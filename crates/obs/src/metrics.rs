@@ -13,6 +13,7 @@
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::time::Instant;
 
 use crate::Recorder;
 
@@ -392,68 +393,31 @@ pub struct MetricSnapshot {
     pub value: MetricValue,
 }
 
-/// A field value attached to spans and events.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// Unsigned integer.
-    U64(u64),
-    /// Signed integer.
-    I64(i64),
-    /// Floating point.
-    F64(f64),
-    /// Boolean.
-    Bool(bool),
-    /// String.
-    Str(String),
+/// RAII guard of a live span (see [`crate::span!`]): dropping it records
+/// the elapsed nanoseconds into the span's histogram. Inert when the
+/// recorder was disabled at open time.
+pub struct SpanGuard<'r> {
+    open: Option<(&'r Recorder, &'static CallsiteId, Instant)>,
 }
 
-impl From<u64> for Value {
-    fn from(v: u64) -> Self {
-        Value::U64(v)
-    }
-}
-impl From<u32> for Value {
-    fn from(v: u32) -> Self {
-        Value::U64(v as u64)
-    }
-}
-impl From<usize> for Value {
-    fn from(v: usize) -> Self {
-        Value::U64(v as u64)
-    }
-}
-impl From<i64> for Value {
-    fn from(v: i64) -> Self {
-        Value::I64(v)
-    }
-}
-impl From<i32> for Value {
-    fn from(v: i32) -> Self {
-        Value::I64(v as i64)
-    }
-}
-impl From<f64> for Value {
-    fn from(v: f64) -> Self {
-        Value::F64(v)
-    }
-}
-impl From<bool> for Value {
-    fn from(v: bool) -> Self {
-        Value::Bool(v)
-    }
-}
-impl From<&str> for Value {
-    fn from(v: &str) -> Self {
-        Value::Str(v.to_string())
-    }
-}
-impl From<String> for Value {
-    fn from(v: String) -> Self {
-        Value::Str(v)
+impl Drop for SpanGuard<'_> {
+    fn drop(&mut self) {
+        if let Some((rec, cs, started)) = self.open.take() {
+            rec.hist_record(cs, started.elapsed().as_nanos() as u64);
+        }
     }
 }
 
 impl Recorder {
+    /// Opens a span timing into the histogram behind `cs` (registered with
+    /// unit `ns` by [`crate::span!`]).
+    #[inline]
+    pub fn span(&self, cs: &'static CallsiteId) -> SpanGuard<'_> {
+        SpanGuard {
+            open: self.is_enabled().then(|| (self, cs, Instant::now())),
+        }
+    }
+
     /// Adds `n` to the counter behind `cs`. Lock-free after the call site's
     /// first use; a no-op while disabled.
     #[inline]
@@ -624,6 +588,35 @@ mod tests {
         let p50 = h.percentile(50.0);
         assert!((250.0..=1000.0).contains(&p50), "p50 {p50}");
         assert_eq!(h.percentile(100.0), 1000.0);
+    }
+
+    #[test]
+    fn span_records_elapsed_ns_into_its_histogram() {
+        let rec = Recorder::new();
+        rec.set_enabled(true);
+        static CS: CallsiteId = CallsiteId::new("test.span", MetricKind::Histogram, "ns");
+        for _ in 0..3 {
+            let _span = rec.span(&CS);
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        let m = rec.metric("test.span").unwrap();
+        assert_eq!(m.unit, "ns");
+        let MetricValue::Histogram(h) = m.value else {
+            panic!("not a histogram");
+        };
+        assert_eq!(h.count, 3);
+        assert!(h.min >= 1_000_000, "each span slept ≥ 1 ms: {h:?}");
+    }
+
+    #[test]
+    fn span_opened_while_disabled_stays_inert() {
+        let rec = Recorder::new();
+        static CS: CallsiteId = CallsiteId::new("test.span.quiet", MetricKind::Histogram, "ns");
+        let span = rec.span(&CS);
+        rec.set_enabled(true);
+        drop(span);
+        // The guard never resolved its call site, so nothing registered.
+        assert!(rec.metric("test.span.quiet").is_none());
     }
 
     #[test]

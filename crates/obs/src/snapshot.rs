@@ -2,11 +2,12 @@
 //! metric, deltas between captures, and their JSON wire form.
 //!
 //! This is the payload of the server's STAT admin verb and of the
-//! `--metrics-out` rollup time-series. A snapshot is taken without
-//! pausing recorders — counters are summed across shards with relaxed
-//! loads and histograms are read through their seqlock-free commit-point
-//! protocol (see `metrics::Hist`), so `count == Σ buckets` holds on every
-//! capture even mid-recording.
+//! `--metrics-out` rollup time-series; the JSONL trace
+//! ([`Recorder::export_jsonl`]) writes the same per-metric objects. A
+//! snapshot is taken without pausing recorders — counters are summed across
+//! shards with relaxed loads and histograms are read through their
+//! seqlock-free commit-point protocol (see `metrics::Hist`), so
+//! `count == Σ buckets` holds on every capture even mid-recording.
 //!
 //! JSON shape (one object, no external dependencies):
 //!
@@ -20,6 +21,8 @@
 //! ]}
 //! ```
 
+use std::io::{self, Write};
+
 use crate::json;
 use crate::jsonread::JsonValue;
 use crate::metrics::{bucket_range, HistogramSnapshot, MetricSnapshot, MetricValue};
@@ -27,6 +30,9 @@ use crate::Recorder;
 
 /// Schema version of the metrics-snapshot JSON object.
 pub const METRICS_SNAPSHOT_VERSION: u64 = 1;
+
+/// Schema version of the JSONL trace ([`Recorder::export_jsonl`]).
+const TRACE_VERSION: u64 = 2;
 
 /// A point-in-time (or delta) capture of every registered metric.
 #[derive(Debug, Clone, PartialEq)]
@@ -112,45 +118,32 @@ impl MetricsSnapshot {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str("{\"name\":");
-            json::push_str(&mut out, m.name);
-            out.push_str(",\"kind\":");
-            json::push_str(&mut out, m.kind.as_str());
-            out.push_str(",\"unit\":");
-            json::push_str(&mut out, m.unit);
-            match &m.value {
-                MetricValue::Counter(v) | MetricValue::Gauge(v) => {
-                    out.push_str(",\"value\":");
-                    out.push_str(&v.to_string());
-                }
-                MetricValue::GaugeF64(v) => {
-                    out.push_str(",\"value\":");
-                    json::push_f64(&mut out, *v);
-                }
-                MetricValue::Histogram(h) => {
-                    out.push_str(",\"count\":");
-                    out.push_str(&h.count.to_string());
-                    out.push_str(",\"sum\":");
-                    out.push_str(&h.sum.to_string());
-                    out.push_str(",\"min\":");
-                    out.push_str(&h.min.to_string());
-                    out.push_str(",\"max\":");
-                    out.push_str(&h.max.to_string());
-                    out.push_str(",\"mean\":");
-                    json::push_f64(&mut out, h.mean());
-                    for (label, p) in [("p50", 50.0), ("p90", 90.0), ("p99", 99.0), ("p999", 99.9)]
-                    {
-                        out.push_str(",\"");
-                        out.push_str(label);
-                        out.push_str("\":");
-                        json::push_f64(&mut out, h.percentile(p));
-                    }
-                }
-            }
+            out.push('{');
+            json::push_metric(&mut out, m);
             out.push('}');
         }
         out.push_str("]}");
         out
+    }
+}
+
+impl Recorder {
+    /// Writes the trace as JSON lines: a `meta` line
+    /// (`{"t":"meta","version":2,"compiled_out":bool}`), then one
+    /// `{"t":"metric",…}` line per registered metric in the same per-metric
+    /// shape as [`MetricsSnapshot::to_json`]. Spans are histograms, so stage
+    /// timings arrive as `metric` lines with unit `ns`.
+    pub fn export_jsonl(&self, out: &mut impl Write) -> io::Result<()> {
+        let mut text = format!(
+            "{{\"t\":\"meta\",\"version\":{TRACE_VERSION},\"compiled_out\":{}}}\n",
+            crate::COMPILED_OUT
+        );
+        for m in &self.metric_snapshots() {
+            text.push_str("{\"t\":\"metric\",");
+            json::push_metric(&mut text, m);
+            text.push_str("}\n");
+        }
+        out.write_all(text.as_bytes())
     }
 }
 
@@ -200,10 +193,7 @@ pub fn render_metrics_table(doc: &JsonValue) -> Result<String, String> {
     let Some(JsonValue::Array(metrics)) = doc.get("metrics") else {
         return Err("metrics snapshot has no \"metrics\" array".into());
     };
-    let mut out = format!(
-        "metrics ({kind} snapshot at +{})\n",
-        crate::summary::fmt_ns(taken_ns)
-    );
+    let mut out = format!("metrics ({kind} snapshot at +{})\n", fmt_ns(taken_ns));
     out.push_str(&format!("  {:<40} {}\n", "metric", "value"));
     let mut rows = 0usize;
     for m in metrics {
@@ -219,7 +209,7 @@ pub fn render_metrics_table(doc: &JsonValue) -> Result<String, String> {
                 let q = |key: &str| m.get(key).and_then(|v| v.as_f64()).unwrap_or(0.0);
                 let scale = |v: f64| {
                     if is_ns {
-                        crate::summary::fmt_ns(v as u64)
+                        fmt_ns(v as u64)
                     } else {
                         format!("{v:.0}")
                     }
@@ -284,6 +274,19 @@ pub fn render_metrics_table(doc: &JsonValue) -> Result<String, String> {
         out.push_str("  (no nonzero metrics)\n");
     }
     Ok(out)
+}
+
+/// Nanoseconds as a human-scaled duration.
+fn fmt_ns(ns: u64) -> String {
+    if ns >= 1_000_000_000 {
+        format!("{:.2}s", ns as f64 / 1e9)
+    } else if ns >= 1_000_000 {
+        format!("{:.2}ms", ns as f64 / 1e6)
+    } else if ns >= 1_000 {
+        format!("{:.2}us", ns as f64 / 1e3)
+    } else {
+        format!("{ns}ns")
+    }
 }
 
 #[cfg(all(test, not(feature = "noop")))]
@@ -428,5 +431,80 @@ mod tests {
             table.contains("server.queue.depth (max worker)") && table.contains("9 batches"),
             "{table}"
         );
+    }
+
+    #[test]
+    fn jsonl_trace_is_a_meta_line_then_one_metric_line_per_metric() {
+        let rec = populated();
+        static SPAN: CallsiteId = CallsiteId::new("snap.stage", MetricKind::Histogram, "ns");
+        drop(rec.span(&SPAN));
+        let mut buf = Vec::new();
+        rec.export_jsonl(&mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        let lines: Vec<serde_json::Value> = text
+            .lines()
+            .map(|l| serde_json::from_str(l).unwrap_or_else(|e| panic!("bad line {l:?}: {e}")))
+            .collect();
+        assert_eq!(lines[0]["t"], "meta");
+        assert_eq!(lines[0]["version"], TRACE_VERSION);
+        assert_eq!(lines[0]["compiled_out"], false);
+        // The registry is process-wide, so other tests' metrics may appear;
+        // every line after the meta line is a metric.
+        assert!(lines[1..].iter().all(|l| l["t"] == "metric"), "{text}");
+        let find = |name: &str| lines.iter().find(|l| l["name"] == name).unwrap();
+        let c = find("snap.frames");
+        assert_eq!(
+            (c["kind"].as_str(), c["unit"].as_str()),
+            (Some("counter"), Some("frames"))
+        );
+        assert_eq!(c["value"], 10);
+        let h = find("snap.lat");
+        assert_eq!(
+            (h["count"].as_u64(), h["sum"].as_u64()),
+            (Some(3), Some(700))
+        );
+        assert_eq!(
+            (h["min"].as_u64(), h["max"].as_u64()),
+            (Some(100), Some(400))
+        );
+        assert!(h["p999"].as_f64().unwrap() <= 400.0);
+        let stage = find("snap.stage");
+        assert_eq!(
+            (stage["kind"].as_str(), stage["unit"].as_str()),
+            (Some("histogram"), Some("ns"))
+        );
+        assert_eq!(stage["count"], 1);
+    }
+
+    #[test]
+    fn trace_and_snapshot_share_the_per_metric_shape() {
+        let rec = populated();
+        let snap = crate::jsonread::parse(&rec.metrics_snapshot().to_json()).unwrap();
+        let Some(JsonValue::Array(metrics)) = snap.get("metrics") else {
+            panic!("no metrics array");
+        };
+        let mut buf = Vec::new();
+        rec.export_jsonl(&mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        let traced = text
+            .lines()
+            .find(|l| l.contains("\"name\":\"snap.lat\""))
+            .unwrap();
+        let in_snapshot = metrics
+            .iter()
+            .find(|m| m.get("name").and_then(|n| n.as_str()) == Some("snap.lat"))
+            .unwrap();
+        assert_eq!(
+            crate::jsonread::parse(traced).unwrap().get("p50"),
+            in_snapshot.get("p50")
+        );
+    }
+
+    #[test]
+    fn fmt_ns_scales() {
+        assert_eq!(fmt_ns(999), "999ns");
+        assert_eq!(fmt_ns(1_500), "1.50us");
+        assert_eq!(fmt_ns(2_500_000), "2.50ms");
+        assert_eq!(fmt_ns(3_000_000_000), "3.00s");
     }
 }

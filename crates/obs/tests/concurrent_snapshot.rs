@@ -50,9 +50,13 @@ fn concurrent_snapshots_never_observe_a_torn_histogram() {
     let rec = Arc::new(Recorder::new());
     rec.set_enabled(true);
     let stop = Arc::new(AtomicBool::new(false));
+    // Set after the capturer's first capture. Writers hold back after
+    // their first observation until then, so the captures overlap the
+    // writes even when the capturer is scheduled last.
+    let captured = Arc::new(AtomicBool::new(false));
     let writers: Vec<_> = (0..WRITERS)
         .map(|w| {
-            let rec = Arc::clone(&rec);
+            let (rec, captured) = (Arc::clone(&rec), Arc::clone(&captured));
             std::thread::spawn(move || {
                 for i in 0..PER_WRITER {
                     // Values sweep the full bucket layout (1ns .. ~1ms) so
@@ -60,13 +64,20 @@ fn concurrent_snapshots_never_observe_a_torn_histogram() {
                     let v = 1u64 << ((w as u64 + i) % 20);
                     rec.hist_record(&PROP_LAT, v);
                     rec.counter_add(&PROP_COUNT, 1);
+                    while i == 0 && !captured.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
                 }
             })
         })
         .collect();
     let capturer = {
-        let (rec, stop) = (Arc::clone(&rec), Arc::clone(&stop));
+        let (rec, stop, captured) = (Arc::clone(&rec), Arc::clone(&stop), Arc::clone(&captured));
         std::thread::spawn(move || {
+            // The writers' first observations register the metrics.
+            while rec.metrics_snapshot().get("prop.count").is_none() {
+                std::thread::yield_now();
+            }
             let mut captures = 0u64;
             let mut last_count = 0u64;
             let mut last_counter = 0u64;
@@ -90,6 +101,7 @@ fn concurrent_snapshots_never_observe_a_torn_histogram() {
                 );
                 last_counter = counter;
                 captures += 1;
+                captured.store(true, Ordering::Release);
             }
             captures
         })

@@ -337,164 +337,6 @@ fn reply_error(kind: FrameKind, payload: &[u8]) -> WireError {
     }
 }
 
-/// What one [`PipelinedClient::pump_encoded`] run observed.
-#[derive(Debug, Default)]
-pub struct PumpStats {
-    /// Resyncs performed (backoff + reconnect + resend-from-cursor),
-    /// whether triggered by RETRY backpressure or a lost connection.
-    pub resyncs: u32,
-    /// Per-frame send→ack round trips, in microseconds.
-    pub frame_rtt_us: Vec<f64>,
-}
-
-/// A windowed, pre-encoded-frame ingestion client: the serve loadgen's
-/// hot path.
-///
-/// [`Client`] is strictly request/response — one batch in flight, one
-/// round trip of latency per frame. `PipelinedClient` instead streams
-/// frames that were encoded *ahead of time* (so neither report encoding
-/// nor CRC shows up on the timed path) and keeps up to `window` frames
-/// unacknowledged, hiding the round trip entirely on a healthy link.
-///
-/// ## Resync-on-anomaly
-///
-/// Pipelining changes what RETRY means: by the time the server answers
-/// RETRY for batch `b`, batches `b+1..` are already in flight, and the
-/// server will gap-reject them (its cursor never advanced past `b-1`)
-/// and close the connection. Rather than special-case that cascade, the
-/// client treats *any* anomaly — RETRY, an error reply, EOF, an I/O
-/// error — identically: back off per the [`RetryPolicy`], reconnect
-/// under the same identity, let the `Hello` ack resync `last_acked`,
-/// and resume sending from the first unacked frame. Exactly-once holds
-/// because accepted batches are never re-sent (the resync cursor comes
-/// from the server) and re-sent unacked batches dedup server-side.
-pub struct PipelinedClient {
-    inner: Client,
-}
-
-impl PipelinedClient {
-    /// Connects and handshakes like [`Client::connect_with`].
-    pub fn connect_with(
-        addr: impl ToSocketAddrs,
-        plan_hash: u64,
-        client_id: u64,
-        policy: RetryPolicy,
-    ) -> Result<PipelinedClient, WireError> {
-        Ok(PipelinedClient {
-            inner: Client::connect_with(addr, plan_hash, client_id, policy)?,
-        })
-    }
-
-    /// Highest batch id the server has acknowledged for this client.
-    pub fn last_acked(&self) -> u64 {
-        self.inner.last_acked
-    }
-
-    /// Streams pre-encoded `ReportBatch` frames with up to `window`
-    /// unacknowledged frames in flight, until every frame is acked.
-    ///
-    /// `frames[i]` MUST be the complete encoding of a `ReportBatch`
-    /// carrying batch id `i + 1` for this client's identity — the resync
-    /// path relies on `last_acked` indexing directly into the slice.
-    pub fn pump_encoded(
-        &mut self,
-        frames: &[Vec<u8>],
-        window: usize,
-    ) -> Result<PumpStats, WireError> {
-        use std::io::Write;
-
-        let total = frames.len() as u64;
-        let window = window.max(1) as u64;
-        let mut stats = PumpStats {
-            resyncs: 0,
-            frame_rtt_us: Vec::with_capacity(frames.len()),
-        };
-        // Frames written on the *current* connection; on resync this
-        // rewinds to the server's cursor.
-        let mut sent = self.inner.last_acked.min(total);
-        let mut in_flight: std::collections::VecDeque<(u64, std::time::Instant)> =
-            std::collections::VecDeque::new();
-        let mut attempts = 0u32;
-
-        while self.inner.last_acked < total {
-            // Top up the window.
-            let mut write_failed = false;
-            while sent < total && sent - self.inner.last_acked < window {
-                let Some(frame) = frames.get(sent as usize) else {
-                    break;
-                };
-                if (&self.inner.stream).write_all(frame).is_err() {
-                    write_failed = true;
-                    break;
-                }
-                sent += 1;
-                in_flight.push_back((sent, std::time::Instant::now()));
-            }
-
-            let anomaly = if write_failed {
-                true
-            } else {
-                match read_frame(&mut &self.inner.stream) {
-                    Ok(Some(Frame {
-                        kind: FrameKind::Ack,
-                        payload,
-                        ..
-                    })) => {
-                        let (acked, _) = decode_ack(&payload)?;
-                        if acked > self.inner.last_acked {
-                            self.inner.last_acked = acked;
-                            attempts = 0;
-                            while in_flight.front().is_some_and(|&(id, _)| id <= acked) {
-                                if let Some((id, at)) = in_flight.pop_front() {
-                                    if id == acked {
-                                        stats.frame_rtt_us.push(at.elapsed().as_secs_f64() * 1e6);
-                                    }
-                                }
-                            }
-                        }
-                        false
-                    }
-                    // RETRY under pipelining: the in-flight tail is about
-                    // to be gap-rejected — resync rather than untangle.
-                    Ok(Some(Frame {
-                        kind: FrameKind::Retry,
-                        ..
-                    })) => true,
-                    Ok(Some(Frame {
-                        kind: FrameKind::Error,
-                        ..
-                    })) => true,
-                    Ok(Some(f)) => {
-                        return Err(WireError::Malformed(format!(
-                            "unexpected {:?} reply",
-                            f.kind
-                        )))
-                    }
-                    Ok(None) => true, // server closed the connection
-                    Err(WireError::Io(_)) => true,
-                    Err(e) => return Err(e),
-                }
-            };
-
-            if anomaly {
-                attempts += 1;
-                stats.resyncs += 1;
-                if attempts >= self.inner.policy.max_attempts {
-                    felip_obs::counter!("client.retry.exhausted", 1, "batches");
-                    return Err(WireError::BudgetExhausted { attempts });
-                }
-                thread::sleep(self.inner.policy.backoff(attempts));
-                // A failed reconnect just burns another attempt on the
-                // next lap; the handshake resyncs `last_acked`.
-                let _ = self.inner.reconnect();
-                sent = self.inner.last_acked.min(total);
-                in_flight.clear();
-            }
-        }
-        Ok(stats)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

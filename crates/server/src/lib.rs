@@ -44,7 +44,7 @@ pub mod stat;
 pub mod transport;
 pub mod wire;
 
-pub use client::{BatchReply, Client, PipelinedClient, PumpStats, RetryPolicy};
+pub use client::{BatchReply, Client, RetryPolicy};
 pub use fault::{FaultConfig, FaultKind, FaultSchedule};
 pub use query::{CutSource, QueryService};
 pub use server::{CutHook, CutState, Server, ServerConfig, ServerError, ServerRun, ServerStats};

@@ -31,7 +31,6 @@ use felip::aggregator::{Aggregator, OracleSet};
 use felip::client::UserReport;
 use felip::plan::CollectionPlan;
 use felip::query::QueryEngine;
-use felip::Estimator;
 use felip_common::Query;
 
 use crate::queue::BoundedQueue;
@@ -139,7 +138,7 @@ impl<S: CutSource> QueryService<S> {
         if req.mode == QueryMode::Cached && st.token == head {
             if let Some(estimator) = st.engine.estimator() {
                 let epoch = st.engine.epoch();
-                let answer = timed_answer(&estimator, &query).map_err(failed)?;
+                let answer = estimator.answer(&query).map_err(failed)?;
                 return Ok(QueryAnswer {
                     query_id: req.query_id,
                     answer,
@@ -163,7 +162,7 @@ impl<S: CutSource> QueryService<S> {
             "ns"
         );
         st.token = token;
-        let answer = timed_answer(&out.estimator, &query).map_err(failed)?;
+        let answer = out.estimator.answer(&query).map_err(failed)?;
         // The head may have moved on while post-processing ran; surface
         // that as one epoch of staleness so the client can tell.
         let head_epoch = out.epoch + u64::from(self.source.head() != token);
@@ -175,14 +174,6 @@ impl<S: CutSource> QueryService<S> {
             reports: out.reports,
         })
     }
-}
-
-/// Answers `query` from `estimator`, recording `server.query.answer`.
-fn timed_answer(estimator: &Estimator, query: &Query) -> Result<f64, felip_common::Error> {
-    let t = Instant::now();
-    let answer = estimator.answer(query)?;
-    felip_obs::hist!("server.query.answer", t.elapsed().as_nanos() as u64, "ns");
-    Ok(answer)
 }
 
 /// The reply frame for one answered query on either tier (`QueryReply`,

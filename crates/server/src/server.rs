@@ -342,9 +342,8 @@ impl Server {
         external_shutdown: Option<&AtomicBool>,
         serve_loop: Loop,
     ) -> Result<ServerRun, ServerError> {
-        let mut run_span = felip_obs::span!("server.run");
+        let _run_span = felip_obs::span!("server.run");
         let workers = self.config.workers.max(1);
-        run_span.field("workers", workers);
 
         // Resume base: restored snapshot state (counts *and* the dedup
         // cursors, so duplicates stay suppressed across the restart), or a
@@ -607,7 +606,6 @@ impl Server {
         // the run. No-op unless a postmortem path was configured.
         felip_obs::flight::postmortem("shutdown");
         let final_stats = stats.snapshot();
-        run_span.field("reports", aggregator.reports_ingested());
         Ok(ServerRun {
             aggregator,
             stats: final_stats,

@@ -20,13 +20,12 @@
 //!
 //! Because counts are exact integers, `restore → continue ingesting →
 //! estimate` is bit-identical to a run that never stopped. Writes are
-//! atomic: the snapshot is written to a sibling temp file, fsynced, then
-//! renamed over the destination, so a crash mid-write leaves the previous
-//! snapshot intact and a torn file is rejected by the CRC on load.
-//! [`Snapshot::write_verified`] goes further: it decodes the temp file
-//! before the rename and *quarantines* a torn write (renames it to
-//! `.quarantine` beside the destination) instead of replacing the last
-//! good snapshot with garbage.
+//! atomic and verified ([`write_file_verified`], shared with the cluster
+//! tier's FCLU container): the snapshot is written to a sibling temp file,
+//! fsynced, decoded back, and only then renamed over the destination, so a
+//! crash mid-write leaves the previous snapshot intact and a torn write is
+//! *quarantined* (renamed to `.quarantine` beside the destination) instead
+//! of replacing the last good snapshot with garbage.
 
 use felip_sync::Arc;
 use std::fs::{self, File};
@@ -41,6 +40,42 @@ use crate::wire::{self, crc32, WireError};
 /// Fault-injection hook type: sees encoded bytes, may return a corrupted
 /// replacement (`None` = write faithfully).
 pub type MangleFn<'a> = dyn FnMut(&[u8]) -> Option<Vec<u8>> + 'a;
+
+/// The one durable file writer (FSNP snapshots and FCLU containers):
+/// writes `bytes` (or `mangle`'s corrupted replacement) to a sibling temp
+/// file and fsyncs it, then reads the file back and renames it over `path`
+/// only if `verify` accepts what actually hit the filesystem. A write that
+/// fails verification is *quarantined* — renamed to `<path>.quarantine`
+/// for post-mortem — and whatever was at `path` is left untouched.
+pub fn write_file_verified(
+    path: &Path,
+    bytes: Vec<u8>,
+    mangle: Option<&mut MangleFn<'_>>,
+    verify: impl FnOnce(&[u8]) -> Result<(), WireError>,
+) -> Result<(), WireError> {
+    let _span = felip_obs::span!("server.snapshot.write_verified");
+    let written = match mangle.and_then(|m| m(&bytes)) {
+        Some(torn) => torn,
+        None => bytes,
+    };
+    let tmp = path.with_extension("tmp");
+    {
+        let mut f = File::create(&tmp)?;
+        f.write_all(&written)?;
+        f.sync_all()?;
+    }
+    match fs::read(&tmp)
+        .map_err(WireError::Io)
+        .and_then(|b| verify(&b))
+    {
+        Ok(()) => Ok(fs::rename(&tmp, path)?),
+        Err(e) => {
+            let _ = fs::rename(&tmp, path.with_extension("quarantine"));
+            felip_obs::counter!("server.snapshot.quarantined", 1, "snapshots");
+            Err(e)
+        }
+    }
+}
 
 /// Snapshot magic: the bytes `FSNP` read as a little-endian u32.
 pub const SNAPSHOT_MAGIC: u32 = u32::from_le_bytes(*b"FSNP");
@@ -229,31 +264,9 @@ impl Snapshot {
         Ok(snap)
     }
 
-    /// Atomically writes the snapshot to `path` (temp file + fsync +
-    /// rename), so readers never observe a partially written file.
-    pub fn write_atomic(&self, path: &Path) -> std::io::Result<()> {
-        let mut span = felip_obs::span!("server.snapshot.write");
-        let bytes = self.encode();
-        span.field("bytes", bytes.len());
-        span.field("reports", self.reports_ingested());
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, path)?;
-        felip_obs::counter!("server.snapshot.writes", 1, "snapshots");
-        felip_obs::counter!("server.snapshot.bytes", bytes.len(), "bytes");
-        Ok(())
-    }
-
-    /// Atomic write **with read-back verification**: the temp file is
-    /// re-read and fully decoded before the rename, and the decode must
-    /// reproduce this snapshot exactly. A torn or corrupted write (disk
-    /// full, bit rot, fault injection via `mangle`) is *quarantined* —
-    /// renamed to `<path>.quarantine` for post-mortem — and the last good
-    /// snapshot at `path` is left untouched.
+    /// Writes the snapshot with [`write_file_verified`]: the read-back
+    /// must decode to exactly this snapshot, or the write is quarantined
+    /// and the last good snapshot at `path` stays.
     ///
     /// `mangle` is the fault-injection hook: it sees the encoded bytes and
     /// may return a corrupted replacement (`None` = write faithfully). The
@@ -264,46 +277,20 @@ impl Snapshot {
         path: &Path,
         mangle: Option<&mut MangleFn<'_>>,
     ) -> Result<(), WireError> {
-        let mut span = felip_obs::span!("server.snapshot.write_verified");
         let bytes = self.encode();
-        let written = match mangle.and_then(|m| m(&bytes)) {
-            Some(torn) => torn,
-            None => bytes,
-        };
-        span.field("bytes", written.len());
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = File::create(&tmp).map_err(WireError::Io)?;
-            f.write_all(&written).map_err(WireError::Io)?;
-            f.sync_all().map_err(WireError::Io)?;
-        }
-        // Read back what actually hit the filesystem and insist it decodes
-        // to the state we meant to persist.
-        let verify = fs::read(&tmp)
-            .map_err(WireError::Io)
-            .and_then(|b| Snapshot::decode(&b))
-            .and_then(|snap| {
-                if snap == *self {
-                    Ok(())
-                } else {
-                    Err(WireError::Malformed(
-                        "snapshot read-back decoded to different state".into(),
-                    ))
-                }
-            });
-        match verify {
-            Ok(()) => {
-                fs::rename(&tmp, path).map_err(WireError::Io)?;
-                felip_obs::counter!("server.snapshot.writes", 1, "snapshots");
+        let len = bytes.len();
+        write_file_verified(path, bytes, mangle, |read_back| {
+            if Snapshot::decode(read_back)? == *self {
                 Ok(())
+            } else {
+                Err(WireError::Malformed(
+                    "snapshot read-back decoded to different state".into(),
+                ))
             }
-            Err(e) => {
-                let quarantine = path.with_extension("quarantine");
-                let _ = fs::rename(&tmp, &quarantine);
-                felip_obs::counter!("server.snapshot.quarantined", 1, "snapshots");
-                Err(e)
-            }
-        }
+        })?;
+        felip_obs::counter!("server.snapshot.writes", 1, "snapshots");
+        felip_obs::counter!("server.snapshot.bytes", len, "bytes");
+        Ok(())
     }
 
     /// Reads and validates a snapshot file.
@@ -457,12 +444,12 @@ mod tests {
         let snap = Snapshot::capture(&agg, plan.schema_hash());
         let dir = std::env::temp_dir();
         let path = dir.join(format!("felip-snap-test-{}.bin", std::process::id()));
-        snap.write_atomic(&path).unwrap();
+        snap.write_verified(&path, None).unwrap();
         let read = Snapshot::read(&path).unwrap();
         assert_eq!(read, snap);
         // Overwrite in place: the rename replaces the old file atomically.
         let later = Snapshot::capture(&collected(&plan, 0..200), plan.schema_hash());
-        later.write_atomic(&path).unwrap();
+        later.write_verified(&path, None).unwrap();
         assert_eq!(Snapshot::read(&path).unwrap().reports_ingested(), 200);
         let _ = fs::remove_file(&path);
     }

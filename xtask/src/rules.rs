@@ -192,9 +192,8 @@ fn reactor_syscalls(f: &SourceFile, out: &mut Vec<Finding>) {
 const METRIC_MACROS: &[&str] = &["counter", "gauge", "gauge_f64", "hist", "span"];
 
 /// R5: metric/span names emitted in code equal the DESIGN.md §11 catalogue
-/// in both directions. Emission sites are `felip_obs::<m>!("name", …)`,
-/// `felip_obs::event("name", …)`, and `.span_child("name", …)`; the name
-/// must be the first token after the paren.
+/// in both directions. Emission sites are `felip_obs::<m>!("name", …)`; the
+/// name must be the first token after the paren.
 fn metric_registry(ws: &Workspace, root: &Path, out: &mut Vec<Finding>) {
     let mut emitted: Vec<(String, std::path::PathBuf, u32)> = Vec::new();
     for f in &ws.files {
@@ -206,28 +205,16 @@ fn metric_registry(ws: &Workspace, root: &Path, out: &mut Vec<Finding>) {
             if in_test(&ranges, i) {
                 continue;
             }
-            let open = if f.is_ident(i, "felip_obs") && f.is_punct(i + 1, "::") {
-                if i + 2 < f.len()
-                    && METRIC_MACROS.contains(&f.txt(i + 2))
-                    && f.is_punct(i + 3, "!")
-                    && f.is_punct(i + 4, "(")
-                {
-                    Some(i + 4)
-                } else if i + 2 < f.len() && f.is_ident(i + 2, "event") && f.is_punct(i + 3, "(") {
-                    Some(i + 3)
-                } else {
-                    None
-                }
-            } else if i > 0
-                && f.is_punct(i - 1, ".")
-                && f.is_ident(i, "span_child")
-                && f.is_punct(i + 1, "(")
-            {
-                Some(i + 1)
-            } else {
-                None
-            };
-            let Some(open) = open else { continue };
+            let is_emission = f.is_ident(i, "felip_obs")
+                && f.is_punct(i + 1, "::")
+                && i + 2 < f.len()
+                && METRIC_MACROS.contains(&f.txt(i + 2))
+                && f.is_punct(i + 3, "!")
+                && f.is_punct(i + 4, "(");
+            if !is_emission {
+                continue;
+            }
+            let open = i + 4;
             if open + 1 < f.len() && f.tok(open + 1).kind == TokKind::Str {
                 if let Some(name) = unquote(f.txt(open + 1)) {
                     emitted.push((name, f.path.clone(), f.line(open + 1)));

@@ -69,8 +69,8 @@ const SINKS: &[(&str, &[&str])] = &[
     ("encode_into", &["server"]),
     ("capture", &["server"]),
     ("capture_with_dedup", &["server"]),
-    ("write_atomic", &["server", "cluster"]),
-    ("write_verified", &["server"]),
+    ("write_file_verified", &["server"]),
+    ("write_verified", &["server", "cluster"]),
     ("line", &["obs"]),
     ("warn", &["obs"]),
     ("error", &["obs"]),
