@@ -299,8 +299,9 @@ pub fn verify(args: &[String]) -> CmdResult {
 /// `--mode full` (default) fetches the complete metrics snapshot,
 /// `--mode delta` the change since the previous delta poll (server-side
 /// baseline), `--mode flight` the flight-recorder ring as JSONL.
-/// `--format json` prints the raw server payload; the default renders a
-/// summary table. `--watch <secs>` re-polls forever at that cadence.
+/// `--format json` prints one `{"addr":…,"stat":…}` line per `--addr`;
+/// the default renders a summary table (with a column per node when
+/// several are polled). `--watch <secs>` re-polls forever at that cadence.
 ///
 /// STAT needs no plan flags: the verb is handled before plan pinning, so
 /// an operator can point `felip stat` at any server without knowing its
@@ -331,44 +332,32 @@ pub fn stat(args: &[String]) -> CmdResult {
     }
 
     loop {
-        if addrs.len() == 1 {
-            let payload = stat_once(&addrs[0], mode)?;
-            let text =
-                String::from_utf8(payload).map_err(|_| "server sent non-UTF-8 stat payload")?;
-            if mode == StatMode::Flight || format == "json" {
-                // Flight dumps are JSONL (multiple lines); pass them
-                // through untouched either way.
-                println!("{}", text.trim_end());
-            } else {
-                let doc = felip_obs::jsonread::parse(&text)
-                    .map_err(|e| format!("server sent invalid metrics JSON: {e:?}"))?;
-                print!("{}", felip_obs::render_metrics_table(&doc)?);
-            }
+        let mut texts = Vec::with_capacity(addrs.len());
+        for addr in &addrs {
+            let payload = stat_once(addr, mode)?;
+            texts.push(
+                String::from_utf8(payload)
+                    .map_err(|_| format!("{addr} sent non-UTF-8 stat payload"))?,
+            );
+        }
+        if mode == StatMode::Flight {
+            // Flight dumps are JSONL (multiple lines); pass them through
+            // untouched in either format.
+            println!("{}", texts[0].trim_end());
+        } else if format == "json" {
+            print!("{}", json_lines(&addrs, &texts));
         } else {
-            // Fan-in: one poll per node, rendered as a single table with a
-            // per-node column each plus the cluster sum.
-            let mut texts = Vec::with_capacity(addrs.len());
-            for addr in &addrs {
-                let payload = stat_once(addr, mode)?;
-                texts.push(
-                    String::from_utf8(payload)
-                        .map_err(|_| format!("{addr} sent non-UTF-8 stat payload"))?,
-                );
-            }
-            if format == "json" {
-                // One JSONL line per node, the raw payload tagged with its
-                // origin — machine-readable fan-in.
-                for (addr, text) in addrs.iter().zip(&texts) {
-                    println!("{{\"addr\":{:?},\"stat\":{}}}", addr, text.trim_end());
-                }
+            let docs = texts
+                .iter()
+                .map(|t| {
+                    felip_obs::jsonread::parse(t)
+                        .map_err(|e| format!("server sent invalid metrics JSON: {e:?}"))
+                })
+                .collect::<std::result::Result<Vec<_>, _>>()?;
+            if let [doc] = docs.as_slice() {
+                print!("{}", felip_obs::render_metrics_table(doc)?);
             } else {
-                let docs = texts
-                    .iter()
-                    .map(|t| {
-                        felip_obs::jsonread::parse(t)
-                            .map_err(|e| format!("server sent invalid metrics JSON: {e:?}"))
-                    })
-                    .collect::<std::result::Result<Vec<_>, _>>()?;
+                // Fan-in: a per-node column each plus the cluster sum.
                 print!("{}", render_fanin_table(&addrs, &docs)?);
             }
         }
@@ -377,6 +366,17 @@ pub fn stat(args: &[String]) -> CmdResult {
         }
         std::thread::sleep(Duration::from_secs(watch_secs));
     }
+}
+
+/// `--format json` output: one `{"addr":…,"stat":…}` line per polled
+/// address, the raw metrics payload tagged with its origin, for one
+/// address as for many.
+fn json_lines(addrs: &[String], texts: &[String]) -> String {
+    addrs
+        .iter()
+        .zip(texts)
+        .map(|(addr, text)| format!("{{\"addr\":{:?},\"stat\":{}}}\n", addr, text.trim_end()))
+        .collect()
 }
 
 /// Extracts `(name, unit, value)` rows from one node's parsed metrics
@@ -839,6 +839,37 @@ mod tests {
         // Histograms fan in by sample count.
         assert!(table.contains("ingest.batch.count"), "{table}");
         assert!(!table.contains("idle.gauge"), "{table}");
+    }
+
+    /// `--format json` prints the same tagged shape for one address as
+    /// for several: one `{"addr":…,"stat":…}` line each, in `--addr` order.
+    #[test]
+    fn stat_json_tags_every_address_alike() {
+        let payload = |n: u32| {
+            format!("{{\"t\":\"metrics\",\"kind\":\"full\",\"taken_ns\":{n},\"metrics\":[]}}\n")
+        };
+        for addrs in [
+            vec!["127.0.0.1:4417".to_string()],
+            vec!["127.0.0.1:4417".to_string(), "127.0.0.1:4490".to_string()],
+        ] {
+            let texts: Vec<String> = (1..=addrs.len() as u32).map(payload).collect();
+            let out = json_lines(&addrs, &texts);
+            let lines: Vec<&str> = out.lines().collect();
+            assert_eq!(lines.len(), addrs.len(), "{out}");
+            for (k, (line, addr)) in lines.iter().zip(&addrs).enumerate() {
+                let doc = felip_obs::jsonread::parse(line).unwrap();
+                assert_eq!(
+                    doc.get("addr").and_then(|v| v.as_str()),
+                    Some(addr.as_str())
+                );
+                let stat = doc.get("stat").expect("stat field");
+                assert_eq!(stat.get("t").and_then(|v| v.as_str()), Some("metrics"));
+                assert_eq!(
+                    stat.get("taken_ns").and_then(|v| v.as_f64()),
+                    Some(k as f64 + 1.0)
+                );
+            }
+        }
     }
 
     #[test]

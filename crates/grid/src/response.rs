@@ -6,19 +6,25 @@
 //! the pair's 2-D grid and (in OHG) the finer 1-D grids of its numerical
 //! attributes. Each grid cell constrains the total mass of the rectangle of
 //! 2-D values it covers; the weighted-update sweep rescales each rectangle
-//! to match its cell's estimate, iterating until the total change falls
-//! below a threshold (`< 1/n` per the paper).
+//! to match its cell's estimate, iterating until a sweep moves the matrix
+//! by less than a threshold (`< 1/n` per the paper).
 //!
 //! The sweep is a branch-free kernel (DESIGN.md §8 item 9). Each rectangle is
 //! summed over four independent accumulators, as one contiguous slice when
 //! it spans every column; narrower strips carry the accumulator index from
 //! row to row, so even one-column strips split their add chain. Rescaling
-//! is a pure multiply, and a constraint's change is charged as
-//! `|scale − 1| · s` for its rectangle sum `s`. That equals the per-entry
-//! `Σ |v·scale − v|` because every entry stays ≥ 0: the matrix starts
-//! uniform, scales are ≥ 0, and `build` rejects negative frequencies. The
-//! kernel differs from a per-entry loop only in the order of additions; a
-//! test keeps that loop as its oracle.
+//! is a pure multiply. The kernel differs from a per-entry loop only in the
+//! order of additions; a test keeps that loop as its oracle.
+//!
+//! The stop rule reads the L1 movement `‖M_k − M_{k−1}‖₁` between the
+//! matrices at the ends of consecutive sweeps. It needs no copy of the
+//! matrix: the row and column edges of all rectangles cut it into atoms
+//! whose entries stay bit-identical, so one stored value per atom (1 024 at
+//! the paper's scale, against 65 536 entries) measures the movement.
+//! FELIP's 1-D and 2-D targets conflict, so the change *within* a sweep
+//! never settles; the end-of-sweep matrix does. A num × cat fit whose 1-D
+//! bins nest in its 2-D bins is at its fixed point after one sweep and
+//! stops at the second.
 //!
 //! When both attributes are categorical the pair's grid is already at value
 //! granularity and *is* the response matrix.
@@ -33,11 +39,11 @@ use felip_common::{Error, Predicate, PredicateTarget, Result};
 use crate::estimate::EstimatedGrid;
 use crate::spec::GridId;
 
-/// Hard cap on weighted-update sweeps. Mutually consistent constraints stop
-/// below the threshold within a few dozen sweeps, but FELIP's non-nesting
-/// 1-D and 2-D grids rarely are: the per-sweep change settles on a plateau
-/// far above 1/n and paper-scale builds run all 200 sweeps.
-/// `grid.response.converged` counts the builds that stopped early.
+/// Hard cap on weighted-update sweeps. At the paper's scale (§6.2) a
+/// num × cat fit stops after 2 sweeps and a num × num fit's movement decays
+/// geometrically to 1/n in roughly 100–170; the cap bounds inputs that
+/// oscillate. `grid.response.converged` counts the builds that stopped
+/// below the threshold.
 const MAX_SWEEPS: usize = 200;
 
 /// A dense `d_i × d_j` joint-frequency estimate for one attribute pair.
@@ -58,8 +64,8 @@ impl ResponseMatrix {
     ///
     /// `related` must contain the 2-D grid `G(i, j)` and may contain 1-D
     /// grids `G(i)` and/or `G(j)`; every grid must cover only these two
-    /// attributes. `threshold` is the convergence bound on the summed
-    /// absolute per-sweep change (use `1/n`).
+    /// attributes. `threshold` is the convergence bound on the L1 movement
+    /// of the matrix over one sweep (use `1/n`).
     ///
     /// Grids carrying non-finite frequencies (NaN/Inf from a degenerate
     /// estimation) are rejected with [`Error::NumericalInstability`]: one
@@ -276,36 +282,100 @@ fn constraints(
 const LANES: usize = 4;
 
 /// The weighted-update sweeps of Algorithm 3 over the row-major matrix
-/// `values` (`dj` wide, every entry ≥ 0): each constraint rescales its
-/// rectangle to its target, until a sweep's summed change falls below
-/// `threshold` or [`MAX_SWEEPS`] have run. Returns the sweep count and
-/// whether the change fell below `threshold`.
+/// `values` (`dj` wide), until a sweep moves the matrix
+/// by less than `threshold` in L1 or [`MAX_SWEEPS`] have run. The first
+/// sweep is measured against the start. Returns the sweep count and
+/// whether the movement fell below `threshold`.
 fn fit(values: &mut [f64], dj: usize, constraints: &[Constraint], threshold: f64) -> (usize, bool) {
-    for sweep in 1..=MAX_SWEEPS {
-        let mut change = 0.0;
-        for c in constraints {
-            let (start, width, strips) = c.strips(dj);
-            let s = rect_sum(values, start, width, strips, dj);
-            if s <= 0.0 {
-                continue;
-            }
-            let scale = c.target / s;
-            if (scale - 1.0).abs() < 1e-15 {
-                continue;
-            }
-            for k in 0..strips {
-                for v in &mut values[start + k * dj..][..width] {
-                    *v *= scale;
-                }
-            }
-            // Every entry is ≥ 0, so Σ |v·scale − v| = |scale − 1| · Σ v.
-            change += (scale - 1.0).abs() * s;
-        }
-        if change < threshold {
-            return (sweep, true);
+    let mut atoms = atoms(values, dj, constraints);
+    for n in 1..=MAX_SWEEPS {
+        sweep(values, dj, constraints);
+        if movement(values, &mut atoms) < threshold {
+            return (n, true);
         }
     }
     (MAX_SWEEPS, false)
+}
+
+/// One sweep: each constraint in turn rescales its rectangle to its target.
+fn sweep(values: &mut [f64], dj: usize, constraints: &[Constraint]) {
+    for c in constraints {
+        let (start, width, strips) = c.strips(dj);
+        let s = rect_sum(values, start, width, strips, dj);
+        if s <= 0.0 {
+            continue;
+        }
+        let scale = c.target / s;
+        if (scale - 1.0).abs() < 1e-15 {
+            continue;
+        }
+        for k in 0..strips {
+            for v in &mut values[start + k * dj..][..width] {
+                *v *= scale;
+            }
+        }
+    }
+}
+
+/// One cell of the lattice that the row and column edges of every
+/// constraint rectangle cut the matrix into. No rectangle cuts an atom, so
+/// its entries start equal and take the same multiplications in the same
+/// order: they stay bit-identical, and its first entry stands for all.
+struct Atom {
+    /// Row-major index of the atom's first entry.
+    first: usize,
+    /// Number of entries.
+    area: f64,
+    /// The entries' value after the previous sweep.
+    prev: f64,
+}
+
+/// The atoms of the `dj`-wide matrix `values` under `constraints`, each
+/// holding its current value.
+fn atoms(values: &[f64], dj: usize, constraints: &[Constraint]) -> Vec<Atom> {
+    let rows = cuts(constraints, values.len() / dj.max(1), |c| c.rows);
+    let cols = cuts(constraints, dj, |c| c.cols);
+    let mut out = Vec::with_capacity(rows.len() * cols.len());
+    for r in rows.windows(2) {
+        for c in cols.windows(2) {
+            let first = r[0] * dj + c[0];
+            out.push(Atom {
+                first,
+                area: ((r[1] - r[0]) * (c[1] - c[0])) as f64,
+                prev: values[first],
+            });
+        }
+    }
+    out
+}
+
+/// The ascending edges that the constraints' `edge` ranges draw on an axis
+/// of `d` values, both ends of the axis included.
+fn cuts(
+    constraints: &[Constraint],
+    d: usize,
+    edge: impl Fn(&Constraint) -> (usize, usize),
+) -> Vec<usize> {
+    let mut out = vec![0, d];
+    for c in constraints {
+        let (lo, hi) = edge(c);
+        out.extend([lo, hi]);
+    }
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
+/// The L1 movement `‖M − M_prev‖₁` of `values` since the atoms last saw
+/// it, read off one entry per atom; the atoms then keep `values`.
+fn movement(values: &[f64], atoms: &mut [Atom]) -> f64 {
+    let mut total = 0.0;
+    for a in atoms {
+        let v = values[a.first];
+        total += a.area * (v - a.prev).abs();
+        a.prev = v;
+    }
+    total
 }
 
 /// Sum of `strips` runs of `width` entries of `values`, the first at
@@ -390,16 +460,16 @@ mod tests {
     use proptest::prelude::any;
 
     /// The per-entry loop the kernel replaced, kept as its oracle: one
-    /// serial add chain per rectangle and the change summed entry by
-    /// entry, with the same skip rules and stop.
+    /// serial add chain per rectangle, the same skip rules, and the
+    /// movement summed entry by entry against a full copy of the matrix.
     fn fit_scalar(
         values: &mut [f64],
         dj: usize,
         constraints: &[Constraint],
         threshold: f64,
     ) -> (usize, bool) {
+        let mut prev = values.to_vec();
         for sweep in 1..=MAX_SWEEPS {
-            let mut change = 0.0;
             for c in constraints {
                 let mut s = 0.0;
                 for x in c.rows.0..c.rows.1 {
@@ -416,103 +486,121 @@ mod tests {
                 }
                 for x in c.rows.0..c.rows.1 {
                     for v in &mut values[x * dj..][c.cols.0..c.cols.1] {
-                        let new = *v * scale;
-                        change += (new - *v).abs();
-                        *v = new;
+                        *v *= scale;
                     }
                 }
             }
-            if change < threshold {
+            let movement: f64 = values.iter().zip(&prev).map(|(v, p)| (v - p).abs()).sum();
+            if movement < threshold {
                 return (sweep, true);
             }
+            prev.copy_from_slice(values);
         }
         (MAX_SWEEPS, false)
     }
 
+    /// One drawn fit: the matrix shape `(d_i, d_j)` and its constraints.
+    /// Matrices are 1..=40 by 1..=40 values, most not a multiple of `LANES`
+    /// wide, fitted against a 2-D grid alone or with 1-D grids on either
+    /// axis: num × num, num × cat (one-column strips) and cat × num, with
+    /// either attribute as the matrix rows; 1-D grids on the row attribute
+    /// and one-cell 2-D axes give full-width rectangles. Targets are one
+    /// random joint's rectangle masses (consistent: the fit stops early) or
+    /// drawn per grid (conflicting), with or without zero cells.
+    fn drawn_fit(
+        (dx, dy): (u32, u32),
+        (kind, with_1d, swap): (u32, u32, bool),
+        (lx, ly, l1x, l1y): (u32, u32, u32, u32),
+        (consistent, zeros): (bool, bool),
+        mut w: Vec<f64>,
+    ) -> ((usize, usize), Vec<Constraint>) {
+        // kind 0: num × num, 1: num × cat, 2: cat × num.
+        let attr = |name, d, categorical| {
+            if categorical {
+                Attribute::categorical(name, d)
+            } else {
+                Attribute::numerical(name, d)
+            }
+        };
+        let s = Schema::new(vec![attr("x", dx, kind == 2), attr("y", dy, kind == 1)]).unwrap();
+        let cells = |a: usize, l: u32| {
+            let d = s.attr(a).domain;
+            if s.attr(a).kind == AttrKind::Categorical {
+                d
+            } else {
+                l.min(d)
+            }
+        };
+        let mut specs =
+            vec![GridSpec::two_dim(&s, 0, 1, cells(0, lx), cells(1, ly), FoKind::Olh).unwrap()];
+        if with_1d & 1 != 0 {
+            specs.push(GridSpec::one_dim(&s, 0, cells(0, l1x), FoKind::Olh).unwrap());
+        }
+        if with_1d & 2 != 0 {
+            specs.push(GridSpec::one_dim(&s, 1, cells(1, l1y), FoKind::Olh).unwrap());
+        }
+        let (attr_i, di, dj) = if swap { (1, dy, dx) } else { (0, dx, dy) };
+        let (di, dj) = (di as usize, dj as usize);
+        if zeros {
+            w.iter_mut().filter(|v| **v < 0.3).for_each(|v| *v = 0.0);
+        }
+        // Placeholder frequencies: only the rectangles are read below.
+        let grids: Vec<EstimatedGrid> = specs
+            .into_iter()
+            .map(|spec| {
+                let n = spec.num_cells() as usize;
+                EstimatedGrid::new(spec, vec![1.0 / n as f64; n])
+            })
+            .collect();
+        let related: Vec<&EstimatedGrid> = grids.iter().collect();
+        let mut cs = constraints(attr_i, (di, dj), &related);
+        let rect_mass = |c: &Constraint, m: &[f64]| -> f64 {
+            (c.rows.0..c.rows.1)
+                .flat_map(|x| (c.cols.0..c.cols.1).map(move |y| m[x * dj + y]))
+                .sum()
+        };
+        let mut first = 0;
+        for g in &grids {
+            let n = g.spec().num_cells() as usize;
+            let grid_cs = &mut cs[first..first + n];
+            if consistent {
+                let joint = &w[..di * dj];
+                for c in grid_cs.iter_mut() {
+                    c.target = rect_mass(c, joint);
+                }
+            } else {
+                for (k, c) in grid_cs.iter_mut().enumerate() {
+                    c.target = w[(first * 7 + k * 13) % w.len()];
+                }
+            }
+            let total: f64 = grid_cs.iter().map(|c| c.target).sum();
+            for c in grid_cs.iter_mut() {
+                c.target = if total > 0.0 {
+                    c.target / total
+                } else {
+                    1.0 / n as f64
+                };
+            }
+            first += n;
+        }
+        ((di, dj), cs)
+    }
+
     proptest::proptest! {
-        /// The lane-split kernel agrees with the scalar oracle entry by
-        /// entry and on the sweep count. Matrices are 1..=40 by 1..=40
-        /// values, most not a multiple of `LANES` wide, fitted against a
-        /// 2-D grid alone or with 1-D grids on either axis: num × num,
-        /// num × cat (one-column strips) and cat × num, with either
-        /// attribute as the matrix rows; 1-D grids on the row attribute
-        /// and one-cell 2-D axes give full-width rectangles. Targets are
-        /// one random joint's rectangle masses (consistent: the fit stops
-        /// early) or drawn per grid (the fit runs to `MAX_SWEEPS`), with or
-        /// without zero cells.
+        /// The lane-split kernel with its atom-sampled stop agrees with the
+        /// scalar oracle entry by entry and on the sweep count, over the
+        /// fits of [`drawn_fit`].
         #[test]
         fn kernel_matches_scalar_oracle(
-            (dx, dy) in (1u32..=40, 1u32..=40),
-            (kind, with_1d, swap) in (0u32..3, 0u32..4, any::<bool>()),
-            (lx, ly, l1x, l1y) in (1u32..=40, 1u32..=40, 1u32..=40, 1u32..=40),
-            (consistent, zeros) in (any::<bool>(), any::<bool>()),
+            dims in (1u32..=40, 1u32..=40),
+            shape in (0u32..3, 0u32..4, any::<bool>()),
+            cells in (1u32..=40, 1u32..=40, 1u32..=40, 1u32..=40),
+            targets in (any::<bool>(), any::<bool>()),
             threshold in 0usize..3,
             weights in proptest::collection::vec(0.0f64..1.0, 1600),
         ) {
             let threshold = [1e-6, 1e-9, 1e-12][threshold];
-            // kind 0: num × num, 1: num × cat, 2: cat × num.
-            let attr = |name, d, categorical| {
-                if categorical {
-                    Attribute::categorical(name, d)
-                } else {
-                    Attribute::numerical(name, d)
-                }
-            };
-            let s = Schema::new(vec![attr("x", dx, kind == 2), attr("y", dy, kind == 1)]).unwrap();
-            let cells = |a: usize, l: u32| {
-                let d = s.attr(a).domain;
-                if s.attr(a).kind == AttrKind::Categorical { d } else { l.min(d) }
-            };
-            let mut specs =
-                vec![GridSpec::two_dim(&s, 0, 1, cells(0, lx), cells(1, ly), FoKind::Olh).unwrap()];
-            if with_1d & 1 != 0 {
-                specs.push(GridSpec::one_dim(&s, 0, cells(0, l1x), FoKind::Olh).unwrap());
-            }
-            if with_1d & 2 != 0 {
-                specs.push(GridSpec::one_dim(&s, 1, cells(1, l1y), FoKind::Olh).unwrap());
-            }
-            let (attr_i, di, dj) = if swap { (1, dy, dx) } else { (0, dx, dy) };
-            let (di, dj) = (di as usize, dj as usize);
-            let mut w = weights;
-            if zeros {
-                w.iter_mut().filter(|v| **v < 0.3).for_each(|v| *v = 0.0);
-            }
-            // Placeholder frequencies: only the rectangles are read below.
-            let grids: Vec<EstimatedGrid> = specs
-                .into_iter()
-                .map(|spec| {
-                    let n = spec.num_cells() as usize;
-                    EstimatedGrid::new(spec, vec![1.0 / n as f64; n])
-                })
-                .collect();
-            let related: Vec<&EstimatedGrid> = grids.iter().collect();
-            let mut cs = constraints(attr_i, (di, dj), &related);
-            let rect_mass = |c: &Constraint, m: &[f64]| -> f64 {
-                (c.rows.0..c.rows.1)
-                    .flat_map(|x| (c.cols.0..c.cols.1).map(move |y| m[x * dj + y]))
-                    .sum()
-            };
-            let mut first = 0;
-            for g in &grids {
-                let n = g.spec().num_cells() as usize;
-                let grid_cs = &mut cs[first..first + n];
-                if consistent {
-                    let joint = &w[..di * dj];
-                    for c in grid_cs.iter_mut() {
-                        c.target = rect_mass(c, joint);
-                    }
-                } else {
-                    for (k, c) in grid_cs.iter_mut().enumerate() {
-                        c.target = w[(first * 7 + k * 13) % w.len()];
-                    }
-                }
-                let total: f64 = grid_cs.iter().map(|c| c.target).sum();
-                for c in grid_cs.iter_mut() {
-                    c.target = if total > 0.0 { c.target / total } else { 1.0 / n as f64 };
-                }
-                first += n;
-            }
-
+            let ((di, dj), cs) = drawn_fit(dims, shape, cells, targets, weights);
             let start = vec![1.0 / (di * dj) as f64; di * dj];
             let (mut got, mut want) = (start.clone(), start);
             let (got_sweeps, _) = fit(&mut got, dj, &cs, threshold);
@@ -527,13 +615,92 @@ mod tests {
                 "{got_sweeps} vs {want_sweeps} sweeps"
             );
             // One sweep more or less moves the matrix by that sweep's
-            // change, which is below the threshold.
+            // movement, which is below the threshold.
             let tolerance = if got_sweeps == want_sweeps { 1e-12 } else { threshold };
             proptest::prop_assert!(
                 diff <= tolerance,
                 "max |Δ| = {diff:e} after {got_sweeps} vs {want_sweeps} sweeps"
             );
         }
+
+        /// After every sweep of a fit, all entries of an atom are
+        /// bit-identical, and the movement read off one entry per atom
+        /// equals the full-matrix L1 movement within 1e-12 relative.
+        #[test]
+        fn atoms_stay_bit_identical_and_measure_the_movement(
+            dims in (1u32..=40, 1u32..=40),
+            shape in (0u32..3, 0u32..4, any::<bool>()),
+            cells in (1u32..=40, 1u32..=40, 1u32..=40, 1u32..=40),
+            targets in (any::<bool>(), any::<bool>()),
+            weights in proptest::collection::vec(0.0f64..1.0, 1600),
+        ) {
+            let ((di, dj), cs) = drawn_fit(dims, shape, cells, targets, weights);
+            let mut values = vec![1.0 / (di * dj) as f64; di * dj];
+            let mut prev = values.clone();
+            let mut atoms = atoms(&values, dj, &cs);
+            let (rows, cols) = (cuts(&cs, di, |c| c.rows), cuts(&cs, dj, |c| c.cols));
+            proptest::prop_assert_eq!(atoms.len(), (rows.len() - 1) * (cols.len() - 1));
+            for n in 1..=MAX_SWEEPS {
+                sweep(&mut values, dj, &cs);
+                for r in rows.windows(2) {
+                    for c in cols.windows(2) {
+                        let v = values[r[0] * dj + c[0]];
+                        for x in r[0]..r[1] {
+                            for e in &values[x * dj..][c[0]..c[1]] {
+                                proptest::prop_assert!(
+                                    e.to_bits() == v.to_bits(),
+                                    "sweep {n}: atom at ({}, {}) holds {e:e} and {v:e}",
+                                    r[0],
+                                    c[0]
+                                );
+                            }
+                        }
+                    }
+                }
+                let full: f64 = values.iter().zip(&prev).map(|(v, p)| (v - p).abs()).sum();
+                let sampled = movement(&values, &mut atoms);
+                proptest::prop_assert!(
+                    (sampled - full).abs() <= 1e-12 * full,
+                    "sweep {n}: atoms read {sampled:e}, the full matrix {full:e}"
+                );
+                if full < 1e-12 {
+                    break;
+                }
+                prev.copy_from_slice(&values);
+            }
+        }
+    }
+
+    /// A num × cat fit whose 1-D bins nest in its 2-D row bins, with 1-D
+    /// and 2-D targets that disagree on every row band: the end-of-sweep
+    /// matrix is a fixed point after one sweep, so the fit stops at the
+    /// second, with the matrix a 200-sweep fit ends on.
+    #[test]
+    fn nested_num_cat_fit_stops_at_its_fixed_point() {
+        let s = schema();
+        // 2-D rows: bands 0..4 and 4..8 carrying 0.6 and 0.4.
+        let g2 = EstimatedGrid::new(
+            GridSpec::two_dim(&s, 0, 2, 2, 3, FoKind::Olh).unwrap(),
+            vec![0.1, 0.2, 0.3, 0.05, 0.15, 0.2],
+        );
+        // 1-D bins 0..2, 2..4, 4..6, 6..8: the bands carry 0.3 and 0.7.
+        let g1 = EstimatedGrid::new(
+            GridSpec::one_dim(&s, 0, 4, FoKind::Olh).unwrap(),
+            vec![0.1, 0.2, 0.3, 0.4],
+        );
+        let cs = constraints(0, (8, 3), &[&g2, &g1]);
+        let start = vec![1.0 / 24.0; 24];
+        let (mut early, mut capped) = (start.clone(), start);
+        assert_eq!(fit(&mut early, 3, &cs, 1e-9), (2, true));
+        // No movement is below 0: the fit runs to the cap.
+        assert_eq!(fit(&mut capped, 3, &cs, 0.0), (MAX_SWEEPS, false));
+        for (a, b) in early.iter().zip(&capped) {
+            assert!((a - b).abs() <= 1e-12, "{a} vs {b}");
+        }
+        // The 1-D grid is fitted last, so its targets hold: the first band
+        // carries 0.3, not the 2-D grid's 0.6.
+        let band: f64 = early[..4 * 3].iter().sum();
+        assert!((band - 0.3).abs() < 1e-12, "band 0..4 carries {band}");
     }
 
     fn schema() -> Schema {
