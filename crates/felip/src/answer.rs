@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use felip_common::{AttrKind, Error, Query, Result};
-use felip_grid::lambda::{fit_constraints, Constraint, PairAnswer};
+use felip_grid::lambda::{fit_constraints, Constraint, PairAnswer, MAX_LAMBDA};
 use felip_grid::response::ResponseMatrix;
 use felip_grid::{EstimatedGrid, GridId};
 
@@ -117,7 +117,8 @@ impl Estimator {
     /// * λ = 1 — answered from the finest grid covering the attribute;
     /// * λ = 2 — answered exactly from the pair's response matrix;
     /// * λ ≥ 3 — split into `C(λ, 2)` 2-D queries answered from response
-    ///   matrices, then fitted with Algorithm 4.
+    ///   matrices, then fitted with Algorithm 4, whose `2^λ` vector caps λ
+    ///   at [`MAX_LAMBDA`]; a longer query is an `InvalidQuery` error.
     pub fn answer(&self, query: &Query) -> Result<f64> {
         let _span = felip_obs::span!("answer");
         // Re-validate against this plan's schema (queries are cheap to check
@@ -130,6 +131,12 @@ impl Estimator {
             [pi, pj] => {
                 let m = self.response_matrix(pi.attr, pj.attr)?;
                 m.answer(Some(pi), Some(pj))
+            }
+            _ if preds.len() > MAX_LAMBDA => {
+                return Err(Error::InvalidQuery(format!(
+                    "a query of {} predicates exceeds the λ-D fit's cap of {MAX_LAMBDA}",
+                    preds.len()
+                )))
             }
             _ => {
                 let lambda = preds.len();
@@ -354,6 +361,29 @@ mod tests {
         let bad = Query::new(&other, vec![Predicate::between(3, 0, 99)]).unwrap();
         assert!(est.answer(&bad).is_err());
         assert!(est.answer(&q).is_ok());
+    }
+
+    /// λ past the fit's cap is a typed error, raised before any response
+    /// matrix or `2^λ` vector is built; the estimator still answers after.
+    #[test]
+    fn rejects_lambda_past_the_cap() {
+        let k = MAX_LAMBDA + 1;
+        let schema = Schema::new(
+            (0..k)
+                .map(|a| Attribute::categorical(format!("c{a}"), 2))
+                .collect(),
+        )
+        .unwrap();
+        let data = crate::simulate::uniform_dataset(&schema, 5_000, 1);
+        let est = crate::simulate(&data, &FelipConfig::new(1.0), 7).unwrap();
+        let all = Query::new(&schema, (0..k).map(|a| Predicate::equals(a, 0)).collect()).unwrap();
+        match est.answer(&all) {
+            Err(Error::InvalidQuery(msg)) => assert!(msg.contains("cap of 20"), "{msg}"),
+            other => panic!("expected InvalidQuery, got {other:?}"),
+        }
+        assert!(est.matrices.lock().unwrap().is_empty());
+        let three = Query::new(&schema, (0..3).map(|a| Predicate::equals(a, 0)).collect()).unwrap();
+        assert!((0.0..=1.0).contains(&est.answer(&three).unwrap()));
     }
 
     #[test]

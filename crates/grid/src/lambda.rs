@@ -13,6 +13,15 @@
 //! probability vector); the fixed points are identical when the 2-D answers
 //! are mutually consistent, and the two-sided update is better conditioned
 //! when they are not (documented in DESIGN.md).
+//!
+//! The paper iterates "until the change is below 1/n". The fit stops when
+//! one whole sweep moves `z` by less than the threshold in L1,
+//! `‖z_k − z_{k−1}‖₁`, the first sweep measured against the uniform start.
+//! By the triangle inequality that movement is at most the change summed
+//! over the sweep's updates, so this rule never stops later than summing
+//! would. A sweep needs `z`, its copy from the previous sweep and one
+//! constraint's saved entries: three vectors of `2^λ` entries and no
+//! per-constraint state.
 
 /// One associated 2-D answer: local predicate slots `(s, t)` (indices into
 /// the query's predicate list, `s < t < λ`) and the estimated 2-D frequency.
@@ -52,8 +61,15 @@ impl From<PairAnswer> for Constraint {
     }
 }
 
-/// Hard cap on fitting sweeps.
+/// Hard cap on fitting sweeps. Consistent constraints, and the paper's own
+/// λ = 4 and λ = 6 lists, stop far below it; conflicting noisy answers can
+/// make the fit cycle, and then the cap ends it.
 pub const MAX_SWEEPS: usize = 500;
+
+/// Largest λ the fit accepts: `z` has `2^λ` entries, so λ = 20 already
+/// needs 8 MB per working vector. Callers that take λ from a query
+/// (`Estimator::answer`) check it against this cap and return an error.
+pub const MAX_LAMBDA: usize = 20;
 
 /// Outcome of an IPF fit: the fitted vector plus convergence diagnostics.
 ///
@@ -67,28 +83,29 @@ pub struct FitResult {
     pub z: Vec<f64>,
     /// Sweeps actually performed (≤ [`MAX_SWEEPS`]).
     pub sweeps: usize,
-    /// Summed absolute per-entry change of the final sweep.
+    /// L1 movement of the final sweep, `‖z_k − z_{k−1}‖₁` (the first sweep
+    /// is measured against the uniform start).
     pub residual: f64,
 }
 
 impl FitResult {
-    /// True when the final sweep's residual fell below `threshold` (i.e. the
-    /// loop exited by convergence, not by the sweep cap).
+    /// True when the final sweep moved `z` by less than `threshold` (i.e.
+    /// the loop exited by convergence, not by the sweep cap).
     pub fn converged(&self, threshold: f64) -> bool {
         self.residual < threshold
     }
 }
 
 /// Algorithm 4: estimates the λ-D answer from its `C(λ, 2)` associated 2-D
-/// answers. `threshold` is the convergence bound on the summed absolute
-/// per-sweep change of `z` (use `1/n`).
+/// answers. `threshold` is the convergence bound on the L1 movement of `z`
+/// over one sweep (use `1/n`).
 ///
 /// Returns the full estimated vector `z` (length `2^λ`); the λ-D answer is
 /// `z[2^λ − 1]` (all predicates satisfied), exposed via [`lambda_answer`].
 ///
 /// # Panics
-/// Panics when `lambda < 2`, when a pair references an out-of-range slot,
-/// or when `pairs` is empty.
+/// Panics when `lambda < 2` or `lambda > MAX_LAMBDA`, when a pair
+/// references an out-of-range slot, or when `pairs` is empty.
 pub fn fit_lambda(lambda: usize, pairs: &[PairAnswer], threshold: f64) -> Vec<f64> {
     assert!(lambda >= 2, "lambda must be at least 2, got {lambda}");
     assert!(!pairs.is_empty(), "need at least one 2-D answer");
@@ -109,8 +126,8 @@ pub fn fit_lambda(lambda: usize, pairs: &[PairAnswer], threshold: f64) -> Vec<f6
 /// answers).
 ///
 /// # Panics
-/// Panics when `lambda < 2`, when a constraint's mask is zero or references
-/// a slot `≥ λ`, or when `constraints` is empty.
+/// Panics when `lambda < 2` or `lambda > MAX_LAMBDA`, when a constraint's
+/// mask is zero or references a slot `≥ λ`, or when `constraints` is empty.
 pub fn fit_constraints(lambda: usize, constraints: &[Constraint], threshold: f64) -> Vec<f64> {
     fit_constraints_full(lambda, constraints, threshold).z
 }
@@ -128,8 +145,8 @@ pub fn fit_constraints_full(
 ) -> FitResult {
     assert!(lambda >= 2, "lambda must be at least 2, got {lambda}");
     assert!(
-        lambda <= 20,
-        "lambda of {lambda} would need 2^{lambda} states"
+        lambda <= MAX_LAMBDA,
+        "lambda of {lambda} exceeds the cap of {MAX_LAMBDA}"
     );
     assert!(!constraints.is_empty(), "need at least one constraint");
     let size = 1usize << lambda;
@@ -140,52 +157,34 @@ pub fn fit_constraints_full(
             c.mask
         );
     }
-    // Per constraint, its 0/1 membership vector followed by the complement,
-    // so a sweep multiplies by weights instead of testing
-    // `idx & mask == mask` per entry: 2 · |constraints| · 2^λ floats, about
-    // 0.7 MB for the 45 pairs of λ = 10.
-    let member: Vec<f64> = constraints
-        .iter()
-        .flat_map(|c| {
-            let w = (0..size).map(move |idx| if idx & c.mask == c.mask { 1.0 } else { 0.0 });
-            w.clone().chain(w.map(|w| 1.0 - w))
-        })
-        .collect();
     let mut z = vec![1.0 / size as f64; size];
+    // `z` as the previous sweep left it, for the end-of-sweep movement.
+    let mut prev = z.clone();
+    // One constraint's entries before its update; a one-bit mask has the
+    // most, 2^(λ−1).
+    let mut saved = vec![0.0; size / 2];
     let mut sweeps: usize = 0;
     let mut residual = 0.0;
     for _ in 0..MAX_SWEEPS {
         sweeps += 1;
-        let mut change = 0.0;
-        for (p, w) in constraints.iter().zip(member.chunks_exact(2 * size)) {
-            let (w_in, w_out) = w.split_at(size);
+        for c in constraints {
             // Soft-clamp away from exact 0/1: a hard-zero target makes the
             // constrained set absorbing, and several conflicting hard
             // constraints (possible with noisy inputs) would drain `z`
             // entirely. The 1e-9 slack is far below the 1/n convergence
             // threshold of any realistic population.
-            let target = p.answer.clamp(1e-9, 1.0 - 1e-9);
-            // Actual complement mass — never assume Σz == 1: tiny
-            // floating-point drift would otherwise compound multiplicatively
-            // across sweeps.
-            let (y_in, y_out) = masked_sums(&z, w_in, w_out);
-            if y_in <= 0.0 || y_out <= 0.0 {
-                // The constrained set (or its complement) has no mass left —
-                // the constraint is unreachable from here; skip it so `z`
-                // stays a distribution.
-                continue;
-            }
-            // Two-sided IPF: scale the constrained set to `target` and the
-            // complement to `1 − target`; `z` sums to exactly 1 afterwards.
-            change += rescale(&mut z, w_in, w_out, target / y_in, (1.0 - target) / y_out);
+            let target = c.answer.clamp(1e-9, 1.0 - 1e-9);
+            rescale(&mut z, &mut saved, c.mask, target);
         }
-        residual = change;
-        if change < threshold {
+        residual = movement(&z, &mut prev);
+        if residual < threshold {
             break;
         }
     }
     felip_obs::hist!("grid.ipf.sweeps", sweeps as u64, "sweeps");
-    felip_obs::gauge_f64!("grid.ipf.residual", residual);
+    if residual < threshold {
+        felip_obs::counter!("grid.ipf.converged", 1, "fits");
+    }
     FitResult {
         z,
         sweeps,
@@ -197,48 +196,76 @@ pub fn fit_constraints_full(
 /// splits into whole chunks of this many entries.
 const LANES: usize = 4;
 
-/// `(Σ z·w_in, Σ z·w_out)` for a 0/1 membership vector and its complement,
-/// summed over [`LANES`] accumulators.
-fn masked_sums(z: &[f64], w_in: &[f64], w_out: &[f64]) -> (f64, f64) {
+/// Two-sided IPF update for one constraint: scales the entries whose index
+/// contains `mask` so they sum to `target` and the rest so they sum to
+/// `1 − target`.
+///
+/// The constrained entries are walked with `i = (i + 1) | mask`, which
+/// visits exactly the supersets of `mask` in increasing order, and saved
+/// in `saved`; the complement's mass is `Σz` minus theirs, so no masked
+/// pass over the complement and no per-constraint table is needed. Every entry is then
+/// scaled by the complement's factor, and the saved ones are rewritten
+/// with theirs: the same products as scaling each entry by its own set's
+/// factor.
+fn rescale(z: &mut [f64], saved: &mut [f64], mask: usize, target: f64) {
     let mut inside = [0.0; LANES];
-    let mut outside = [0.0; LANES];
-    for ((z, i), o) in z
-        .chunks_exact(LANES)
-        .zip(w_in.chunks_exact(LANES))
-        .zip(w_out.chunks_exact(LANES))
-    {
-        for l in 0..LANES {
-            inside[l] += z[l] * i[l];
-            outside[l] += z[l] * o[l];
-        }
+    let mut count = 0;
+    let mut i = mask;
+    while i < z.len() {
+        saved[count] = z[i];
+        inside[count % LANES] += z[i];
+        count += 1;
+        i = (i + 1) | mask;
     }
-    (inside.iter().sum(), outside.iter().sum())
+    let y_in: f64 = inside.iter().sum();
+    // Actual complement mass — never assume Σz == 1: tiny floating-point
+    // drift would otherwise compound multiplicatively across sweeps.
+    let y_out = sum(z) - y_in;
+    if y_in <= 0.0 || y_out <= 0.0 {
+        // The constrained set (or its complement) has no mass left — the
+        // constraint is unreachable from here; skip it so `z` stays a
+        // distribution.
+        return;
+    }
+    let (scale_in, scale_out) = (target / y_in, (1.0 - target) / y_out);
+    // Floor at a tiny positive value: repeated near-zero targets on
+    // conflicting constraints would otherwise underflow entries to exact 0,
+    // permanently removing them from the fit (and, once a whole constrained
+    // set hits 0, de-normalising `z`). The floor's contribution to any sum
+    // is ≪ 1e-6.
+    for v in z.iter_mut() {
+        *v = (*v * scale_out).max(1e-300);
+    }
+    let mut i = mask;
+    for &v in &saved[..count] {
+        z[i] = (v * scale_in).max(1e-300);
+        i = (i + 1) | mask;
+    }
 }
 
-/// Scales the entries of the membership vector `w_in` by `scale_in` and
-/// those of its complement `w_out` by `scale_out`, and returns the summed
-/// absolute change. For 0/1 weights `w_in·scale_in + w_out·scale_out` is
-/// exactly one of the two scales.
-fn rescale(z: &mut [f64], w_in: &[f64], w_out: &[f64], scale_in: f64, scale_out: f64) -> f64 {
-    let mut change = [0.0; LANES];
-    for ((z, i), o) in z
-        .chunks_exact_mut(LANES)
-        .zip(w_in.chunks_exact(LANES))
-        .zip(w_out.chunks_exact(LANES))
-    {
+/// `Σz`, summed over [`LANES`] accumulators. Kept as its own pass: folding
+/// it into the scaling loop measured slower.
+fn sum(z: &[f64]) -> f64 {
+    let mut sums = [0.0; LANES];
+    for z in z.chunks_exact(LANES) {
         for l in 0..LANES {
-            let scale = i[l] * scale_in + o[l] * scale_out;
-            // Floor at a tiny positive value: repeated near-zero targets
-            // on conflicting constraints would otherwise underflow entries
-            // to exact 0, permanently removing them from the fit (and, once
-            // a whole constrained set hits 0, de-normalising `z`). The
-            // floor's contribution to any sum is ≪ 1e-6.
-            let new = (z[l] * scale).max(1e-300);
-            change[l] += (new - z[l]).abs();
-            z[l] = new;
+            sums[l] += z[l];
         }
     }
-    change.iter().sum()
+    sums.iter().sum()
+}
+
+/// `‖z − prev‖₁`, summed over [`LANES`] accumulators; leaves `prev` equal
+/// to `z`.
+fn movement(z: &[f64], prev: &mut [f64]) -> f64 {
+    let mut moved = [0.0; LANES];
+    for (z, prev) in z.chunks_exact(LANES).zip(prev.chunks_exact(LANES)) {
+        for l in 0..LANES {
+            moved[l] += (z[l] - prev[l]).abs();
+        }
+    }
+    prev.copy_from_slice(z);
+    moved.iter().sum()
 }
 
 /// Convenience wrapper: runs [`fit_lambda`] and returns the all-predicates
@@ -253,7 +280,9 @@ mod tests {
     use super::*;
 
     /// The per-entry branching loop the kernel replaced, kept as its
-    /// oracle: same clamp, skip rule, two-sided update, floor and stop.
+    /// oracle: same clamp, skip rule, two-sided update and floor, two full
+    /// masked passes per constraint, and the stop on the L1 movement
+    /// against a full copy of the previous sweep's `z`.
     fn fit_scalar(lambda: usize, constraints: &[Constraint], threshold: f64) -> FitResult {
         let size = 1usize << lambda;
         let mut z = vec![1.0 / size as f64; size];
@@ -261,7 +290,7 @@ mod tests {
         let mut residual = 0.0;
         for _ in 0..MAX_SWEEPS {
             sweeps += 1;
-            let mut change = 0.0;
+            let before = z.clone();
             for p in constraints {
                 let target = p.answer.clamp(1e-9, 1.0 - 1e-9);
                 let mask = p.mask;
@@ -283,13 +312,11 @@ mod tests {
                     } else {
                         scale_out
                     };
-                    let new = (*v * scale).max(1e-300);
-                    change += (new - *v).abs();
-                    *v = new;
+                    *v = (*v * scale).max(1e-300);
                 }
             }
-            residual = change;
-            if change < threshold {
+            residual = z.iter().zip(&before).map(|(a, b)| (a - b).abs()).sum();
+            if residual < threshold {
                 break;
             }
         }
@@ -348,8 +375,9 @@ mod tests {
     /// The branch-free kernel agrees with the scalar oracle for λ = 2..=8
     /// on random noisy pair constraints, with and without marginals,
     /// answers outside `[0, 1]` included; at noise ±0.3 the fits run to
-    /// `MAX_SWEEPS`. Only the order of additions differs, so `z` agrees to
-    /// rounding and the stop to one sweep.
+    /// `MAX_SWEEPS`. Only rounding differs (the kernel takes the
+    /// complement's mass as `Σz` minus the constrained mass), so `z` agrees
+    /// to rounding and the stop to one sweep.
     ///
     /// Answers drawn independently of any joint are left out on purpose:
     /// they drain most entries to the 1e-300 floor and the fit turns

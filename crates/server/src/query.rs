@@ -194,3 +194,68 @@ pub(crate) fn reply_frame(plan_hash: u64, answer: Result<QueryAnswer, WireError>
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::loadgen::offline_reference;
+    use crate::wire::decode_query_reply;
+    use felip::config::FelipConfig;
+    use felip_common::{Attribute, Predicate, Schema};
+
+    /// A cut source over fixed counts.
+    struct Fixed {
+        plan: Arc<CollectionPlan>,
+        counts: Aggregator,
+    }
+
+    impl CutSource for Fixed {
+        fn head(&self) -> u64 {
+            self.counts.reports_ingested() as u64
+        }
+
+        fn cut(&self) -> Result<(Aggregator, u64), felip_common::Error> {
+            let mut copy = Aggregator::with_oracles(Arc::clone(&self.plan), self.counts.oracles());
+            copy.merge(&self.counts)?;
+            Ok((copy, self.head()))
+        }
+    }
+
+    /// A query with more predicates than the λ-D fit takes (its cap is
+    /// λ = 20) gets an `Error` reply instead of panicking the query
+    /// worker, and the next query on the same service is answered.
+    #[test]
+    fn lambda_past_the_cap_is_an_error_reply() {
+        let k = 21;
+        let schema = Schema::new(
+            (0..k)
+                .map(|a| Attribute::categorical(format!("c{a}"), 2))
+                .collect(),
+        )
+        .unwrap();
+        let plan =
+            Arc::new(CollectionPlan::build(&schema, 2_000, &FelipConfig::new(1.0), 3).unwrap());
+        let counts = offline_reference(&plan, 0..2_000, 5).unwrap();
+        let oracles = counts.oracles();
+        let source = Fixed {
+            plan: Arc::clone(&plan),
+            counts,
+        };
+        let service = QueryService::new(Arc::clone(&plan), oracles, source);
+        let ask = |query_id, lambda: usize| QueryRequest {
+            query_id,
+            mode: QueryMode::Fresh,
+            predicates: (0..lambda).map(|a| Predicate::equals(a, 0)).collect(),
+        };
+
+        let reply = reply_frame(plan.schema_hash(), service.answer(&ask(1, k)));
+        assert_eq!(reply.kind, FrameKind::Error);
+        let msg = String::from_utf8_lossy(&reply.payload);
+        assert!(msg.contains("cap of 20"), "{msg}");
+
+        let reply = reply_frame(plan.schema_hash(), service.answer(&ask(2, 3)));
+        assert_eq!(reply.kind, FrameKind::QueryReply);
+        let ans = decode_query_reply(&reply.payload).unwrap();
+        assert_eq!((ans.query_id, ans.reports), (2, 2_000));
+    }
+}

@@ -10,27 +10,34 @@
 //! handoff: replies stay in send order per connection, never reach a
 //! connection that reused a closed asker's slot, never hold up other
 //! connections' acks, frames parked behind a query are not a stall, and
-//! a parked connection's socket is left unread (TCP backpressure).
+//! a parked connection's socket is left unread (TCP backpressure). The
+//! tests that need a query to stay out while they act run the serve loop
+//! over a gated cut source, so the query is out until the test opens the
+//! gate, however fast estimation is.
 //!
 //! On non-linux-x86_64 hosts the same suite exercises the fallback
 //! thread-per-connection path, which must honour identical semantics.
 
 use std::io::{BufReader, Read, Write};
-use std::net::TcpStream;
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Duration;
 
+use felip::aggregator::Aggregator;
 use felip::config::FelipConfig;
 use felip::plan::CollectionPlan;
 use felip_common::{Attribute, Predicate, Schema};
 use felip_server::loadgen::{offline_reference, user_report};
+use felip_server::serve::{serve, AtomicStats, FrameOutcome, Handler, Loop, Tier};
 use felip_server::wire::{
-    decode_ack, decode_query_reply, encode_batch, encode_hello, encode_query, read_frame, Frame,
-    FrameKind,
+    decode_ack, decode_batch, decode_query, decode_query_reply, encode_ack, encode_batch,
+    encode_hello, encode_query, read_frame, Frame, FrameKind, FrameView,
 };
-use felip_server::{QueryMode, QueryRequest, Server, ServerConfig, ServerRun};
+use felip_server::{
+    CutSource, QueryMode, QueryRequest, QueryService, Server, ServerConfig, ServerRun,
+};
 
 fn plan() -> Arc<CollectionPlan> {
     let schema = Schema::new(vec![
@@ -74,6 +81,121 @@ where
     drive(addr, &client_plan);
     shutdown.store(true, Ordering::SeqCst);
     server_thread.join().expect("join server")
+}
+
+/// A cut source over fixed counts whose cuts wait until the test opens
+/// its gate, so a query stays out exactly as long as the test wants,
+/// however fast estimation is.
+struct GatedCut {
+    plan: Arc<CollectionPlan>,
+    counts: Aggregator,
+    open: Mutex<bool>,
+    opened: Condvar,
+}
+
+impl GatedCut {
+    fn open(&self) {
+        // Called from `Release::drop`, so it must not panic on poison.
+        *self.open.lock().unwrap_or_else(|e| e.into_inner()) = true;
+        self.opened.notify_all();
+    }
+}
+
+impl CutSource for GatedCut {
+    fn head(&self) -> u64 {
+        self.counts.reports_ingested() as u64
+    }
+
+    fn cut(&self) -> Result<(Aggregator, u64), felip_common::Error> {
+        let mut open = self.open.lock().unwrap();
+        while !*open {
+            open = self.opened.wait(open).unwrap();
+        }
+        drop(open);
+        let mut copy = Aggregator::with_oracles(Arc::clone(&self.plan), self.counts.oracles());
+        copy.merge(&self.counts)?;
+        Ok((copy, self.head()))
+    }
+}
+
+/// Acks `Hello` and every `ReportBatch` by id without ingesting anything,
+/// and hands `Query` frames to the tier's query service.
+struct AckingHandler;
+
+impl Handler for AckingHandler {
+    type Conn = ();
+
+    fn open(&self, _seq: u64) {}
+
+    fn on_frame(&self, _conn: &mut (), frame: FrameView<'_>) -> FrameOutcome {
+        let ack = |batch_id, accepted| {
+            FrameOutcome::reply(Frame {
+                kind: FrameKind::Ack,
+                plan_hash: frame.plan_hash,
+                payload: encode_ack(batch_id, accepted),
+            })
+        };
+        match frame.kind {
+            FrameKind::Hello => ack(0, 0),
+            FrameKind::ReportBatch => {
+                let (batch_id, reports) = decode_batch(frame.payload).expect("batch");
+                ack(batch_id, reports.len() as u32)
+            }
+            FrameKind::Query => FrameOutcome::query(decode_query(frame.payload).expect("query")),
+            kind => panic!("unexpected {kind:?} frame"),
+        }
+    }
+}
+
+/// Opens the gate and stops the serve loop when dropped, so the scope can
+/// join the loop even after a failed assertion.
+struct Release<'a>(&'a GatedCut, &'a AtomicBool);
+
+impl Drop for Release<'_> {
+    fn drop(&mut self) {
+        self.0.open();
+        self.1.store(true, Ordering::SeqCst);
+    }
+}
+
+/// Serves [`plan`] with the serve loop over a [`GatedCut`] of users
+/// `0..200` (loadgen seed 7) and an [`AckingHandler`], runs `drive`
+/// against it, then opens the gate and stops the loop.
+fn with_gated_tier<F>(drive: F)
+where
+    F: FnOnce(std::net::SocketAddr, &Arc<CollectionPlan>, &GatedCut),
+{
+    let plan = plan();
+    let counts = offline_reference(&plan, 0..200, 7).unwrap();
+    let oracles = counts.oracles();
+    let gate = Arc::new(GatedCut {
+        plan: Arc::clone(&plan),
+        counts,
+        open: Mutex::new(false),
+        opened: Condvar::new(),
+    });
+    let query = QueryService::new(Arc::clone(&plan), oracles, Arc::clone(&gate));
+    let stats = AtomicStats::default();
+    let config = ServerConfig::default();
+    let tier = Tier {
+        plan_hash: plan.schema_hash(),
+        stats: &stats,
+        query: &query,
+        read_timeout: config.read_timeout,
+        idle_timeout: config.idle_timeout,
+        workers: 0,
+    };
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().unwrap();
+    let stop = AtomicBool::new(false);
+    thread::scope(|s| {
+        s.spawn(|| {
+            let stopped = || stop.load(Ordering::SeqCst);
+            serve(Loop::Native, &listener, &tier, &AckingHandler, &stopped).expect("serve")
+        });
+        let _release = Release(&gate, &stop);
+        drive(addr, &plan, &gate);
+    });
 }
 
 fn hello_frame(plan_hash: u64, client_id: u64) -> Vec<u8> {
@@ -361,11 +483,11 @@ fn closed_askers_reply_never_reaches_the_slots_next_connection() {
     });
 }
 
-/// While connection A waits on a slow cold query, connection B's batches
-/// are acked: the reactor never waits for the query worker.
+/// While connection A's query is out, connection B's batches are acked:
+/// the reactor never waits for the query worker.
 #[test]
 fn slow_query_does_not_hold_up_other_connections_acks() {
-    with_plan_server(slow_plan(), ServerConfig::default(), |addr, plan| {
+    with_gated_tier(|addr, plan, gate| {
         let plan_hash = plan.schema_hash();
         let mut b = TcpStream::connect(addr).expect("connect");
         b.set_nodelay(true).unwrap();
@@ -392,6 +514,7 @@ fn slow_query_does_not_hold_up_other_connections_acks() {
             matches!(&early, Err(e) if e.kind() == std::io::ErrorKind::WouldBlock),
             "the slow answer arrived before B's acks: {early:?}"
         );
+        gate.open();
         a.set_nonblocking(false).unwrap();
         let ans = assert_answer(&expect_frame(&mut a), 7);
         assert!(ans.reports >= 200);
@@ -429,7 +552,7 @@ fn frames_parked_behind_a_query_never_trip_the_stall_deadline() {
     assert_eq!(run.stats.reports_accepted, 600);
 }
 
-/// While a slow query is out, the server leaves the connection's socket
+/// While a query is out, the server leaves the connection's socket
 /// unread: a peer that keeps writing meets a full TCP window
 /// (`WouldBlock`) that stays full, instead of the server buffering its
 /// bytes. Once the answer lands the parked bytes are decoded in order.
@@ -443,7 +566,7 @@ fn parked_connection_leaves_its_bytes_in_the_kernel() {
     /// Consecutive refused writes, 1 ms apart, that count as a window
     /// that stays full (a server that reads would drain it meanwhile).
     const REFUSALS: u32 = 10;
-    with_plan_server(slow_plan(), ServerConfig::default(), |addr, plan| {
+    with_gated_tier(|addr, plan, gate| {
         let plan_hash = plan.schema_hash();
         let mut stream = TcpStream::connect(addr).expect("connect");
         let mut feed = hello_frame(plan_hash, 6);
@@ -482,9 +605,10 @@ fn parked_connection_leaves_its_bytes_in_the_kernel() {
             sent < CAP,
             "the server took {sent} bytes while its query was out"
         );
+        gate.open();
         stream.set_nonblocking(false).unwrap();
         assert_eq!(assert_answer(&expect_frame(&mut stream), 4).reports, 200);
-        // Decoding resumed: the first copy is acked as a duplicate.
+        // Decoding resumed: the first copy is acked.
         assert_ack(&expect_frame(&mut stream), 1);
     });
 }
