@@ -1,8 +1,9 @@
 //! `olh_kernel`: the batched OLH support-counting kernel against the
 //! per-report scalar path, and the recorder's overhead on the kernel.
 //!
-//! Sweeps `d ∈ {64, 1024, 16384}` — where OLH's `O(|reports| × d)`
-//! support counting goes from cache-resident to several L1 blocks wide —
+//! Sweeps `d ∈ {16, 31, 64, 1024, 16384}` — from the paper's §6.2 grids
+//! (16- and 31-cell axes at ε = 1) to domains several value blocks wide,
+//! where OLH's `O(|reports| × d)` support counting is split across workers —
 //! timing ingest + aggregate (support counting, then de-biasing) through
 //! [`FrequencyOracle::accumulate_batch`] and through
 //! [`FrequencyOracle::accumulate`] in a loop. Then times the `d = 16384`
@@ -20,8 +21,8 @@ use felip_common::rng::seeded_rng;
 use felip_fo::{FrequencyOracle, Olh, Report};
 use serde_json::{json, Value};
 
-/// Domain sizes swept.
-const DOMAINS: [u32; 3] = [64, 1024, 16_384];
+/// Domain sizes swept; the last one also times the recorder overhead.
+const DOMAINS: [u32; 5] = [16, 31, 64, 1024, 16_384];
 
 /// Privacy budget (g = 4, the paper's default ε).
 const EPSILON: f64 = 1.0;

@@ -59,8 +59,9 @@ pub fn universal_hash_keyed(seed: u64, key: u64, g: u32) -> u32 {
 /// The multiply-shift reduction of [`universal_hash_keyed`] maps
 /// `h32 = mix64(seed ^ key) >> 32` to bucket `⌊h32 · g / 2³²⌋`, so bucket
 /// membership is equivalent to `h32 ∈ [⌈target·2³²/g⌉, ⌈(target+1)·2³²/g⌉)`.
-/// Batched support counting precomputes these bounds once per report and
-/// replaces the per-value reduction multiply with one subtract-and-compare —
+/// Batched support counting precomputes these bounds once per bucket per
+/// batch and replaces the per-value reduction multiply with one
+/// subtract-and-compare —
 /// bit-identical to comparing buckets, which the `interval_test` unit test
 /// and the fo property suite pin down.
 ///

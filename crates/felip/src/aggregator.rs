@@ -60,6 +60,33 @@ impl std::fmt::Debug for OracleSet {
     }
 }
 
+/// Lays `reports` out group by group — a counting sort, keeping their order
+/// within a group — where `groups[i]` (below `num_groups`) is the group of
+/// the `i`-th report. Returns the buffer and the run offsets: group `g`'s
+/// reports are `sorted[offsets[g]..offsets[g + 1]]`. The buffer is sized
+/// once from the group counts instead of growing one buffer per group,
+/// and `reports` is consumed in order.
+pub(crate) fn sort_by_group(
+    groups: &[usize],
+    reports: impl Iterator<Item = Report>,
+    num_groups: usize,
+) -> (Vec<Report>, Vec<usize>) {
+    let mut offsets = vec![0usize; num_groups + 1];
+    for &g in groups {
+        offsets[g + 1] += 1;
+    }
+    for g in 0..num_groups {
+        offsets[g + 1] += offsets[g];
+    }
+    let mut next = offsets.clone();
+    let mut sorted = vec![Report::Grr(0); groups.len()];
+    for (&g, report) in groups.iter().zip(reports) {
+        sorted[next[g]] = report;
+        next[g] += 1;
+    }
+    (sorted, offsets)
+}
+
 /// The aggregator: ingests perturbed reports group by group, then estimates
 /// every grid and post-processes (§5, aggregator side).
 ///
@@ -280,26 +307,34 @@ impl Aggregator {
     /// Folds a mixed-group batch of user reports into the support counts,
     /// bucketing by group and dispatching one batch-kernel call per grid.
     ///
-    /// Validates every group index before touching any state, so a failed
-    /// call leaves the aggregator unchanged. Bucketing clones each report
-    /// once (cheap for GRR/OLH, one `Vec` copy for OUE); when reports are
-    /// already grouped contiguously, [`Aggregator::ingest_group_batch`]
-    /// avoids even that.
+    /// Atomic on invalid input: every report's group index, and every
+    /// report against its group's oracle ([`FrequencyOracle::check_report`]:
+    /// protocol and value range), is validated before any state is
+    /// touched, so a failed call leaves the aggregator unchanged. Bucketing
+    /// clones each report once (cheap for GRR/OLH, one `Vec` copy for OUE)
+    /// into one buffer laid out group by group ([`sort_by_group`]); when
+    /// reports are already grouped contiguously,
+    /// [`Aggregator::ingest_group_batch`] avoids even that.
     pub fn ingest_batch(&mut self, reports: &[UserReport]) -> Result<()> {
         let num_groups = self.plan.num_groups();
-        if let Some(bad) = reports.iter().find(|r| r.group >= num_groups) {
-            return Err(Error::InvalidReport(format!(
-                "group {} out of range 0..{num_groups}",
-                bad.group
-            )));
-        }
-        let mut buckets: Vec<Vec<Report>> = vec![Vec::new(); num_groups];
         for r in reports {
-            buckets[r.group].push(r.report.clone());
+            if r.group >= num_groups {
+                return Err(Error::InvalidReport(format!(
+                    "group {} out of range 0..{num_groups}",
+                    r.group
+                )));
+            }
+            self.oracles.get(r.group).check_report(&r.report)?;
         }
-        for (g, bucket) in buckets.iter().enumerate() {
-            if !bucket.is_empty() {
-                self.ingest_group_batch(g, bucket)?;
+        let groups: Vec<usize> = reports.iter().map(|r| r.group).collect();
+        let (sorted, offsets) = sort_by_group(
+            &groups,
+            reports.iter().map(|r| r.report.clone()),
+            num_groups,
+        );
+        for (g, run) in offsets.windows(2).enumerate() {
+            if run[0] < run[1] {
+                self.ingest_group_batch(g, &sorted[run[0]..run[1]])?;
             }
         }
         Ok(())

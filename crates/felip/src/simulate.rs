@@ -8,9 +8,8 @@ use rayon::prelude::*;
 
 use felip_common::rng::{derive_seed, seeded_rng};
 use felip_common::{Dataset, Result};
-use felip_fo::Report;
 
-use crate::aggregator::{Aggregator, OracleSet};
+use crate::aggregator::{sort_by_group, Aggregator, OracleSet};
 use crate::answer::Estimator;
 use crate::config::FelipConfig;
 use crate::plan::CollectionPlan;
@@ -36,6 +35,12 @@ pub fn simulate(dataset: &Dataset, config: &FelipConfig, seed: u64) -> Result<Es
     agg.estimate()
 }
 
+/// Records per collection shard. Shard `s` covers records
+/// `s * SHARD .. (s + 1) * SHARD` and perturbs them with its own RNG
+/// stream, `derive_seed(seed, s)`, so a replay that mirrors the sharding
+/// reproduces [`collect`] exactly.
+pub const SHARD: usize = 16_384;
+
 /// Runs only the collection phase, returning the raw [`Aggregator`] (used by
 /// tests and ablations that inspect pre-post-processing state).
 pub fn collect(dataset: &Dataset, plan: &CollectionPlan, seed: u64) -> Result<Aggregator> {
@@ -45,40 +50,38 @@ pub fn collect(dataset: &Dataset, plan: &CollectionPlan, seed: u64) -> Result<Ag
     let plan = Arc::new(plan.clone());
     let oracles = Arc::new(OracleSet::build(&plan));
 
-    const SHARD: usize = 16_384;
     let n = dataset.len();
     if n == 0 {
         return Err(felip_common::Error::InvalidParameter(
             "cannot collect from an empty dataset".into(),
         ));
     }
+    let num_groups = plan.num_groups();
     let num_shards = n.div_ceil(SHARD);
     let mut shards: Vec<Aggregator> = (0..num_shards)
         .into_par_iter()
         .map(|s| {
             let _span = felip_obs::span!("shard");
             let mut rng = seeded_rng(derive_seed(seed, s as u64));
-            let lo = s * SHARD;
-            let hi = ((s + 1) * SHARD).min(n);
-            // Perturb into per-group report buffers first (record order, so
-            // the RNG stream is identical to per-report ingestion), then
-            // hand each buffer to the batch kernel in one call per grid.
-            let mut buffers: Vec<Vec<Report>> = vec![Vec::new(); plan.num_groups()];
-            {
+            let users = s * SHARD..((s + 1) * SHARD).min(n);
+            // Perturb in record order, so the RNG stream is identical to
+            // per-report ingestion, into one buffer laid out group by group;
+            // then hand each group's run to the batch kernel in one call per
+            // grid.
+            let (reports, offsets) = {
                 let _perturb = felip_obs::span!("perturb");
-                for u in lo..hi {
-                    let record = dataset.row(u);
-                    let group = plan.group_of(u);
-                    let grid = &plan.grids()[group];
-                    let cell = grid.cell_of_record(record);
-                    buffers[group].push(oracles.get(group).perturb(cell, &mut rng));
-                }
-            }
+                let groups: Vec<usize> = users.clone().map(|u| plan.group_of(u)).collect();
+                let perturbed = users.zip(&groups).map(|(u, &group)| {
+                    let cell = plan.grids()[group].cell_of_record(dataset.row(u));
+                    oracles.get(group).perturb(cell, &mut rng)
+                });
+                sort_by_group(&groups, perturbed, num_groups)
+            };
             let mut agg = Aggregator::with_oracles(Arc::clone(&plan), Arc::clone(&oracles));
             {
                 let _ingest = felip_obs::span!("ingest");
-                for (group, reports) in buffers.iter().enumerate() {
-                    agg.ingest_group_batch(group, reports)
+                for (group, run) in offsets.windows(2).enumerate() {
+                    agg.ingest_group_batch(group, &reports[run[0]..run[1]])
                         .expect("group index is valid");
                 }
             }

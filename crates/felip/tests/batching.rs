@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use felip::simulate::{collect, uniform_dataset};
+use felip::simulate::{collect, uniform_dataset, SHARD};
 use felip::{Aggregator, CollectionPlan, FelipConfig, OracleSet, Strategy, UserReport};
 use felip_common::rng::{derive_seed, seeded_rng};
 use felip_common::{Attribute, Schema};
@@ -34,8 +34,6 @@ fn assert_same_state(a: &Aggregator, b: &Aggregator) {
 /// shards so cross-shard merging is exercised.
 #[test]
 fn collect_matches_sequential_ingestion_across_shards() {
-    // Must mirror the shard width in `felip::simulate::collect`.
-    const SHARD: usize = 16_384;
     let n = SHARD + 3_000;
     let data = uniform_dataset(&schema(), n, 11);
     let cfg = FelipConfig::new(1.0).with_strategy(Strategy::Ohg);
@@ -126,6 +124,40 @@ proptest! {
             })
             .collect();
         stream.push(UserReport { group: plan.num_groups(), report: felip_fo::Report::Grr(0) });
+        prop_assert!(agg.ingest_batch(&stream).is_err());
+        prop_assert_eq!(agg.reports_ingested(), 0);
+        prop_assert!(agg.counts().iter().all(|c| c.iter().all(|&x| x == 0)));
+    }
+
+    /// `ingest_batch` checks every report against its group's oracle
+    /// before touching state: a valid group with the wrong protocol's
+    /// report, anywhere in the stream, leaves the aggregator unchanged.
+    #[test]
+    fn ingest_batch_is_atomic_on_bad_report(
+        n in 1usize..300,
+        seed in 0u64..200,
+        at in 0usize..300,
+    ) {
+        let cfg = FelipConfig::new(1.0);
+        let plan = CollectionPlan::build(&schema(), n.max(2), &cfg, seed).unwrap();
+        let mut agg = Aggregator::new(plan.clone());
+        let mut rng = seeded_rng(seed);
+        let oracles = OracleSet::build(&plan);
+        let mut stream: Vec<UserReport> = (0..n)
+            .map(|u| {
+                let group = plan.group_of(u);
+                UserReport { group, report: oracles.get(group).perturb(0, &mut rng) }
+            })
+            .collect();
+        // A report no oracle accepts: an OLH value far outside any hash
+        // range, or a GRR value outside any grid, by the group's protocol.
+        let at = at % stream.len();
+        let group = stream[at].group;
+        let bad = match stream[at].report {
+            felip_fo::Report::Olh { .. } => felip_fo::Report::Grr(u32::MAX),
+            _ => felip_fo::Report::Olh { seed: 1, value: u32::MAX },
+        };
+        stream[at] = UserReport { group, report: bad };
         prop_assert!(agg.ingest_batch(&stream).is_err());
         prop_assert_eq!(agg.reports_ingested(), 0);
         prop_assert!(agg.counts().iter().all(|c| c.iter().all(|&x| x == 0)));

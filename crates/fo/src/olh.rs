@@ -10,51 +10,43 @@ use crate::report::Report;
 use crate::traits::FrequencyOracle;
 use crate::variance::olh_variance;
 
-/// Count-vector block that stays resident in L1 while every report's hash
-/// is evaluated against it: 2048 × u64 = 16 KiB (half a typical 32 KiB L1D,
-/// leaving room for the report pairs streaming through).
+/// Count-vector block one worker owns when a wide domain is split across
+/// threads (value-block parallelism). Narrower domains are one block.
 const BLOCK_VALUES: usize = 2048;
 
-/// Reports per inner-loop group. Eight independent `mix64` chains per
-/// domain value keep the multiply/xor units busy (ILP) instead of
-/// serialising on one hash's latency.
-const GROUP_REPORTS: usize = 8;
+/// Reports per tile: the tile's structure of arrays — seeds and the
+/// pre-shifted bucket bounds, 3 × 8 KiB — stays in L1 while every value of
+/// the block is counted against it.
+const TILE_REPORTS: usize = 1024;
 
-/// A report unpacked for the batched kernel: the hash seed plus the
-/// precomputed [`bucket_bounds`] interval of its perturbed bucket, so the
-/// inner loop tests bucket membership with one subtract-and-compare on the
-/// raw hash high word instead of re-running the reduction multiply.
-type UnpackedReport = (u64, u32, u32);
+/// Buckets whose bounds are tabulated once per batch: all of them unless
+/// ε > 8.3 (`g > 4096`); reports in higher buckets compute theirs.
+const BOUNDS_TABLE_MAX: u32 = 1 << 12;
 
-/// Batched OLH support counting over one L1-sized block of the count
-/// vector: `block[i] += |{ j : H_{seed_j}(base + i) = x_j }|`.
+/// The bounds of bucket `target` as [`bucket_bounds`] gives them, shifted
+/// into the high word: `(lo << 32, width << 32)`.
 ///
-/// Structure, from the outside in:
-/// - the caller tiles the full count vector into [`BLOCK_VALUES`]-sized
-///   blocks, so each block is written once per report (group) while it
-///   stays cache-hot, instead of streaming the whole `d`-wide vector
-///   through cache per report;
-/// - each block's `value_key` multiplies are hoisted into a key table
-///   computed once and reused by every report;
-/// - bucket membership is the precomputed interval test of
-///   [`bucket_bounds`] (`(h >> 32) - lo < width`), leaving `mix64`'s two
-///   multiplies as the only multiplies per (seed, value) pair;
-/// - the inner loop is branch-free (`(in_bucket) as u64` adds), which
-///   sidesteps the ~1/g-taken branch the scalar path stalls on;
-/// - on x86-64 the elementwise pass is compiled under AVX-512DQ / AVX2
-///   `#[target_feature]` wrappers (runtime-dispatched), so LLVM
-///   autovectorises `mix64` over 8 / 4 u64 lanes (`vpmullq` does the
-///   64-bit multiplies natively with AVX-512DQ). Elsewhere a scalar
-///   group-of-[`GROUP_REPORTS`] pass provides the ILP instead.
-///
-/// All tallies are exact `u64` additions and the interval test is exactly
-/// the bucket comparison, so any lane/evaluation order gives bit-identical
-/// counts to the scalar [`FrequencyOracle::accumulate`] path.
+/// For a hash `h` with high word `h32 = h >> 32`,
+/// `h.wrapping_sub(lo << 32) < width << 32` holds exactly when
+/// `h32.wrapping_sub(lo) < width` (the low word only adds less than one
+/// unit of `2^32`, and `width ≤ 2^31` for `g ≥ 2`), so the kernel tests
+/// bucket membership on the raw `mix64` output without a shift.
+fn shifted_bounds(target: u32, g: u32) -> (u64, u64) {
+    let (lo, width) = bucket_bounds(target, g);
+    ((lo as u64) << 32, (width as u64) << 32)
+}
+
+/// One tile of reports in structure-of-arrays form.
+struct Tile {
+    seeds: [u64; TILE_REPORTS],
+    lo: [u64; TILE_REPORTS],
+    width: [u64; TILE_REPORTS],
+}
+
 /// The support-counting kernel the current machine dispatches to:
-/// `"avx512dq"`, `"avx2"`, or `"scalar-grouped"`. Purely informational —
-/// the decision itself is re-made per block inside
-/// [`support_count_block`] (the detection macro caches, so this costs one
-/// cached lookup).
+/// `"avx512dq"`, `"avx2"`, or `"scalar"`. Purely informational — the
+/// decision itself is re-made per tile inside [`support_count_tile`] (the
+/// detection macro caches, so this costs one cached lookup).
 pub fn kernel_dispatch_path() -> &'static str {
     #[cfg(target_arch = "x86_64")]
     {
@@ -65,49 +57,104 @@ pub fn kernel_dispatch_path() -> &'static str {
             return "avx2";
         }
     }
-    "scalar-grouped"
+    "scalar"
 }
 
-fn support_count_block(pairs: &[UnpackedReport], base: u32, block: &mut [u64]) {
-    let mut keys = [0u64; BLOCK_VALUES];
-    let keys = &mut keys[..block.len()];
-    for (i, key) in keys.iter_mut().enumerate() {
-        // ARITH: block index arithmetic; base + i stays within the u32
-        // domain size by construction of the block walk.
-        *key = value_key(base.wrapping_add(i as u32));
+/// Batched OLH support counting over one block of the count vector:
+/// `block[i] += |{ j : H_{seed_j}(base + i) = x_j }|`.
+///
+/// `reports` must all be OLH reports with values below the hash range
+/// (the caller validates them first); `bounds` holds [`shifted_bounds`]
+/// for the first [`BOUNDS_TABLE_MAX`] buckets of the hash range `g`.
+///
+/// Reports go through in tiles of [`TILE_REPORTS`], each unpacked once
+/// into a structure of arrays; every value of the block is then counted
+/// against the whole tile in a register (see [`support_count_values`]), so
+/// each count slot is loaded and stored once per tile rather than once
+/// per report.
+fn support_count_reports(
+    reports: &[Report],
+    bounds: &[(u64, u64)],
+    g: u32,
+    base: u32,
+    block: &mut [u64],
+) {
+    let mut tile = Tile {
+        seeds: [0; TILE_REPORTS],
+        lo: [0; TILE_REPORTS],
+        width: [0; TILE_REPORTS],
+    };
+    for chunk in reports.chunks(TILE_REPORTS) {
+        for (j, report) in chunk.iter().enumerate() {
+            let Report::Olh { seed, value } = *report else {
+                unreachable!("reports are validated before counting");
+            };
+            let (lo, width) = bounds
+                .get(value as usize)
+                .copied()
+                .unwrap_or_else(|| shifted_bounds(value, g));
+            tile.seeds[j] = seed;
+            tile.lo[j] = lo;
+            tile.width[j] = width;
+        }
+        let n = chunk.len();
+        support_count_tile(
+            &tile.seeds[..n],
+            &tile.lo[..n],
+            &tile.width[..n],
+            base,
+            block,
+        );
     }
+}
+
+/// Dispatches one tile to the widest kernel the machine runs.
+fn support_count_tile(seeds: &[u64], lo: &[u64], width: &[u64], base: u32, block: &mut [u64]) {
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx512dq") {
-            // SAFETY: the avx512dq feature was just detected at runtime.
-            unsafe { support_count_avx512(pairs, keys, block) };
+            // SAFETY: the avx512f and avx512dq features were just detected
+            // at runtime (avx512dq implies avx512f).
+            unsafe { support_count_avx512(seeds, lo, width, base, block) };
             return;
         }
         if std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: the avx2 feature was just detected at runtime.
-            unsafe { support_count_avx2(pairs, keys, block) };
+            unsafe { support_count_avx2(seeds, lo, width, base, block) };
             return;
         }
     }
-    support_count_grouped(pairs, keys, block);
+    support_count_values(seeds, lo, width, base, block);
 }
 
-/// The vector-friendly kernel shape: one elementwise pass over the key
-/// table per report, every operation in u64 lanes. Inlined into the
-/// `#[target_feature]` wrappers below so LLVM autovectorises it with the
-/// wrapper's ISA.
+/// The one source kernel: for each value of the block, count the tile's
+/// supports in a register — a reduction over the reports, which LLVM
+/// vectorises in u64 lanes (8 under AVX-512DQ, where `vpmullq` does
+/// `mix64`'s multiplies natively; 4 under AVX2) — then add the count to
+/// the value's slot.
+///
+/// Every tally is an exact `u64` addition and the test is exactly the
+/// bucket comparison, so any lane or evaluation order gives bit-identical
+/// counts to the scalar [`FrequencyOracle::accumulate`] path.
 #[inline(always)]
-#[allow(dead_code)] // unused on non-x86-64 targets
-fn support_count_per_report(pairs: &[UnpackedReport], keys: &[u64], block: &mut [u64]) {
-    for &(seed, lo, width) in pairs {
-        let (lo, width) = (lo as u64, width as u64);
-        for (slot, &key) in block.iter_mut().zip(keys.iter()) {
-            let h32 = mix64(seed ^ key) >> 32;
-            // ARITH: hot support-count kernel; wrapping_sub is the u64 form
-            // of `(h32 as u32).wrapping_sub(lo) < width` (intentional mod-2^32
-            // range test), and a u64 tally cannot reach 2^64 reports.
-            *slot = slot.wrapping_add(((h32.wrapping_sub(lo) & 0xffff_ffff) < width) as u64);
+fn support_count_values(seeds: &[u64], lo: &[u64], width: &[u64], base: u32, block: &mut [u64]) {
+    let n = seeds.len();
+    let (lo, width) = (&lo[..n], &width[..n]);
+    for (i, slot) in block.iter_mut().enumerate() {
+        // ARITH: block offset; base + i stays below the u32 domain size
+        // by construction of the block walk.
+        let key = value_key(base.wrapping_add(i as u32));
+        let mut supports = 0u64;
+        for j in 0..n {
+            // ARITH: hot support-count kernel; the wrapping subtract is the
+            // intentional mod-2^64 range test of [`shifted_bounds`], and
+            // the tally is bounded by the tile size.
+            let hit = mix64(seeds[j] ^ key).wrapping_sub(lo[j]) < width[j];
+            // ARITH: bounded by TILE_REPORTS.
+            supports = supports.wrapping_add(hit as u64);
         }
+        // ARITH: hot kernel; a u64 tally cannot reach 2^64 reports.
+        *slot = slot.wrapping_add(supports);
     }
 }
 
@@ -115,54 +162,28 @@ fn support_count_per_report(pairs: &[UnpackedReport], keys: &[u64], block: &mut 
 // safe code; callers must have runtime-detected avx512f+avx512dq first.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512dq")]
-unsafe fn support_count_avx512(pairs: &[UnpackedReport], keys: &[u64], block: &mut [u64]) {
-    support_count_per_report(pairs, keys, block);
+unsafe fn support_count_avx512(
+    seeds: &[u64],
+    lo: &[u64],
+    width: &[u64],
+    base: u32,
+    block: &mut [u64],
+) {
+    support_count_values(seeds, lo, width, base, block);
 }
 
 // SAFETY: `unsafe fn` only because of `#[target_feature]` — the body is
 // safe code; callers must have runtime-detected avx2 first.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn support_count_avx2(pairs: &[UnpackedReport], keys: &[u64], block: &mut [u64]) {
-    support_count_per_report(pairs, keys, block);
-}
-
-/// Scalar fallback: reports are walked in groups of [`GROUP_REPORTS`] so
-/// each domain value runs that many independent `mix64` chains (ILP without
-/// SIMD), and the count slot is loaded/stored once per group.
-fn support_count_grouped(pairs: &[UnpackedReport], keys: &[u64], block: &mut [u64]) {
-    let mut groups = pairs.chunks_exact(GROUP_REPORTS);
-    for group in groups.by_ref() {
-        // `chunks_exact` only yields slices of exactly GROUP_REPORTS, so the
-        // array view always succeeds; the `else` arm is dead code kept so
-        // the conversion stays panic-free.
-        let Ok(group) = <&[UnpackedReport; GROUP_REPORTS]>::try_from(group) else {
-            continue;
-        };
-        for (slot, &key) in block.iter_mut().zip(keys.iter()) {
-            // Fixed-length loop over the group array: fully unrolled into
-            // eight independent hash pipelines by the compiler.
-            let mut supports = 0u64;
-            for &(seed, lo, width) in group {
-                let h32 = (mix64(seed ^ key) >> 32) as u32;
-                // ARITH: hot support-count kernel; wrapping_sub is the
-                // intentional mod-2^32 range test, and the group tally is
-                // bounded by GROUP_REPORTS.
-                supports = supports.wrapping_add((h32.wrapping_sub(lo) < width) as u64);
-            }
-            // ARITH: hot kernel; a u64 tally cannot reach 2^64 reports.
-            *slot = slot.wrapping_add(supports);
-        }
-    }
-    for &(seed, lo, width) in groups.remainder() {
-        for (slot, &key) in block.iter_mut().zip(keys.iter()) {
-            let h32 = (mix64(seed ^ key) >> 32) as u32;
-            // ARITH: hot support-count kernel; wrapping_sub is the
-            // intentional mod-2^32 range test, and a u64 tally cannot
-            // reach 2^64 reports.
-            *slot = slot.wrapping_add((h32.wrapping_sub(lo) < width) as u64);
-        }
-    }
+unsafe fn support_count_avx2(
+    seeds: &[u64],
+    lo: &[u64],
+    width: &[u64],
+    base: u32,
+    block: &mut [u64],
+) {
+    support_count_values(seeds, lo, width, base, block);
 }
 
 /// Optimized Local Hashing over a domain of size `d`.
@@ -220,25 +241,6 @@ impl Olh {
     /// GRR keep-probability over the hashed domain.
     pub fn p(&self) -> f64 {
         self.p
-    }
-
-    /// Unpacks reports into `(seed, bucket_lo, bucket_width)` triples for
-    /// the batched kernel, validating protocol and hash range up front — a
-    /// mismatched report is rejected before any count is touched.
-    fn unpack_reports(&self, reports: &[Report]) -> Result<Vec<UnpackedReport>> {
-        reports
-            .iter()
-            .map(|r| {
-                self.check_report(r)?;
-                match r {
-                    Report::Olh { seed, value } => {
-                        let (lo, width) = bucket_bounds(*value, self.g);
-                        Ok((*seed, lo, width))
-                    }
-                    _ => unreachable!("check_report admits only OLH reports"),
-                }
-            })
-            .collect()
     }
 }
 
@@ -313,19 +315,26 @@ impl FrequencyOracle for Olh {
             _ => felip_obs::counter!("fo.olh.batch.scalar", 1, "batches"),
         }
         felip_obs::counter!("fo.olh.batch.reports", reports.len(), "reports");
+        // Every report is checked before any count is touched, so a bad
+        // report fails the whole batch and leaves `counts` unchanged.
+        for r in reports {
+            self.check_report(r)?;
+        }
+        let g = self.g;
+        let bounds: Vec<(u64, u64)> = (0..g.min(BOUNDS_TABLE_MAX))
+            .map(|b| shifted_bounds(b, g))
+            .collect();
         // Like `accumulate`, the count-vector width (not `self.domain`)
-        // defines the value range counted over.
-        let pairs = self.unpack_reports(reports)?;
-        // Parallelise over disjoint domain blocks — each worker owns its
-        // slice of the count vector, so no per-thread vector merging. Under
-        // an already-parallel caller (sharded ingestion) this runs
-        // sequentially on the calling worker, which is exactly the blocked
-        // single-thread kernel.
+        // defines the value range counted over. Wide domains split into
+        // disjoint value blocks across workers — each owns its slice of the
+        // count vector, so no per-thread vector merging. Under an
+        // already-parallel caller (sharded ingestion) this runs
+        // sequentially on the calling worker.
         counts
             .par_chunks_mut(BLOCK_VALUES)
             .enumerate()
             .for_each(|(b, block)| {
-                support_count_block(&pairs, (b * BLOCK_VALUES) as u32, block);
+                support_count_reports(reports, &bounds, g, (b * BLOCK_VALUES) as u32, block);
             });
         Ok(())
     }
@@ -458,7 +467,16 @@ mod tests {
         };
         let mut counts = vec![0u64; 8];
         assert!(olh.accumulate(&bad, &mut counts).is_err());
-        assert!(olh.accumulate_batch(&[bad], &mut counts).is_err());
+        assert!(olh
+            .accumulate_batch(std::slice::from_ref(&bad), &mut counts)
+            .is_err());
+        // Last of more than a tile of valid reports: still nothing counts.
+        let mut rng = seeded_rng(11);
+        let mut batch: Vec<_> = (0..super::TILE_REPORTS + 7)
+            .map(|i| olh.perturb(i as u32 % 8, &mut rng))
+            .collect();
+        batch.push(bad);
+        assert!(olh.accumulate_batch(&batch, &mut counts).is_err());
         assert_eq!(counts, vec![0u64; 8]);
     }
 
@@ -483,8 +501,9 @@ mod tests {
     fn batch_kernel_matches_scalar_path_exactly() {
         let olh = Olh::new(1.0, 300);
         let mut rng = seeded_rng(7);
-        // 13 reports: exercises one full group of 8 plus a 5-report tail.
-        let reports: Vec<_> = (0..13).map(|i| olh.perturb(i % 300, &mut rng)).collect();
+        // Two full report tiles plus a 13-report ragged tail.
+        let n = 2 * super::TILE_REPORTS as u32 + 13;
+        let reports: Vec<_> = (0..n).map(|i| olh.perturb(i % 300, &mut rng)).collect();
         let mut batched = vec![0u64; 300];
         olh.accumulate_batch(&reports, &mut batched).unwrap();
         assert_eq!(batched, scalar_counts(&olh, &reports, 300));
@@ -514,6 +533,17 @@ mod tests {
         let one = [olh.perturb(3, &mut rng)];
         olh.accumulate_batch(&one, &mut counts).unwrap();
         assert_eq!(counts, scalar_counts(&olh, &one, 16));
+    }
+
+    #[test]
+    fn batch_kernel_exact_with_a_wide_hash_range() {
+        // Buckets past the bounds table compute their bounds per report.
+        let olh = Olh::with_hash_range(1.0, 40, super::BOUNDS_TABLE_MAX + 5);
+        let mut rng = seeded_rng(10);
+        let reports: Vec<_> = (0..50).map(|i| olh.perturb(i % 40, &mut rng)).collect();
+        let mut batched = vec![0u64; 40];
+        olh.accumulate_batch(&reports, &mut batched).unwrap();
+        assert_eq!(batched, scalar_counts(&olh, &reports, 40));
     }
 
     #[test]

@@ -9,11 +9,42 @@
 use felip_common::{Error, Result};
 
 /// A partition of `0..domain` into contiguous cells.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+///
+/// Serializes as its edges alone (`{"edges": [..]}`); the projection
+/// table is derived from them on construction and deserialization.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Binning {
     /// Cell boundaries: `edges[i]..edges[i+1]` is cell `i`;
     /// `edges[0] == 0`, `edges[len-1] == domain`, strictly increasing.
     edges: Vec<u32>,
+    /// Constant-time projection table: entry `b` is `(c, edges[c + 1])`
+    /// for the cell `c` holding value `b << shift`. `2^shift` is at most
+    /// the narrowest cell's width, so the values `b << shift ..
+    /// (b + 1) << shift` span cells `c` and `c + 1` only, and one compare
+    /// against `edges[c + 1]` picks between them. `⌈d / 2^shift⌉ ≤ d`
+    /// entries, fewer than `2·d / min_width`.
+    lookup: Vec<(u32, u32)>,
+    /// `⌊log2(narrowest cell width)⌋`.
+    shift: u32,
+}
+
+impl serde::Serialize for Binning {
+    fn to_content(&self) -> serde::Content {
+        serde::Content::Map(vec![(
+            serde::Content::Str("edges".to_string()),
+            self.edges.to_content(),
+        )])
+    }
+}
+
+impl serde::Deserialize for Binning {
+    fn from_content(c: &serde::Content) -> std::result::Result<Self, serde::DeError> {
+        let map = c
+            .as_map()
+            .ok_or_else(|| serde::DeError::expected("map", "Binning"))?;
+        let edges = Vec::<u32>::from_content(serde::map_field(map, "edges", "Binning")?)?;
+        Binning::from_edges(edges).map_err(|e| serde::DeError::new(e.to_string()))
+    }
 }
 
 impl Binning {
@@ -40,7 +71,7 @@ impl Binning {
             edges.push(at);
         }
         debug_assert_eq!(at, domain);
-        Ok(Binning { edges })
+        Ok(Binning::with_edges(edges))
     }
 
     /// Identity binning: one cell per value (used for categorical axes).
@@ -61,7 +92,32 @@ impl Binning {
                 "binning edges must be strictly increasing".into(),
             ));
         }
-        Ok(Binning { edges })
+        Ok(Binning::with_edges(edges))
+    }
+
+    /// Builds the projection table for validated `edges` (at least two,
+    /// starting at 0, strictly increasing).
+    fn with_edges(edges: Vec<u32>) -> Self {
+        let min_width = edges
+            .windows(2)
+            .map(|w| w[1] - w[0])
+            .min()
+            .expect("validated edges hold at least one cell");
+        let shift = min_width.ilog2();
+        let domain = *edges.last().expect("validated edges are non-empty");
+        let mut lookup = Vec::with_capacity(((domain - 1) >> shift) as usize + 1);
+        let mut cell = 0usize;
+        for start in (0..domain).step_by(1 << shift) {
+            while edges[cell + 1] <= start {
+                cell += 1;
+            }
+            lookup.push((cell as u32, edges[cell + 1]));
+        }
+        Binning {
+            edges,
+            lookup,
+            shift,
+        }
     }
 
     /// Number of cells `l`.
@@ -74,12 +130,14 @@ impl Binning {
         *self.edges.last().expect("binning always has edges")
     }
 
-    /// The cell containing `value`.
+    /// The cell containing `value`, in constant time: one table load and
+    /// one branch-free compare.
     ///
     /// # Panics
-    /// Panics when `value >= domain` (debug builds assert; release builds
-    /// return the last cell via the partition-point clamp only for valid
-    /// input, so callers must validate).
+    /// `value` must be below the domain size; callers validate. Debug
+    /// builds assert it. Release builds never clamp an out-of-domain value
+    /// into the last cell: they return `cells()` or panic on the table
+    /// bounds check.
     #[inline]
     pub fn cell_of(&self, value: u32) -> u32 {
         debug_assert!(
@@ -87,9 +145,8 @@ impl Binning {
             "value {value} out of domain {}",
             self.domain()
         );
-        // partition_point returns the first edge > value; subtract one edge
-        // index to get the cell.
-        (self.edges.partition_point(|&e| e <= value) - 1) as u32
+        let (cell, upper) = self.lookup[(value >> self.shift) as usize];
+        cell + u32::from(value >= upper)
     }
 
     /// Inclusive-exclusive value range `[lo, hi)` of cell `i`.
@@ -216,6 +273,95 @@ mod tests {
             assert_eq!(b.cell_of(v), v);
             assert_eq!(b.width(v), 1);
         }
+    }
+
+    /// The binary search `cell_of` ran before its projection table: the
+    /// oracle the table must agree with.
+    fn cell_by_search(b: &Binning, value: u32) -> u32 {
+        (b.edges().partition_point(|&e| e <= value) - 1) as u32
+    }
+
+    fn assert_projection_exact(b: &Binning) {
+        for v in 0..b.domain() {
+            assert_eq!(
+                b.cell_of(v),
+                cell_by_search(b, v),
+                "value {v} of {:?}",
+                b.edges()
+            );
+        }
+    }
+
+    #[test]
+    fn cell_of_matches_binary_search_on_every_value() {
+        for d in 1..300u32 {
+            for l in 1..=d {
+                assert_projection_exact(&Binning::equal(d, l).unwrap());
+            }
+        }
+        // The paper's §6.2 axes and wide categorical domains.
+        for (d, l) in [(256, 31), (256, 16), (256, 64), (1000, 7), (4096, 4096)] {
+            assert_projection_exact(&Binning::equal(d, l).unwrap());
+        }
+        for d in [1u32, 2, 8, 255, 1024] {
+            assert_projection_exact(&Binning::identity(d).unwrap());
+        }
+        // Equal-mass cells of very uneven widths, width-1 cells among
+        // wide ones: the table shift drops to 0.
+        let mut spiky = vec![0.01f64; 200];
+        for i in [3usize, 4, 5, 90, 91, 199] {
+            spiky[i] = 10.0;
+        }
+        for cells in [2u32, 5, 9, 17, 64, 200] {
+            let b = Binning::equal_mass(&spiky, cells).unwrap();
+            assert_projection_exact(&b);
+        }
+        let b = Binning::equal_mass(&spiky, 9).unwrap();
+        assert!(
+            (0..b.cells()).any(|c| b.width(c) == 1) && (0..b.cells()).any(|c| b.width(c) > 8),
+            "spiky weights must mix width-1 and wide cells: {:?}",
+            b.edges()
+        );
+        // Explicit edges: power-of-two widths and a lone wide tail.
+        for edges in [
+            vec![0, 4, 8, 12],
+            vec![0, 1, 2, 1000],
+            vec![0, 7, 15, 16, 40],
+        ] {
+            assert_projection_exact(&Binning::from_edges(edges).unwrap());
+        }
+    }
+
+    #[test]
+    fn projection_table_stays_small() {
+        // 256 values into 31 cells of width 8 or 9: 32 entries.
+        assert_eq!(Binning::equal(256, 31).unwrap().lookup.len(), 32);
+        for d in 1..200u32 {
+            for l in 1..=d {
+                let b = Binning::equal(d, l).unwrap();
+                let min_width = (0..l).map(|c| b.width(c)).min().unwrap();
+                assert!(b.lookup.len() as u32 <= d);
+                assert!(b.lookup.len() as u32 <= 2 * d / min_width);
+            }
+        }
+    }
+
+    #[test]
+    fn serializes_as_edges_only() {
+        use serde::{Content, Deserialize, Serialize};
+        let b = Binning::equal(10, 3).unwrap();
+        let edges = |e: &[u64]| {
+            Content::Map(vec![(
+                Content::Str("edges".into()),
+                Content::Seq(e.iter().map(|&x| Content::U64(x)).collect()),
+            )])
+        };
+        assert_eq!(b.to_content(), edges(&[0, 4, 7, 10]));
+        let back = Binning::from_content(&b.to_content()).unwrap();
+        assert_eq!(back, b);
+        assert_eq!(back.cell_of(5), 1);
+        assert!(Binning::from_content(&edges(&[0, 4, 4])).is_err());
+        assert!(Binning::from_content(&edges(&[])).is_err());
     }
 
     #[test]

@@ -36,7 +36,7 @@ use felip_server::wire::{
     encode_hello, encode_query, read_frame, Frame, FrameKind, FrameView,
 };
 use felip_server::{
-    CutSource, QueryMode, QueryRequest, QueryService, Server, ServerConfig, ServerRun,
+    CutSource, QueryMode, QueryRequest, QueryService, Server, ServerConfig, ServerRun, ServerStats,
 };
 
 fn plan() -> Arc<CollectionPlan> {
@@ -159,9 +159,10 @@ impl Drop for Release<'_> {
 }
 
 /// Serves [`plan`] with the serve loop over a [`GatedCut`] of users
-/// `0..200` (loadgen seed 7) and an [`AckingHandler`], runs `drive`
-/// against it, then opens the gate and stops the loop.
-fn with_gated_tier<F>(drive: F)
+/// `0..200` (loadgen seed 7) and an [`AckingHandler`], with `config`'s
+/// read and idle timeouts, runs `drive` against it, then opens the gate,
+/// stops the loop and returns the tier's counters.
+fn with_gated_tier<F>(config: ServerConfig, drive: F) -> ServerStats
 where
     F: FnOnce(std::net::SocketAddr, &Arc<CollectionPlan>, &GatedCut),
 {
@@ -176,7 +177,6 @@ where
     });
     let query = QueryService::new(Arc::clone(&plan), oracles, Arc::clone(&gate));
     let stats = AtomicStats::default();
-    let config = ServerConfig::default();
     let tier = Tier {
         plan_hash: plan.schema_hash(),
         stats: &stats,
@@ -196,6 +196,7 @@ where
         let _release = Release(&gate, &stop);
         drive(addr, &plan, &gate);
     });
+    stats.snapshot()
 }
 
 fn hello_frame(plan_hash: u64, client_id: u64) -> Vec<u8> {
@@ -487,7 +488,7 @@ fn closed_askers_reply_never_reaches_the_slots_next_connection() {
 /// the reactor never waits for the query worker.
 #[test]
 fn slow_query_does_not_hold_up_other_connections_acks() {
-    with_gated_tier(|addr, plan, gate| {
+    with_gated_tier(ServerConfig::default(), |addr, plan, gate| {
         let plan_hash = plan.schema_hash();
         let mut b = TcpStream::connect(addr).expect("connect");
         b.set_nodelay(true).unwrap();
@@ -523,14 +524,16 @@ fn slow_query_does_not_hold_up_other_connections_acks() {
 
 /// Whole frames buffered behind a pending query wait on the server, not
 /// on the peer: however long the query takes, they must not trip the
-/// mid-frame `read_timeout` stall.
+/// mid-frame `read_timeout` stall. The gate holds the query out for four
+/// read deadlines.
 #[test]
 fn frames_parked_behind_a_query_never_trip_the_stall_deadline() {
+    let read_timeout = Duration::from_millis(20);
     let config = ServerConfig {
-        read_timeout: Duration::from_millis(20),
+        read_timeout,
         ..ServerConfig::default()
     };
-    let run = with_plan_server(slow_plan(), config, |addr, plan| {
+    let stats = with_gated_tier(config, |addr, plan, gate| {
         let mut stream = TcpStream::connect(addr).expect("connect");
         stream.set_nodelay(true).unwrap();
         let mut burst = hello_frame(plan.schema_hash(), 8);
@@ -539,17 +542,25 @@ fn frames_parked_behind_a_query_never_trip_the_stall_deadline() {
         burst.extend(batch_frame(plan, 2, 200..400));
         burst.extend(batch_frame(plan, 3, 400..600));
         stream.write_all(&burst).unwrap();
-        assert_ack(&expect_frame(&mut stream), 0);
-        assert_ack(&expect_frame(&mut stream), 1);
+        let mut accepted = 0;
+        let mut ack = |stream: &mut TcpStream, batch_id| {
+            let frame = expect_frame(stream);
+            assert_ack(&frame, batch_id);
+            accepted += decode_ack(&frame.payload).unwrap().1;
+        };
+        ack(&mut stream, 0);
+        ack(&mut stream, 1);
+        thread::sleep(4 * read_timeout);
+        gate.open();
         assert_eq!(assert_answer(&expect_frame(&mut stream), 3).reports, 200);
-        assert_ack(&expect_frame(&mut stream), 2);
-        assert_ack(&expect_frame(&mut stream), 3);
+        ack(&mut stream, 2);
+        ack(&mut stream, 3);
+        assert_eq!(accepted, 600, "every report behind the query is acked");
     });
     assert_eq!(
-        run.stats.frames_rejected, 0,
+        stats.frames_rejected, 0,
         "a parked frame was taken for a stall"
     );
-    assert_eq!(run.stats.reports_accepted, 600);
 }
 
 /// While a query is out, the server leaves the connection's socket
@@ -566,7 +577,7 @@ fn parked_connection_leaves_its_bytes_in_the_kernel() {
     /// Consecutive refused writes, 1 ms apart, that count as a window
     /// that stays full (a server that reads would drain it meanwhile).
     const REFUSALS: u32 = 10;
-    with_gated_tier(|addr, plan, gate| {
+    with_gated_tier(ServerConfig::default(), |addr, plan, gate| {
         let plan_hash = plan.schema_hash();
         let mut stream = TcpStream::connect(addr).expect("connect");
         let mut feed = hello_frame(plan_hash, 6);
