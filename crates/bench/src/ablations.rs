@@ -204,50 +204,6 @@ pub fn ablation_selectivity(profile: &Profile) -> std::io::Result<()> {
     Ok(())
 }
 
-/// λ-D fit ablation: faithful pairs-only Algorithm 4 vs the
-/// marginal-augmented extension, across query dimensions.
-pub fn ablation_marginals(profile: &Profile) -> std::io::Result<()> {
-    let mut sink = CsvSink::new(
-        "ablation_marginals",
-        "dataset,lambda,variant,mae",
-        profile.out_dir.as_deref(),
-    )?;
-    for kind in [DatasetKind::Normal, DatasetKind::IpumsLike] {
-        let opts = felip_datasets::GenOptions {
-            numerical: 5,
-            categorical: 5,
-            ..profile.gen_options(0xA4)
-        };
-        let data = kind.generate(opts);
-        for lambda in [3usize, 4, 6, 8] {
-            let queries = generate_queries(
-                data.schema(),
-                WorkloadOptions {
-                    lambda,
-                    selectivity: 0.5,
-                    count: profile.queries,
-                    seed: profile.seed ^ 0xA4,
-                    range_only: false,
-                },
-            )
-            .expect("10-attribute schema supports lambda up to 8");
-            let truth: Vec<f64> = queries.iter().map(|q| q.true_answer(&data)).collect();
-            for (variant, marginals) in [("pairs-only", false), ("with-marginals", true)] {
-                let config = FelipConfig::new(1.0)
-                    .with_strategy(Strategy::Ohg)
-                    .with_lambda_marginals(marginals);
-                let est = simulate(&data, &config, profile.seed).expect("simulation succeeds");
-                let answers = est.answer_all(&queries).expect("answering succeeds");
-                sink.write_row(&format!(
-                    "{kind},{lambda},{variant},{:.6}",
-                    mae(&answers, &truth)
-                ))?;
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Two-phase data-aware binning ablation (DESIGN.md §8): one-phase FELIP vs
 /// spending ρ of the population learning coarse marginals and binning by
 /// equal mass, on skewed data with narrow queries.

@@ -7,8 +7,8 @@
 //! x-axis, runs every strategy on every dataset, and prints one CSV row per
 //! `(dataset, λ, x, strategy)` series point — the same series the paper
 //! plots. Ablation binaries (`afo_crossover`, `ablation_partitioning`,
-//! `ablation_postprocess`, `ablation_selectivity`, `ablation_marginals`,
-//! `ablation_twophase`, `sw_vs_olh`) cover the design choices and
+//! `ablation_postprocess`, `ablation_selectivity`, `ablation_twophase`,
+//! `sw_vs_olh`) cover the design choices and
 //! extensions DESIGN.md calls out. Two more binaries check the serving
 //! stack: `chaos` sweeps the deterministic fault-injection harness, and
 //! `olh_kernel` compares the batched OLH kernel with the scalar path and

@@ -70,9 +70,10 @@ fn finish_obs(obs: &ObsFlags) -> std::io::Result<()> {
         f.flush()?;
     }
     if obs.metrics {
-        let doc = felip_obs::jsonread::parse(&felip_obs::global().metrics_snapshot().to_json())
-            .map_err(|e| std::io::Error::other(e.to_string()))?;
-        let table = felip_obs::render_metrics_table(&doc).map_err(std::io::Error::other)?;
+        let doc: serde_json::Value =
+            serde_json::from_str(&felip_obs::global().metrics_snapshot().to_json())
+                .map_err(std::io::Error::other)?;
+        let table = serve_cmd::render_metrics_table(&doc).map_err(std::io::Error::other)?;
         diag::line(&table);
     }
     Ok(())

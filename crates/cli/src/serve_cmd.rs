@@ -350,12 +350,12 @@ pub fn stat(args: &[String]) -> CmdResult {
             let docs = texts
                 .iter()
                 .map(|t| {
-                    felip_obs::jsonread::parse(t)
-                        .map_err(|e| format!("server sent invalid metrics JSON: {e:?}"))
+                    serde_json::from_str(t)
+                        .map_err(|e| format!("server sent invalid metrics JSON: {e}"))
                 })
-                .collect::<std::result::Result<Vec<_>, _>>()?;
+                .collect::<std::result::Result<Vec<serde_json::Value>, _>>()?;
             if let [doc] = docs.as_slice() {
-                print!("{}", felip_obs::render_metrics_table(doc)?);
+                print!("{}", render_metrics_table(doc)?);
             } else {
                 // Fan-in: a per-node column each plus the cluster sum.
                 print!("{}", render_fanin_table(&addrs, &docs)?);
@@ -379,16 +379,121 @@ fn json_lines(addrs: &[String], texts: &[String]) -> String {
         .collect()
 }
 
+/// Renders one parsed metrics-snapshot JSON object (what a STAT reply or a
+/// `--metrics-out` line carries) as an aligned text table — the
+/// single-node `felip stat` view. Histogram nanosecond metrics are
+/// human-scaled.
+pub fn render_metrics_table(doc: &serde_json::Value) -> Result<String, String> {
+    if doc.get("t").and_then(|t| t.as_str()) != Some("metrics") {
+        return Err("not a metrics snapshot (missing t=\"metrics\")".into());
+    }
+    let kind = doc.get("kind").and_then(|k| k.as_str()).unwrap_or("full");
+    let taken_ns = doc.get("taken_ns").and_then(|v| v.as_u64()).unwrap_or(0);
+    let Some(metrics) = doc.get("metrics").and_then(|m| m.as_array()) else {
+        return Err("metrics snapshot has no \"metrics\" array".into());
+    };
+    let mut out = format!("metrics ({kind} snapshot at +{})\n", fmt_ns(taken_ns));
+    out.push_str(&format!("  {:<40} {}\n", "metric", "value"));
+    let mut rows = 0usize;
+    for m in metrics {
+        let name = m.get("name").and_then(|n| n.as_str()).unwrap_or("?");
+        let unit = m.get("unit").and_then(|u| u.as_str()).unwrap_or("");
+        let is_ns = unit == "ns";
+        let rendered = match m.get("kind").and_then(|k| k.as_str()) {
+            Some("histogram") => {
+                let count = m.get("count").and_then(|v| v.as_u64()).unwrap_or(0);
+                if count == 0 {
+                    continue;
+                }
+                let q = |key: &str| m.get(key).and_then(|v| v.as_f64()).unwrap_or(0.0);
+                let scale = |v: f64| {
+                    if is_ns {
+                        fmt_ns(v as u64)
+                    } else {
+                        format!("{v:.0}")
+                    }
+                };
+                format!(
+                    "n={count} mean={} p50={} p99={} p999={} max={}",
+                    scale(q("mean")),
+                    scale(q("p50")),
+                    scale(q("p99")),
+                    scale(q("p999")),
+                    scale(q("max")),
+                )
+            }
+            _ => match m.get("value").and_then(|v| v.as_f64()) {
+                Some(v) if v != 0.0 => {
+                    if v.fract() == 0.0 && v.abs() < 9e15 {
+                        format!("{}", v as i64)
+                    } else {
+                        format!("{v:.6}")
+                    }
+                }
+                _ => continue,
+            },
+        };
+        let unit_suffix = if unit.is_empty() || is_ns {
+            String::new()
+        } else {
+            format!(" {unit}")
+        };
+        out.push_str(&format!("  {name:<40} {rendered}{unit_suffix}\n"));
+        rows += 1;
+    }
+    // The per-worker queue gauges are sharded (`server.queue.depth.w0`…)
+    // so no worker's write can mask another's; the fleet-wide view is
+    // derived here at render time.
+    let depths: Vec<u64> = metrics
+        .iter()
+        .filter(|m| {
+            m.get("name")
+                .and_then(|n| n.as_str())
+                .is_some_and(|n| n.starts_with("server.queue.depth."))
+        })
+        .filter_map(|m| m.get("value").and_then(|v| v.as_u64()))
+        .collect();
+    if !depths.is_empty() {
+        let sum: u64 = depths.iter().sum();
+        let max = depths.iter().copied().max().unwrap_or(0);
+        out.push_str(&format!(
+            "  {:<40} {sum} batches\n",
+            "server.queue.depth (sum)"
+        ));
+        out.push_str(&format!(
+            "  {:<40} {max} batches\n",
+            "server.queue.depth (max worker)"
+        ));
+        rows += 2;
+    }
+    if rows == 0 {
+        out.push_str("  (no nonzero metrics)\n");
+    }
+    Ok(out)
+}
+
+/// Nanoseconds as a human-scaled duration.
+fn fmt_ns(ns: u64) -> String {
+    if ns >= 1_000_000_000 {
+        format!("{:.2}s", ns as f64 / 1e9)
+    } else if ns >= 1_000_000 {
+        format!("{:.2}ms", ns as f64 / 1e6)
+    } else if ns >= 1_000 {
+        format!("{:.2}us", ns as f64 / 1e3)
+    } else {
+        format!("{ns}ns")
+    }
+}
+
 /// Extracts `(name, unit, value)` rows from one node's parsed metrics
 /// snapshot. Counters and gauges contribute their value; histograms
 /// contribute their sample count (renamed `<name>.count`) so latency
 /// metrics still sum meaningfully across nodes.
-fn fanin_rows(doc: &felip_obs::jsonread::JsonValue) -> Result<Vec<(String, String, f64)>, String> {
-    use felip_obs::jsonread::JsonValue;
+fn fanin_rows(doc: &serde_json::Value) -> Result<Vec<(String, String, f64)>, String> {
     if doc.get("t").and_then(|t| t.as_str()) != Some("metrics") {
         return Err("not a metrics snapshot (missing t=\"metrics\")".into());
     }
-    let Some(JsonValue::Array(metrics)) = doc.get("metrics") else {
+    let Some(metrics) = doc.get("metrics").and_then(|m| m.as_array()) else {
         return Err("metrics snapshot has no \"metrics\" array".into());
     };
     let mut rows = Vec::with_capacity(metrics.len());
@@ -418,10 +523,7 @@ fn fanin_rows(doc: &felip_obs::jsonread::JsonValue) -> Result<Vec<(String, Strin
 /// Renders the multi-node fan-in table: one column per `--addr`, one
 /// cluster sum column, one row per metric seen on any node (all-zero rows
 /// skipped, like the single-node table).
-fn render_fanin_table(
-    addrs: &[String],
-    docs: &[felip_obs::jsonread::JsonValue],
-) -> Result<String, String> {
+fn render_fanin_table(addrs: &[String], docs: &[serde_json::Value]) -> Result<String, String> {
     let per_node: Vec<Vec<(String, String, f64)>> =
         docs.iter().map(fanin_rows).collect::<Result<_, _>>()?;
 
@@ -695,12 +797,14 @@ mod tests {
         // STAT answers any connection — no plan flags — with a metrics
         // document, and flight mode with a JSONL dump.
         let payload = stat_once(&addr, StatMode::Full).unwrap();
-        let doc = felip_obs::jsonread::parse(&String::from_utf8(payload).unwrap()).unwrap();
-        assert_eq!(doc.get("t").and_then(|v| v.as_str()), Some("metrics"));
+        let doc: serde_json::Value =
+            serde_json::from_str(&String::from_utf8(payload).unwrap()).unwrap();
+        assert_eq!(doc["t"], "metrics");
         let flight = stat_once(&addr, StatMode::Flight).unwrap();
         let first = String::from_utf8(flight).unwrap();
-        let header = felip_obs::jsonread::parse(first.lines().next().unwrap()).unwrap();
-        assert_eq!(header.get("t").and_then(|v| v.as_str()), Some("flight"));
+        let header: serde_json::Value =
+            serde_json::from_str(first.lines().next().unwrap()).unwrap();
+        assert_eq!(header["t"], "flight");
 
         shutdown.store(true, std::sync::atomic::Ordering::SeqCst);
         let run = t.join().unwrap();
@@ -794,9 +898,91 @@ mod tests {
         assert!(parse_marginal("0=a|b").is_err());
     }
 
+    /// A snapshot from a live recorder: one counter, one gauge and one
+    /// nanosecond histogram with three samples.
+    fn populated_snapshot(
+        extra_gauges: &[(&'static felip_obs::CallsiteId, u64)],
+    ) -> serde_json::Value {
+        use felip_obs::{CallsiteId, MetricKind, Recorder};
+        static C: CallsiteId = CallsiteId::new("table.frames", MetricKind::Counter, "frames");
+        static G: CallsiteId = CallsiteId::new("table.depth", MetricKind::Gauge, "batches");
+        static H: CallsiteId = CallsiteId::new("table.lat", MetricKind::Histogram, "ns");
+        let rec = Recorder::new();
+        rec.set_enabled(true);
+        rec.counter_add(&C, 10);
+        rec.gauge_set(&G, 3);
+        for v in [100u64, 200, 400] {
+            rec.hist_record(&H, v);
+        }
+        for &(cs, v) in extra_gauges {
+            rec.gauge_set(cs, v);
+        }
+        serde_json::from_str(&rec.metrics_snapshot().to_json()).unwrap()
+    }
+
+    #[test]
+    fn render_table_lists_nonzero_metrics() {
+        let table = render_metrics_table(&populated_snapshot(&[])).unwrap();
+        assert!(table.contains("table.frames"), "{table}");
+        assert!(table.contains("table.lat"), "{table}");
+        assert!(table.contains("p999="), "{table}");
+        assert!(render_metrics_table(&serde_json::Value::Null).is_err());
+    }
+
+    #[test]
+    fn render_table_derives_queue_depth_sum_and_max() {
+        use felip_obs::{CallsiteId, MetricKind};
+        static W0: CallsiteId =
+            CallsiteId::new("server.queue.depth.w0", MetricKind::Gauge, "batches");
+        static W1: CallsiteId =
+            CallsiteId::new("server.queue.depth.w1", MetricKind::Gauge, "batches");
+        let table = render_metrics_table(&populated_snapshot(&[(&W0, 4), (&W1, 9)])).unwrap();
+        assert!(
+            table.contains("server.queue.depth (sum)") && table.contains("13 batches"),
+            "{table}"
+        );
+        assert!(
+            table.contains("server.queue.depth (max worker)") && table.contains("9 batches"),
+            "{table}"
+        );
+    }
+
+    /// A histogram with samples renders exactly one `n=…` row; an empty
+    /// one renders none.
+    #[test]
+    fn histogram_with_samples_renders_one_row() {
+        let doc: serde_json::Value = serde_json::from_str(
+            r#"{"t":"metrics","kind":"full","taken_ns":1500,"metrics":[
+                {"name":"server.query.answer","kind":"histogram","unit":"ns","count":3,
+                 "sum":700,"min":100,"max":400,"mean":233.3,"p50":200.0,"p90":400.0,
+                 "p99":400.0,"p999":400.0},
+                {"name":"server.query.cut","kind":"histogram","unit":"ns","count":0,
+                 "sum":0,"min":0,"max":0,"mean":0.0,"p50":0.0,"p90":0.0,"p99":0.0,"p999":0.0}
+            ]}"#,
+        )
+        .unwrap();
+        let table = render_metrics_table(&doc).unwrap();
+        let rows: Vec<&str> = table.lines().filter(|l| l.contains("n=")).collect();
+        assert_eq!(rows.len(), 1, "{table}");
+        assert!(rows[0].contains("server.query.answer"), "{table}");
+        assert!(rows[0].contains("n=3 mean=233ns p50=200ns"), "{table}");
+        assert!(
+            table.starts_with("metrics (full snapshot at +1.50us)"),
+            "{table}"
+        );
+    }
+
+    #[test]
+    fn fmt_ns_scales() {
+        assert_eq!(fmt_ns(999), "999ns");
+        assert_eq!(fmt_ns(1_500), "1.50us");
+        assert_eq!(fmt_ns(2_500_000), "2.50ms");
+        assert_eq!(fmt_ns(3_000_000_000), "3.00s");
+    }
+
     #[test]
     fn fanin_table_sums_nodes_and_keeps_columns_aligned() {
-        let node_a = felip_obs::jsonread::parse(
+        let node_a: serde_json::Value = serde_json::from_str(
             r#"{"t":"metrics","kind":"full","taken_ns":1,"metrics":[
                 {"name":"server.reports.accepted","kind":"counter","unit":"reports","value":120},
                 {"name":"cluster.delta.sent","kind":"counter","unit":"deltas","value":4},
@@ -805,7 +991,7 @@ mod tests {
             ]}"#,
         )
         .unwrap();
-        let node_b = felip_obs::jsonread::parse(
+        let node_b: serde_json::Value = serde_json::from_str(
             r#"{"t":"metrics","kind":"full","taken_ns":2,"metrics":[
                 {"name":"server.reports.accepted","kind":"counter","unit":"reports","value":80},
                 {"name":"cluster.delta.applied","kind":"counter","unit":"deltas","value":9},
@@ -857,7 +1043,7 @@ mod tests {
             let lines: Vec<&str> = out.lines().collect();
             assert_eq!(lines.len(), addrs.len(), "{out}");
             for (k, (line, addr)) in lines.iter().zip(&addrs).enumerate() {
-                let doc = felip_obs::jsonread::parse(line).unwrap();
+                let doc: serde_json::Value = serde_json::from_str(line).unwrap();
                 assert_eq!(
                     doc.get("addr").and_then(|v| v.as_str()),
                     Some(addr.as_str())

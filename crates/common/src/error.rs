@@ -24,8 +24,8 @@ pub enum Error {
     /// A report cannot be ingested (wrong group, wrong oracle, ...).
     InvalidReport(String),
     /// A report's kind or shape does not match the oracle aggregating it
-    /// (GRR report handed to an OLH aggregator, OUE bit vector of the wrong
-    /// width, OLH value outside the hash range, ...). Untrusted wire input
+    /// (GRR report handed to an OLH aggregator, GRR value outside the
+    /// domain, OLH value outside the hash range, ...). Untrusted wire input
     /// reaches the oracles directly, so this is an error, never a panic.
     ReportMismatch(String),
     /// A numerical stage received or produced a non-finite value (NaN/Inf

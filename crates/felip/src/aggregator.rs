@@ -311,8 +311,8 @@ impl Aggregator {
     /// report against its group's oracle ([`FrequencyOracle::check_report`]:
     /// protocol and value range), is validated before any state is
     /// touched, so a failed call leaves the aggregator unchanged. Bucketing
-    /// clones each report once (cheap for GRR/OLH, one `Vec` copy for OUE)
-    /// into one buffer laid out group by group ([`sort_by_group`]); when
+    /// copies each (fixed-size) report once into one buffer laid out group
+    /// by group ([`sort_by_group`]); when
     /// reports are already grouped contiguously,
     /// [`Aggregator::ingest_group_batch`] avoids even that.
     pub fn ingest_batch(&mut self, reports: &[UserReport]) -> Result<()> {
@@ -327,11 +327,8 @@ impl Aggregator {
             self.oracles.get(r.group).check_report(&r.report)?;
         }
         let groups: Vec<usize> = reports.iter().map(|r| r.group).collect();
-        let (sorted, offsets) = sort_by_group(
-            &groups,
-            reports.iter().map(|r| r.report.clone()),
-            num_groups,
-        );
+        let (sorted, offsets) =
+            sort_by_group(&groups, reports.iter().map(|r| r.report), num_groups);
         for (g, run) in offsets.windows(2).enumerate() {
             if run[0] < run[1] {
                 self.ingest_group_batch(g, &sorted[run[0]..run[1]])?;

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use felip_common::{AttrKind, Error, Query, Result};
-use felip_grid::lambda::{fit_constraints, Constraint, PairAnswer, MAX_LAMBDA};
+use felip_grid::lambda::{fit_lambda, PairAnswer, MAX_LAMBDA};
 use felip_grid::response::ResponseMatrix;
 use felip_grid::{EstimatedGrid, GridId};
 
@@ -140,31 +140,18 @@ impl Estimator {
             }
             _ => {
                 let lambda = preds.len();
-                let mut constraints: Vec<Constraint> =
-                    Vec::with_capacity(lambda * (lambda - 1) / 2 + lambda);
+                let mut pairs = Vec::with_capacity(lambda * (lambda - 1) / 2);
                 for s in 0..lambda {
                     for t in (s + 1)..lambda {
                         let m = self.response_matrix(preds[s].attr, preds[t].attr)?;
-                        constraints.push(
-                            PairAnswer {
-                                s,
-                                t,
-                                answer: m.answer(Some(&preds[s]), Some(&preds[t])),
-                            }
-                            .into(),
-                        );
-                    }
-                }
-                if self.plan.config().lambda_marginals {
-                    // Extension: pin each predicate's 1-D marginal as well.
-                    for (s, p) in preds.iter().enumerate() {
-                        constraints.push(Constraint {
-                            mask: 1usize << s,
-                            answer: self.answer_single(p)?,
+                        pairs.push(PairAnswer {
+                            s,
+                            t,
+                            answer: m.answer(Some(&preds[s]), Some(&preds[t])),
                         });
                     }
                 }
-                let z = fit_constraints(lambda, &constraints, self.threshold());
+                let z = fit_lambda(lambda, &pairs, self.threshold());
                 z[(1usize << lambda) - 1]
             }
         };

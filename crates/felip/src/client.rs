@@ -119,18 +119,27 @@ mod tests {
         let mut rng = seeded_rng(1);
         let honest = respond(&p, 0, &[0, 0], &mut rng).unwrap();
 
-        // Foreign protocol for the group's oracle.
-        let mismatched = UserReport {
-            group: honest.group,
-            report: Report::Oue(vec![0]),
-        };
-        let err = mismatched.validate(&p, &oracles).unwrap_err();
-        assert!(matches!(err, Error::ReportMismatch(_)), "{err}");
+        // Foreign protocol for the group's oracle: an OLH report to a GRR
+        // group and a GRR report to an OLH group.
+        for (fo, foreign) in [
+            (FoKind::Grr, Report::Olh { seed: 0, value: 0 }),
+            (FoKind::Olh, Report::Grr(0)),
+        ] {
+            let group = (0..p.num_groups())
+                .find(|&g| p.grids()[g].fo == fo)
+                .expect("the plan uses both oracles");
+            let mismatched = UserReport {
+                group,
+                report: foreign,
+            };
+            let err = mismatched.validate(&p, &oracles).unwrap_err();
+            assert!(matches!(err, Error::ReportMismatch(_)), "{fo:?}: {err}");
+        }
 
         // Group index beyond the plan.
         let foreign_group = UserReport {
             group: p.num_groups(),
-            report: honest.report.clone(),
+            report: honest.report,
         };
         let err = foreign_group.validate(&p, &oracles).unwrap_err();
         assert!(matches!(err, Error::InvalidReport(_)), "{err}");

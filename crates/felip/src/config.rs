@@ -92,12 +92,6 @@ pub struct FelipConfig {
     /// Consistency ↔ non-negativity alternation rounds in post-processing
     /// (§5.4 "multiple times"; 2 matches the reference behaviour).
     pub postprocess_rounds: usize,
-    /// Extension (off by default = faithful Algorithm 4): when answering a
-    /// λ-D query with λ ≥ 3, additionally constrain the fit with the 1-D
-    /// marginal answer of every predicate. The marginals are available from
-    /// the same grids at no extra privacy cost and pin the otherwise
-    /// under-determined pairs-only fit (see the `ablation_marginals` bench).
-    pub lambda_marginals: bool,
 }
 
 impl FelipConfig {
@@ -112,7 +106,6 @@ impl FelipConfig {
             selectivity: SelectivityPrior::Uniform(0.5),
             force_fo: None,
             postprocess_rounds: 2,
-            lambda_marginals: false,
         }
     }
 
@@ -144,13 +137,6 @@ impl FelipConfig {
     /// Overrides the post-processing round count.
     pub fn with_postprocess_rounds(mut self, rounds: usize) -> Self {
         self.postprocess_rounds = rounds;
-        self
-    }
-
-    /// Enables the marginal-augmented λ-D fit (extension; see
-    /// [`FelipConfig::lambda_marginals`]).
-    pub fn with_lambda_marginals(mut self, on: bool) -> Self {
-        self.lambda_marginals = on;
         self
     }
 
@@ -195,7 +181,6 @@ mod tests {
         assert!((c.alpha2 - 0.03).abs() < 1e-12);
         assert_eq!(c.selectivity.for_attr(0), 0.5);
         assert!(c.force_fo.is_none());
-        assert!(!c.lambda_marginals, "extensions default off");
         assert!(c.validate(&schema()).is_ok());
     }
 
@@ -206,13 +191,11 @@ mod tests {
             .with_forced_fo(FoKind::Olh)
             .with_alphas(0.5, 0.05)
             .with_postprocess_rounds(3)
-            .with_lambda_marginals(true)
             .with_selectivity(SelectivityPrior::PerAttribute(vec![0.1, 0.9]));
         assert_eq!(c.strategy, Strategy::Oug);
         assert_eq!(c.force_fo, Some(FoKind::Olh));
         assert_eq!(c.postprocess_rounds, 3);
         assert_eq!(c.selectivity.for_attr(1), 0.9);
-        assert!(c.lambda_marginals);
         assert!(c.validate(&schema()).is_ok());
     }
 

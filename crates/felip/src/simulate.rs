@@ -215,9 +215,9 @@ mod robustness_tests {
         assert!((a - 0.5).abs() < 0.08, "answer {a}");
     }
 
-    /// The marginal-augmented λ fit (extension) answers and stays in range.
+    /// Algorithm 4 answers a λ = 3 query from its three pair answers.
     #[test]
-    fn lambda_marginals_extension_runs() {
+    fn lambda_three_end_to_end() {
         let schema = Schema::new(vec![
             Attribute::numerical("x", 32),
             Attribute::numerical("y", 32),
@@ -225,8 +225,7 @@ mod robustness_tests {
         ])
         .unwrap();
         let data = uniform_dataset(&schema, 40_000, 7);
-        let cfg = FelipConfig::new(1.0).with_lambda_marginals(true);
-        let est = simulate(&data, &cfg, 8).unwrap();
+        let est = simulate(&data, &FelipConfig::new(1.0), 8).unwrap();
         let q = Query::new(
             &schema,
             vec![

@@ -58,9 +58,14 @@ fn reports_round_trip_and_aggregate_identically() {
 fn config_round_trips() {
     let cfg = FelipConfig::new(2.5)
         .with_strategy(Strategy::Oug)
-        .with_lambda_marginals(true)
         .with_postprocess_rounds(4);
     let json = serde_json::to_string(&cfg).unwrap();
     let back: FelipConfig = serde_json::from_str(&json).unwrap();
+    assert_eq!(back, cfg);
+
+    // A config saved with a field this version no longer has still loads:
+    // fields are looked up by name and unknown ones are ignored.
+    let older = json.replacen('{', r#"{"retired_flag":true,"#, 1);
+    let back: FelipConfig = serde_json::from_str(&older).unwrap();
     assert_eq!(back, cfg);
 }

@@ -11,10 +11,6 @@
 //!
 //! * [`Grr`] — Generalized Randomized Response (§2.2.1);
 //! * [`Olh`] — Optimized Local Hashing (§2.2.2, Wang et al. USENIX'17);
-//! * [`Oue`] — Optimized Unary Encoding (extension; same source), used by the
-//!   ablation benches as a third reference point;
-//! * [`Sue`] — Symmetric Unary Encoding (RAPPOR's configuration), the
-//!   historical baseline the unary family improved on;
 //! * [`SquareWave`] — the ordinal-domain mechanism of Li et al. (SIGMOD'20)
 //!   with EM reconstruction, an alternative 1-D marginal estimator;
 //! * [`afo`] — the Adaptive Frequency Oracle selection rule (§5.3): pick the
@@ -22,7 +18,7 @@
 //! * [`variance`] — closed-form variances used by both AFO and the grid-size
 //!   optimiser.
 //!
-//! All oracles implement the [`FrequencyOracle`] trait, report through the
+//! GRR and OLH implement the [`FrequencyOracle`] trait, report through the
 //! common [`Report`] type, and satisfy ε-LDP for the configured budget
 //! (verified empirically in this crate's tests by bounding the likelihood
 //! ratio of every output).
@@ -30,9 +26,7 @@
 pub mod afo;
 pub mod grr;
 pub mod olh;
-pub mod oue;
 pub mod report;
-pub mod sue;
 pub mod sw;
 pub mod traits;
 pub mod variance;
@@ -40,8 +34,6 @@ pub mod variance;
 pub use afo::{choose_oracle, make_oracle, FoKind};
 pub use grr::Grr;
 pub use olh::Olh;
-pub use oue::Oue;
 pub use report::Report;
-pub use sue::Sue;
 pub use sw::SquareWave;
 pub use traits::FrequencyOracle;

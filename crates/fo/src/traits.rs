@@ -35,8 +35,8 @@ pub trait FrequencyOracle: Send + Sync {
     fn perturb(&self, value: u32, rng: &mut dyn RngCore) -> Report;
 
     /// Validates that `report` could have been produced by this oracle's
-    /// randomiser: right protocol, right payload shape (OLH value within the
-    /// hash range, OUE bit vector of the right width, ...).
+    /// randomiser: right protocol, right payload shape (GRR value within the
+    /// domain, OLH value within the hash range).
     ///
     /// Returns [`felip_common::Error::ReportMismatch`] otherwise. The
     /// accumulation entry points call this before touching any state, so a

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use felip_common::rng::seeded_rng;
 use felip_fo::afo::{afo_variance_factor, choose_oracle};
 use felip_fo::variance::{grr_variance_factor, olh_variance_factor};
-use felip_fo::{FoKind, FrequencyOracle, Grr, Olh, Oue, Report, Sue};
+use felip_fo::{FoKind, FrequencyOracle, Grr, Olh, Report};
 
 proptest! {
     /// GRR reports are always in-domain, and its transition probabilities
@@ -41,26 +41,6 @@ proptest! {
                 Report::Olh { value, .. } => prop_assert!(value < o.hash_range()),
                 other => prop_assert!(false, "wrong report {other:?}"),
             }
-        }
-    }
-
-    /// OUE reports have exactly ⌈d/64⌉ words and no bits beyond the domain.
-    #[test]
-    fn oue_structure(eps in 0.1f64..4.0, d in 1u32..300, v in 0u32..300, seed in 0u64..1000) {
-        let v = v % d;
-        let o = Oue::new(eps, d);
-        let mut rng = seeded_rng(seed);
-        match o.perturb(v, &mut rng) {
-            Report::Oue(words) => {
-                prop_assert_eq!(words.len(), (d as usize).div_ceil(64));
-                let tail_bits = d % 64;
-                if tail_bits != 0 {
-                    let mask = !((1u64 << tail_bits) - 1);
-                    prop_assert_eq!(words.last().unwrap() & mask, 0,
-                        "bits set beyond the domain");
-                }
-            }
-            other => prop_assert!(false, "wrong report {other:?}"),
         }
     }
 
@@ -116,8 +96,6 @@ proptest! {
         let oracles: Vec<Box<dyn FrequencyOracle>> = vec![
             Box::new(Grr::new(eps, d)),
             Box::new(Olh::new(eps, d)),
-            Box::new(Oue::new(eps, d)),
-            Box::new(Sue::new(eps, d)),
         ];
         for o in &oracles {
             let mut rng = seeded_rng(seed);

@@ -7,7 +7,7 @@
 //! and fails these tests.
 
 use felip_common::rng::seeded_rng;
-use felip_fo::{FrequencyOracle, Grr, Olh, Oue, Report, SquareWave, Sue};
+use felip_fo::{FrequencyOracle, Grr, Olh, Report, SquareWave};
 
 const DOMAIN: u32 = 64;
 const USERS: usize = 2_000;
@@ -58,16 +58,6 @@ fn grr_rng_stream_is_reproducible() {
 #[test]
 fn olh_rng_stream_is_reproducible() {
     audit(&Olh::new(EPSILON, DOMAIN), "OLH");
-}
-
-#[test]
-fn oue_rng_stream_is_reproducible() {
-    audit(&Oue::new(EPSILON, DOMAIN), "OUE");
-}
-
-#[test]
-fn sue_rng_stream_is_reproducible() {
-    audit(&Sue::new(EPSILON, DOMAIN), "SUE");
 }
 
 /// Square Wave reports are raw `f64`s and its estimator is EM-based, so it

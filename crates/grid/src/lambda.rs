@@ -39,11 +39,10 @@ pub struct PairAnswer {
 /// A general fitting constraint: the total mass of the entries whose index
 /// contains every bit of `mask` must equal `answer`.
 ///
-/// [`PairAnswer`]s are the paper's constraints (two-bit masks). Single-bit
-/// masks encode 1-D marginal answers — an *extension* over Algorithm 4 that
-/// this library supports because the aggregator can answer 1-D queries from
-/// its grids anyway, and pinning the marginals substantially tightens the
-/// under-determined pairs-only fit (see the `ablation_marginals` bench).
+/// [`PairAnswer`]s are the paper's constraints (two-bit masks), and the
+/// only ones the query path builds. The fit itself accepts any non-zero
+/// mask: single-bit masks (1-D marginal answers) let the tests pin a fit
+/// to a known joint distribution.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Constraint {
     /// Bit `i` set ⇔ predicate `i` must be satisfied.

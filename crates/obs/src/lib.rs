@@ -12,8 +12,8 @@
 //!   nothing the recorder keeps grows with uptime.
 //! * **Export** — one JSON writer per metric serves the STAT snapshot
 //!   ([`MetricsSnapshot::to_json`]) and the JSON-lines trace
-//!   ([`Recorder::export_jsonl`]); one renderer ([`render_metrics_table`])
-//!   turns either into a table for humans.
+//!   ([`Recorder::export_jsonl`]). The crate writes JSON but never reads
+//!   it: the `felip stat` table is rendered by the CLI.
 //!
 //! The recorder is **disabled by default**: every recording entry point is
 //! gated on one relaxed atomic load, so an un-enabled binary pays a few
@@ -43,12 +43,11 @@ mod snapshot;
 
 pub mod diag;
 pub mod flight;
-pub mod jsonread;
 
 pub use metrics::{
     CallsiteId, HistogramSnapshot, MetricKind, MetricSnapshot, MetricValue, SpanGuard,
 };
-pub use snapshot::{render_metrics_table, MetricsSnapshot, METRICS_SNAPSHOT_VERSION};
+pub use snapshot::{MetricsSnapshot, METRICS_SNAPSHOT_VERSION};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;

@@ -24,7 +24,6 @@
 use std::io::{self, Write};
 
 use crate::json;
-use crate::jsonread::JsonValue;
 use crate::metrics::{bucket_range, HistogramSnapshot, MetricSnapshot, MetricValue};
 use crate::Recorder;
 
@@ -177,118 +176,6 @@ fn histogram_delta(cur: &HistogramSnapshot, prev: &HistogramSnapshot) -> Histogr
     }
 }
 
-/// Renders a parsed metrics-snapshot JSON object (what a STAT reply or a
-/// `--metrics-out` line carries) as an aligned text table — the client
-/// side of `felip stat`. Histogram nanosecond metrics are human-scaled.
-pub fn render_metrics_table(doc: &JsonValue) -> Result<String, String> {
-    if doc.get("t").and_then(|t| t.as_str()) != Some("metrics") {
-        return Err("not a metrics snapshot (missing t=\"metrics\")".into());
-    }
-    let kind = doc
-        .get("kind")
-        .and_then(|k| k.as_str())
-        .unwrap_or("full")
-        .to_string();
-    let taken_ns = doc.get("taken_ns").and_then(|v| v.as_u64()).unwrap_or(0);
-    let Some(JsonValue::Array(metrics)) = doc.get("metrics") else {
-        return Err("metrics snapshot has no \"metrics\" array".into());
-    };
-    let mut out = format!("metrics ({kind} snapshot at +{})\n", fmt_ns(taken_ns));
-    out.push_str(&format!("  {:<40} {}\n", "metric", "value"));
-    let mut rows = 0usize;
-    for m in metrics {
-        let name = m.get("name").and_then(|n| n.as_str()).unwrap_or("?");
-        let unit = m.get("unit").and_then(|u| u.as_str()).unwrap_or("");
-        let is_ns = unit == "ns";
-        let rendered = match m.get("kind").and_then(|k| k.as_str()) {
-            Some("histogram") => {
-                let count = m.get("count").and_then(|v| v.as_u64()).unwrap_or(0);
-                if count == 0 {
-                    continue;
-                }
-                let q = |key: &str| m.get(key).and_then(|v| v.as_f64()).unwrap_or(0.0);
-                let scale = |v: f64| {
-                    if is_ns {
-                        fmt_ns(v as u64)
-                    } else {
-                        format!("{v:.0}")
-                    }
-                };
-                format!(
-                    "n={count} mean={} p50={} p99={} p999={} max={}",
-                    scale(q("mean")),
-                    scale(q("p50")),
-                    scale(q("p99")),
-                    scale(q("p999")),
-                    scale(q("max")),
-                )
-            }
-            _ => match m.get("value") {
-                Some(JsonValue::Num(v)) => {
-                    if *v == 0.0 {
-                        continue;
-                    }
-                    if v.fract() == 0.0 && v.abs() < 9e15 {
-                        format!("{}", *v as i64)
-                    } else {
-                        format!("{v:.6}")
-                    }
-                }
-                _ => continue,
-            },
-        };
-        let unit_suffix = if unit.is_empty() || is_ns {
-            String::new()
-        } else {
-            format!(" {unit}")
-        };
-        out.push_str(&format!("  {name:<40} {rendered}{unit_suffix}\n"));
-        rows += 1;
-    }
-    // The per-worker queue gauges are sharded (`server.queue.depth.w0`…)
-    // so no worker's write can mask another's; the fleet-wide view the
-    // old single gauge used to give is derived here at render time.
-    let depths: Vec<u64> = metrics
-        .iter()
-        .filter(|m| {
-            m.get("name")
-                .and_then(|n| n.as_str())
-                .is_some_and(|n| n.starts_with("server.queue.depth."))
-        })
-        .filter_map(|m| m.get("value").and_then(|v| v.as_u64()))
-        .collect();
-    if !depths.is_empty() {
-        let sum: u64 = depths.iter().sum();
-        let max = depths.iter().copied().max().unwrap_or(0);
-        out.push_str(&format!(
-            "  {:<40} {sum} batches\n",
-            "server.queue.depth (sum)"
-        ));
-        out.push_str(&format!(
-            "  {:<40} {max} batches\n",
-            "server.queue.depth (max worker)"
-        ));
-        rows += 2;
-    }
-    if rows == 0 {
-        out.push_str("  (no nonzero metrics)\n");
-    }
-    Ok(out)
-}
-
-/// Nanoseconds as a human-scaled duration.
-fn fmt_ns(ns: u64) -> String {
-    if ns >= 1_000_000_000 {
-        format!("{:.2}s", ns as f64 / 1e9)
-    } else if ns >= 1_000_000 {
-        format!("{:.2}ms", ns as f64 / 1e6)
-    } else if ns >= 1_000 {
-        format!("{:.2}us", ns as f64 / 1e3)
-    } else {
-        format!("{ns}ns")
-    }
-}
-
 #[cfg(all(test, not(feature = "noop")))]
 mod tests {
     use super::*;
@@ -380,57 +267,22 @@ mod tests {
     }
 
     #[test]
-    fn json_parses_and_round_trips_through_jsonread() {
+    fn json_parses_and_round_trips() {
         let rec = populated();
         let json = rec.metrics_snapshot().to_json();
-        let doc = crate::jsonread::parse(&json).expect("snapshot JSON parses");
-        assert_eq!(doc.get("t").and_then(|t| t.as_str()), Some("metrics"));
-        assert_eq!(doc.get("version").and_then(|v| v.as_u64()), Some(1));
-        assert_eq!(doc.get("kind").and_then(|k| k.as_str()), Some("full"));
-        let Some(JsonValue::Array(metrics)) = doc.get("metrics") else {
-            panic!("no metrics array");
-        };
+        let doc: serde_json::Value = serde_json::from_str(&json).expect("snapshot JSON parses");
+        assert_eq!(doc["t"], "metrics");
+        assert_eq!(doc["version"], METRICS_SNAPSHOT_VERSION);
+        assert_eq!(doc["kind"], "full");
+        let metrics = doc["metrics"].as_array().expect("metrics array");
         let hist = metrics
             .iter()
-            .find(|m| m.get("name").and_then(|n| n.as_str()) == Some("snap.lat"))
+            .find(|m| m["name"] == "snap.lat")
             .expect("histogram present");
-        assert_eq!(hist.get("count").and_then(|v| v.as_u64()), Some(3));
+        assert_eq!(hist["count"], 3);
         for key in ["p50", "p90", "p99", "p999", "mean"] {
-            assert!(hist.get(key).and_then(|v| v.as_f64()).is_some(), "{key}");
+            assert!(hist[key].as_f64().is_some(), "{key}");
         }
-    }
-
-    #[test]
-    fn render_table_lists_nonzero_metrics() {
-        let rec = populated();
-        let json = rec.metrics_snapshot().to_json();
-        let doc = crate::jsonread::parse(&json).unwrap();
-        let table = render_metrics_table(&doc).unwrap();
-        assert!(table.contains("snap.frames"), "{table}");
-        assert!(table.contains("snap.lat"), "{table}");
-        assert!(table.contains("p999="), "{table}");
-        assert!(render_metrics_table(&JsonValue::Null).is_err());
-    }
-
-    #[test]
-    fn render_table_derives_queue_depth_sum_and_max() {
-        let rec = populated();
-        static W0: CallsiteId =
-            CallsiteId::new("server.queue.depth.w0", MetricKind::Gauge, "batches");
-        static W1: CallsiteId =
-            CallsiteId::new("server.queue.depth.w1", MetricKind::Gauge, "batches");
-        rec.gauge_set(&W0, 4);
-        rec.gauge_set(&W1, 9);
-        let doc = crate::jsonread::parse(&rec.metrics_snapshot().to_json()).unwrap();
-        let table = render_metrics_table(&doc).unwrap();
-        assert!(
-            table.contains("server.queue.depth (sum)") && table.contains("13 batches"),
-            "{table}"
-        );
-        assert!(
-            table.contains("server.queue.depth (max worker)") && table.contains("9 batches"),
-            "{table}"
-        );
     }
 
     #[test]
@@ -479,10 +331,8 @@ mod tests {
     #[test]
     fn trace_and_snapshot_share_the_per_metric_shape() {
         let rec = populated();
-        let snap = crate::jsonread::parse(&rec.metrics_snapshot().to_json()).unwrap();
-        let Some(JsonValue::Array(metrics)) = snap.get("metrics") else {
-            panic!("no metrics array");
-        };
+        let snap: serde_json::Value =
+            serde_json::from_str(&rec.metrics_snapshot().to_json()).unwrap();
         let mut buf = Vec::new();
         rec.export_jsonl(&mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
@@ -490,21 +340,13 @@ mod tests {
             .lines()
             .find(|l| l.contains("\"name\":\"snap.lat\""))
             .unwrap();
-        let in_snapshot = metrics
+        let traced: serde_json::Value = serde_json::from_str(traced).unwrap();
+        let in_snapshot = snap["metrics"]
+            .as_array()
+            .unwrap()
             .iter()
-            .find(|m| m.get("name").and_then(|n| n.as_str()) == Some("snap.lat"))
+            .find(|m| m["name"] == "snap.lat")
             .unwrap();
-        assert_eq!(
-            crate::jsonread::parse(traced).unwrap().get("p50"),
-            in_snapshot.get("p50")
-        );
-    }
-
-    #[test]
-    fn fmt_ns_scales() {
-        assert_eq!(fmt_ns(999), "999ns");
-        assert_eq!(fmt_ns(1_500), "1.50us");
-        assert_eq!(fmt_ns(2_500_000), "2.50ms");
-        assert_eq!(fmt_ns(3_000_000_000), "3.00s");
+        assert_eq!(traced["p50"], in_snapshot["p50"]);
     }
 }

@@ -26,8 +26,10 @@
 //!   group:u32  tag:u8
 //!   tag 0 (GRR)  value:u32
 //!   tag 1 (OLH)  seed:u64  value:u32
-//!   tag 2 (OUE)  words:u32  word[words]:u64
 //! ```
+//!
+//! Both report encodings are fixed-size (9 and 17 bytes); any other tag is
+//! [`WireError::Malformed`].
 //!
 //! Version 2 added end-to-end idempotency: `Hello` carries the client's
 //! `client_id:u64`, every `ReportBatch` a per-client monotonically
@@ -590,7 +592,7 @@ pub fn encode_reports(reports: &[UserReport]) -> Result<Vec<u8>, WireError> {
         let group = u32::try_from(r.group)
             .map_err(|_| WireError::Malformed(format!("group {} exceeds u32", r.group)))?;
         buf.extend_from_slice(&group.to_le_bytes());
-        match &r.report {
+        match r.report {
             Report::Grr(v) => {
                 buf.push(0);
                 buf.extend_from_slice(&v.to_le_bytes());
@@ -599,15 +601,6 @@ pub fn encode_reports(reports: &[UserReport]) -> Result<Vec<u8>, WireError> {
                 buf.push(1);
                 buf.extend_from_slice(&seed.to_le_bytes());
                 buf.extend_from_slice(&value.to_le_bytes());
-            }
-            Report::Oue(words) => {
-                buf.push(2);
-                let n = u32::try_from(words.len())
-                    .map_err(|_| WireError::Malformed("OUE word count exceeds u32".into()))?;
-                buf.extend_from_slice(&n.to_le_bytes());
-                for w in words {
-                    buf.extend_from_slice(&w.to_le_bytes());
-                }
             }
         }
     }
@@ -638,19 +631,6 @@ pub fn decode_reports(payload: &[u8]) -> Result<Vec<UserReport>, WireError> {
                 seed: r.u64()?,
                 value: r.u32()?,
             },
-            2 => {
-                let n = r.u32()? as usize;
-                if n > r.remaining() / 8 {
-                    return Err(WireError::Malformed(format!(
-                        "OUE word count {n} exceeds remaining payload"
-                    )));
-                }
-                let mut words = Vec::with_capacity(n);
-                for _ in 0..n {
-                    words.push(r.u64()?);
-                }
-                Report::Oue(words)
-            }
             tag => return Err(WireError::Malformed(format!("unknown report tag {tag}"))),
         };
         reports.push(UserReport { group, report });
@@ -1362,12 +1342,9 @@ mod tests {
                     value: 5,
                 },
             },
-            UserReport {
-                group: 1,
-                report: Report::Oue(vec![0xAAAA, 0, u64::MAX]),
-            },
         ];
         let payload = encode_reports(&reports).unwrap();
+        assert_eq!(payload.len(), 4 + 9 + 17);
         assert_eq!(decode_reports(&payload).unwrap(), reports);
     }
 
@@ -1380,6 +1357,19 @@ mod tests {
         .unwrap();
         payload[8] = 9; // tag byte of the first report
         assert!(decode_reports(&payload).is_err());
+
+        // Tag 2, the retired unary bit vector, with a well-formed one-word
+        // body, is no report either.
+        let mut unary = Vec::new();
+        unary.extend_from_slice(&1u32.to_le_bytes()); // count
+        unary.extend_from_slice(&0u32.to_le_bytes()); // group
+        unary.push(2);
+        unary.extend_from_slice(&1u32.to_le_bytes()); // word count
+        unary.extend_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(
+            decode_reports(&unary),
+            Err(WireError::Malformed(msg)) if msg.contains("tag 2")
+        ));
 
         // Count claims more reports than the payload can possibly hold.
         let mut huge = Vec::new();

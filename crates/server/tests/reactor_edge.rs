@@ -23,7 +23,7 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use felip::aggregator::Aggregator;
 use felip::config::FelipConfig;
@@ -574,9 +574,11 @@ fn parked_connection_leaves_its_bytes_in_the_kernel() {
     /// holds its initial window plus the sender's buffer (4 MiB at most
     /// by default).
     const CAP: usize = 16 << 20;
-    /// Consecutive refused writes, 1 ms apart, that count as a window
-    /// that stays full (a server that reads would drain it meanwhile).
-    const REFUSALS: u32 = 10;
+    /// How long the peer keeps writing. A server that reads drains `CAP`
+    /// bytes within it even from a reactor thread starved by parallel
+    /// tests, so stopping on the clock, not on a streak of refused
+    /// writes, cannot mistake a slow reader for a parked one.
+    const WINDOW: Duration = Duration::from_secs(2);
     with_gated_tier(ServerConfig::default(), |addr, plan, gate| {
         let plan_hash = plan.schema_hash();
         let mut stream = TcpStream::connect(addr).expect("connect");
@@ -592,21 +594,20 @@ fn parked_connection_leaves_its_bytes_in_the_kernel() {
         // races the filler below would take it along with the query.
         thread::sleep(Duration::from_millis(10));
 
-        // Re-sent copies of batch 1 behind the query, written until the
-        // socket refuses; `pos` keeps partial writes frame-aligned.
+        // Re-sent copies of batch 1 behind the query, written for the
+        // whole window; `pos` keeps partial writes frame-aligned.
         let frame = batch_frame(plan, 1, 0..200);
         let filler = frame.repeat((64 * 1024) / frame.len() + 1);
         stream.set_nonblocking(true).unwrap();
-        let (mut sent, mut pos, mut refused) = (0usize, 0usize, 0u32);
-        while sent < CAP && refused < REFUSALS {
+        let (mut sent, mut pos) = (0usize, 0usize);
+        let start = Instant::now();
+        while sent < CAP && start.elapsed() < WINDOW {
             match stream.write(&filler[pos..]) {
                 Ok(n) => {
                     sent += n;
                     pos = (pos + n) % filler.len();
-                    refused = 0;
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    refused += 1;
                     thread::sleep(Duration::from_millis(1));
                 }
                 Err(e) => panic!("write failed after {sent} bytes: {e}"),

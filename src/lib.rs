@@ -12,7 +12,7 @@
 //! |---|---|---|
 //! | [`common`] | `felip-common` | schema, datasets, queries, metrics, hashing |
 //! | [`numeric`] | `felip-numeric` | root finding / small-system solvers |
-//! | [`fo`] | `felip-fo` | GRR, OLH, OUE frequency oracles + adaptive selection |
+//! | [`fo`] | `felip-fo` | GRR, OLH, Square Wave frequency oracles + adaptive selection |
 //! | [`grid`] | `felip-grid` | binning, grid sizing, post-processing, response matrices |
 //! | [`engine`] | `felip` | the FELIP pipeline (plan → collect → estimate → answer) |
 //! | [`baselines`] | `felip-baselines` | HIO, TDG, HDG comparators |
