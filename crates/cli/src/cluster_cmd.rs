@@ -63,7 +63,6 @@ pub fn aggregate(args: &[String]) -> CmdResult {
             "connections": run.stats.connections,
             "deltas_applied": run.stats.deltas_applied,
             "deltas_duplicate": run.stats.deltas_duplicate,
-            "deltas_resync": run.stats.deltas_resync,
             "frames_rejected": run.stats.frames_rejected,
         }))?
     );

@@ -125,7 +125,6 @@ pub fn serve(args: &[String]) -> CmdResult {
         upstream_json = serde_json::json!({
             "flushed": flushed,
             "deltas_acked": report.deltas_acked,
-            "full_resyncs": report.full_resyncs,
             "flushed_reports": report.flushed_reports,
         });
     }

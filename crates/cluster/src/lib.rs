@@ -3,9 +3,11 @@
 //! N ingest nodes each run the existing `felip-server` reactor; an
 //! aggregator node merges their counts into one cluster-wide
 //! [`felip::aggregator::Aggregator`]. Ingest nodes stream epoch-numbered
-//! count *deltas* — derived from the server's consistent cuts — upstream
-//! over the wire protocol's v4 `Delta`/`DeltaAck` verbs, with full
-//! cumulative resync as the rejoin/catch-up path.
+//! *deltas* upstream over the wire protocol's `Delta`/`DeltaAck` verbs:
+//! each is the node's cumulative counts at one of the server's consistent
+//! cuts, as FSNP bytes. The aggregator replaces its view of the node the
+//! connection's `Hello` named whenever the epoch is newer than the last
+//! one applied, so rejoin and catch-up are just the next delta.
 //!
 //! The headline invariant: because FELIP count vectors are exact `u64`
 //! tallies and merging is addition, a deterministic loadgen split across N
@@ -13,12 +15,12 @@
 //! including across node kill+resume and aggregator restart, which the
 //! 64-seed chaos sweep in `tests/chaos.rs` verifies per seed.
 //!
-//! * [`state`] — per-node cumulative state, epoch discipline, FCLU
+//! * [`state`] — per-node cumulative state, the epoch rule, FCLU
 //!   persistence.
 //! * [`server`] — the aggregator's frame handler on the shared serve loop
 //!   (`felip_server::serve`) and its periodic persist.
-//! * [`streamer`] — the ingest-node side: cut coalescing, delta
-//!   derivation, reconnect/resync.
+//! * [`streamer`] — the ingest-node side: cut coalescing, shipping,
+//!   reconnect.
 
 #![warn(missing_docs)]
 

@@ -13,7 +13,7 @@ use felip::aggregator::OracleSet;
 use felip::config::FelipConfig;
 use felip::plan::CollectionPlan;
 use felip_common::{Attribute, Schema};
-use felip_server::wire::{CountDelta, DeltaFlavor, DeltaStatus};
+use felip_server::Snapshot;
 
 use crate::state::ClusterState;
 
@@ -28,15 +28,9 @@ fn tiny_plan() -> (Arc<CollectionPlan>, Arc<OracleSet>) {
     (plan, oracles)
 }
 
-/// A delta whose single grid carries `value` in cell 0 and one report.
-fn unit_delta(
-    plan: &Arc<CollectionPlan>,
-    node: u64,
-    epoch: u64,
-    flavor: DeltaFlavor,
-    value: u64,
-    reports: u64,
-) -> CountDelta {
+/// A node's cumulative state whose first grid carries `value` in cell 0
+/// and whose first group holds `reports` reports.
+fn unit_delta(plan: &Arc<CollectionPlan>, value: u64, reports: usize) -> Snapshot {
     let counts: Vec<Vec<u64>> = plan
         .grids()
         .iter()
@@ -49,17 +43,15 @@ fn unit_delta(
             cells
         })
         .collect();
-    let mut group_sizes = vec![0u64; plan.num_groups()];
+    let mut group_sizes = vec![0usize; plan.num_groups()];
     if let Some(first) = group_sizes.first_mut() {
         *first = reports;
     }
-    CountDelta {
-        node_id: node,
-        epoch,
-        flavor,
-        total: reports,
+    Snapshot {
+        plan_hash: plan.schema_hash(),
         counts,
         group_sizes,
+        dedup: Vec::new(),
     }
 }
 
@@ -72,39 +64,28 @@ fn model_racing_same_epoch_applies_exactly_once() {
     let (plan, oracles) = tiny_plan();
     let stats = model::check(|| {
         let state = ClusterState::new(Arc::clone(&plan), Arc::clone(&oracles));
-        let d = unit_delta(&plan, 7, 1, DeltaFlavor::Incremental, 3, 1);
+        let d = unit_delta(&plan, 3, 1);
         let (a, b) = thread::scope(|s| {
-            let ta = s.spawn(|| state.apply(&d).expect("valid delta").status);
-            let tb = s.spawn(|| state.apply(&d).expect("valid delta").status);
+            let ta = s.spawn(|| state.apply(7, 1, d.clone()).expect("valid delta"));
+            let tb = s.spawn(|| state.apply(7, 1, d.clone()).expect("valid delta"));
             (ta.join().expect("join a"), tb.join().expect("join b"))
         });
-        let statuses = [a, b];
-        assert_eq!(
-            statuses
-                .iter()
-                .filter(|s| **s == DeltaStatus::Applied)
-                .count(),
-            1,
-            "exactly one racer may apply epoch 1: {statuses:?}"
+        assert!(
+            a.applied != b.applied,
+            "exactly one racer may apply epoch 1, the other is a duplicate: {a:?} {b:?}"
         );
-        assert_eq!(
-            statuses
-                .iter()
-                .filter(|s| **s == DeltaStatus::Duplicate)
-                .count(),
-            1,
-            "the loser must be re-acked as a duplicate: {statuses:?}"
-        );
+        assert_eq!((a.last_applied, b.last_applied), (1, 1));
         let merged = state.merged().expect("merged");
         assert_eq!(merged.counts()[0][0], 3, "counts applied exactly once");
         assert_eq!(state.last_epoch(7), 1);
+        assert_eq!(state.change_version(), 1);
     })
     .expect("no violation");
     assert!(stats.schedules > 1, "the race must actually interleave");
 }
 
 /// A merged-state capture racing a delta apply never observes torn state:
-/// the merge sees either the whole delta or none of it, and the epoch
+/// the merge sees either the whole new state or none of it, and the epoch
 /// cursor agrees with the counts it covers.
 #[test]
 fn model_merge_never_tears_an_apply() {
@@ -112,12 +93,12 @@ fn model_merge_never_tears_an_apply() {
     let stats = model::check(|| {
         let state = ClusterState::new(Arc::clone(&plan), Arc::clone(&oracles));
         state
-            .apply(&unit_delta(&plan, 1, 1, DeltaFlavor::Incremental, 5, 2))
+            .apply(1, 1, unit_delta(&plan, 5, 2))
             .expect("seed delta");
-        let d2 = unit_delta(&plan, 1, 2, DeltaFlavor::Incremental, 4, 1);
+        let d2 = unit_delta(&plan, 9, 3);
         thread::scope(|s| {
             let applier = s.spawn(|| {
-                state.apply(&d2).expect("valid delta");
+                state.apply(1, 2, d2.clone()).expect("valid delta");
             });
             let observer = s.spawn(|| {
                 let merged = state.merged().expect("merged");
@@ -130,9 +111,8 @@ fn model_merge_never_tears_an_apply() {
                     "merge saw half an apply: cell {cell}"
                 );
                 if cell == 9 {
-                    // counts() includes d2, so the cursor must as well by
-                    // the time the apply finishes — but the observer reads
-                    // the epoch *after* the merge, so 9 implies epoch 2.
+                    // The observer reads the epoch *after* the merge, so
+                    // counts that include d2 imply epoch 2.
                     assert_eq!(epoch, 2, "counts ahead of the epoch cursor");
                 }
             });
@@ -147,41 +127,46 @@ fn model_merge_never_tears_an_apply() {
     assert!(stats.schedules > 1);
 }
 
-/// The epoch handoff across a full resync: a late incremental from the
-/// node's previous life racing the full replacement can never double-count
-/// — the full's higher epoch makes the stale incremental a duplicate, in
-/// every interleaving.
+/// The one epoch rule under a race: a node's deltas for epochs e and e+1
+/// (a reconnect racing its not-yet-dead predecessor) race each other and a
+/// merged cut. In every interleaving the view ends as e+1's state, and
+/// every cut sees one whole state — the seed, e's or e+1's — paired with
+/// the change version it was read under, never a mix.
 #[test]
-fn model_full_resync_wins_over_stale_incremental() {
+fn model_newer_epoch_wins_and_cuts_see_whole_states() {
     let (plan, oracles) = tiny_plan();
     let stats = model::check(|| {
         let state = ClusterState::new(Arc::clone(&plan), Arc::clone(&oracles));
         state
-            .apply(&unit_delta(&plan, 3, 1, DeltaFlavor::Incremental, 2, 1))
+            .apply(3, 1, unit_delta(&plan, 2, 1))
             .expect("seed delta");
-        // The node died after epoch 1 and rejoined with its cumulative
-        // truth at epoch 2 (full); a zombie connection re-sends epoch 2 as
-        // an incremental at the same time.
-        let full = unit_delta(&plan, 3, 2, DeltaFlavor::Full, 6, 3);
-        let stale = unit_delta(&plan, 3, 2, DeltaFlavor::Incremental, 4, 2);
+        let older = unit_delta(&plan, 4, 2);
+        let newer = unit_delta(&plan, 6, 3);
         thread::scope(|s| {
-            let tf = s.spawn(|| state.apply(&full).expect("valid full"));
-            let ts = s.spawn(|| state.apply(&stale).expect("valid stale"));
-            let rf = tf.join().expect("join full");
-            let rs = ts.join().expect("join stale");
-            let cell = state.merged().expect("merged").counts()[0][0];
-            match (rf.status, rs.status) {
-                // Full first: the stale resend is a duplicate of epoch 2.
-                (DeltaStatus::Applied, DeltaStatus::Duplicate) => {
-                    assert_eq!(cell, 6, "replacement state must stand alone")
+            let to = s.spawn(|| state.apply(3, 2, older.clone()).expect("valid e"));
+            let tn = s.spawn(|| state.apply(3, 3, newer.clone()).expect("valid e+1"));
+            let tc = s.spawn(|| {
+                let (merged, version) = state.merged_versioned().expect("merged cut");
+                let whole = (merged.counts()[0][0], merged.reports_ingested());
+                match version {
+                    1 => assert_eq!(whole, (2, 1), "seed state"),
+                    2 => assert!(whole == (4, 2) || whole == (6, 3), "mixed cut {whole:?}"),
+                    3 => assert_eq!(whole, (6, 3), "e+1 applied last"),
+                    v => panic!("version {v} after at most three applies"),
                 }
-                // Stale incremental first (2+4=6), then the full replaces
-                // wholesale at the same value — still exactly 6.
-                (DeltaStatus::Duplicate, DeltaStatus::Applied) => assert_eq!(cell, 6),
-                other => panic!("impossible outcome pair {other:?}, cell {cell}"),
-            }
-            assert_eq!(state.last_epoch(3), 2);
+            });
+            let ro = to.join().expect("join e");
+            let rn = tn.join().expect("join e+1");
+            tc.join().expect("join cut");
+            // e+1 always applies; e applies only if it came first.
+            assert!(rn.applied, "e+1 must replace the view: {rn:?}");
+            assert_eq!(rn.last_applied, 3);
+            assert_eq!(ro.last_applied, if ro.applied { 2 } else { 3 });
         });
+        let merged = state.merged().expect("merged");
+        assert_eq!(merged.counts()[0][0], 6);
+        assert_eq!(merged.reports_ingested(), 3);
+        assert_eq!(state.last_epoch(3), 3);
     })
     .expect("no violation");
     assert!(stats.schedules > 1);

@@ -23,8 +23,8 @@ use felip::plan::CollectionPlan;
 use felip_server::queue::Periodic;
 use felip_server::serve::{serve, AtomicStats, FrameOutcome, Handler, Loop, Tier};
 use felip_server::wire::{
-    decode_delta, decode_hello, decode_query, encode_ack, encode_delta_ack, DeltaStatus, Frame,
-    FrameKind, FrameView, WireError,
+    decode_delta, decode_hello, decode_query, encode_ack, encode_delta_ack, Frame, FrameKind,
+    FrameView, WireError,
 };
 use felip_server::QueryService;
 
@@ -73,12 +73,10 @@ impl Default for AggregatorConfig {
 pub struct AggregatorStats {
     /// Node connections accepted.
     pub connections: u64,
-    /// Deltas applied (incremental + full).
+    /// Deltas applied.
     pub deltas_applied: u64,
     /// Duplicate deltas re-acked.
     pub deltas_duplicate: u64,
-    /// Incremental gaps answered with resync-required.
-    pub deltas_resync: u64,
     /// Frames rejected with an error reply.
     pub frames_rejected: u64,
 }
@@ -88,7 +86,6 @@ pub struct AggregatorStats {
 struct DeltaCounts {
     applied: AtomicU64,
     duplicate: AtomicU64,
-    resync: AtomicU64,
 }
 
 /// The result of a completed (gracefully shut down) aggregator run.
@@ -261,7 +258,6 @@ impl AggregatorServer {
                 connections: conns.connections,
                 deltas_applied: handler.deltas.applied.load(Ordering::Relaxed),
                 deltas_duplicate: handler.deltas.duplicate.load(Ordering::Relaxed),
-                deltas_resync: handler.deltas.resync.load(Ordering::Relaxed),
                 frames_rejected: conns.frames_rejected,
             },
         })
@@ -286,8 +282,9 @@ impl AggregatorServer {
     }
 }
 
-/// The aggregator's [`Handler`]: Hello resyncs a node's epoch cursor and
-/// Delta applies under the cluster lock. Query needs no handshake — a
+/// The aggregator's [`Handler`]: Hello names the connection's node and
+/// echoes its epoch cursor, and Delta applies to that node under the
+/// cluster lock. Query needs no handshake — a
 /// read-only client may connect just to ask — and the serve loop answers
 /// it from the merged view.
 struct AggregatorHandler<'a> {
@@ -320,29 +317,29 @@ impl Handler for AggregatorHandler<'_> {
                 Err(e) => reject(e),
             },
             FrameKind::Delta => {
-                if node.is_none() {
+                let Some(node_id) = *node else {
                     return reject(WireError::Malformed("delta before hello handshake".into()));
-                }
-                let delta = match decode_delta(frame.payload) {
+                };
+                let (epoch, snapshot) = match decode_delta(frame.payload) {
                     Ok(d) => d,
                     Err(e) => return reject(e),
                 };
                 let t0 = Instant::now();
-                let result = match self.state.apply(&delta) {
+                let result = match self.state.apply(node_id, epoch, snapshot) {
                     Ok(result) => result,
                     Err(e) => return reject(e),
                 };
                 felip_obs::hist!("cluster.delta.apply", t0.elapsed().as_micros() as u64, "us");
-                let counter = match result.status {
-                    DeltaStatus::Applied => &self.deltas.applied,
-                    DeltaStatus::Duplicate => &self.deltas.duplicate,
-                    DeltaStatus::ResyncRequired => &self.deltas.resync,
+                let counter = if result.applied {
+                    &self.deltas.applied
+                } else {
+                    &self.deltas.duplicate
                 };
                 counter.fetch_add(1, Ordering::Relaxed);
                 FrameOutcome::reply(Frame {
                     kind: FrameKind::DeltaAck,
                     plan_hash,
-                    payload: encode_delta_ack(delta.epoch, result.last_applied, result.status),
+                    payload: encode_delta_ack(epoch, result.last_applied),
                 })
             }
             FrameKind::Query => match decode_query(frame.payload) {
@@ -363,9 +360,8 @@ mod tests {
     use super::*;
     use felip::config::FelipConfig;
     use felip_common::{Attribute, Schema};
-    use felip_server::wire::{
-        encode_delta, encode_hello as hello_payload, CountDelta, DeltaFlavor,
-    };
+    use felip_server::wire::{encode_delta, encode_hello as hello_payload};
+    use felip_server::Snapshot;
 
     fn tiny_plan() -> Arc<CollectionPlan> {
         let schema = Schema::new(vec![
@@ -392,14 +388,6 @@ mod tests {
         let state = server.state();
 
         let agg = felip_server::loadgen::offline_reference(&plan, 0..15, 5).unwrap();
-        let delta = CountDelta {
-            node_id: 42,
-            epoch: 1,
-            flavor: DeltaFlavor::Full,
-            total: agg.reports_ingested() as u64,
-            counts: agg.counts().to_vec(),
-            group_sizes: agg.group_sizes().iter().map(|&s| s as u64).collect(),
-        };
 
         thread::scope(|s| {
             let handle = s.spawn(|| server.run(None).unwrap());
@@ -420,21 +408,13 @@ mod tests {
                 (0, 0)
             );
 
-            felip_server::wire::write_frame(
-                &mut conn,
-                &Frame {
-                    kind: FrameKind::Delta,
-                    plan_hash,
-                    payload: encode_delta(&delta).unwrap(),
-                },
-            )
-            .unwrap();
+            felip_server::wire::write_frame(&mut conn, &delta_frame(&plan, 1, &agg)).unwrap();
             let reply = felip_server::wire::read_frame(&mut conn).unwrap().unwrap();
             assert_eq!(reply.kind, FrameKind::DeltaAck);
-            let (epoch, last, status) =
-                felip_server::wire::decode_delta_ack(&reply.payload).unwrap();
-            assert_eq!((epoch, last), (1, 1));
-            assert_eq!(status, felip_server::wire::DeltaStatus::Applied);
+            assert_eq!(
+                felip_server::wire::decode_delta_ack(&reply.payload).unwrap(),
+                (1, 1)
+            );
 
             assert_eq!(state.last_epoch(42), 1);
             drop(conn);
@@ -503,23 +483,7 @@ mod tests {
             .unwrap();
             felip_server::wire::read_frame(&mut conn).unwrap().unwrap();
             let agg = felip_server::loadgen::offline_reference(&plan, 0..15, 5).unwrap();
-            felip_server::wire::write_frame(
-                &mut conn,
-                &Frame {
-                    kind: FrameKind::Delta,
-                    plan_hash,
-                    payload: encode_delta(&CountDelta {
-                        node_id: 7,
-                        epoch: 1,
-                        flavor: DeltaFlavor::Full,
-                        total: agg.reports_ingested() as u64,
-                        counts: agg.counts().to_vec(),
-                        group_sizes: agg.group_sizes().iter().map(|&s| s as u64).collect(),
-                    })
-                    .unwrap(),
-                },
-            )
-            .unwrap();
+            felip_server::wire::write_frame(&mut conn, &delta_frame(&plan, 1, &agg)).unwrap();
             felip_server::wire::read_frame(&mut conn).unwrap().unwrap();
 
             // Cold query: epoch 1, bit-identical to the offline batch
@@ -551,20 +515,14 @@ mod tests {
             felip_server::wire::write_frame(
                 &mut conn,
                 &Frame {
-                    kind: FrameKind::Delta,
+                    kind: FrameKind::Hello,
                     plan_hash,
-                    payload: encode_delta(&CountDelta {
-                        node_id: 8,
-                        epoch: 1,
-                        flavor: DeltaFlavor::Full,
-                        total: agg2.reports_ingested() as u64,
-                        counts: agg2.counts().to_vec(),
-                        group_sizes: agg2.group_sizes().iter().map(|&s| s as u64).collect(),
-                    })
-                    .unwrap(),
+                    payload: hello_payload(8),
                 },
             )
             .unwrap();
+            felip_server::wire::read_frame(&mut conn).unwrap().unwrap();
+            felip_server::wire::write_frame(&mut conn, &delta_frame(&plan, 1, &agg2)).unwrap();
             felip_server::wire::read_frame(&mut conn).unwrap().unwrap();
             let merged = felip_server::loadgen::offline_reference(&plan, 0..30, 5).unwrap();
             let offline2 = merged.estimate().unwrap().answer(&query).unwrap();
@@ -579,19 +537,12 @@ mod tests {
         });
     }
 
-    fn full_delta(plan: &Arc<CollectionPlan>, node_id: u64, agg: &Aggregator) -> Frame {
+    /// A `Delta` frame carrying `agg` as the node's cumulative state.
+    fn delta_frame(plan: &Arc<CollectionPlan>, epoch: u64, agg: &Aggregator) -> Frame {
         Frame {
             kind: FrameKind::Delta,
             plan_hash: plan.schema_hash(),
-            payload: encode_delta(&CountDelta {
-                node_id,
-                epoch: 1,
-                flavor: DeltaFlavor::Full,
-                total: agg.reports_ingested() as u64,
-                counts: agg.counts().to_vec(),
-                group_sizes: agg.group_sizes().iter().map(|&s| s as u64).collect(),
-            })
-            .unwrap(),
+            payload: encode_delta(epoch, &Snapshot::capture(agg, plan.schema_hash())),
         }
     }
 
@@ -629,7 +580,7 @@ mod tests {
             let mut conn = std::net::TcpStream::connect(addr).unwrap();
             let next = |conn: &mut std::net::TcpStream| read_frame(conn).unwrap().unwrap();
             let mut burst = hello(7).encode();
-            burst.extend(full_delta(&plan, 7, &first).encode());
+            burst.extend(delta_frame(&plan, 1, &first).encode());
             std::io::Write::write_all(&mut conn, &burst).unwrap();
             assert_eq!(next(&mut conn).kind, FrameKind::Ack);
             assert_eq!(next(&mut conn).kind, FrameKind::DeltaAck);
@@ -648,7 +599,7 @@ mod tests {
                 }
                 .encode(),
             );
-            burst.extend(full_delta(&plan, 8, &second).encode());
+            burst.extend(delta_frame(&plan, 1, &second).encode());
             burst.extend(
                 Frame {
                     kind: FrameKind::Stat,
@@ -671,8 +622,7 @@ mod tests {
             assert_eq!(ans.answer.to_bits(), offline.to_bits());
             let delta_ack = next(&mut conn);
             assert_eq!(delta_ack.kind, FrameKind::DeltaAck);
-            let (epoch, last, status) = decode_delta_ack(&delta_ack.payload).unwrap();
-            assert_eq!((epoch, last, status), (1, 1, DeltaStatus::Applied));
+            assert_eq!(decode_delta_ack(&delta_ack.payload).unwrap(), (1, 1));
             assert_eq!(next(&mut conn).kind, FrameKind::StatReply);
             drop(conn);
             stop.store(true, Ordering::SeqCst);
@@ -735,10 +685,51 @@ mod tests {
         stalled_peer_gets_an_error_and_is_closed(Loop::Portable);
     }
 
+    /// A delta carries no node id: it applies to the node its
+    /// connection's Hello named, so one node cannot overwrite another's.
+    #[test]
+    fn delta_applies_to_the_node_its_hello_named() {
+        let plan = tiny_plan();
+        let server =
+            AggregatorServer::bind(Arc::clone(&plan), AggregatorConfig::default()).unwrap();
+        let addr = server.local_addr();
+        let stop = server.shutdown_handle();
+        let state = server.state();
+        let connect = |node: u64| {
+            let mut conn = std::net::TcpStream::connect(addr).unwrap();
+            let hello = Frame {
+                kind: FrameKind::Hello,
+                plan_hash: plan.schema_hash(),
+                payload: hello_payload(node),
+            };
+            felip_server::wire::write_frame(&mut conn, &hello).unwrap();
+            felip_server::wire::read_frame(&mut conn).unwrap().unwrap();
+            conn
+        };
+        let send = |conn: &mut std::net::TcpStream, epoch: u64, users| {
+            let agg = felip_server::loadgen::offline_reference(&plan, users, 5).unwrap();
+            felip_server::wire::write_frame(conn, &delta_frame(&plan, epoch, &agg)).unwrap();
+            let ack = felip_server::wire::read_frame(conn).unwrap().unwrap();
+            felip_server::wire::decode_delta_ack(&ack.payload).unwrap()
+        };
+        thread::scope(|s| {
+            let handle = s.spawn(|| server.run(None).unwrap());
+            let (mut one, mut two) = (connect(1), connect(2));
+            assert_eq!(send(&mut one, 1, 0..10), (1, 1));
+            assert_eq!(send(&mut two, 1, 10..30), (1, 1));
+            assert_eq!(state.node_rows(), vec![(1, 1, 10), (2, 1, 20)]);
+            // Node 1's next epoch replaces node 1's view only.
+            assert_eq!(send(&mut one, 2, 0..15), (2, 2));
+            assert_eq!(state.node_rows(), vec![(1, 2, 15), (2, 1, 20)]);
+            drop((one, two));
+            stop.store(true, Ordering::SeqCst);
+            handle.join().unwrap();
+        });
+    }
+
     #[test]
     fn delta_before_hello_is_rejected() {
         let plan = tiny_plan();
-        let plan_hash = plan.schema_hash();
         let server =
             AggregatorServer::bind(Arc::clone(&plan), AggregatorConfig::default()).unwrap();
         let addr = server.local_addr();
@@ -746,27 +737,8 @@ mod tests {
         thread::scope(|s| {
             let handle = s.spawn(|| server.run(None).unwrap());
             let mut conn = std::net::TcpStream::connect(addr).unwrap();
-            let delta = CountDelta {
-                node_id: 1,
-                epoch: 1,
-                flavor: DeltaFlavor::Full,
-                total: 0,
-                counts: tiny_plan()
-                    .grids()
-                    .iter()
-                    .map(|g| vec![0; g.num_cells() as usize])
-                    .collect(),
-                group_sizes: vec![0; tiny_plan().num_groups()],
-            };
-            felip_server::wire::write_frame(
-                &mut conn,
-                &Frame {
-                    kind: FrameKind::Delta,
-                    plan_hash,
-                    payload: encode_delta(&delta).unwrap(),
-                },
-            )
-            .unwrap();
+            let empty = Aggregator::new(Arc::clone(&plan));
+            felip_server::wire::write_frame(&mut conn, &delta_frame(&plan, 1, &empty)).unwrap();
             let reply = felip_server::wire::read_frame(&mut conn).unwrap().unwrap();
             assert_eq!(reply.kind, FrameKind::Error);
             drop(conn);

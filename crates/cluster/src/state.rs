@@ -7,26 +7,25 @@
 //! *defined* as the sum of each node's cumulative counts — addition
 //! commutes and associates, which is what makes the merged result
 //! bit-identical to a single-node run over the union stream regardless of
-//! delta arrival order. Keeping the per-node cumulative state (rather than
-//! a single running sum) buys the loss-free rejoin path: a node that lost
+//! delta arrival order. Every delta is the node's whole cumulative state,
+//! and the aggregator *replaces* its view of that node with it. Replacement
+//! is idempotent and self-correcting in both directions: a node that lost
 //! track of what it already streamed (crash, resume from an older
-//! snapshot, aggregator restart) sends its full cumulative state and the
-//! aggregator *replaces* its view of that node. Replacement is idempotent
-//! and self-correcting in both directions — it can never double-count and
-//! converges to exact counts as soon as the node itself has re-ingested
-//! its share.
+//! snapshot, aggregator restart) just sends what it has now, which can
+//! never double-count and converges to exact counts as soon as the node
+//! itself has re-ingested its share.
 //!
-//! ## Epoch discipline
+//! ## The epoch rule
 //!
 //! Deltas are epoch-numbered per node, mirroring the client batch-cursor
-//! machinery: `epoch ≤ last` is a duplicate (re-acked, not re-applied),
-//! an incremental delta must be exactly `last + 1` (a gap demands a full
-//! resync), and a full delta is accepted at any `epoch > last`.
+//! machinery: a delta with `epoch > last` replaces the node's view and
+//! becomes `last`; any other is a duplicate (re-acked, not re-applied).
 //!
 //! ## Durability (FCLU)
 //!
 //! The aggregator persists its per-node states in one checksummed `FCLU`
-//! container — a sequence of embedded FSNP snapshots plus epochs:
+//! container — a sequence of embedded FSNP snapshots plus epochs, read
+//! back through the same [`Snapshot::decode`] every delta goes through:
 //!
 //! ```text
 //! magic:u32 "FCLU" | version:u8 | reserved:[u8;3] | plan_hash:u64
@@ -43,8 +42,8 @@ use felip_sync::{Arc, Mutex};
 
 use felip::aggregator::{Aggregator, OracleSet};
 use felip::plan::CollectionPlan;
-use felip_server::snapshot::{write_file_verified, MangleFn, Snapshot};
-use felip_server::wire::{self, CountDelta, DeltaFlavor, DeltaStatus, WireError};
+use felip_server::snapshot::{open_container, write_file_verified, MangleFn, Snapshot};
+use felip_server::wire::{self, WireError};
 use felip_server::CutSource;
 
 /// Cluster-state magic: the bytes `FCLU` read as a little-endian u32.
@@ -64,8 +63,8 @@ struct NodeState {
 /// `DeltaAck` echoes back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ApplyResult {
-    /// Applied / duplicate / resync-required.
-    pub status: DeltaStatus,
+    /// Whether the delta replaced the node's view (`false`: a duplicate).
+    pub applied: bool,
     /// The node's highest applied epoch after this delta.
     pub last_applied: u64,
 }
@@ -119,7 +118,8 @@ impl ClusterState {
     }
 
     /// The node's highest applied epoch (0 for an unknown node) — what the
-    /// `Hello` ack echoes so a reconnecting node resyncs its cursor.
+    /// `Hello` ack echoes so a reconnecting node stamps its next delta
+    /// one past it.
     pub fn last_epoch(&self, node_id: u64) -> u64 {
         self.nodes
             .lock()
@@ -137,78 +137,38 @@ impl ClusterState {
             .collect()
     }
 
-    /// Applies one delta under the epoch discipline described in the
-    /// module docs. Counts validation (grid/group shapes against the plan,
-    /// total vs. group sizes) happens before any state changes, so a
-    /// malformed delta can neither corrupt counts nor advance the cursor.
-    pub fn apply(&self, delta: &CountDelta) -> Result<ApplyResult, WireError> {
-        let group_sizes = converted_group_sizes(&delta.group_sizes)?;
-        let sum: u64 = delta
-            .group_sizes
-            .iter()
-            .try_fold(0u64, |acc, &s| acc.checked_add(s))
-            .ok_or_else(|| WireError::Malformed("delta group sizes overflow u64".to_string()))?;
-        if sum != delta.total {
-            return Err(WireError::Malformed(format!(
-                "delta total {} disagrees with group sizes summing to {sum}",
-                delta.total
-            )));
-        }
-        // Restoring through the aggregator validates every shape against
-        // the plan; the restored value doubles as the merge operand.
-        let incoming = Aggregator::restore(
-            Arc::clone(&self.plan),
-            Arc::clone(&self.oracles),
-            delta.counts.clone(),
-            group_sizes,
-        )
-        .map_err(|e| WireError::Malformed(e.to_string()))?;
-
+    /// Applies node `node_id`'s cumulative `snapshot` at `epoch` under the
+    /// epoch rule in the module docs. The snapshot is restored (plan hash
+    /// and every shape checked) before any state changes, so a malformed
+    /// delta can neither corrupt counts nor advance the cursor.
+    pub fn apply(
+        &self,
+        node_id: u64,
+        epoch: u64,
+        snapshot: Snapshot,
+    ) -> Result<ApplyResult, WireError> {
+        let incoming = snapshot.restore(Arc::clone(&self.plan), Arc::clone(&self.oracles))?;
         let mut nodes = self.nodes.lock();
-        let node = nodes.entry(delta.node_id).or_insert_with(|| NodeState {
-            agg: Aggregator::with_oracles(Arc::clone(&self.plan), Arc::clone(&self.oracles)),
-            epoch: 0,
-        });
-        if delta.epoch <= node.epoch {
+        let last = nodes.get(&node_id).map_or(0, |n| n.epoch);
+        if epoch <= last {
             felip_obs::counter!("cluster.delta.duplicate", 1, "deltas");
             return Ok(ApplyResult {
-                status: DeltaStatus::Duplicate,
-                last_applied: node.epoch,
+                applied: false,
+                last_applied: last,
             });
         }
-        match delta.flavor {
-            DeltaFlavor::Full => {
-                // Replacement: the node's cumulative truth wins wholesale.
-                node.agg = incoming;
-                node.epoch = delta.epoch;
-            }
-            DeltaFlavor::Incremental => {
-                if Some(delta.epoch) != node.epoch.checked_add(1) {
-                    felip_obs::counter!("cluster.delta.resync", 1, "deltas");
-                    return Ok(ApplyResult {
-                        status: DeltaStatus::ResyncRequired,
-                        last_applied: node.epoch,
-                    });
-                }
-                if let Err(e) = node.agg.merge(&incoming) {
-                    // The failed merge left this node's cumulative state
-                    // unspecified: discard it so the next delta (rejected
-                    // below as non-successor) forces a full resync instead
-                    // of merging onto corrupt counts.
-                    nodes.remove(&delta.node_id);
-                    return Err(WireError::Malformed(format!(
-                        "delta apply failed, full resync required: {e}"
-                    )));
-                }
-                node.epoch = delta.epoch;
-            }
-        }
+        nodes.insert(
+            node_id,
+            NodeState {
+                agg: incoming,
+                epoch,
+            },
+        );
         // Bumped while the nodes guard is still held, so a
         // `merged_versioned` cut can never pair old counts with the new
         // version (or vice versa).
         self.version.fetch_add(1, Ordering::Release);
         felip_obs::counter!("cluster.delta.applied", 1, "deltas");
-        let last_applied = node.epoch;
         // Keep the merged-view gauge live during ingestion, not just on
         // snapshot/shutdown merges — `felip stat` mid-run reads it.
         let total: u64 = nodes.values().fold(0u64, |acc, n| {
@@ -218,8 +178,8 @@ impl ClusterState {
         });
         felip_obs::gauge!("cluster.merge.reports", total, "reports");
         Ok(ApplyResult {
-            status: DeltaStatus::Applied,
-            last_applied,
+            applied: true,
+            last_applied: epoch,
         })
     }
 
@@ -278,34 +238,13 @@ impl ClusterState {
     }
 
     /// Decodes and validates an FCLU container into a live cluster state.
+    /// Each node record's FSNP bytes go through [`Snapshot::decode`].
     pub fn decode(
         bytes: &[u8],
         plan: Arc<CollectionPlan>,
         oracles: Arc<OracleSet>,
     ) -> Result<ClusterState, WireError> {
-        if bytes.len() < 20 {
-            return Err(WireError::Truncated {
-                have: bytes.len(),
-                need: 20,
-            });
-        }
-        let body = &bytes[..bytes.len() - 4];
-        let expected = wire::crc32(body);
-        let actual = le_u32(&bytes[bytes.len() - 4..]);
-        if expected != actual {
-            return Err(WireError::BadCrc { expected, actual });
-        }
-        let magic = le_u32(&body[0..4]);
-        if magic != CLUSTER_MAGIC {
-            return Err(WireError::BadMagic(magic));
-        }
-        if body[4] != CLUSTER_VERSION {
-            return Err(WireError::BadVersion(body[4]));
-        }
-        if body[5..8] != [0u8; 3] {
-            return Err(WireError::Malformed("reserved bytes are nonzero".into()));
-        }
-        let plan_hash = le_u64(&body[8..16]);
+        let (plan_hash, mut r) = open_container(bytes, CLUSTER_MAGIC, CLUSTER_VERSION)?;
         let ours = plan.schema_hash();
         if plan_hash != ours {
             return Err(WireError::PlanMismatch {
@@ -313,28 +252,13 @@ impl ClusterState {
                 theirs: plan_hash,
             });
         }
-        let num_nodes = le_u32(&body[16..20]) as usize;
-        let mut pos = 20usize;
+        let num_nodes = r.u32()?;
         let mut nodes = BTreeMap::new();
         for _ in 0..num_nodes {
-            if body.len() - pos < 20 {
-                return Err(WireError::Truncated {
-                    have: body.len() - pos,
-                    need: 20,
-                });
-            }
-            let node_id = le_u64(&body[pos..pos + 8]);
-            let epoch = le_u64(&body[pos + 8..pos + 16]);
-            let snap_len = le_u32(&body[pos + 16..pos + 20]) as usize;
-            pos += 20;
-            if body.len() - pos < snap_len {
-                return Err(WireError::Truncated {
-                    have: body.len() - pos,
-                    need: snap_len,
-                });
-            }
-            let snap = Snapshot::decode(&body[pos..pos + snap_len])?;
-            pos += snap_len;
+            let node_id = r.u64()?;
+            let epoch = r.u64()?;
+            let snap_len = r.u32()? as usize;
+            let snap = Snapshot::decode(r.take(snap_len)?)?;
             let agg = snap.restore(Arc::clone(&plan), Arc::clone(&oracles))?;
             if nodes.insert(node_id, NodeState { agg, epoch }).is_some() {
                 return Err(WireError::Malformed(format!(
@@ -342,10 +266,10 @@ impl ClusterState {
                 )));
             }
         }
-        if pos != body.len() {
+        if r.remaining() != 0 {
             return Err(WireError::Malformed(format!(
                 "{} trailing bytes after cluster state",
-                body.len() - pos
+                r.remaining()
             )));
         }
         // A restored state starts its version counter over at zero; the
@@ -395,31 +319,6 @@ impl ClusterState {
     }
 }
 
-/// Delta group sizes travel as `u64`; the aggregator stores `usize`.
-fn converted_group_sizes(sizes: &[u64]) -> Result<Vec<usize>, WireError> {
-    sizes
-        .iter()
-        .map(|&s| {
-            usize::try_from(s)
-                .map_err(|_| WireError::Malformed(format!("group size {s} exceeds usize")))
-        })
-        .collect()
-}
-
-#[inline]
-fn le_u32(b: &[u8]) -> u32 {
-    let mut a = [0u8; 4];
-    a.copy_from_slice(&b[..4]);
-    u32::from_le_bytes(a)
-}
-
-#[inline]
-fn le_u64(b: &[u8]) -> u64 {
-    let mut a = [0u8; 8];
-    a.copy_from_slice(&b[..8]);
-    u64::from_le_bytes(a)
-}
-
 /// The aggregator's query cut source: the versioned merge, keyed on the
 /// change version (bumped under the nodes lock on every applied delta),
 /// so an unchanged merged view stays warm across queries.
@@ -454,75 +353,72 @@ mod tests {
         ClusterState::new(plan, oracles)
     }
 
-    fn delta_of(
-        state: &ClusterState,
-        node: u64,
-        epoch: u64,
-        flavor: DeltaFlavor,
-        users: std::ops::Range<usize>,
-        seed: u64,
-    ) -> CountDelta {
+    /// The cumulative state of a node that ingested `users`.
+    fn delta_of(state: &ClusterState, users: std::ops::Range<usize>, seed: u64) -> Snapshot {
         let agg =
             felip_server::loadgen::offline_reference(&state.plan_handle(), users, seed).unwrap();
-        CountDelta {
-            node_id: node,
-            epoch,
-            flavor,
-            total: agg.reports_ingested() as u64,
-            counts: agg.counts().to_vec(),
-            group_sizes: agg.group_sizes().iter().map(|&s| s as u64).collect(),
-        }
+        Snapshot::capture(&agg, state.plan_hash())
     }
 
     #[test]
-    fn incremental_epochs_apply_exactly_once() {
+    fn each_epoch_applies_exactly_once_and_replaces() {
         let st = state();
-        let d1 = delta_of(&st, 1, 1, DeltaFlavor::Incremental, 0..10, 7);
-        let d2 = delta_of(&st, 1, 2, DeltaFlavor::Incremental, 10..20, 7);
-        assert_eq!(st.apply(&d1).unwrap().status, DeltaStatus::Applied);
+        let d1 = delta_of(&st, 0..10, 7);
+        let d2 = delta_of(&st, 0..20, 7);
+        assert!(st.apply(1, 1, d1.clone()).unwrap().applied);
         // A resent epoch is a duplicate: re-acked, never re-applied.
-        let dup = st.apply(&d1).unwrap();
-        assert_eq!(dup.status, DeltaStatus::Duplicate);
-        assert_eq!(dup.last_applied, 1);
-        assert_eq!(st.apply(&d2).unwrap().status, DeltaStatus::Applied);
-        let expect = felip_server::loadgen::offline_reference(&st.plan_handle(), 0..20, 7).unwrap();
-        assert_eq!(st.merged().expect("merged").counts(), expect.counts());
+        let dup = st.apply(1, 1, d2.clone()).unwrap();
         assert_eq!(
-            st.merged().expect("merged").group_sizes(),
-            expect.group_sizes()
+            dup,
+            ApplyResult {
+                applied: false,
+                last_applied: 1
+            }
         );
-    }
-
-    #[test]
-    fn incremental_gap_demands_resync_and_full_replaces() {
-        let st = state();
-        let d1 = delta_of(&st, 1, 1, DeltaFlavor::Incremental, 0..10, 3);
-        assert_eq!(st.apply(&d1).unwrap().status, DeltaStatus::Applied);
-        // Epoch 3 skips 2: the cursor must not move.
-        let gap = delta_of(&st, 1, 3, DeltaFlavor::Incremental, 10..20, 3);
-        let r = st.apply(&gap).unwrap();
-        assert_eq!(r.status, DeltaStatus::ResyncRequired);
-        assert_eq!(r.last_applied, 1);
-        // The full fallback replaces the node's whole view, at any higher
-        // epoch — regardless of what the earlier incremental contained.
-        let full = delta_of(&st, 1, 5, DeltaFlavor::Full, 0..20, 3);
-        assert_eq!(st.apply(&full).unwrap().status, DeltaStatus::Applied);
+        assert_eq!(st.merged().unwrap().reports_ingested(), 10);
+        // Any newer epoch replaces the node's whole view, gap or not.
+        assert!(st.apply(1, 5, d2).unwrap().applied);
         assert_eq!(st.last_epoch(1), 5);
-        let expect = felip_server::loadgen::offline_reference(&st.plan_handle(), 0..20, 3).unwrap();
-        assert_eq!(st.merged().expect("merged").counts(), expect.counts());
+        let stale = st.apply(1, 4, d1).unwrap();
+        assert_eq!((stale.applied, stale.last_applied), (false, 5));
+        let expect = felip_server::loadgen::offline_reference(&st.plan_handle(), 0..20, 7).unwrap();
+        assert_eq!(st.merged().unwrap().counts(), expect.counts());
+        assert_eq!(st.merged().unwrap().group_sizes(), expect.group_sizes());
     }
 
     #[test]
     fn malformed_deltas_cannot_move_the_cursor() {
         let st = state();
-        let mut bad = delta_of(&st, 1, 1, DeltaFlavor::Incremental, 0..5, 1);
-        bad.total += 1; // disagrees with group sizes
-        assert!(st.apply(&bad).is_err());
+        let mut foreign = delta_of(&st, 0..5, 1);
+        foreign.plan_hash ^= 1;
+        assert!(matches!(
+            st.apply(1, 1, foreign),
+            Err(WireError::PlanMismatch { .. })
+        ));
         assert_eq!(st.last_epoch(1), 0);
-        let mut bad_shape = delta_of(&st, 1, 1, DeltaFlavor::Incremental, 0..5, 1);
+        let mut bad_shape = delta_of(&st, 0..5, 1);
         bad_shape.counts.pop(); // wrong grid count for the plan
-        assert!(st.apply(&bad_shape).is_err());
+        assert!(st.apply(1, 1, bad_shape).is_err());
         assert_eq!(st.last_epoch(1), 0);
+        assert_eq!(st.change_version(), 0);
+    }
+
+    /// A container too short for its `num_nodes` field, with a valid CRC,
+    /// is a typed truncation — not a slice-index panic.
+    #[test]
+    fn short_crc_valid_container_is_truncated() {
+        let st = state();
+        let mut bytes = st.encode();
+        bytes.truncate(16); // magic, version, reserved, plan hash
+        let crc = wire::crc32(&bytes);
+        bytes.extend_from_slice(&crc.to_le_bytes());
+        assert_eq!(bytes.len(), 20);
+        let plan = st.plan_handle();
+        let oracles = Arc::new(OracleSet::build(&plan));
+        assert!(matches!(
+            ClusterState::decode(&bytes, plan, oracles),
+            Err(WireError::Truncated { have: 0, need: 4 })
+        ));
     }
 
     #[test]
@@ -530,8 +426,8 @@ mod tests {
         let st = state();
         for node in 1..=3u64 {
             let lo = (node as usize - 1) * 10;
-            let d = delta_of(&st, node, 1, DeltaFlavor::Full, lo..lo + 10, 11);
-            st.apply(&d).unwrap();
+            let d = delta_of(&st, lo..lo + 10, 11);
+            st.apply(node, 1, d).unwrap();
         }
         let bytes = st.encode();
         let restored = ClusterState::decode(
@@ -576,8 +472,8 @@ mod tests {
     #[test]
     fn fclu_survives_a_disk_round_trip() {
         let st = state();
-        let d = delta_of(&st, 9, 4, DeltaFlavor::Full, 0..25, 2);
-        st.apply(&d).unwrap();
+        let d = delta_of(&st, 0..25, 2);
+        st.apply(9, 4, d).unwrap();
         let dir = std::env::temp_dir().join(format!("felip-fclu-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cluster.fclu");
@@ -599,8 +495,7 @@ mod tests {
     #[test]
     fn torn_fclu_write_is_quarantined_and_the_previous_container_restores() {
         let st = state();
-        st.apply(&delta_of(&st, 9, 4, DeltaFlavor::Full, 0..25, 2))
-            .unwrap();
+        st.apply(9, 4, delta_of(&st, 0..25, 2)).unwrap();
         let dir = std::env::temp_dir().join(format!("felip-fclu-torn-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cluster.fclu");
@@ -608,8 +503,7 @@ mod tests {
         let good = std::fs::read(&path).unwrap();
 
         // More state arrives, and its write is torn mid-file.
-        st.apply(&delta_of(&st, 9, 5, DeltaFlavor::Full, 0..60, 2))
-            .unwrap();
+        st.apply(9, 5, delta_of(&st, 0..60, 2)).unwrap();
         let mut tear = |bytes: &[u8]| Some(bytes[..bytes.len() / 2].to_vec());
         assert!(st.write_verified(&path, Some(&mut tear)).is_err());
         assert_eq!(

@@ -5,23 +5,21 @@
 //!
 //! ## Coalescing
 //!
-//! Cut states are cumulative, so the streamer never needs a queue: the
-//! latest pending cut supersedes every older one. The cut hook just
-//! replaces a single slot; the worker thread drains it and derives the
-//! increment against the last *acked* cut. A slow upstream therefore
-//! costs larger (not more) deltas — backpressure by widening, never by
-//! blocking the ingest server's cut thread.
+//! Cut states are cumulative, and so is every delta: the streamer never
+//! needs a queue, because the latest pending cut supersedes every older
+//! one. The cut hook just replaces a single slot; the worker thread drains
+//! it and ships the node's whole state. A slow upstream therefore costs
+//! fewer deltas, never a backlog — backpressure without ever blocking the
+//! ingest server's cut thread.
 //!
-//! ## Reconnect and the in-flight window
+//! ## Reconnect
 //!
-//! At most one delta is in flight. If the connection dies between send and
-//! ack, the next handshake disambiguates: the aggregator's `Hello` ack
-//! echoes the node's last applied epoch, so the streamer learns whether
-//! the in-flight delta landed (commit it locally) or not (resend). Any
-//! epoch disagreement beyond that one-slot window — a resumed node, a
-//! fresh aggregator, a rejected gap — falls back to a full cumulative
-//! delta, whose replacement semantics re-converge the aggregator's view
-//! of this node in one frame.
+//! At most one delta is in flight. Each handshake learns the aggregator's
+//! last applied epoch for this node from the `Hello` ack, and the next
+//! delta is stamped one past it. Whether or not an in-flight delta landed
+//! before the connection died, resending the cumulative state at the next
+//! epoch is idempotent — the aggregator replaces its view with the same or
+//! newer counts.
 
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -30,9 +28,10 @@ use felip_sync::{thread, Arc, Condvar, Mutex};
 
 use felip_server::server::{CutHook, CutState};
 use felip_server::wire::{
-    decode_ack, decode_delta_ack, encode_hello, read_frame, write_frame, CountDelta, DeltaFlavor,
-    DeltaStatus, Frame, FrameKind, WireError,
+    decode_ack, decode_delta_ack, encode_delta, encode_hello, read_frame, write_frame, Frame,
+    FrameKind, WireError,
 };
+use felip_server::Snapshot;
 
 /// How the streamer reaches its aggregator.
 #[derive(Debug, Clone)]
@@ -65,10 +64,8 @@ impl Default for StreamerConfig {
 /// What the worker thread reports back through [`UpstreamStreamer::finish`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StreamerReport {
-    /// Deltas acked upstream (incremental + full).
+    /// Deltas acked upstream.
     pub deltas_acked: u64,
-    /// Full resyncs among them.
-    pub full_resyncs: u64,
     /// Reports covered by the highest acked cut.
     pub flushed_reports: u64,
 }
@@ -199,16 +196,11 @@ impl UpstreamStreamer {
 struct Worker {
     cfg: StreamerConfig,
     shared: Arc<Shared>,
-    /// The last cut the aggregator acked (None = nothing acked yet; the
-    /// implicit zero cut).
+    /// The last cut the aggregator acked (None = nothing acked yet).
     acked: Option<CutState>,
     /// The aggregator's last applied epoch for this node, as of the most
     /// recent handshake or ack.
     acked_epoch: u64,
-    /// Sent but unacked: `(epoch, cut)` — resolved at the next handshake.
-    inflight: Option<(u64, CutState)>,
-    /// The next delta must be a full cumulative replacement.
-    force_full: bool,
     conn: Option<TcpStream>,
 }
 
@@ -219,8 +211,6 @@ impl Worker {
             shared,
             acked: None,
             acked_epoch: 0,
-            inflight: None,
-            force_full: false,
             conn: None,
         }
     }
@@ -254,13 +244,10 @@ impl Worker {
             // loop iteration simply ships the newer one on top.
             loop {
                 match self.ship(&cut) {
-                    Ok(full) => {
+                    Ok(()) => {
                         let reports = cut.reports;
                         self.publish(move |r| {
                             r.deltas_acked += 1;
-                            if full {
-                                r.full_resyncs += 1;
-                            }
                             r.flushed_reports = reports;
                         });
                         break;
@@ -283,19 +270,24 @@ impl Worker {
         self.shared.cv.notify_all();
     }
 
-    /// One shipping attempt for `cut`; returns whether a full resync was
-    /// used. Any error leaves the connection torn down for a clean retry.
-    fn ship(&mut self, cut: &CutState) -> Result<bool, WireError> {
+    /// One shipping attempt for `cut`: the node's cumulative state at the
+    /// epoch after the aggregator's last applied one. Any error leaves the
+    /// connection torn down for a clean retry.
+    fn ship(&mut self, cut: &CutState) -> Result<(), WireError> {
         if self.conn.is_none() {
             self.handshake()?;
         }
-        let full = self.force_full || self.acked.is_none();
-        let delta = self.build_delta(cut, full)?;
-        let epoch = delta.epoch;
+        let epoch = self.acked_epoch + 1;
+        let snapshot = Snapshot {
+            plan_hash: self.cfg.plan_hash,
+            counts: cut.counts.clone(),
+            group_sizes: cut.group_sizes.clone(),
+            dedup: Vec::new(),
+        };
         let frame = Frame {
             kind: FrameKind::Delta,
             plan_hash: self.cfg.plan_hash,
-            payload: felip_server::wire::encode_delta(&delta)?,
+            payload: encode_delta(epoch, &snapshot),
         };
         let stream = match self.conn.as_mut() {
             Some(s) => s,
@@ -304,7 +296,6 @@ impl Worker {
             None => return Err(WireError::Io(std::io::ErrorKind::NotConnected.into())),
         };
         write_frame(stream, &frame)?;
-        self.inflight = Some((epoch, cut.clone()));
         felip_obs::counter!("cluster.delta.sent", 1, "deltas");
         let reply = match read_frame(stream)? {
             Some(reply) => reply,
@@ -312,28 +303,15 @@ impl Worker {
         };
         match reply.kind {
             FrameKind::DeltaAck => {
-                let (ack_epoch, last_applied, status) = decode_delta_ack(&reply.payload)?;
+                let (ack_epoch, last_applied) = decode_delta_ack(&reply.payload)?;
                 if ack_epoch != epoch {
                     return Err(WireError::Malformed(format!(
                         "delta ack for epoch {ack_epoch}, expected {epoch}"
                     )));
                 }
-                self.inflight = None;
-                match status {
-                    DeltaStatus::Applied | DeltaStatus::Duplicate => {
-                        self.acked = Some(cut.clone());
-                        self.acked_epoch = last_applied;
-                        self.force_full = false;
-                        Ok(full)
-                    }
-                    DeltaStatus::ResyncRequired => {
-                        // Cursor disagreement: next attempt replaces our
-                        // whole view of this node.
-                        self.acked_epoch = last_applied;
-                        self.force_full = true;
-                        Err(WireError::Rejected("aggregator demands resync".into()))
-                    }
-                }
+                self.acked = Some(cut.clone());
+                self.acked_epoch = last_applied;
+                Ok(())
             }
             FrameKind::Error => Err(WireError::Rejected(
                 String::from_utf8_lossy(&reply.payload).into_owned(),
@@ -344,8 +322,8 @@ impl Worker {
         }
     }
 
-    /// Connects and handshakes, resolving the in-flight window against the
-    /// aggregator's echoed epoch cursor.
+    /// Connects and handshakes, taking the aggregator's last applied epoch
+    /// for this node as the cursor the next delta builds on.
     fn handshake(&mut self) -> Result<(), WireError> {
         let stream = TcpStream::connect(&self.cfg.upstream)?;
         stream.set_nodelay(true)?;
@@ -362,7 +340,7 @@ impl Worker {
             Some(reply) => reply,
             None => return Err(WireError::Io(std::io::ErrorKind::UnexpectedEof.into())),
         };
-        let remote_last = match reply.kind {
+        self.acked_epoch = match reply.kind {
             FrameKind::Ack => decode_ack(&reply.payload)?.0,
             FrameKind::Error => {
                 return Err(WireError::Rejected(
@@ -375,91 +353,7 @@ impl Worker {
                 )))
             }
         };
-        match self.inflight.take() {
-            // The lost-ack case: the delta we never heard back about did
-            // land — commit it locally and continue incrementally.
-            Some((epoch, cut)) if remote_last == epoch => {
-                self.acked = Some(cut);
-                self.acked_epoch = remote_last;
-            }
-            _ => {
-                if remote_last != self.acked_epoch {
-                    // Any other disagreement (fresh aggregator, resumed
-                    // node, state from a previous life): replace wholesale.
-                    self.acked_epoch = remote_last;
-                    self.force_full = true;
-                }
-            }
-        }
         self.conn = Some(stream);
         Ok(())
-    }
-
-    /// Derives the wire delta for `cut`: the element-wise increment over
-    /// the last acked cut, or the full cumulative state.
-    fn build_delta(&mut self, cut: &CutState, full: bool) -> Result<CountDelta, WireError> {
-        let epoch = self.acked_epoch + 1;
-        if full {
-            return Ok(CountDelta {
-                node_id: self.cfg.node_id,
-                epoch,
-                flavor: DeltaFlavor::Full,
-                total: cut.reports,
-                counts: cut.counts.clone(),
-                group_sizes: cut.group_sizes.iter().map(|&s| s as u64).collect(),
-            });
-        }
-        // Cuts are monotone (counts only grow), so subtraction cannot
-        // underflow; if it ever does the local bookkeeping is wrong and a
-        // full resync repairs it.
-        let base = match self.acked.as_ref() {
-            Some(base) => base,
-            None => return Err(WireError::Malformed("incremental without a base".into())),
-        };
-        let mut counts = Vec::with_capacity(cut.counts.len());
-        for (cur_grid, base_grid) in cut.counts.iter().zip(&base.counts) {
-            let mut grid = Vec::with_capacity(cur_grid.len());
-            for (&c, &b) in cur_grid.iter().zip(base_grid) {
-                match c.checked_sub(b) {
-                    Some(d) => grid.push(d),
-                    None => {
-                        self.force_full = true;
-                        return Err(WireError::Malformed(
-                            "cut regressed below acked base".into(),
-                        ));
-                    }
-                }
-            }
-            counts.push(grid);
-        }
-        let mut group_sizes = Vec::with_capacity(cut.group_sizes.len());
-        for (&c, &b) in cut.group_sizes.iter().zip(&base.group_sizes) {
-            match (c as u64).checked_sub(b as u64) {
-                Some(d) => group_sizes.push(d),
-                None => {
-                    self.force_full = true;
-                    return Err(WireError::Malformed(
-                        "cut regressed below acked base".into(),
-                    ));
-                }
-            }
-        }
-        let total = match cut.reports.checked_sub(base.reports) {
-            Some(t) => t,
-            None => {
-                self.force_full = true;
-                return Err(WireError::Malformed(
-                    "cut regressed below acked base".into(),
-                ));
-            }
-        };
-        Ok(CountDelta {
-            node_id: self.cfg.node_id,
-            epoch,
-            flavor: DeltaFlavor::Incremental,
-            total,
-            counts,
-            group_sizes,
-        })
     }
 }

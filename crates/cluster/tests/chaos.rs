@@ -21,10 +21,8 @@ use felip::plan::CollectionPlan;
 use felip_cluster::{AggregatorConfig, AggregatorServer};
 use felip_common::{Predicate, Query};
 use felip_server::loadgen::offline_reference;
-use felip_server::wire::{
-    self, CountDelta, DeltaFlavor, Frame, FrameKind, QueryAnswer, QueryMode, QueryRequest,
-};
-use felip_server::ServerConfig;
+use felip_server::wire::{self, Frame, FrameKind, QueryAnswer, QueryMode, QueryRequest};
+use felip_server::{ServerConfig, Snapshot};
 
 use common::{plan, serve_and_stream, serve_and_stream_paused, split_users, NodeExit, NodeOutcome};
 
@@ -110,7 +108,6 @@ struct SweepTotals {
     fresh_rejoins: u64,
     agg_restarts: u64,
     agg_resumes: u64,
-    full_resyncs: u64,
     deltas_acked: u64,
     queries_answered: u64,
 }
@@ -359,7 +356,6 @@ fn sixty_four_seed_cluster_sweep_is_bit_identical() {
                 report.flushed_reports, share,
                 "seed {seed} node {i} flushed reports"
             );
-            totals.full_resyncs += report.full_resyncs;
             totals.deltas_acked += report.deltas_acked;
         }
 
@@ -402,18 +398,12 @@ fn sixty_four_seed_cluster_sweep_is_bit_identical() {
         totals.queries_answered += answered.load(Ordering::SeqCst);
     }
 
-    // The sweep must not have been vacuous: every fault class fired, and
-    // recovery visibly used the resync machinery.
+    // The sweep must not have been vacuous: every fault class fired.
     assert_eq!(totals.kills, 64);
     assert!(totals.snapshot_rejoins >= 8, "{}", totals.snapshot_rejoins);
     assert!(totals.fresh_rejoins >= 8, "{}", totals.fresh_rejoins);
     assert!(totals.agg_restarts >= 16, "{}", totals.agg_restarts);
     assert!(totals.agg_resumes >= 4, "{}", totals.agg_resumes);
-    assert!(
-        totals.full_resyncs >= 64,
-        "every kill implies at least one full resync: {}",
-        totals.full_resyncs
-    );
     assert!(totals.deltas_acked >= 2 * 64, "{}", totals.deltas_acked);
     // The query mixer must have landed real answers across the sweep — a
     // permanently-erroring query plane would otherwise pass silently.
@@ -455,15 +445,7 @@ fn aggregator_resume_answers_cold_from_restored_state() {
             &Frame {
                 kind: FrameKind::Delta,
                 plan_hash,
-                payload: wire::encode_delta(&CountDelta {
-                    node_id: 7,
-                    epoch,
-                    flavor: DeltaFlavor::Full,
-                    total: agg.reports_ingested() as u64,
-                    counts: agg.counts().to_vec(),
-                    group_sizes: agg.group_sizes().iter().map(|&s| s as u64).collect(),
-                })
-                .expect("encode delta"),
+                payload: wire::encode_delta(epoch, &Snapshot::capture(agg, plan_hash)),
             },
         )
         .expect("send delta");

@@ -117,8 +117,9 @@ pub fn serve_and_stream(
 /// Like [`serve_and_stream`] (always flushing), but pauses the load after
 /// `users[..split_at]` and calls `pause` before streaming the rest — the
 /// chaos sweep parks every node on a barrier there while it bounces the
-/// aggregator, so the catch-up path (handshake cursor mismatch → full
-/// resync) is exercised deterministically rather than by timing luck.
+/// aggregator, so the catch-up path (reconnect, take the restarted
+/// aggregator's epoch cursor, resend the cumulative state) is exercised
+/// deterministically rather than by timing luck.
 // Shared across the integration-test binaries; not every binary calls it,
 // and the chaos harness needs the full parameter set in one call.
 #[allow(dead_code, clippy::too_many_arguments)]

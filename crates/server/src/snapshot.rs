@@ -35,7 +35,7 @@ use std::path::Path;
 use felip::aggregator::{Aggregator, OracleSet};
 use felip::plan::CollectionPlan;
 
-use crate::wire::{self, crc32, WireError};
+use crate::wire::{crc32, ByteReader, WireError};
 
 /// Fault-injection hook type: sees encoded bytes, may return a corrupted
 /// replacement (`None` = write faithfully).
@@ -167,34 +167,14 @@ impl Snapshot {
         buf
     }
 
-    /// Parses and checksums an on-disk snapshot.
+    /// Parses and checksums an on-disk snapshot: the one decoder of the
+    /// per-grid count body, which `Delta` payloads and FCLU node records
+    /// embed as FSNP bytes.
     ///
     /// Like the wire decoder this consumes untrusted bytes (a torn or
     /// corrupted file), so every failure is a typed [`WireError`].
     pub fn decode(bytes: &[u8]) -> Result<Snapshot, WireError> {
-        if bytes.len() < 4 {
-            return Err(WireError::Truncated {
-                have: bytes.len(),
-                need: 4,
-            });
-        }
-        let body = &bytes[..bytes.len() - 4];
-        let expected = crc32(body);
-        let actual = wire::le_u32(&bytes[bytes.len() - 4..]);
-        if expected != actual {
-            return Err(WireError::BadCrc { expected, actual });
-        }
-        let mut r = Reader { buf: body, pos: 0 };
-        let magic = r.u32()?;
-        if magic != SNAPSHOT_MAGIC {
-            return Err(WireError::BadMagic(magic));
-        }
-        let version = r.u8()?;
-        if version != SNAPSHOT_VERSION {
-            return Err(WireError::BadVersion(version));
-        }
-        r.take(3)?; // reserved
-        let plan_hash = r.u64()?;
+        let (plan_hash, mut r) = open_container(bytes, SNAPSHOT_MAGIC, SNAPSHOT_VERSION)?;
         let total = r.u64()?;
         let num_grids = r.u32()? as usize;
         if num_grids > r.remaining() / 4 {
@@ -318,40 +298,28 @@ impl Snapshot {
     }
 }
 
-/// Bounds-checked little-endian reader (private twin of the wire reader).
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+/// Opens a checksummed container (an FSNP snapshot or an FCLU cluster
+/// state): checks the CRC trailer, then the shared header
+/// `magic:u32 | version:u8 | reserved:[u8;3] | plan_hash:u64`. Returns
+/// the plan hash and a reader positioned just after it.
+pub fn open_container(
+    bytes: &[u8],
+    magic: u32,
+    version: u8,
+) -> Result<(u64, ByteReader<'_>), WireError> {
+    let mut r = ByteReader::crc_checked(bytes)?;
+    let got = r.u32()?;
+    if got != magic {
+        return Err(WireError::BadMagic(got));
     }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.remaining() < n {
-            return Err(WireError::Truncated {
-                have: self.remaining(),
-                need: n,
-            });
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+    let got = r.u8()?;
+    if got != version {
+        return Err(WireError::BadVersion(got));
     }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
+    if r.take(3)? != [0u8; 3] {
+        return Err(WireError::Malformed("reserved bytes are nonzero".into()));
     }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(wire::le_u32(self.take(4)?))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(wire::le_u64(self.take(8)?))
-    }
+    Ok((r.u64()?, r))
 }
 
 #[cfg(test)]

@@ -44,20 +44,8 @@
 //! a `StatReply` whose payload is the metrics JSON / flight JSONL.
 //!
 //! Version 4 added the **cluster tier** (DESIGN.md §16): an ingest node
-//! streams epoch-numbered count deltas to its aggregator via `Delta`
-//! frames, answered by `DeltaAck`. A `Delta` payload carries the sending
-//! node's id, the epoch, a flavor byte (incremental add vs. full cumulative
-//! replacement), and the same per-grid count layout FSNP snapshots use:
-//!
-//! ```text
-//! node_id:u64  epoch:u64  flavor:u8  total:u64
-//! num_grids:u32  then per grid:  cells:u32  count[cells]:u64
-//! num_groups:u32  then per group:  size:u64
-//! ```
-//!
-//! `DeltaAck` echoes `epoch:u64  last_applied:u64  status:u8` (applied /
-//! duplicate / resync-required), giving the upstream streamer the same
-//! exactly-once-or-rejected discipline report batches already have.
+//! streams epoch-numbered count snapshots to its aggregator via `Delta`
+//! frames, answered by `DeltaAck`.
 //!
 //! Version 5 adds **online query serving** (DESIGN.md §17): a `Query`
 //! frame asks the server for a λ-D frequency estimate computed from a
@@ -76,6 +64,19 @@
 //! pattern — bit-identical to the offline batch estimate on the same cut)
 //! epoch:u64  head_epoch:u64  reports:u64`.
 //!
+//! Version 6 made every `Delta` the node's **cumulative** state: the
+//! payload is the node's epoch followed by an FSNP snapshot
+//! ([`Snapshot::encode`], DESIGN.md §12), and the node id is the one the
+//! connection's `Hello` named. The aggregator replaces its view of that
+//! node when the epoch is newer than the last one applied; otherwise the
+//! delta is a duplicate. `DeltaAck` echoes the answered epoch and the
+//! node's last applied one:
+//!
+//! ```text
+//! Delta     epoch:u64  FSNP bytes
+//! DeltaAck  epoch:u64  last_applied:u64
+//! ```
+//!
 //! Every peer speaks exactly one version: decoders accept [`VERSION`] only
 //! and reject anything else as [`WireError::BadVersion`], and every frame
 //! is stamped with [`VERSION`]. There is no per-connection negotiation.
@@ -87,13 +88,14 @@ use felip::client::UserReport;
 use felip_common::{Predicate, PredicateTarget};
 use felip_fo::Report;
 
+use crate::snapshot::Snapshot;
+
 /// Frame magic: the bytes `FELP` read as a little-endian u32.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"FELP");
 
-/// Current protocol version (5: online query serving — `Query`/`QueryReply`
-/// frames answering λ-D frequency queries from snapshot-consistent count
-/// reads).
-pub const VERSION: u8 = 5;
+/// Current protocol version (6: a `Delta` carries the node's cumulative
+/// FSNP snapshot).
+pub const VERSION: u8 = 6;
 
 /// Fixed header size in bytes (everything before the payload).
 pub const HEADER_LEN: usize = 20;
@@ -105,26 +107,26 @@ pub const TRAILER_LEN: usize = 4;
 /// before any allocation happens (16 MiB ≫ any sane report batch).
 pub const MAX_PAYLOAD: u32 = 16 * 1024 * 1024;
 
-/// Little-endian reads for the decoders here and in `snapshot`. Every call
-/// site has already bounds-checked its slice (`take`, an explicit length
-/// check), so these copy through a fixed array rather than a fallible
-/// `try_into` — the conversion itself cannot fail.
+/// Little-endian reads for the decoders here. Every call site has already
+/// bounds-checked its slice (`take`, an explicit length check), so these
+/// copy through a fixed array rather than a fallible `try_into` — the
+/// conversion itself cannot fail.
 #[inline]
-pub(crate) fn le_u16(b: &[u8]) -> u16 {
+fn le_u16(b: &[u8]) -> u16 {
     let mut a = [0u8; 2];
     a.copy_from_slice(&b[..2]);
     u16::from_le_bytes(a)
 }
 
 #[inline]
-pub(crate) fn le_u32(b: &[u8]) -> u32 {
+fn le_u32(b: &[u8]) -> u32 {
     let mut a = [0u8; 4];
     a.copy_from_slice(&b[..4]);
     u32::from_le_bytes(a)
 }
 
 #[inline]
-pub(crate) fn le_u64(b: &[u8]) -> u64 {
+fn le_u64(b: &[u8]) -> u64 {
     let mut a = [0u8; 8];
     a.copy_from_slice(&b[..8]);
     u64::from_le_bytes(a)
@@ -256,11 +258,11 @@ pub enum FrameKind {
     /// Server → client (v3): the telemetry answer; payload is metrics
     /// JSON (full/delta modes) or flight-recorder JSONL (flight mode).
     StatReply = 6,
-    /// Ingest node → aggregator (v4): an epoch-numbered count delta
-    /// derived from a consistent cut; payload is a [`CountDelta`].
+    /// Ingest node → aggregator (v4): the node's cumulative counts at one
+    /// consistent cut, stamped with an epoch (see [`encode_delta`]).
     Delta = 7,
-    /// Aggregator → ingest node (v4): the delta's fate — applied,
-    /// duplicate, or resync-required (see [`DeltaStatus`]).
+    /// Aggregator → ingest node (v4): the epoch answered and the node's
+    /// last applied one (see [`encode_delta_ack`]).
     DeltaAck = 8,
     /// Client → server (v5): a λ-D frequency query against the live
     /// collection; payload is a [`QueryRequest`].
@@ -712,183 +714,39 @@ pub fn decode_retry(payload: &[u8]) -> Result<u64, WireError> {
     Ok(id)
 }
 
-/// How a [`CountDelta`]'s counts relate to the aggregator's view of the
-/// sending node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeltaFlavor {
-    /// Counts are an increment over the node's previous epoch: the
-    /// aggregator *adds* them, and the epoch must be exactly `last + 1`.
-    Incremental = 0,
-    /// Counts are the node's full cumulative state: the aggregator
-    /// *replaces* its per-node view — the loss-free rejoin/catch-up path,
-    /// valid at any epoch greater than the last applied one.
-    Full = 1,
-}
-
-impl DeltaFlavor {
-    /// Parses the flavor discriminant.
-    pub fn from_u8(v: u8) -> Result<DeltaFlavor, WireError> {
-        match v {
-            0 => Ok(DeltaFlavor::Incremental),
-            1 => Ok(DeltaFlavor::Full),
-            other => Err(WireError::Malformed(format!(
-                "unknown delta flavor {other}"
-            ))),
-        }
-    }
-}
-
-/// What the aggregator did with a delta, echoed in the `DeltaAck`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeltaStatus {
-    /// The delta was applied; `last_applied` advanced to its epoch.
-    Applied = 0,
-    /// The epoch was already applied — re-acked without re-applying
-    /// (the exactly-once half of the cursor discipline).
-    Duplicate = 1,
-    /// An incremental delta skipped an epoch; the node must fall back to
-    /// a [`DeltaFlavor::Full`] resync.
-    ResyncRequired = 2,
-}
-
-impl DeltaStatus {
-    /// Parses the status discriminant.
-    pub fn from_u8(v: u8) -> Result<DeltaStatus, WireError> {
-        match v {
-            0 => Ok(DeltaStatus::Applied),
-            1 => Ok(DeltaStatus::Duplicate),
-            2 => Ok(DeltaStatus::ResyncRequired),
-            other => Err(WireError::Malformed(format!(
-                "unknown delta status {other}"
-            ))),
-        }
-    }
-}
-
-/// A decoded `Delta` payload: one ingest node's count movement between two
-/// consistent cuts (or its full cumulative state, per [`DeltaFlavor`]).
-/// The count layout mirrors the FSNP snapshot body, so a delta *is* a
-/// snapshot diff in the same shape the aggregator already merges.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CountDelta {
-    /// The sending ingest node's stable identity.
-    pub node_id: u64,
-    /// The node's epoch counter for this delta (monotonic per node).
-    pub epoch: u64,
-    /// Increment vs. full-replacement semantics.
-    pub flavor: DeltaFlavor,
-    /// Total reports the counts represent (cumulative for `Full`, the
-    /// increment's share for `Incremental`) — a cheap cross-check.
-    pub total: u64,
-    /// Per-grid count vectors, same order as the plan's grids.
-    pub counts: Vec<Vec<u64>>,
-    /// Per-group user totals, same order as the plan's groups.
-    pub group_sizes: Vec<u64>,
-}
-
-/// Serialises a `Delta` payload.
-pub fn encode_delta(delta: &CountDelta) -> Result<Vec<u8>, WireError> {
-    if delta.counts.len() > u32::MAX as usize || delta.group_sizes.len() > u32::MAX as usize {
-        return Err(WireError::Malformed("delta exceeds u32 counts".into()));
-    }
-    let cells: usize = delta.counts.iter().map(|g| g.len()).sum();
-    let mut buf = Vec::with_capacity(33 + delta.counts.len() * 4 + cells * 8);
-    buf.extend_from_slice(&delta.node_id.to_le_bytes());
-    buf.extend_from_slice(&delta.epoch.to_le_bytes());
-    buf.push(delta.flavor as u8);
-    buf.extend_from_slice(&delta.total.to_le_bytes());
-    buf.extend_from_slice(&(delta.counts.len() as u32).to_le_bytes());
-    for grid in &delta.counts {
-        let n = u32::try_from(grid.len())
-            .map_err(|_| WireError::Malformed("grid cell count exceeds u32".into()))?;
-        buf.extend_from_slice(&n.to_le_bytes());
-        for &c in grid {
-            buf.extend_from_slice(&c.to_le_bytes());
-        }
-    }
-    buf.extend_from_slice(&(delta.group_sizes.len() as u32).to_le_bytes());
-    for &s in &delta.group_sizes {
-        buf.extend_from_slice(&s.to_le_bytes());
-    }
-    Ok(buf)
-}
-
-/// Parses a `Delta` payload. Every length prefix is validated against the
-/// remaining bytes before any allocation, same discipline as
-/// [`decode_reports`].
-pub fn decode_delta(payload: &[u8]) -> Result<CountDelta, WireError> {
-    let mut r = ByteReader::new(payload);
-    let node_id = r.u64()?;
-    let epoch = r.u64()?;
-    let flavor = DeltaFlavor::from_u8(r.u8()?)?;
-    let total = r.u64()?;
-    let num_grids = r.u32()? as usize;
-    // A grid costs at least 4 bytes (its cell-count prefix).
-    if num_grids > r.remaining() / 4 {
-        return Err(WireError::Malformed(format!(
-            "grid count {num_grids} impossible in remaining payload"
-        )));
-    }
-    let mut counts = Vec::with_capacity(num_grids);
-    for _ in 0..num_grids {
-        let cells = r.u32()? as usize;
-        if cells > r.remaining() / 8 {
-            return Err(WireError::Malformed(format!(
-                "cell count {cells} exceeds remaining payload"
-            )));
-        }
-        let mut grid = Vec::with_capacity(cells);
-        for _ in 0..cells {
-            grid.push(r.u64()?);
-        }
-        counts.push(grid);
-    }
-    let num_groups = r.u32()? as usize;
-    if num_groups > r.remaining() / 8 {
-        return Err(WireError::Malformed(format!(
-            "group count {num_groups} exceeds remaining payload"
-        )));
-    }
-    let mut group_sizes = Vec::with_capacity(num_groups);
-    for _ in 0..num_groups {
-        group_sizes.push(r.u64()?);
-    }
-    if r.remaining() != 0 {
-        return Err(WireError::Malformed(format!(
-            "{} trailing bytes after delta",
-            r.remaining()
-        )));
-    }
-    Ok(CountDelta {
-        node_id,
-        epoch,
-        flavor,
-        total,
-        counts,
-        group_sizes,
-    })
-}
-
-/// Serialises a `DeltaAck` payload: the epoch it answers, the node's
-/// highest applied epoch, and the status byte.
-pub fn encode_delta_ack(epoch: u64, last_applied: u64, status: DeltaStatus) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(17);
-    buf.extend_from_slice(&epoch.to_le_bytes());
-    buf.extend_from_slice(&last_applied.to_le_bytes());
-    buf.push(status as u8);
+/// Serialises a `Delta` payload: `epoch` then the node's cumulative state
+/// as FSNP bytes.
+pub fn encode_delta(epoch: u64, snapshot: &Snapshot) -> Vec<u8> {
+    let mut buf = epoch.to_le_bytes().to_vec();
+    buf.extend_from_slice(&snapshot.encode());
     buf
 }
 
-/// Parses a `DeltaAck` payload into `(epoch, last_applied, status)`.
-pub fn decode_delta_ack(payload: &[u8]) -> Result<(u64, u64, DeltaStatus), WireError> {
+/// Parses a `Delta` payload into `(epoch, snapshot)`; the snapshot body
+/// goes through [`Snapshot::decode`], checksum and all.
+pub fn decode_delta(payload: &[u8]) -> Result<(u64, Snapshot), WireError> {
+    let mut r = ByteReader::new(payload);
+    let epoch = r.u64()?;
+    Ok((epoch, Snapshot::decode(r.take(r.remaining())?)?))
+}
+
+/// Serialises a `DeltaAck` payload: the epoch it answers and the node's
+/// highest applied epoch.
+pub fn encode_delta_ack(epoch: u64, last_applied: u64) -> Vec<u8> {
+    let mut buf = epoch.to_le_bytes().to_vec();
+    buf.extend_from_slice(&last_applied.to_le_bytes());
+    buf
+}
+
+/// Parses a `DeltaAck` payload into `(epoch, last_applied)`.
+pub fn decode_delta_ack(payload: &[u8]) -> Result<(u64, u64), WireError> {
     let mut r = ByteReader::new(payload);
     let epoch = r.u64()?;
     let last_applied = r.u64()?;
-    let status = DeltaStatus::from_u8(r.u8()?)?;
     if r.remaining() != 0 {
         return Err(WireError::Malformed("oversized delta-ack payload".into()));
     }
-    Ok((epoch, last_applied, status))
+    Ok((epoch, last_applied))
 }
 
 /// How a `Query` wants its consistency handled (v5).
@@ -1063,22 +921,45 @@ pub fn decode_query_reply(payload: &[u8]) -> Result<QueryAnswer, WireError> {
     })
 }
 
-/// Bounds-checked little-endian reader over a byte slice.
-struct ByteReader<'a> {
+/// Bounds-checked little-endian reader over a byte slice: the one reader
+/// every payload, FSNP snapshot and FCLU container decoder uses. A read
+/// past the end is [`WireError::Truncated`], never a panic.
+pub struct ByteReader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> ByteReader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
+    /// A reader at the start of `buf`.
+    pub fn new(buf: &'a [u8]) -> Self {
         ByteReader { buf, pos: 0 }
     }
 
-    fn remaining(&self) -> usize {
+    /// A reader over the body of a checksummed container: `bytes` minus
+    /// its trailing `crc32:u32`, which must match the body.
+    pub fn crc_checked(bytes: &'a [u8]) -> Result<Self, WireError> {
+        let Some(body_len) = bytes.len().checked_sub(TRAILER_LEN) else {
+            return Err(WireError::Truncated {
+                have: bytes.len(),
+                need: TRAILER_LEN,
+            });
+        };
+        let (body, trailer) = bytes.split_at(body_len);
+        let expected = crc32(body);
+        let actual = le_u32(trailer);
+        if expected != actual {
+            return Err(WireError::BadCrc { expected, actual });
+        }
+        Ok(ByteReader::new(body))
+    }
+
+    /// Bytes not yet read.
+    pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+    /// The next `n` bytes.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.remaining() < n {
             return Err(WireError::Truncated {
                 have: self.remaining(),
@@ -1090,15 +971,18 @@ impl<'a> ByteReader<'a> {
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, WireError> {
+    /// One byte.
+    pub fn u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])
     }
 
-    fn u32(&mut self) -> Result<u32, WireError> {
+    /// A little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, WireError> {
         Ok(le_u32(self.take(4)?))
     }
 
-    fn u64(&mut self) -> Result<u64, WireError> {
+    /// A little-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64, WireError> {
         Ok(le_u64(self.take(8)?))
     }
 }
@@ -1408,7 +1292,7 @@ mod tests {
 
     #[test]
     fn versions_outside_the_window_are_rejected() {
-        for v in [0u8, 1, 2, 3, 4, VERSION + 1, 0xFF] {
+        for v in [0u8, 1, 2, 3, 4, 5, VERSION + 1, 0xFF] {
             let mut bytes = Frame::control(FrameKind::Hello, 0).encode();
             bytes[4] = v;
             // Recompute the CRC so only the version check can object.
@@ -1422,38 +1306,27 @@ mod tests {
         }
     }
 
+    fn snapshot() -> Snapshot {
+        Snapshot {
+            plan_hash: 0xA11C_E5ED_0000_0001,
+            counts: vec![vec![1, 2, 3], vec![], vec![u64::MAX, 0]],
+            group_sizes: vec![7, 0, 5],
+            dedup: Vec::new(),
+        }
+    }
+
     #[test]
     fn delta_round_trips() {
-        let delta = CountDelta {
-            node_id: 0xA11C_E5ED_0000_0001,
-            epoch: 17,
-            flavor: DeltaFlavor::Incremental,
-            total: 1234,
-            counts: vec![vec![1, 2, 3], vec![], vec![u64::MAX, 0]],
-            group_sizes: vec![7, 0, u64::MAX],
-        };
-        let payload = encode_delta(&delta).unwrap();
-        assert_eq!(decode_delta(&payload).unwrap(), delta);
-
-        let full = CountDelta {
-            flavor: DeltaFlavor::Full,
-            ..delta
-        };
-        let payload = encode_delta(&full).unwrap();
-        assert_eq!(decode_delta(&payload).unwrap(), full);
+        let snap = snapshot();
+        let payload = encode_delta(17, &snap);
+        assert_eq!(payload[..8], 17u64.to_le_bytes());
+        assert_eq!(payload[8..], snap.encode());
+        assert_eq!(decode_delta(&payload).unwrap(), (17, snap));
     }
 
     #[test]
     fn delta_decode_rejects_corruption_and_hostile_lengths() {
-        let delta = CountDelta {
-            node_id: 1,
-            epoch: 2,
-            flavor: DeltaFlavor::Full,
-            total: 3,
-            counts: vec![vec![4, 5]],
-            group_sizes: vec![6],
-        };
-        let good = encode_delta(&delta).unwrap();
+        let good = encode_delta(2, &snapshot());
         // Truncations never panic, never succeed.
         for cut in 0..good.len() {
             assert!(decode_delta(&good[..cut]).is_err(), "cut at {cut} accepted");
@@ -1463,32 +1336,19 @@ mod tests {
         oversized.push(0);
         assert!(decode_delta(&oversized).is_err());
         // A hostile grid count cannot trigger a large allocation.
-        let mut hostile = good.clone();
-        hostile[25..29].copy_from_slice(&u32::MAX.to_le_bytes());
+        let mut hostile = good;
+        hostile[32..36].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(decode_delta(&hostile).is_err());
-        // Unknown flavor byte is rejected.
-        let mut bad_flavor = good;
-        bad_flavor[16] = 9;
-        assert!(decode_delta(&bad_flavor).is_err());
     }
 
     #[test]
     fn delta_ack_round_trips() {
-        for status in [
-            DeltaStatus::Applied,
-            DeltaStatus::Duplicate,
-            DeltaStatus::ResyncRequired,
-        ] {
-            let payload = encode_delta_ack(9, 8, status);
-            assert_eq!(decode_delta_ack(&payload).unwrap(), (9, 8, status));
-        }
-        assert!(decode_delta_ack(&[0; 16]).is_err());
-        let mut oversized = encode_delta_ack(1, 1, DeltaStatus::Applied);
+        let payload = encode_delta_ack(9, 8);
+        assert_eq!(decode_delta_ack(&payload).unwrap(), (9, 8));
+        assert!(decode_delta_ack(&[0; 15]).is_err());
+        let mut oversized = payload;
         oversized.push(0);
         assert!(decode_delta_ack(&oversized).is_err());
-        let mut bad_status = encode_delta_ack(1, 1, DeltaStatus::Applied);
-        bad_status[16] = 7;
-        assert!(decode_delta_ack(&bad_status).is_err());
         assert!(matches!(FrameKind::from_u8(7), Ok(FrameKind::Delta)));
         assert!(matches!(FrameKind::from_u8(8), Ok(FrameKind::DeltaAck)));
     }

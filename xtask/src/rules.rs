@@ -328,7 +328,7 @@ const GOLDEN: [(&str, &str, &str); 11] = [
     (
         "crates/server/src/wire.rs",
         "pub const VERSION",
-        ": u8 = 5;",
+        ": u8 = 6;",
     ),
     // The cluster verbs' frame-kind discriminants: ingest nodes and
     // aggregators of mixed builds interoperate only if these never move.

@@ -376,7 +376,7 @@ const GOLDEN_BASE: [(&str, &str); 4] = [
     (
         "crates/server/src/wire.rs",
         "pub const MAGIC: u32 = u32::from_le_bytes(*b\"FELP\");\n\
-         pub const VERSION: u8 = 5;\n\
+         pub const VERSION: u8 = 6;\n\
          enum FrameKind {\n    Delta = 7,\n    DeltaAck = 8,\n    \
          Query = 9,\n    QueryReply = 10,\n}\n",
     ),
