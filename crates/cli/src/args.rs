@@ -13,9 +13,8 @@ USAGE:
     felip compare --dataset <kind> --n <users> --epsilon <eps> [--lambda <dim>] [--queries <count>] [--seed <seed>]
     felip query   --csv <path> --columns <colspec> --epsilon <eps> --where <query>
                   [--strategy oug|ohg] [--seed <seed>]
-    felip query   --attrs <spec> --n <users> --epsilon <eps> [--addr <host:port>]
-                  [--point <attr>=<v>,...] [--marginal <attr>=<lo>..<hi>|<a>|<b>,...]
-                  [--mode cached|fresh] [--watch <secs>] [--format table|json]
+    felip query   --attrs <spec> --n <users> --epsilon <eps> --where <query>
+                  [--addr <host:port>] [--mode cached|fresh] [--watch <secs>] [--format table|json]
                   [--plan-seed <seed>]
     felip serve   --attrs <spec> --n <users> --epsilon <eps> [--addr <host:port>]
                   [--workers <w>] [--queue <batches>] [--snapshot <path>]
@@ -82,14 +81,15 @@ COLSPEC (for `query`):
 WHERE (for `query`):
     a conjunction over the encoded domains, e.g.
     --where \"age BETWEEN 4 AND 11 AND education IN (0, 2)\"
+    Online, the attributes are the --attrs positions `a0`, `a1`, …, e.g.
+    --where \"a0 BETWEEN 8 AND 24 AND a1 IN (0, 2)\" or \"a0 = 5 AND a1 = 2\"
 
 ONLINE QUERY (no --csv):
     `query --attrs ...` connects to a running `felip serve` (or `felip
     aggregate`) and answers over the v5 Query wire verb from the server's
-    incremental estimation engine. `--point 0=5,2=7` adds one equality per
-    pair; `--marginal 0=2..8,1=0|2` adds inclusive ranges and category
-    sets. The reply reports the answer's ingest epoch, the head epoch, and
-    their difference (staleness). `--mode fresh` forces a consistent cut
+    incremental estimation engine; `--where` takes the offline grammar
+    over the attributes `a0`, `a1`, …. The reply reports the answer's
+    ingest epoch, the head epoch, and their difference (staleness). `--mode fresh` forces a consistent cut
     per query; `--watch <secs>` re-asks on one connection at that cadence.
 
 GLOBAL FLAGS (any subcommand):

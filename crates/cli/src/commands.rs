@@ -284,7 +284,7 @@ fn parse_columns(spec: &str) -> Result<Vec<felip_datasets::ColumnSpec>> {
 ///   answer a WHERE query against the encoded domains.
 /// * **Online** (no `--csv`): connect to a running `felip serve` (or
 ///   `felip aggregate`) and answer via the v5 `Query` wire verb —
-///   `--point`/`--marginal` predicates, `--watch` re-polling,
+///   the same `--where` grammar, `--watch` re-polling,
 ///   `--format table|json`.
 pub fn query(args: &[String]) -> std::result::Result<(), Box<dyn std::error::Error>> {
     let flags = Flags::parse(args).map_err(boxed)?;

@@ -15,7 +15,6 @@ use felip::plan::CollectionPlan;
 use felip::{FelipConfig, SelectivityPrior, Strategy};
 use felip_cluster::{StreamerConfig, UpstreamStreamer};
 use felip_common::rng::derive_seed;
-use felip_common::Predicate;
 use felip_obs::diag;
 use felip_server::loadgen::{offline_reference, user_report};
 use felip_server::wire::{encode_stat, read_frame, write_frame, QueryMode, StatMode};
@@ -580,71 +579,14 @@ fn render_fanin_table(addrs: &[String], docs: &[serde_json::Value]) -> Result<St
     Ok(out)
 }
 
-/// Parses the `--point 0=5,2=7` specification: one equality predicate per
-/// `attr=value` pair.
-fn parse_point(spec: &str) -> std::result::Result<Vec<Predicate>, String> {
-    spec.split(',')
-        .map(|part| {
-            let (attr, value) = part
-                .split_once('=')
-                .ok_or_else(|| format!("point spec `{part}` is not `<attr>=<value>`"))?;
-            let attr: u32 = attr
-                .parse()
-                .map_err(|_| format!("bad attribute index `{attr}` in point spec"))?;
-            let value: u32 = value
-                .parse()
-                .map_err(|_| format!("bad value `{value}` in point spec"))?;
-            Ok(Predicate::between(attr as usize, value, value))
-        })
-        .collect()
-}
-
-/// Parses the `--marginal 0=2..8,1=0|2|3` specification: `lo..hi` is an
-/// inclusive range, `a|b|c` a category set, a bare value an equality.
-fn parse_marginal(spec: &str) -> std::result::Result<Vec<Predicate>, String> {
-    spec.split(',')
-        .map(|part| {
-            let (attr, sel) = part
-                .split_once('=')
-                .ok_or_else(|| format!("marginal spec `{part}` is not `<attr>=<selection>`"))?;
-            let attr: usize = attr
-                .parse()
-                .map_err(|_| format!("bad attribute index `{attr}` in marginal spec"))?;
-            if let Some((lo, hi)) = sel.split_once("..") {
-                let lo: u32 = lo
-                    .parse()
-                    .map_err(|_| format!("bad range start `{lo}` in marginal spec"))?;
-                let hi: u32 = hi
-                    .parse()
-                    .map_err(|_| format!("bad range end `{hi}` in marginal spec"))?;
-                Ok(Predicate::between(attr, lo, hi))
-            } else if sel.contains('|') {
-                let values = sel
-                    .split('|')
-                    .map(|v| {
-                        v.parse::<u32>()
-                            .map_err(|_| format!("bad category `{v}` in marginal spec"))
-                    })
-                    .collect::<std::result::Result<Vec<u32>, String>>()?;
-                Ok(Predicate::in_set(attr, values))
-            } else {
-                let v: u32 = sel
-                    .parse()
-                    .map_err(|_| format!("bad value `{sel}` in marginal spec"))?;
-                Ok(Predicate::between(attr, v, v))
-            }
-        })
-        .collect()
-}
-
 /// `felip query` online mode: ask a running server (ingest or aggregator)
 /// over the v5 `Query` wire verb.
 ///
-/// Predicates come from `--point` (equality pairs) and/or `--marginal`
-/// (ranges and category sets), joined as one conjunction. `--mode fresh`
-/// forces a consistent cut per query; the default `cached` serves the
-/// cached epoch when ingest has not moved. `--watch <secs>` re-asks on
-/// one connection at that cadence — a live dashboard for one cell.
+/// `--where` is a conjunction in the offline query's grammar, over the
+/// plan's attributes `a0`, `a1`, …. `--mode fresh` forces a consistent
+/// cut per query; the default `cached` serves the cached epoch when ingest
+/// has not moved. `--watch <secs>` re-asks on one connection at that
+/// cadence — a live dashboard for one cell.
 pub fn query_online(flags: &Flags) -> CmdResult {
     let plan = plan_from_flags(flags)?;
     let addr: String = flags.get_or("addr", "127.0.0.1:4417".to_string())?;
@@ -659,29 +601,14 @@ pub fn query_online(flags: &Flags) -> CmdResult {
     }
     let watch_secs: u64 = flags.get_or("watch", 0u64)?;
 
-    let mut predicates = Vec::new();
-    if let Some(spec) = flags.get("point") {
-        predicates.extend(parse_point(spec)?);
-    }
-    if let Some(spec) = flags.get("marginal") {
-        predicates.extend(parse_marginal(spec)?);
-    }
-    if predicates.is_empty() {
-        return Err("no predicates: pass --point and/or --marginal".into());
-    }
-    // An equality (or range) on a categorical attribute is a value set,
-    // not a degenerate range — rewrite so `--point` works on both kinds.
-    for p in &mut predicates {
-        if p.attr < plan.schema().len() && plan.schema().attr(p.attr).kind.is_categorical() {
-            if let felip_common::PredicateTarget::Range { lo, hi } = p.target {
-                p.target = felip_common::PredicateTarget::Set((lo..=hi).collect());
-            }
-        }
-    }
-    // Validate locally before going on the wire, so a typo'd attribute
-    // index fails with the schema error instead of a server reject.
-    felip_common::Query::new(plan.schema(), predicates.clone())
-        .map_err(|e| format!("invalid query: {e}"))?;
+    let where_clause: String = flags.require("where")?;
+    // Parsed against the plan's schema before going on the wire, so a
+    // typo'd attribute fails with the schema error instead of a server
+    // reject.
+    let predicates = felip_common::parse::parse_query(plan.schema(), &where_clause)
+        .map_err(|e| format!("invalid query: {e}"))?
+        .predicates()
+        .to_vec();
 
     let client_id = derive_seed(0xf31a9, std::process::id() as u64);
     let mut client = Client::connect_with(
@@ -846,21 +773,19 @@ mod tests {
         ]))
         .unwrap();
 
-        // Point + marginal predicates, both output formats, both modes.
+        // A point and a range conjunction, both output formats, both modes.
         crate::commands::query(&with_plan(&[
             "--addr",
             &addr,
-            "--point",
-            "1=2",
-            "--marginal",
-            "0=8..40",
+            "--where",
+            "a1 = 2 AND a0 BETWEEN 8 AND 40",
         ]))
         .unwrap();
         crate::commands::query(&with_plan(&[
             "--addr",
             &addr,
-            "--marginal",
-            "0=8..40,1=0|2",
+            "--where",
+            "a0 BETWEEN 8 AND 40 AND a1 IN (0, 2)",
             "--format",
             "json",
             "--mode",
@@ -868,33 +793,15 @@ mod tests {
         ]))
         .unwrap();
 
-        // Bad specs fail locally, before any wire traffic.
+        // Bad queries fail locally, before any wire traffic.
         assert!(crate::commands::query(&with_plan(&["--addr", &addr])).is_err());
-        assert!(crate::commands::query(&with_plan(&["--addr", &addr, "--point", "9=1"])).is_err());
-        assert!(crate::commands::query(&with_plan(&["--addr", &addr, "--point", "x"])).is_err());
+        assert!(
+            crate::commands::query(&with_plan(&["--addr", &addr, "--where", "a9 = 1"])).is_err()
+        );
+        assert!(crate::commands::query(&with_plan(&["--addr", &addr, "--where", "x"])).is_err());
 
         shutdown.store(true, std::sync::atomic::Ordering::SeqCst);
         t.join().unwrap();
-    }
-
-    #[test]
-    fn point_and_marginal_specs_parse() {
-        assert_eq!(
-            parse_point("0=5,2=7").unwrap(),
-            vec![Predicate::between(0, 5, 5), Predicate::between(2, 7, 7)]
-        );
-        assert_eq!(
-            parse_marginal("0=2..8,1=0|2|3,2=4").unwrap(),
-            vec![
-                Predicate::between(0, 2, 8),
-                Predicate::in_set(1, vec![0, 2, 3]),
-                Predicate::between(2, 4, 4),
-            ]
-        );
-        assert!(parse_point("=5").is_err());
-        assert!(parse_point("a=5").is_err());
-        assert!(parse_marginal("0=2..").is_err());
-        assert!(parse_marginal("0=a|b").is_err());
     }
 
     /// A snapshot from a live recorder: one counter, one gauge and one

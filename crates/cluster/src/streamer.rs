@@ -12,6 +12,14 @@
 //! fewer deltas, never a backlog — backpressure without ever blocking the
 //! ingest server's cut thread.
 //!
+//! ## Idle ticks and the final flush
+//!
+//! A periodic cut equal to the last acked one is skipped without touching
+//! the connection: an idle node sends nothing between ticks. The final
+//! cut [`UpstreamStreamer::finish`] offers is never skipped, so the flush
+//! is confirmed by the aggregator that is up *now* — one that replaced
+//! the acking aggregator without `--resume` gets the node's state too.
+//!
 //! ## Reconnect
 //!
 //! At most one delta is in flight. Each handshake learns the aggregator's
@@ -80,6 +88,10 @@ struct Pending {
     /// The newest cut not yet acked upstream (cumulative, so it replaces
     /// any older pending cut).
     latest: Option<CutState>,
+    /// Set by [`UpstreamStreamer::finish`] with the final cut; the worker
+    /// ships that cut even when it equals the last acked one and clears
+    /// the flag once the current aggregator acks it.
+    flush: bool,
     /// Set by [`UpstreamStreamer::finish`]; the worker exits once the
     /// pending slot is drained (or immediately if nothing is pending).
     stop: bool,
@@ -102,6 +114,7 @@ impl UpstreamStreamer {
         let shared = Arc::new(Shared {
             pending: Mutex::new(Pending {
                 latest: None,
+                flush: false,
                 stop: false,
                 report: StreamerReport::default(),
             }),
@@ -125,30 +138,24 @@ impl UpstreamStreamer {
         })
     }
 
-    /// Offers one cut directly (what the hook does; public for the final
-    /// flush and for tests).
-    pub fn offer(&self, cut: CutState) {
-        let mut pending = self.shared.pending.lock();
-        pending.latest = Some(cut);
-        self.shared.cv.notify_all();
-    }
-
-    /// Offers `final_cut`, waits up to `deadline` for it to be acked
-    /// upstream, then stops and joins the worker. Returns the worker's
-    /// report; `Err` carries the report when the flush did not complete in
-    /// time (the aggregator stayed unreachable).
+    /// Offers `final_cut`, waits up to `deadline` for the aggregator that
+    /// is up now to ack it (even when an earlier aggregator already acked
+    /// the same state), then stops and joins the worker. Returns the
+    /// worker's report; `Err` carries the report when the flush did not
+    /// complete in time (the aggregator stayed unreachable).
     pub fn finish(
         mut self,
         final_cut: CutState,
         deadline: Duration,
     ) -> Result<StreamerReport, StreamerReport> {
-        let target = final_cut.reports;
-        self.offer(final_cut);
         let start = Instant::now();
         let flushed = {
             let mut pending = self.shared.pending.lock();
+            pending.latest = Some(final_cut);
+            pending.flush = true;
+            self.shared.cv.notify_all();
             loop {
-                if pending.report.flushed_reports >= target && pending.latest.is_none() {
+                if !pending.flush {
                     break true;
                 }
                 if start.elapsed() >= deadline {
@@ -218,11 +225,11 @@ impl Worker {
     fn run(mut self) {
         loop {
             // Take the newest pending cut (coalesced), or exit on stop.
-            let cut = {
+            let (cut, flush) = {
                 let mut pending = self.shared.pending.lock();
                 loop {
                     if let Some(cut) = pending.latest.take() {
-                        break cut;
+                        break (cut, pending.flush);
                     }
                     if pending.stop {
                         return;
@@ -234,9 +241,9 @@ impl Worker {
                     pending = guard;
                 }
             };
-            // Nothing new since the last ack: skip the exchange entirely.
-            if self.acked.as_ref() == Some(&cut) {
-                self.publish(|_| {});
+            // An idle tick — nothing new since the last ack — skips the
+            // exchange entirely; the final flush never does.
+            if !flush && self.acked.as_ref() == Some(&cut) {
                 continue;
             }
             // Ship, retrying until acked or stopped. A newer pending cut
@@ -245,11 +252,13 @@ impl Worker {
             loop {
                 match self.ship(&cut) {
                     Ok(()) => {
-                        let reports = cut.reports;
-                        self.publish(move |r| {
-                            r.deltas_acked += 1;
-                            r.flushed_reports = reports;
-                        });
+                        let mut pending = self.shared.pending.lock();
+                        pending.report.deltas_acked += 1;
+                        pending.report.flushed_reports = cut.reports;
+                        if flush {
+                            pending.flush = false;
+                        }
+                        self.shared.cv.notify_all();
                         break;
                     }
                     Err(_e) => {
@@ -262,12 +271,6 @@ impl Worker {
                 }
             }
         }
-    }
-
-    fn publish(&self, f: impl FnOnce(&mut StreamerReport)) {
-        let mut pending = self.shared.pending.lock();
-        f(&mut pending.report);
-        self.shared.cv.notify_all();
     }
 
     /// One shipping attempt for `cut`: the node's cumulative state at the

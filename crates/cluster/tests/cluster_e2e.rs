@@ -8,13 +8,13 @@ mod common;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use felip_cluster::{AggregatorConfig, AggregatorServer};
+use felip_cluster::{AggregatorConfig, AggregatorServer, StreamerConfig, UpstreamStreamer};
 use felip_server::loadgen::offline_reference;
 use felip_server::ServerConfig;
 
-use common::{plan, serve_and_stream, split_users, NodeExit};
+use common::{cut_of, plan, serve_and_stream, split_users, NodeExit};
 
 #[test]
 fn three_node_split_merges_bit_identical_to_single_node() {
@@ -269,4 +269,59 @@ fn aggregator_restart_mid_load_converges_with_resume() {
     assert_eq!(run.merged.counts_digest(), expected.counts_digest());
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An idle node's final flush must land on the aggregator that is up at
+/// flush time. Node 1 acks 30 reports to aggregator A; A is replaced by a
+/// fresh B on the same port (no `--resume`); the final cut equals the one
+/// A acked, yet `finish` may only report success once B holds it.
+#[test]
+fn final_flush_lands_on_a_fresh_aggregator_that_replaced_the_acking_one() {
+    let plan = plan();
+    let node = offline_reference(&plan, 0..30, 17).expect("offline");
+
+    let a = AggregatorServer::bind(Arc::clone(&plan), AggregatorConfig::default()).expect("bind A");
+    let upstream = a.local_addr();
+    let (state_a, stop_a) = (a.state(), a.shutdown_handle());
+    let a_thread = thread::spawn(move || a.run(None).expect("aggregator A run"));
+
+    let streamer = UpstreamStreamer::start(StreamerConfig {
+        upstream: upstream.to_string(),
+        node_id: 1,
+        plan_hash: plan.schema_hash(),
+        io_timeout: Duration::from_secs(5),
+        reconnect_delay: Duration::from_millis(10),
+    });
+    (streamer.hook())(cut_of(&node));
+    let start = Instant::now();
+    while state_a.merged().expect("merge").reports_ingested() < 30 {
+        assert!(
+            start.elapsed() < Duration::from_secs(30),
+            "A never got the cut"
+        );
+        thread::sleep(Duration::from_millis(5));
+    }
+    stop_a.store(true, Ordering::SeqCst);
+    assert_eq!(
+        a_thread.join().expect("join A").merged.reports_ingested(),
+        30
+    );
+
+    let b_cfg = AggregatorConfig {
+        addr: upstream.to_string(),
+        ..AggregatorConfig::default()
+    };
+    let b = AggregatorServer::bind(Arc::clone(&plan), b_cfg).expect("rebind B on the same port");
+    let stop_b = b.shutdown_handle();
+    let b_thread = thread::spawn(move || b.run(None).expect("aggregator B run"));
+
+    let report = streamer
+        .finish(cut_of(&node), Duration::from_secs(30))
+        .expect("final flush");
+    assert_eq!(report.flushed_reports, 30);
+    stop_b.store(true, Ordering::SeqCst);
+    let run_b = b_thread.join().expect("join B");
+    assert_eq!(run_b.merged.reports_ingested(), 30);
+    assert_eq!(run_b.merged.counts(), node.counts());
+    assert_eq!(run_b.nodes.len(), 1);
 }

@@ -195,16 +195,6 @@ impl Query {
         let hits = dataset.rows().filter(|r| self.matches(r)).count();
         hits as f64 / dataset.len() as f64
     }
-
-    /// Geometric-mean selectivity across the query's dimensions.
-    pub fn mean_selectivity(&self, schema: &Schema) -> f64 {
-        let prod: f64 = self
-            .predicates
-            .iter()
-            .map(|p| p.selectivity(schema))
-            .product();
-        prod.powf(1.0 / self.predicates.len() as f64)
-    }
 }
 
 #[cfg(test)]

@@ -1,51 +1,35 @@
 //! Incremental estimation: serve λ-D frequency queries from streaming
 //! counts without re-running the full batch pipeline per query.
 //!
-//! [`QueryEngine`] caches, per grid, the de-biased frequency vector
-//! produced by [`FrequencyOracle::estimate_from_counts`] together with the
-//! exact support counts it was computed from. On [`QueryEngine::refresh`]
-//! with a new snapshot-consistent count read, only the grids whose counts
-//! changed are re-estimated; the post-processing pass (norm-sub +
-//! cross-grid consistency, DESIGN.md §17) is then re-run over the full
-//! grid set, because consistency couples grids that share an attribute and
-//! therefore does *not* commute with per-grid updates — whereas per-grid
-//! de-biasing is a pure function of `(counts, group_size)` and does.
+//! [`QueryEngine`] keeps the last post-processed [`Estimator`] keyed by
+//! the **head token** of the cut it was built from — a value the cut's
+//! source changes whenever its counts change (the ingest server's report
+//! total, the cluster aggregator's merge version). A refresh at the cached
+//! token reuses that estimator, with its warm response-matrix cache; any
+//! other refresh runs [`Aggregator::estimate`] once on the cut. There is
+//! no per-grid cache: post-processing (norm-sub + cross-grid consistency,
+//! DESIGN.md §17) couples every grid that shares an attribute, so a change
+//! to any one grid re-runs the costly global step anyway.
 //!
-//! The headline invariant: the [`Estimator`] produced by a refresh is
-//! **bit-identical** to [`Aggregator::estimate`] run offline on the same
-//! counts. This holds unconditionally (no hashing, no tolerance): cached
-//! grids are keyed by the full count vector compared exactly, so a reused
-//! de-biased vector is the very same `f64` sequence a fresh
-//! `estimate_from_counts` call on identical inputs would produce, and the
-//! global post-processing pass is shared with the batch path verbatim.
+//! The headline invariant — an answer is **bit-identical** to the offline
+//! batch estimate on the same counts — therefore holds by construction:
+//! the engine's estimator *is* `Aggregator::estimate` of its cut.
 //!
-//! Each refresh that observes changed counts advances the engine's
-//! **epoch** — the cache key exposed on the wire (`QueryReply.epoch`) so
-//! clients can reason about answer staleness relative to the ingest head.
-//!
-//! [`FrequencyOracle::estimate_from_counts`]: felip_fo::FrequencyOracle::estimate_from_counts
+//! Each refresh that estimates advances the engine's **epoch** — the cache
+//! key exposed on the wire (`QueryReply.epoch`) so clients can reason about
+//! answer staleness relative to the ingest head.
 
 use std::sync::Arc;
 
-use felip_common::{Error, Result};
-use felip_grid::postprocess::post_process;
-use felip_grid::EstimatedGrid;
+use felip_common::Result;
 
 use crate::aggregator::{Aggregator, OracleSet};
 use crate::answer::Estimator;
 use crate::plan::CollectionPlan;
 
-/// One grid's cached de-biased estimate, keyed by the exact counts and
-/// group size it was computed from.
-struct GridCache {
-    counts: Vec<u64>,
-    size: usize,
-    freqs: Vec<f64>,
-}
-
-/// What one [`QueryEngine::refresh`] did, plus the estimator to answer
+/// What one [`QueryEngine`] refresh did, plus the estimator to answer
 /// queries from.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RefreshOutcome {
     /// The post-processed estimator for the refreshed counts.
     pub estimator: Arc<Estimator>,
@@ -53,189 +37,101 @@ pub struct RefreshOutcome {
     pub epoch: u64,
     /// Total reports behind the estimator (sum of group sizes).
     pub reports: u64,
-    /// True when the refresh was a pure cache hit (no grid changed, no
-    /// post-processing re-run).
+    /// True when the refresh reused the cached estimator (its head token
+    /// had not moved).
     pub warm: bool,
-    /// Grids whose de-biased estimates were recomputed this refresh.
+    /// Grids estimated by this refresh: every grid, or 0 when warm.
     pub refreshed_grids: usize,
 }
 
-/// The incremental estimation engine (DESIGN.md §17).
-///
-/// Feed it snapshot-consistent count reads via [`refresh`]; it returns a
-/// post-processed [`Estimator`] bit-identical to the offline batch path on
-/// the same counts, reusing per-grid de-biasing work across refreshes.
-///
-/// [`refresh`]: QueryEngine::refresh
+/// The incremental estimation engine (DESIGN.md §17): the last estimate
+/// and the head token of the cut it was built from.
 pub struct QueryEngine {
     plan: Arc<CollectionPlan>,
     oracles: Arc<OracleSet>,
-    grids: Vec<Option<GridCache>>,
-    estimator: Option<Arc<Estimator>>,
     epoch: u64,
-    reports: u64,
+    /// The last estimate (stored as its warm outcome) and its head token.
+    last: Option<(u64, RefreshOutcome)>,
 }
 
 impl QueryEngine {
     /// A cold engine for `plan`: epoch 0, nothing cached.
     pub fn new(plan: Arc<CollectionPlan>, oracles: Arc<OracleSet>) -> Self {
-        let groups = plan.num_groups();
         QueryEngine {
             plan,
             oracles,
-            grids: (0..groups).map(|_| None).collect(),
-            estimator: None,
             epoch: 0,
-            reports: 0,
+            last: None,
         }
     }
 
-    /// The engine's plan.
-    pub fn plan(&self) -> &Arc<CollectionPlan> {
-        &self.plan
-    }
-
     /// Current cache epoch: 0 means nothing cached; advances by one on
-    /// every refresh that observed changed counts.
+    /// every refresh that estimates.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
 
-    /// Reports behind the currently cached estimator.
-    pub fn reports(&self) -> u64 {
-        self.reports
+    /// The last estimate, whatever head it was built from.
+    pub fn latest(&self) -> Option<RefreshOutcome> {
+        self.last.as_ref().map(|(_, out)| out.clone())
     }
 
-    /// The cached estimator, if any refresh has completed since the last
-    /// [`reset`](QueryEngine::reset).
-    pub fn estimator(&self) -> Option<Arc<Estimator>> {
-        self.estimator.as_ref().map(Arc::clone)
-    }
-
-    /// Drops every cached grid and the cached estimator and rewinds the
-    /// epoch to 0. Called after a state restore so a resumed server can
-    /// never serve a pre-restore cached grid.
-    pub fn reset(&mut self) {
-        for slot in &mut self.grids {
-            *slot = None;
+    /// The last estimate when it was built from head `token` — the one
+    /// warm check.
+    pub fn cached(&self, token: u64) -> Option<RefreshOutcome> {
+        match &self.last {
+            Some((t, out)) if *t == token => Some(out.clone()),
+            _ => None,
         }
-        self.estimator = None;
-        self.epoch = 0;
-        self.reports = 0;
     }
 
-    /// Refreshes the engine from a snapshot-consistent count read.
-    ///
-    /// `counts` and `group_sizes` must have the plan's group shape (one
-    /// count vector per grid, sized to the grid's cell count). Grids whose
-    /// counts are unchanged since the cached epoch reuse their cached
-    /// de-biased estimates; changed grids are re-estimated; the global
-    /// post-processing pass re-runs whenever *any* grid changed. A refresh
-    /// where nothing changed returns the cached estimator untouched
-    /// (`warm == true`).
+    /// The estimate for `cut`, whose source's head token is `token`: the
+    /// cached estimator when it was built from `token`, otherwise one
+    /// [`Aggregator::estimate`] of the cut, which advances the epoch.
+    pub fn refresh_at(&mut self, cut: &Aggregator, token: u64) -> Result<RefreshOutcome> {
+        if let Some(out) = self.cached(token) {
+            return Ok(out);
+        }
+        let estimator = Arc::new(cut.estimate()?);
+        self.epoch += 1;
+        let out = RefreshOutcome {
+            estimator,
+            epoch: self.epoch,
+            reports: cut.reports_ingested() as u64,
+            warm: false,
+            refreshed_grids: self.plan.num_groups(),
+        };
+        let warm = RefreshOutcome {
+            warm: true,
+            refreshed_grids: 0,
+            ..out.clone()
+        };
+        self.last = Some((token, warm));
+        Ok(out)
+    }
+
+    /// Refreshes from an aggregator that only grows between calls (ingest
+    /// and merge only add reports), so its report total is its head token
+    /// — as in the ingest server's cut.
+    pub fn refresh_from(&mut self, agg: &Aggregator) -> Result<RefreshOutcome> {
+        self.refresh_at(agg, agg.reports_ingested() as u64)
+    }
+
+    /// Refreshes from raw counts in the plan's shape, keyed like
+    /// [`refresh_from`](QueryEngine::refresh_from). Shape errors come from
+    /// [`Aggregator::restore`].
     pub fn refresh(
         &mut self,
         counts: &[Vec<u64>],
         group_sizes: &[usize],
     ) -> Result<RefreshOutcome> {
-        let specs = self.plan.grids();
-        if counts.len() != specs.len() || group_sizes.len() != specs.len() {
-            return Err(Error::InvalidParameter(format!(
-                "count shape {}x / sizes {} does not match plan with {} groups",
-                counts.len(),
-                group_sizes.len(),
-                specs.len()
-            )));
-        }
-        for (g, (spec, c)) in specs.iter().zip(counts).enumerate() {
-            if c.len() != spec.num_cells() as usize {
-                return Err(Error::InvalidParameter(format!(
-                    "group {g} has {} counts, grid expects {}",
-                    c.len(),
-                    spec.num_cells()
-                )));
-            }
-        }
-        let total: u64 = group_sizes.iter().map(|&s| s as u64).sum();
-        if total == 0 {
-            // Mirror `Aggregator::estimate` exactly: an empty collection
-            // has no estimate, warm cache or not.
-            return Err(Error::InvalidParameter("no reports ingested".into()));
-        }
-
-        // Exact-key comparison: a grid is stale iff its counts or group
-        // size differ from what the cache was computed from.
-        let mut refreshed = 0usize;
-        for (g, (c, &size)) in counts.iter().zip(group_sizes).enumerate() {
-            let stale = match &self.grids[g] {
-                Some(cache) => cache.size != size || cache.counts != *c,
-                None => true,
-            };
-            if !stale {
-                continue;
-            }
-            if self.grids[g].is_some() {
-                felip_obs::counter!("query.cache.invalidations", 1);
-            }
-            felip_obs::counter!("query.cache.miss", 1);
-            let freqs = self.oracles.get(g).estimate_from_counts(c, size);
-            self.grids[g] = Some(GridCache {
-                counts: c.clone(),
-                size,
-                freqs,
-            });
-            refreshed += 1;
-        }
-
-        if refreshed == 0 {
-            if let Some(est) = &self.estimator {
-                felip_obs::counter!("query.cache.hit", 1);
-                return Ok(RefreshOutcome {
-                    estimator: Arc::clone(est),
-                    epoch: self.epoch,
-                    reports: self.reports,
-                    warm: true,
-                    refreshed_grids: 0,
-                });
-            }
-        }
-
-        // Post-processing couples grids (cross-grid consistency), so it
-        // re-runs over the full set from the cached de-biased vectors —
-        // the same inputs the batch path would feed it.
-        let mut grids: Vec<EstimatedGrid> = specs
-            .iter()
-            .zip(&self.grids)
-            .map(|(spec, cache)| {
-                let cache = cache.as_ref().ok_or_else(|| {
-                    Error::InvalidParameter("query engine grid cache unexpectedly empty".into())
-                })?;
-                Ok(EstimatedGrid::new(spec.clone(), cache.freqs.clone()))
-            })
-            .collect::<Result<_>>()?;
-        let variances = self.plan.cell_variances();
-        post_process(
-            &mut grids,
-            self.plan.schema().len(),
-            &variances,
-            self.plan.config().postprocess_rounds,
+        let cut = Aggregator::restore(
+            Arc::clone(&self.plan),
+            Arc::clone(&self.oracles),
+            counts.to_vec(),
+            group_sizes.to_vec(),
         )?;
-        let estimator = Arc::new(Estimator::new(Arc::clone(&self.plan), grids));
-        self.estimator = Some(Arc::clone(&estimator));
-        self.epoch += 1;
-        self.reports = total;
-        Ok(RefreshOutcome {
-            estimator,
-            epoch: self.epoch,
-            reports: total,
-            warm: false,
-            refreshed_grids: refreshed,
-        })
-    }
-
-    /// Convenience: refresh straight from an aggregator's current state.
-    pub fn refresh_from(&mut self, agg: &Aggregator) -> Result<RefreshOutcome> {
-        self.refresh(agg.counts(), agg.group_sizes())
+        self.refresh_from(&cut)
     }
 }
 
@@ -245,7 +141,7 @@ mod tests {
     use crate::client::respond;
     use crate::config::{FelipConfig, Strategy};
     use felip_common::rng::{derive_seed, seeded_rng};
-    use felip_common::{Attribute, Schema};
+    use felip_common::{Attribute, Error, Schema};
 
     fn plan() -> Arc<CollectionPlan> {
         let schema = Schema::new(vec![
@@ -295,43 +191,35 @@ mod tests {
         let first = engine.refresh_from(&agg).unwrap();
         let second = engine.refresh_from(&agg).unwrap();
         assert!(second.warm);
-        assert_eq!(second.epoch, first.epoch);
+        assert_eq!((second.epoch, second.refreshed_grids), (first.epoch, 0));
         assert!(Arc::ptr_eq(&first.estimator, &second.estimator));
-        let _ = plan;
+        assert!(Arc::ptr_eq(
+            &engine.cached(400).unwrap().estimator,
+            &first.estimator
+        ));
+        assert!(engine.cached(401).is_none());
     }
 
     #[test]
-    fn partial_update_refreshes_only_changed_grids() {
+    fn a_moved_token_estimates_the_cut_again() {
         let plan = plan();
         let agg = reports(&plan, 0..600, 17);
         let mut engine = QueryEngine::new(agg.plan_handle(), agg.oracles());
-        engine.refresh_from(&agg).unwrap();
+        let first = engine.refresh_at(&agg, 5).unwrap();
 
-        // Mutate one group's counts by hand: only that grid re-estimates,
-        // but the whole estimator still matches a batch run on the
-        // mutated counts bit-for-bit.
         let mut counts: Vec<Vec<u64>> = agg.counts().to_vec();
         let mut sizes = agg.group_sizes().to_vec();
         counts[0][0] += 3;
         sizes[0] += 3;
-        let out = engine.refresh(&counts, &sizes).unwrap();
+        let mutated = Aggregator::restore(agg.plan_handle(), agg.oracles(), counts, sizes).unwrap();
+        let out = engine.refresh_at(&mutated, 6).unwrap();
         assert!(!out.warm);
-        assert_eq!(out.refreshed_grids, 1);
-        assert_eq!(out.epoch, 2);
-
-        let offline = Aggregator::restore(
-            agg.plan_handle(),
-            agg.oracles(),
-            counts.clone(),
-            sizes.clone(),
-        )
-        .unwrap()
-        .estimate()
-        .unwrap();
+        assert_eq!((out.epoch, out.refreshed_grids), (2, plan.num_groups()));
+        assert!(!Arc::ptr_eq(&out.estimator, &first.estimator));
+        let offline = mutated.estimate().unwrap();
         for (inc, off) in out.estimator.grids().iter().zip(offline.grids()) {
             assert_eq!(inc.freqs(), off.freqs());
         }
-        let _ = plan;
     }
 
     #[test]
@@ -342,22 +230,7 @@ mod tests {
         let err = engine.refresh_from(&agg).unwrap_err();
         assert!(matches!(err, Error::InvalidParameter(_)));
         assert_eq!(engine.epoch(), 0);
-    }
-
-    #[test]
-    fn reset_rewinds_epoch_and_drops_cache() {
-        let plan = plan();
-        let agg = reports(&plan, 0..300, 19);
-        let mut engine = QueryEngine::new(agg.plan_handle(), agg.oracles());
-        engine.refresh_from(&agg).unwrap();
-        assert_eq!(engine.epoch(), 1);
-        engine.reset();
-        assert_eq!(engine.epoch(), 0);
-        assert!(engine.estimator().is_none());
-        // Post-reset refresh is cold again: every grid recomputes.
-        let out = engine.refresh_from(&agg).unwrap();
-        assert_eq!(out.refreshed_grids, plan.num_groups());
-        assert_eq!(out.epoch, 1);
+        assert!(engine.latest().is_none());
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //! answer `QueryEngine` serves from a refresh must be *bit-identical* (not
 //! statistically close) to a fresh offline `Aggregator::estimate` computed
 //! on the exact same count cut — across arbitrary interleavings of ingest
-//! chunks and refreshes, and across the cache-warm, cache-cold, and
-//! partial-grid-invalidation paths.
+//! chunks and refreshes, and across the cache-warm and cache-cold paths.
 
 use std::sync::Arc;
 
@@ -151,32 +150,4 @@ fn cold_warm_and_invalidated_refreshes_all_match_batch() {
     assert!(!invalidated.warm);
     assert_eq!(invalidated.epoch, 2);
     assert_matches_batch(&invalidated.estimator, &agg, &queries);
-}
-
-/// A partial-grid update (a handful of users, all landing in a strict
-/// subset of the plan's groups) must invalidate only the touched grids —
-/// and the globally re-post-processed result must still be bit-identical
-/// to a batch estimate, because cross-grid consistency re-runs over the
-/// cached de-biased vectors the batch path would also produce.
-#[test]
-fn partial_grid_update_invalidates_only_touched_grids() {
-    let plan = plan(43);
-    let queries = probes(plan.schema());
-    let mut agg = Aggregator::new(Arc::clone(&plan));
-    ingest_users(&mut agg, 0..400, 43);
-
-    let mut engine = QueryEngine::new(agg.plan_handle(), agg.oracles());
-    engine.refresh_from(&agg).unwrap();
-
-    // One more user touches exactly one group's grid.
-    let touched: std::collections::BTreeSet<usize> = (400..401).map(|u| plan.group_of(u)).collect();
-    ingest_users(&mut agg, 400..401, 43);
-    let out = engine.refresh_from(&agg).unwrap();
-    assert!(!out.warm);
-    assert_eq!(out.refreshed_grids, touched.len());
-    assert!(
-        out.refreshed_grids < plan.num_groups(),
-        "a single-user update must not invalidate every grid"
-    );
-    assert_matches_batch(&out.estimator, &agg, &queries);
 }

@@ -13,8 +13,8 @@
 //! The five grid kinds have the closed error expressions of Eqs. (3), (4),
 //! (9), (10), (11), (12). Minimisation follows the paper: the 1-D OLH case
 //! has the closed form of Eq. (5); all other stationarity conditions are
-//! solved numerically (bisection / golden-section line search, coordinate
-//! descent for the 2-D systems). The continuous optimum is then refined to
+//! solved numerically (golden-section line search, coordinate descent for
+//! the 2-D systems). The continuous optimum is then refined to
 //! the best *integer* granularity by direct evaluation — made possible by
 //! variable-width binning, which accepts any `l ∈ 1..=d`.
 

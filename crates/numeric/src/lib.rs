@@ -1,26 +1,23 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-//! Numeric root-finding and small-system solvers.
+//! Numeric minimisers for the grid-size optimiser.
 //!
 //! FELIP's grid-size optimisation (§5.2 of the paper) minimises per-grid
 //! error expressions of the form *non-uniformity² + noise·sampling*. The
-//! stationarity conditions are cubic (1-D GRR) or small polynomial systems
-//! (2-D grids), which the paper solves "numerically … using the bisection
-//! method". This crate provides exactly that substrate:
+//! paper solves their stationarity conditions (cubic for 1-D GRR, small
+//! polynomial systems for 2-D grids) "numerically … using the bisection
+//! method"; this crate minimises the objectives directly instead:
 //!
-//! * [`bisect()`] — bracketed scalar root finding;
-//! * [`minimize_unimodal`] — golden-section minimisation used as a fallback
-//!   when a derivative has no sign change inside the feasible interval;
-//! * [`coordinate_descent2`] — alternating minimisation for the two-variable
-//!   grid-size systems.
+//! * [`minimize_unimodal`] — golden-section minimisation of a unimodal
+//!   scalar objective;
+//! * [`coordinate_descent2`] — alternating golden-section minimisation for
+//!   the two-variable grid-size systems.
 //!
 //! The crate is dependency-free and fully deterministic.
 
-pub mod bisect;
 pub mod descent;
 pub mod golden;
 
-pub use bisect::{bisect, bisect_auto};
 pub use descent::{coordinate_descent2, Descent2Options};
 pub use golden::minimize_unimodal;

@@ -2,36 +2,9 @@
 
 use proptest::prelude::*;
 
-use felip_numeric::{bisect, bisect_auto, coordinate_descent2, minimize_unimodal, Descent2Options};
+use felip_numeric::{coordinate_descent2, minimize_unimodal, Descent2Options};
 
 proptest! {
-    /// Bisection finds the root of any monotone increasing line with a sign
-    /// change inside the bracket.
-    #[test]
-    fn bisect_linear(root in -100.0f64..100.0, slope in 0.01f64..10.0) {
-        let f = |x: f64| slope * (x - root);
-        let r = bisect(root - 50.0, root + 50.0, 1e-10, f).unwrap();
-        prop_assert!((r - root).abs() < 1e-7, "found {r}, expected {root}");
-    }
-
-    /// Bisection on the grid-sizing derivative shape −a/x³ + b + c·x always
-    /// converges to a point with |f(root)| small.
-    #[test]
-    fn bisect_grid_shape(a in 0.001f64..10.0, b in 1e-7f64..1e-2, c in 1e-8f64..1e-3) {
-        let f = |x: f64| -a / (x * x * x) + b + c * x;
-        // f(tiny) is hugely negative, f(huge) positive.
-        let r = bisect(1e-3, 1e6, 1e-10, f).unwrap();
-        prop_assert!(f(r).abs() < 1e-4, "f({r}) = {}", f(r));
-    }
-
-    /// bisect_auto clamps to the boundary matching the derivative's sign.
-    #[test]
-    fn bisect_auto_boundaries(lo in -10.0f64..0.0, hi in 1.0f64..10.0, off in 0.5f64..5.0) {
-        // Derivative always positive → objective increasing → argmin at lo.
-        prop_assert_eq!(bisect_auto(lo, hi, 1e-9, |_| off), lo);
-        prop_assert_eq!(bisect_auto(lo, hi, 1e-9, |_| -off), hi);
-    }
-
     /// Golden-section finds the vertex of any parabola inside the interval.
     #[test]
     fn golden_quadratic(vertex in -50.0f64..50.0, scale in 0.1f64..10.0) {

@@ -601,8 +601,8 @@ fn model_query_epoch_and_counts_never_tear() {
 fn buggy_epoch_read(engine: &Mutex<QueryEngine>, query: &felip_common::Query) -> (u64, u64) {
     // Bug: the lock is dropped between the bookkeeping read and the
     // estimator read.
-    let reports = engine.lock().reports();
-    let est = engine.lock().estimator().expect("engine was warmed");
+    let reports = engine.lock().latest().expect("engine was warmed").reports;
+    let est = engine.lock().latest().expect("engine was warmed").estimator;
     (reports, est.answer(query).expect("probe").to_bits())
 }
 

@@ -8,20 +8,20 @@
 //! Answering a query:
 //!
 //! 1. Validate the query's predicates against the plan's schema.
-//! 2. Under the engine lock, compare the source's **head token** against
-//!    the token the cached epoch was built from. When it matches and the
-//!    query asks `Cached`, it is served straight from the cached
-//!    estimator — no cut, no post-processing.
-//! 3. Otherwise take **one** consistent cut and [`QueryEngine::refresh`]
-//!    from it — re-estimating only the grids whose counts moved — then
-//!    answer from the refreshed estimator.
+//! 2. Under the engine lock, a `Cached` query whose source **head token**
+//!    is the one the engine's estimate was built from is served straight
+//!    from that estimator — no cut, no estimate.
+//! 3. Otherwise take **one** consistent cut and refresh the engine at the
+//!    cut's token: a cut that carries the cached token reuses the cached
+//!    estimator, any other is estimated once and advances the epoch.
 //!
-//! The engine lock is held across cut + refresh + token update, so a
-//! query can never pair counts from epoch N with a cached grid from
-//! epoch N−1 (the invariant the felip-sync model test explores
-//! exhaustively). Replies carry the answer's epoch *and* the head epoch
-//! at answer time, so clients can compute staleness as
-//! `head_epoch - epoch`.
+//! Each answered query counts one `query.cache.hit` (served from the
+//! cached estimator) or one `query.cache.miss` (estimated). The engine
+//! lock is held across cut + refresh + answer, so a query can never pair
+//! counts from epoch N with an estimator from epoch N−1 (the invariant the
+//! felip-sync model test explores exhaustively). Replies carry the
+//! answer's epoch *and* the head epoch at answer time, so clients can
+//! compute staleness as `head_epoch - epoch`.
 
 use std::time::Instant;
 
@@ -95,76 +95,67 @@ impl CutSource for ServeCut {
     }
 }
 
-/// The engine plus the head token its cached epoch was built from,
-/// guarded together so epoch and token can never tear apart.
-struct EngineState {
-    engine: QueryEngine,
-    token: u64,
-}
-
 /// Query answering over one [`CutSource`]: the incremental estimation
-/// engine and the token its cached epoch corresponds to.
+/// engine, which keys its estimate by the source's head token.
 pub struct QueryService<S> {
     plan: Arc<CollectionPlan>,
     source: S,
-    engine: Mutex<EngineState>,
+    engine: Mutex<QueryEngine>,
 }
 
 impl<S: CutSource> QueryService<S> {
     /// A cold service over `source`. Always cold — a restarted server or
-    /// aggregator can never answer from a grid cached before its restore.
+    /// aggregator can never answer from an estimate made before its restore.
     pub fn new(plan: Arc<CollectionPlan>, oracles: Arc<OracleSet>, source: S) -> QueryService<S> {
         let engine = QueryEngine::new(Arc::clone(&plan), oracles);
         QueryService {
             plan,
             source,
-            engine: Mutex::new(EngineState { engine, token: 0 }),
+            engine: Mutex::new(engine),
         }
     }
 
-    /// Answers one query, serving from the cached epoch when it is still
-    /// the head and the query asks `Cached`, and otherwise from one fresh
-    /// consistent cut and refresh. The answer is bit-identical to the
-    /// offline estimate on that cut. Errors (invalid predicates, empty
-    /// collection) are `Malformed` — callers answer them with an `Error`
-    /// frame without closing the connection.
+    /// Answers one query, serving from the cached estimate when its head
+    /// token has not moved and the query asks `Cached`, and otherwise from
+    /// one consistent cut. The answer is bit-identical to the offline
+    /// estimate on that cut. Errors (invalid predicates, empty collection)
+    /// are `Malformed` — callers answer them with an `Error` frame without
+    /// closing the connection.
     pub fn answer(&self, req: &QueryRequest) -> Result<QueryAnswer, WireError> {
         let query = Query::new(self.plan.schema(), req.predicates.clone())
             .map_err(|e| WireError::Malformed(format!("invalid query: {e}")))?;
         let failed = |e: felip_common::Error| WireError::Malformed(format!("query failed: {e}"));
 
-        let mut st = self.engine.lock();
+        let mut engine = self.engine.lock();
         let head = self.source.head();
-        if req.mode == QueryMode::Cached && st.token == head {
-            if let Some(estimator) = st.engine.estimator() {
-                let epoch = st.engine.epoch();
-                let answer = estimator.answer(&query).map_err(failed)?;
-                return Ok(QueryAnswer {
-                    query_id: req.query_id,
-                    answer,
-                    epoch,
-                    head_epoch: epoch,
-                    reports: st.engine.reports(),
-                });
+        let cached = match req.mode {
+            QueryMode::Cached => engine.cached(head),
+            QueryMode::Fresh => None,
+        };
+        let (out, token) = match cached {
+            Some(out) => (out, head),
+            None => {
+                let t = Instant::now();
+                let (merged, token) = self.source.cut().map_err(failed)?;
+                let t_cut = Instant::now();
+                felip_obs::hist!("server.query.cut", (t_cut - t).as_nanos() as u64, "ns");
+                let out = engine.refresh_at(&merged, token).map_err(failed)?;
+                felip_obs::hist!(
+                    "server.query.refresh",
+                    t_cut.elapsed().as_nanos() as u64,
+                    "ns"
+                );
+                (out, token)
             }
-        }
-
-        // Stale cache (or Fresh mode): one consistent cut, then an
-        // incremental refresh that re-estimates only the changed grids.
-        let t = Instant::now();
-        let (merged, token) = self.source.cut().map_err(failed)?;
-        let t_cut = Instant::now();
-        felip_obs::hist!("server.query.cut", (t_cut - t).as_nanos() as u64, "ns");
-        let out = st.engine.refresh_from(&merged).map_err(failed)?;
-        felip_obs::hist!(
-            "server.query.refresh",
-            t_cut.elapsed().as_nanos() as u64,
-            "ns"
-        );
-        st.token = token;
+        };
         let answer = out.estimator.answer(&query).map_err(failed)?;
-        // The head may have moved on while post-processing ran; surface
-        // that as one epoch of staleness so the client can tell.
+        if out.warm {
+            felip_obs::counter!("query.cache.hit", 1, "queries");
+        } else {
+            felip_obs::counter!("query.cache.miss", 1, "queries");
+        }
+        // The head may have moved on past the answer's token while it was
+        // estimated or answered; surface that as one epoch of staleness.
         let head_epoch = out.epoch + u64::from(self.source.head() != token);
         Ok(QueryAnswer {
             query_id: req.query_id,

@@ -976,9 +976,9 @@ impl Sim {
             self.reset_conn(conn);
         }
         // The production server builds its query engine cold at startup —
-        // resume included — so the restored sim drops the epoch cache too.
-        // `expect_cold_query` turns a missing reset into a violation.
-        self.query_engine.reset();
+        // resume included — so the restored sim builds a fresh one too.
+        // `expect_cold_query` turns a reused engine into a violation.
+        self.query_engine = QueryEngine::new(Arc::clone(&self.plan), Arc::clone(&self.oracles));
         self.expect_cold_query = true;
         self.trace(13, self.kills as u64, self.quarantined);
         let _ = std::fs::remove_file(&path);

@@ -1,8 +1,9 @@
 //! The query worker's live stages (DESIGN.md §11, §15): concurrent
 //! askers over a settled head share one cut and refresh — the first
-//! answer refreshes, the rest hit the cached epoch — and `felip stat`
-//! shows the `server.query.*` histograms and, after a `Fresh` query, the
-//! `grid.response.build` fit time. Its own test binary, so the
+//! answer refreshes, the rest hit the cached epoch, and the per-query
+//! `query.cache.*` counters say so — and `felip stat` shows the
+//! `server.query.*` histograms and, after a `Fresh` query on a moved
+//! head, the `grid.response.build` fit time. Its own test binary, so the
 //! process-global metrics it reads count this test's queries only. The
 //! worker belongs to the epoll reactor; the thread-per-connection
 //! fallback answers on each connection's thread.
@@ -37,6 +38,17 @@ fn stat(addr: std::net::SocketAddr) -> Value {
     let reply = read_frame(&mut stream).expect("stat reply").expect("open");
     assert_eq!(reply.kind, FrameKind::StatReply);
     serde_json::from_str(std::str::from_utf8(&reply.payload).unwrap()).expect("json")
+}
+
+/// The value of counter `name` in a metrics document; 0 when the document
+/// has no such metric.
+fn counter(doc: &Value, name: &str) -> u64 {
+    let metrics = doc["metrics"].as_array().expect("metrics array");
+    let Some(m) = metrics.iter().find(|m| m["name"] == name) else {
+        return 0;
+    };
+    assert_eq!(m["kind"], "counter", "{name} is not a counter");
+    m["value"].as_u64().expect("counter value")
 }
 
 /// Samples recorded by histogram `name` in a metrics document; 0 when the
@@ -104,6 +116,9 @@ fn concurrent_cached_askers_share_one_refresh() {
         "{ASKERS} cached askers over one head must share one refresh"
     );
     assert_eq!(hist_count(&doc, "server.query.cut"), 1);
+    // One answered query estimated; every other one hit the cached epoch.
+    assert_eq!(counter(&doc, "query.cache.miss"), 1);
+    assert_eq!(counter(&doc, "query.cache.hit"), ASKERS as u64 - 1);
     // `answer` times every `Estimator::answer` in the process: the askers'
     // and the offline reference's one above.
     assert_eq!(hist_count(&doc, "answer"), ASKERS as u64 + 1);
@@ -113,18 +128,35 @@ fn concurrent_cached_askers_share_one_refresh() {
         assert!(hist_count(&doc, name) > 0, "felip stat misses {name}");
     }
 
+    // A `Fresh` query on the unmoved head cuts, finds the cached token
+    // and reuses the warm estimator: same epoch, no new matrix fit.
+    let builds = hist_count(&doc, "grid.response.build");
+    let mut client = Client::connect(addr, plan_hash).expect("connect");
+    let cached = client
+        .query(preds.clone(), QueryMode::Cached)
+        .expect("answer");
+    let fresh = client
+        .query(preds.clone(), QueryMode::Fresh)
+        .expect("answer");
+    assert_eq!(fresh.epoch, cached.epoch);
+    assert_eq!(fresh.answer.to_bits(), expected.to_bits());
+    let doc = stat(addr);
+    assert_eq!(hist_count(&doc, "server.query.cut"), 2);
+    assert_eq!(hist_count(&doc, "grid.response.build"), builds);
+    assert_eq!(counter(&doc, "query.cache.hit"), ASKERS as u64 + 1);
+    assert_eq!(counter(&doc, "query.cache.miss"), 1);
+
     // A `Fresh` query after more ingest refreshes onto the new head and
     // fits the pair's response matrix again; `felip stat` shows the fit.
-    let builds = hist_count(&doc, "grid.response.build");
     let more: Vec<_> = (300..400)
         .map(|u| user_report(&plan, u, 5).unwrap())
         .collect();
     feeder.send_batch_retrying(&more).expect("send");
-    let mut client = Client::connect(addr, plan_hash).expect("connect");
     let ans = client.query(preds, QueryMode::Fresh).expect("answer");
     assert_eq!(ans.reports, 400);
     let doc = stat(addr);
     assert_eq!(hist_count(&doc, "grid.response.build"), builds + 1);
+    assert_eq!(counter(&doc, "query.cache.miss"), 2);
 
     shutdown.store(true, Ordering::SeqCst);
     server_thread.join().expect("join server");
