@@ -69,6 +69,7 @@ fn report_json(r: &SimReport) -> Value {
         "faults_injected": r.faults_injected,
         "snapshots_quarantined": r.snapshots_quarantined,
         "kills": r.kills,
+        "rewinds": r.rewinds,
         "gave_up": r.gave_up,
         "queries_answered": r.queries_answered,
         "query_warm_hits": r.query_warm_hits,

@@ -16,7 +16,7 @@ use felip::{FelipConfig, SelectivityPrior, Strategy};
 use felip_cluster::{StreamerConfig, UpstreamStreamer};
 use felip_common::rng::derive_seed;
 use felip_obs::diag;
-use felip_server::loadgen::{offline_reference, user_report};
+use felip_server::loadgen::{batch_reports, offline_reference};
 use felip_server::wire::{encode_stat, read_frame, write_frame, QueryMode, StatMode};
 use felip_server::{
     signal, Client, CutState, Frame, FrameKind, RetryPolicy, Server, ServerConfig, Snapshot,
@@ -187,32 +187,23 @@ pub fn load(args: &[String]) -> CmdResult {
                         Client::connect_with(addr.as_str(), plan_hash, client_id, policy)
                             .map_err(|e| e.to_string())?;
                     // Batches the server already accepted from this
-                    // identity (an earlier run of the same load): skip
-                    // them — their reports are already counted.
-                    let resume_from = client.last_acked() as usize;
-                    let mut sent = 0usize;
-                    let mut resumed = 0u64;
-                    let mut retries = 0u64;
-                    for (idx, batch_users) in slice.chunks(batch).enumerate() {
-                        if idx < resume_from {
-                            sent += batch_users.len();
-                            resumed += 1;
-                            continue;
-                        }
-                        let reports: Vec<_> = batch_users
-                            .iter()
-                            .map(|&u| user_report(&plan, u, seed))
-                            .collect::<Result<_, _>>()
-                            .map_err(|e| e.to_string())?;
-                        retries += u64::from(
-                            client
-                                .send_batch_retrying(&reports)
-                                .map_err(|e| e.to_string())?,
-                        );
-                        sent += reports.len();
-                        felip_obs::counter!("load.reports.sent", reports.len() as u64, "reports");
-                    }
-                    Ok((sent, retries, resumed))
+                    // identity (an earlier run of the same load) are
+                    // never sent again: the client starts at the Hello
+                    // cursor.
+                    let batches = slice.len().div_ceil(batch) as u64;
+                    let resumed = client.last_acked().min(batches);
+                    let retries = client
+                        .send_through(batches, |id| {
+                            let reports = batch_reports(&plan, slice, batch, seed, id)?;
+                            felip_obs::counter!(
+                                "load.reports.sent",
+                                reports.len() as u64,
+                                "reports"
+                            );
+                            Ok(reports)
+                        })
+                        .map_err(|e| e.to_string())?;
+                    Ok((slice.len(), u64::from(retries), resumed))
                 })
             })
             .collect();

@@ -12,7 +12,7 @@ use felip::config::FelipConfig;
 use felip::plan::CollectionPlan;
 use felip_cluster::{StreamerConfig, StreamerReport, UpstreamStreamer};
 use felip_common::{Attribute, Schema};
-use felip_server::loadgen::user_report;
+use felip_server::loadgen::{batch_reports, user_report};
 use felip_server::{Client, CutState, Server, ServerConfig, ServerRun};
 
 /// A small two-attribute plan every test shares.
@@ -93,13 +93,11 @@ pub fn serve_and_stream(
     let plan_hash = plan.schema_hash();
     if !users.is_empty() {
         let mut client = Client::connect(addr, plan_hash).expect("connect");
-        for batch in users.chunks(25) {
-            let reports: Vec<_> = batch
-                .iter()
-                .map(|&u| user_report(plan, u, seed).expect("report"))
-                .collect();
-            client.send_batch_retrying(&reports).expect("send");
-        }
+        client
+            .send_through(users.len().div_ceil(25) as u64, |id| {
+                batch_reports(plan, users, 25, seed, id)
+            })
+            .expect("send");
     }
 
     shutdown.store(true, std::sync::atomic::Ordering::SeqCst);
@@ -148,20 +146,24 @@ pub fn serve_and_stream_paused(
     let server_thread = thread::spawn(move || server.run(None).expect("serve"));
 
     let plan_hash = plan.schema_hash();
-    let mut client = Client::connect(addr, plan_hash).expect("connect");
-    let mut send_all = |slice: &[usize]| {
-        for batch in slice.chunks(25) {
-            let reports: Vec<_> = batch
-                .iter()
-                .map(|&u| user_report(plan, u, seed).expect("report"))
-                .collect();
-            client.send_batch_retrying(&reports).expect("send");
-        }
-    };
     let split_at = split_at.min(users.len());
-    send_all(&users[..split_at]);
+    // The batches on either side of the pause, numbered across both.
+    let (before, after) = users.split_at(split_at);
+    let batches: Vec<&[usize]> = before.chunks(25).chain(after.chunks(25)).collect();
+    let batch = |id: u64| {
+        batches[id as usize - 1]
+            .iter()
+            .map(|&u| user_report(plan, u, seed))
+            .collect()
+    };
+    let mut client = Client::connect(addr, plan_hash).expect("connect");
+    client
+        .send_through(before.len().div_ceil(25) as u64, batch)
+        .expect("send");
     pause();
-    send_all(&users[split_at..]);
+    client
+        .send_through(batches.len() as u64, batch)
+        .expect("send");
     drop(client);
 
     shutdown.store(true, std::sync::atomic::Ordering::SeqCst);

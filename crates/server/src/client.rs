@@ -2,12 +2,22 @@
 //! client identity, send numbered report batches, honour backpressure with
 //! a jittered, budget-bounded retry policy.
 //!
-//! Exactly-once from the client's side: every batch carries a sequence
-//! number (`1, 2, 3, …` per client). If an ack is lost the client re-sends
-//! the *same* numbered batch; the server recognises the duplicate and acks
-//! without double-counting. On reconnect the `Hello` ack tells the client
-//! the highest batch the server already accepted, so nothing accepted is
-//! ever re-sent.
+//! Every protocol decision lives in one sans-I/O core, [`ClientCore`]: the
+//! `Hello` handshake, the next batch id, stale acks, `Retry` backoff,
+//! reconnects and the attempt budget. It reads no socket and sleeps on no
+//! clock; it turns replies and lost connections into [`Step`]s. [`Client`]
+//! drives it over blocking TCP, and the deterministic sim harness drives
+//! the same core on its virtual clock, so the chaos sweep tests the client
+//! that ships.
+//!
+//! Exactly-once from the client's side: a client numbers its batches
+//! `1, 2, 3, …` and the next batch it sends is always the server's cursor
+//! plus one, pulled from a caller-supplied source. If an ack is lost the
+//! client re-sends the *same* numbered batch; the server recognises the
+//! duplicate and acks without double-counting. On reconnect the `Hello`
+//! ack tells the client the highest batch the server holds, so nothing it
+//! holds is re-sent, and a server restored from an older snapshot gets the
+//! batches it lost resent under their own ids.
 
 use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -19,25 +29,21 @@ use felip_sync::thread;
 use felip::client::UserReport;
 use felip_common::hash::mix64;
 use felip_common::rng::derive_seed;
+use felip_common::Predicate;
 
 use crate::wire::{
     decode_ack, decode_query_reply, encode_batch, encode_hello, encode_query, read_frame,
     write_frame, Frame, FrameKind, QueryAnswer, QueryMode, QueryRequest, WireError,
 };
-use felip_common::Predicate;
 
 /// Process-wide allocator for default client ids (`connect` uses it;
 /// `connect_with` lets callers pin ids for reproducible runs).
 static NEXT_CLIENT_ID: AtomicU64 = AtomicU64::new(1);
 
-/// Server verdict on one `ReportBatch` frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchReply {
-    /// Accepted; carries the number of reports ingested.
-    Ack(u32),
-    /// The server's ingest queue was full — back off and resend the batch.
-    Retry,
-}
+/// How long a [`Client`] waits on one read or write before it counts the
+/// connection as lost: the server's default mid-frame read deadline, so a
+/// server that accepts and never answers costs one attempt, not a hang.
+const REPLY_DEADLINE: Duration = Duration::from_secs(5);
 
 /// How a client spaces resends: exponential backoff from `base` capped at
 /// `cap`, each delay jittered deterministically from `jitter_seed` (so two
@@ -46,7 +52,8 @@ pub enum BatchReply {
 /// [`WireError::BudgetExhausted`].
 #[derive(Debug, Clone, Copy)]
 pub struct RetryPolicy {
-    /// Total send attempts (first try included) before giving up.
+    /// Connects and batch sends allowed without progress (an ack that
+    /// moves the cursor forward) before giving up.
     pub max_attempts: u32,
     /// First backoff delay.
     pub base: Duration,
@@ -88,39 +95,200 @@ impl RetryPolicy {
     }
 }
 
-/// A connected, handshaken ingestion client.
-///
-/// The client keeps its resolved server addresses and its wire identity,
-/// so [`Client::reconnect`] re-establishes the *same* identity after the
-/// connection is lost (idle reap, mid-frame stall, reset). The `Hello`
-/// ack then resyncs `last_acked`, which is what makes exactly-once hold
-/// across reconnects — a fresh id would let the server re-count batches
-/// it already accepted under the old one.
-pub struct Client {
-    stream: TcpStream,
-    addrs: Vec<SocketAddr>,
-    plan_hash: u64,
-    client_id: u64,
-    last_acked: u64,
-    policy: RetryPolicy,
-    next_query_id: u64,
+/// The reports of batch `id`, asked for whenever the core sends that id —
+/// again after a server rewound its cursor past it.
+pub(crate) type BatchSource<'a> = dyn FnMut(u64) -> felip_common::Result<Vec<UserReport>> + 'a;
+
+/// What the driver of a [`ClientCore`] does next.
+#[derive(Debug)]
+pub(crate) enum Step {
+    /// Open a new connection, write this `Hello` on it and await a reply.
+    Connect(Frame),
+    /// Write this frame on the connection and await a reply.
+    Send(Frame),
+    /// Await the next reply on the connection.
+    Await,
+    /// Sleep this long, keeping the connection, then call
+    /// [`ClientCore::wake`].
+    Backoff(Duration),
+    /// Close the connection, sleep this long, then call
+    /// [`ClientCore::wake`].
+    Reconnect(Duration),
+    /// Every batch through the target is acked.
+    Done,
+    /// The send failed for good.
+    Failed(WireError),
 }
 
-/// Dials the first reachable address of a resolved set.
-fn dial(addrs: &[SocketAddr]) -> Result<TcpStream, WireError> {
-    let mut last_err: Option<io::Error> = None;
-    for addr in addrs {
-        match TcpStream::connect(addr) {
-            Ok(stream) => {
-                stream.set_nodelay(true).map_err(WireError::Io)?;
-                return Ok(stream);
-            }
-            Err(e) => last_err = Some(e),
+/// Where the core stands on its connection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    /// No connection: the next wake connects.
+    Disconnected,
+    /// `Hello` sent on a fresh connection; awaiting its ack.
+    Hello,
+    /// Connected with nothing in flight.
+    Idle,
+    /// Batch `cursor + 1` sent; awaiting its ack.
+    Batch,
+}
+
+/// The ingest client's protocol, free of I/O: it turns the driver's
+/// events (a reply, a lost connection, a finished sleep) into [`Step`]s.
+pub(crate) struct ClientCore {
+    plan_hash: u64,
+    client_id: u64,
+    policy: RetryPolicy,
+    phase: Phase,
+    /// Highest batch id the server acked, per its last reply.
+    cursor: u64,
+    /// Send every batch through this id.
+    target: u64,
+    /// Connects and sends since the cursor last moved forward.
+    attempts: u32,
+}
+
+impl ClientCore {
+    /// A disconnected core for `client_id`, with nothing acked yet.
+    pub(crate) fn new(plan_hash: u64, client_id: u64, policy: RetryPolicy) -> ClientCore {
+        ClientCore {
+            plan_hash,
+            client_id,
+            policy,
+            phase: Phase::Disconnected,
+            cursor: 0,
+            target: 0,
+            attempts: 0,
         }
     }
-    Err(WireError::Io(last_err.unwrap_or_else(|| {
-        io::Error::new(io::ErrorKind::AddrNotAvailable, "no addresses to dial")
-    })))
+
+    /// Highest batch id the server acked, per its last reply.
+    pub(crate) fn cursor(&self) -> u64 {
+        self.cursor
+    }
+
+    /// Aims the core at batch `through` with a fresh attempt budget; the
+    /// driver then calls [`ClientCore::wake`].
+    pub(crate) fn begin(&mut self, through: u64) {
+        self.target = through;
+        self.attempts = 0;
+    }
+
+    /// The driver is ready to act: connect, send the next batch, or finish.
+    pub(crate) fn wake(&mut self, source: &mut BatchSource<'_>) -> Step {
+        if self.phase == Phase::Disconnected {
+            self.attempts += 1;
+            self.phase = Phase::Hello;
+            return Step::Connect(Frame {
+                kind: FrameKind::Hello,
+                plan_hash: self.plan_hash,
+                payload: encode_hello(self.client_id),
+            });
+        }
+        self.phase = Phase::Idle;
+        if self.cursor >= self.target {
+            return Step::Done;
+        }
+        let id = self.cursor + 1;
+        let payload = source(id)
+            .map_err(|e| WireError::Malformed(format!("cannot build batch {id}: {e}")))
+            .and_then(|reports| encode_batch(id, &reports));
+        match payload {
+            Ok(payload) => {
+                self.attempts += 1;
+                self.phase = Phase::Batch;
+                Step::Send(Frame {
+                    kind: FrameKind::ReportBatch,
+                    plan_hash: self.plan_hash,
+                    payload,
+                })
+            }
+            Err(e) => Step::Failed(e),
+        }
+    }
+
+    /// A reply arrived, or reading one failed (`Err`: the connection
+    /// closed, the reply deadline expired, or the bytes were garbled).
+    pub(crate) fn on_reply(
+        &mut self,
+        reply: Result<Frame, WireError>,
+        source: &mut BatchSource<'_>,
+    ) -> Step {
+        if !matches!(self.phase, Phase::Hello | Phase::Batch) {
+            // Nothing is awaited: a late or duplicated reply.
+            return Step::Await;
+        }
+        let Ok(frame) = reply else {
+            return self.lost();
+        };
+        match frame.kind {
+            FrameKind::Ack => match decode_ack(&frame.payload) {
+                // The server's cursor is the truth, behind ours too (a
+                // server restored from an older snapshot): the batches
+                // after it are sent again, each under its own id.
+                Ok((last, _)) if self.phase == Phase::Hello => self.acked(last, source),
+                // An ack for an earlier batch (a duplicated or late
+                // reply): keep waiting for ours.
+                Ok((id, _)) if id <= self.cursor => Step::Await,
+                Ok(_) => self.acked(self.cursor + 1, source),
+                Err(_) => self.lost(),
+            },
+            FrameKind::Retry if self.phase == Phase::Batch => self.back_off(Phase::Idle),
+            FrameKind::Error if frame.plan_hash != self.plan_hash => {
+                self.phase = Phase::Disconnected;
+                Step::Failed(WireError::Rejected(
+                    String::from_utf8_lossy(&frame.payload).into_owned(),
+                ))
+            }
+            // An `Error` from a server on our plan (it dropped a garbled
+            // or stalled frame and closed), or a reply that makes no sense
+            // here: the connection is unusable.
+            _ => self.lost(),
+        }
+    }
+
+    /// The connection is gone, or its reply deadline expired: reconnect
+    /// under the same id after backing off, unless the budget is spent.
+    pub(crate) fn lost(&mut self) -> Step {
+        self.back_off(Phase::Disconnected)
+    }
+
+    fn acked(&mut self, cursor: u64, source: &mut BatchSource<'_>) -> Step {
+        if cursor > self.cursor {
+            self.attempts = 0;
+        }
+        self.cursor = cursor;
+        self.wake(source)
+    }
+
+    fn back_off(&mut self, phase: Phase) -> Step {
+        self.phase = phase;
+        if self.attempts >= self.policy.max_attempts {
+            return Step::Failed(WireError::BudgetExhausted {
+                attempts: self.attempts,
+            });
+        }
+        let delay = self.policy.backoff(self.attempts);
+        match phase {
+            Phase::Disconnected => Step::Reconnect(delay),
+            _ => Step::Backoff(delay),
+        }
+    }
+}
+
+/// A connected, handshaken ingestion client: the blocking TCP driver of a
+/// [`ClientCore`].
+///
+/// The client keeps its resolved server addresses and its wire identity,
+/// so a lost connection (idle reap, mid-frame stall, reset, a restarted
+/// server) is re-established under the *same* identity, and the `Hello`
+/// ack resyncs the cursor. A fresh id would let the server re-count
+/// batches it already accepted under the old one.
+pub struct Client {
+    stream: Option<TcpStream>,
+    addrs: Vec<SocketAddr>,
+    core: ClientCore,
+    next_query_id: u64,
 }
 
 impl Client {
@@ -129,9 +297,9 @@ impl Client {
     /// sides hold the same `CollectionPlan`.
     ///
     /// The identity lives in the returned `Client` and survives
-    /// [`Client::reconnect`]; callers that need dedup continuity across
-    /// *processes* (resuming an interrupted load) should pin an explicit
-    /// id via [`Client::connect_with`] instead.
+    /// reconnects; callers that need dedup continuity across *processes*
+    /// (resuming an interrupted load) should pin an explicit id via
+    /// [`Client::connect_with`] instead.
     pub fn connect(addr: impl ToSocketAddrs, plan_hash: u64) -> Result<Client, WireError> {
         let id = NEXT_CLIENT_ID.fetch_add(1, Ordering::Relaxed);
         Client::connect_with(addr, plan_hash, id, RetryPolicy::default())
@@ -147,135 +315,85 @@ impl Client {
         policy: RetryPolicy,
     ) -> Result<Client, WireError> {
         let addrs: Vec<SocketAddr> = addr.to_socket_addrs().map_err(WireError::Io)?.collect();
-        let stream = dial(&addrs)?;
         let mut client = Client {
-            stream,
+            stream: None,
             addrs,
-            plan_hash,
-            client_id,
-            last_acked: 0,
-            policy,
+            core: ClientCore::new(plan_hash, client_id, policy),
             next_query_id: 0,
         };
-        client.handshake()?;
+        client.drive(0, &mut |_| Ok(Vec::new()))?;
         Ok(client)
-    }
-
-    /// Re-dials the server and re-handshakes with the *same* client id,
-    /// resyncing `last_acked` from the `Hello` ack. Batches the server
-    /// already accepted under this identity are therefore never re-sent —
-    /// the exactly-once guarantee survives lost connections.
-    pub fn reconnect(&mut self) -> Result<(), WireError> {
-        felip_obs::counter!("client.reconnect", 1, "connections");
-        self.stream = dial(&self.addrs)?;
-        self.handshake()
-    }
-
-    /// Sends `Hello` and adopts the server's view of the highest batch it
-    /// accepted for this id (the server is the source of truth — a resume
-    /// from an older snapshot may legitimately wind the cursor back, and
-    /// the gap check would reject ids ahead of it).
-    fn handshake(&mut self) -> Result<(), WireError> {
-        self.send(&Frame {
-            kind: FrameKind::Hello,
-            plan_hash: self.plan_hash,
-            payload: encode_hello(self.client_id),
-        })?;
-        match self.read_reply()? {
-            (FrameKind::Ack, payload) => {
-                let (last_acked, _) = decode_ack(&payload)?;
-                self.last_acked = last_acked;
-                Ok(())
-            }
-            (kind, payload) => Err(reply_error(kind, &payload)),
-        }
     }
 
     /// This client's wire identity.
     pub fn client_id(&self) -> u64 {
-        self.client_id
+        self.core.client_id
     }
 
     /// Highest batch id the server has acknowledged for this client.
     pub fn last_acked(&self) -> u64 {
-        self.last_acked
+        self.core.cursor()
     }
 
-    /// Sends one batch of reports (as batch `last_acked + 1`) and returns
-    /// the server's verdict.
+    /// Sends every batch through id `through`, each built by `batch(id)`
+    /// when it is sent: the next id is always the server's cursor plus
+    /// one, so a batch the server already holds is skipped and one a
+    /// restarted server lost is sent again. Backs off and resends on
+    /// RETRY, and reconnects under the same identity after a lost
+    /// connection, an expired reply deadline, a garbled reply or an
+    /// `Error` from a server on this plan, per the client's
+    /// [`RetryPolicy`].
     ///
-    /// A [`BatchReply::Retry`] means the batch was *not* ingested; the
-    /// caller decides when to resend (see [`Client::send_batch_retrying`]).
-    pub fn send_batch(&mut self, reports: &[UserReport]) -> Result<BatchReply, WireError> {
-        let batch_id = self.last_acked + 1;
-        let frame = Frame {
-            kind: FrameKind::ReportBatch,
-            plan_hash: self.plan_hash,
-            payload: encode_batch(batch_id, reports)?,
-        };
-        self.send(&frame)?;
-        loop {
-            match self.read_reply()? {
-                (FrameKind::Ack, payload) => {
-                    let (acked_id, count) = decode_ack(&payload)?;
-                    if acked_id < batch_id {
-                        // A stale ack for an earlier batch (duplicate
-                        // delivery); keep waiting for ours.
-                        continue;
-                    }
-                    self.last_acked = batch_id;
-                    return Ok(BatchReply::Ack(count));
-                }
-                (FrameKind::Retry, _) => return Ok(BatchReply::Retry),
-                (kind, payload) => return Err(reply_error(kind, &payload)),
-            }
-        }
+    /// Returns how many backoffs were absorbed, [`WireError::Rejected`] if
+    /// a server on another plan answered, or
+    /// [`WireError::BudgetExhausted`] once the attempt budget is spent.
+    pub fn send_through(
+        &mut self,
+        through: u64,
+        mut batch: impl FnMut(u64) -> felip_common::Result<Vec<UserReport>>,
+    ) -> Result<u32, WireError> {
+        self.drive(through, &mut batch)
     }
 
-    /// Sends a batch, backing off and resending on RETRY — and surviving a
-    /// lost connection by [`Client::reconnect`]ing under the same identity
-    /// — per the client's [`RetryPolicy`]. Returns how many retried
-    /// attempts were absorbed, or [`WireError::BudgetExhausted`] once the
-    /// attempt budget is spent.
-    ///
-    /// If the connection died after the server accepted the batch but
-    /// before the ack arrived, the reconnect handshake reveals it (the
-    /// `Hello` ack covers the batch's id) and the batch is *not* re-sent.
-    pub fn send_batch_retrying(&mut self, reports: &[UserReport]) -> Result<u32, WireError> {
-        // The id this call's batch will be (or was) sent under; acked means
-        // these reports are counted, whichever connection carried them.
-        let target = self.last_acked + 1;
-        let mut attempts = 0u32;
+    /// Runs the core until it is done or fails.
+    fn drive(&mut self, through: u64, source: &mut BatchSource<'_>) -> Result<u32, WireError> {
+        let mut backoffs = 0u32;
+        self.core.begin(through);
+        let mut step = self.core.wake(source);
         loop {
-            if self.last_acked >= target {
-                // A reconnect handshake showed the server already accepted
-                // this batch — the ack was lost in flight, not the batch.
-                return Ok(attempts);
-            }
-            attempts += 1;
-            match self.send_batch(reports) {
-                Ok(BatchReply::Ack(_)) => return Ok(attempts - 1),
-                Ok(BatchReply::Retry) => {
-                    if attempts >= self.policy.max_attempts {
-                        felip_obs::counter!("client.retry.exhausted", 1, "batches");
-                        return Err(WireError::BudgetExhausted { attempts });
-                    }
-                    thread::sleep(self.policy.backoff(attempts));
+            step = match step {
+                Step::Connect(hello) => {
+                    let reply = self.dial().and_then(|()| self.exchange(&hello));
+                    self.core.on_reply(reply, source)
                 }
-                Err(WireError::Io(_)) => {
-                    // The connection is gone (reaped while we backed off,
-                    // stalled, reset). Burn an attempt, back off, and come
-                    // back as the same identity; a failed reconnect just
-                    // burns another attempt on the next lap.
-                    if attempts >= self.policy.max_attempts {
-                        felip_obs::counter!("client.retry.exhausted", 1, "batches");
-                        return Err(WireError::BudgetExhausted { attempts });
-                    }
-                    thread::sleep(self.policy.backoff(attempts));
-                    let _ = self.reconnect();
+                Step::Send(frame) => {
+                    let reply = self.exchange(&frame);
+                    self.core.on_reply(reply, source)
                 }
-                Err(e) => return Err(e),
-            }
+                Step::Await => {
+                    let reply = self.read_reply();
+                    self.core.on_reply(reply, source)
+                }
+                Step::Backoff(delay) => {
+                    backoffs += 1;
+                    thread::sleep(delay);
+                    self.core.wake(source)
+                }
+                Step::Reconnect(delay) => {
+                    backoffs += 1;
+                    self.stream = None;
+                    felip_obs::counter!("client.reconnect", 1, "connections");
+                    thread::sleep(delay);
+                    self.core.wake(source)
+                }
+                Step::Done => return Ok(backoffs),
+                Step::Failed(e) => {
+                    if matches!(e, WireError::BudgetExhausted { .. }) {
+                        felip_obs::counter!("client.retry.exhausted", 1, "batches");
+                    }
+                    return Err(e);
+                }
+            };
         }
     }
 
@@ -289,57 +407,88 @@ impl Client {
     ) -> Result<QueryAnswer, WireError> {
         self.next_query_id = self.next_query_id.wrapping_add(1);
         let req = QueryRequest {
-            query_id: mix64(self.client_id ^ self.next_query_id),
+            query_id: mix64(self.core.client_id ^ self.next_query_id),
             mode,
             predicates,
         };
         let frame = Frame {
             kind: FrameKind::Query,
-            plan_hash: self.plan_hash,
+            plan_hash: self.core.plan_hash,
             payload: encode_query(&req)?,
         };
-        self.send(&frame)?;
+        let mut reply = self.exchange(&frame)?;
         loop {
-            match self.read_reply()? {
-                (FrameKind::QueryReply, payload) => {
-                    let ans = decode_query_reply(&payload)?;
-                    if ans.query_id != req.query_id {
-                        continue;
+            match reply.kind {
+                FrameKind::QueryReply => {
+                    let ans = decode_query_reply(&reply.payload)?;
+                    if ans.query_id == req.query_id {
+                        return Ok(ans);
                     }
-                    return Ok(ans);
                 }
-                (kind, payload) => return Err(reply_error(kind, &payload)),
+                FrameKind::Error => {
+                    return Err(WireError::Rejected(
+                        String::from_utf8_lossy(&reply.payload).into_owned(),
+                    ))
+                }
+                other => return Err(WireError::Malformed(format!("unexpected {other:?} reply"))),
+            }
+            reply = self.read_reply()?;
+        }
+    }
+
+    /// Dials the first reachable address, with the reply deadline on
+    /// every read and write.
+    fn dial(&mut self) -> Result<(), WireError> {
+        let mut last_err: Option<io::Error> = None;
+        for addr in &self.addrs {
+            match TcpStream::connect(addr) {
+                Ok(stream) => {
+                    stream.set_nodelay(true)?;
+                    stream.set_read_timeout(Some(REPLY_DEADLINE))?;
+                    stream.set_write_timeout(Some(REPLY_DEADLINE))?;
+                    self.stream = Some(stream);
+                    return Ok(());
+                }
+                Err(e) => last_err = Some(e),
             }
         }
+        Err(WireError::Io(last_err.unwrap_or_else(|| {
+            io::Error::new(io::ErrorKind::AddrNotAvailable, "no addresses to dial")
+        })))
     }
 
-    fn send(&mut self, frame: &Frame) -> Result<(), WireError> {
+    /// Writes `frame` and reads the reply.
+    fn exchange(&mut self, frame: &Frame) -> Result<Frame, WireError> {
         // The encoding is already one contiguous buffer; write it straight
         // through instead of paying a `BufWriter` allocation per frame.
-        write_frame(&mut &self.stream, frame).map_err(WireError::Io)
+        write_frame(&mut self.stream()?, frame)?;
+        self.read_reply()
     }
 
-    fn read_reply(&mut self) -> Result<(FrameKind, Vec<u8>), WireError> {
-        match read_frame(&mut &self.stream)? {
-            Some(f) => Ok((f.kind, f.payload)),
-            None => Err(WireError::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
+    fn read_reply(&mut self) -> Result<Frame, WireError> {
+        read_frame(&mut self.stream()?)?.ok_or_else(|| {
+            WireError::Io(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
                 "server closed the connection",
-            ))),
-        }
+            ))
+        })
     }
-}
 
-fn reply_error(kind: FrameKind, payload: &[u8]) -> WireError {
-    match kind {
-        FrameKind::Error => WireError::Rejected(String::from_utf8_lossy(payload).into_owned()),
-        other => WireError::Malformed(format!("unexpected {other:?} reply")),
+    fn stream(&self) -> Result<&TcpStream, WireError> {
+        self.stream
+            .as_ref()
+            .ok_or_else(|| WireError::Io(io::ErrorKind::NotConnected.into()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{decode_batch, encode_ack};
+    use std::net::TcpListener;
+    use std::sync::mpsc;
+
+    const PLAN: u64 = 0xfe11_cafe;
 
     #[test]
     fn backoff_is_deterministic_capped_and_jittered() {
@@ -353,5 +502,70 @@ mod tests {
         // High attempts sit in the jittered band below the cap.
         let late: Vec<Duration> = (30..38).map(|a| p.backoff(a)).collect();
         assert!(late.iter().any(|d| *d != late[0]), "no jitter: {late:?}");
+    }
+
+    #[test]
+    fn a_server_that_never_replies_spends_the_budget_instead_of_hanging() {
+        // The listener's backlog completes every TCP handshake, but
+        // nothing ever reads the Hello or answers it.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (tx, rx) = mpsc::channel();
+        thread::spawn(move || {
+            let policy = RetryPolicy {
+                max_attempts: 2,
+                ..RetryPolicy::default()
+            };
+            let _ = tx.send(Client::connect_with(addr, PLAN, 1, policy).map(|c| c.last_acked()));
+        });
+        let outcome = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("connect_with still blocked on a silent server after 60 s");
+        assert!(
+            matches!(outcome, Err(WireError::BudgetExhausted { attempts: 2 })),
+            "{outcome:?}"
+        );
+        drop(listener);
+    }
+
+    #[test]
+    fn an_error_on_our_own_plan_reconnects_and_resends_the_batch() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let ack = |id: u64| Frame {
+            kind: FrameKind::Ack,
+            plan_hash: PLAN,
+            payload: encode_ack(id, 0),
+        };
+        let server = thread::spawn(move || {
+            let mut acked = 0;
+            for life in 0..2 {
+                let (mut conn, _) = listener.accept().unwrap();
+                let hello = read_frame(&mut conn).unwrap().unwrap();
+                assert_eq!(hello.kind, FrameKind::Hello);
+                write_frame(&mut conn, &ack(0)).unwrap();
+                let batch = read_frame(&mut conn).unwrap().unwrap();
+                assert_eq!(decode_batch(&batch.payload).unwrap().0, 1);
+                if life == 0 {
+                    // The first life dropped the batch (a mid-frame stall,
+                    // say), tells the client on its own plan, and closes.
+                    let error = Frame::error(PLAN, "read deadline exceeded mid-frame");
+                    write_frame(&mut conn, &error).unwrap();
+                } else {
+                    write_frame(&mut conn, &ack(1)).unwrap();
+                    acked += 1;
+                    // Hold the connection until the client hangs up.
+                    let _ = read_frame(&mut conn);
+                }
+            }
+            acked
+        });
+        let mut client = Client::connect_with(addr, PLAN, 3, RetryPolicy::default()).unwrap();
+        client
+            .send_through(1, |_| Ok(Vec::new()))
+            .expect("an Error on our own plan is a lost connection, not a rejection");
+        assert_eq!(client.last_acked(), 1);
+        drop(client);
+        assert_eq!(server.join().unwrap(), 1, "batch 1 acked exactly once");
     }
 }

@@ -9,15 +9,16 @@
 //! resumed server produces estimates bit-identical to one that never
 //! stopped.
 //!
-//! The server's protocol logic is transport-agnostic: connections speak
-//! through the [`transport::Transport`] trait and all per-connection
-//! decisions live in the `session` state machine, so the deterministic
-//! [`simharness`] can drive the *same* code over an in-memory transport
-//! on a virtual clock, injecting seeded [`fault`]s (drops, corruption,
-//! resets, torn snapshot writes) and asserting the
+//! Both ends of the protocol keep their decisions free of I/O: every
+//! per-connection server decision lives in the `session` state machine
+//! and every ingest-client decision in the [`client`] core. The
+//! deterministic [`simharness`] drives *both* on a virtual clock, routing
+//! encoded frames through seeded [`fault`]s (drops, corruption, resets,
+//! torn snapshot writes, crash restores) and asserting the
 //! exactly-once-or-rejected invariant for every seed. Real sockets are
 //! served by the one loop in [`serve`], which the cluster aggregator runs
-//! on too, with its own frame handler.
+//! on too, with its own frame handler; [`Client`] drives the client core
+//! over blocking TCP.
 //!
 //! The crate follows the workspace's vendored-only policy: it depends on
 //! nothing outside the workspace (`std::net` sockets, `std::thread`
@@ -44,11 +45,11 @@ pub mod stat;
 pub mod transport;
 pub mod wire;
 
-pub use client::{BatchReply, Client, RetryPolicy};
+pub use client::{Client, RetryPolicy};
 pub use fault::{FaultConfig, FaultKind, FaultSchedule};
 pub use query::{CutSource, QueryService};
 pub use server::{CutHook, CutState, Server, ServerConfig, ServerError, ServerRun, ServerStats};
-pub use simharness::{SimConfig, SimReport, SimTransport};
+pub use simharness::{SimConfig, SimReport};
 pub use snapshot::Snapshot;
-pub use transport::{RecvOutcome, TcpTransport, Transport};
+pub use transport::{RecvOutcome, TcpTransport};
 pub use wire::{Frame, FrameKind, QueryAnswer, QueryMode, QueryRequest, WireError};

@@ -40,6 +40,26 @@ pub fn user_report(plan: &CollectionPlan, user: usize, seed: u64) -> Result<User
     respond(plan, user, &record, &mut rng)
 }
 
+/// The reports of batch `id` (numbered from 1) when `users` is cut into
+/// batches of `size` users — the batch source a [`crate::Client`] sends
+/// from. An id past the last batch yields an empty batch.
+pub fn batch_reports(
+    plan: &CollectionPlan,
+    users: &[usize],
+    size: usize,
+    seed: u64,
+    id: u64,
+) -> Result<Vec<UserReport>> {
+    let start = (id.saturating_sub(1) as usize)
+        .saturating_mul(size)
+        .min(users.len());
+    let end = start.saturating_add(size).min(users.len());
+    users[start..end]
+        .iter()
+        .map(|&u| user_report(plan, u, seed))
+        .collect()
+}
+
 /// Collects users `range` offline into a fresh aggregator — the ground
 /// truth a served (possibly killed-and-resumed) run must match exactly.
 pub fn offline_reference(

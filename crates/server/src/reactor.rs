@@ -21,7 +21,7 @@
 //! * The reactor does I/O only. Every protocol decision goes through the
 //!   tier's [`Handler`] behind the shared prelude ([`dispatch`]) — on the
 //!   ingest tier the same `Session` state machine the deterministic chaos
-//!   harness drives over `SimTransport`. Reactor I/O sits outside the
+//!   harness drives on its virtual clock. Reactor I/O sits outside the
 //!   modeled sync points, so the model checker's session/queue/snapshot
 //!   results keep applying verbatim.
 //! * The loop is single-threaded: connection state needs no locks. The

@@ -24,7 +24,7 @@ pub use crate::server::AtomicStats;
 use crate::session::prelude;
 pub use crate::session::FrameOutcome;
 use crate::session::Reply;
-use crate::transport::{RecvOutcome, TcpTransport, Transport};
+use crate::transport::{RecvOutcome, TcpTransport};
 use crate::wire::{Frame, FrameView, WireError};
 
 /// How long the portable loop may block writing one reply.
@@ -171,7 +171,6 @@ fn serve_conn<C: CutSource, H: Handler, F: Fn() -> bool>(
             }
             // Clean EOF, or the shutdown flag flipped mid-wait.
             RecvOutcome::Eof | RecvOutcome::Shutdown => return Ok(()),
-            RecvOutcome::NoData => continue,
             RecvOutcome::Idle => {
                 // The reaper: nothing arrived for the whole idle window.
                 // Closing is safe — a client that comes back reconnects

@@ -2,10 +2,18 @@
 //!
 //! The harness runs the real server-side session state machine, the real
 //! [`BoundedQueue`] backpressure, the real [`Snapshot`] durability path,
-//! and a faithful model of the retrying client — all single-threaded on a
-//! **virtual clock**, with every frame routed through a seeded
-//! [`FaultSchedule`]. Same seed, same run: the event order is a pure
-//! function of the seed, which the trace hash in [`SimReport`] asserts.
+//! and the shipped client's protocol core (the one [`crate::Client`]
+//! drives over TCP) — all single-threaded on a **virtual clock**, with
+//! every encoded frame routed through a seeded [`FaultSchedule`]. The
+//! harness only drives the client core: it opens connections, routes its
+//! frames, arms its reply deadline and wakes it after the backoff it asks
+//! for. Same seed, same run: the event order is a pure function of the
+//! seed, which the trace hash in [`SimReport`] asserts.
+//!
+//! Each kill either drains and snapshots gracefully, or (on a seeded
+//! share of kills) crashes: the server comes back from the periodic
+//! snapshot taken at an earlier virtual time, so clients find its cursor
+//! behind theirs and must resend what it lost.
 //!
 //! Per seed the harness checks the *exactly-once-or-rejected* invariant:
 //!
@@ -13,15 +21,17 @@
 //!    exactly the batches the server acked — nothing lost, nothing
 //!    double-counted, no matter which faults fired;
 //! 2. every batch a client believes was delivered is in the server's
-//!    accepted set (client-acked ⊆ server-acked);
+//!    accepted set (client-acked ⊆ server-acked), checked at every ack the
+//!    client takes, not just at the end;
 //! 3. every batch was either server-accepted or its client exhausted the
 //!    retry budget (a typed, observable failure — never silence).
 //!
 //! A failing seed reproduces from the CLI:
 //! `cargo run --release -p bench --bin chaos -- --seed N`.
 
+use felip_sync::atomic::{AtomicU64, Ordering};
 use felip_sync::Arc;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, HashMap, HashSet};
 
 use felip::aggregator::{Aggregator, OracleSet};
 use felip::client::UserReport;
@@ -31,15 +41,14 @@ use felip::query::QueryEngine;
 use felip_common::hash::mix64;
 use felip_common::{Attribute, Predicate, Query, Result, Schema};
 
-use crate::client::RetryPolicy;
+use crate::client::{BatchSource, ClientCore, RetryPolicy, Step};
 use crate::fault::{FaultConfig, FaultKind, FaultSchedule};
 use crate::loadgen;
 use crate::queue::{BoundedQueue, PopResult};
 use crate::server::AtomicStats;
 use crate::session::{AcceptedBatch, Reply, Session, SessionCtx};
 use crate::snapshot::Snapshot;
-use crate::transport::{RecvOutcome, Transport};
-use crate::wire::{decode_ack, encode_batch, encode_hello, Frame, FrameKind, WireError};
+use crate::wire::{Frame, WireError};
 
 /// One millisecond of virtual time, in nanoseconds.
 const MS: u64 = 1_000_000;
@@ -54,6 +63,8 @@ const DRAIN_TICK_NS: u64 = 2 * MS;
 /// Query client cadence: sparse enough that ingest moves between asks, so
 /// the epoch cache sees both warm and invalidated refreshes.
 const QUERY_TICK_NS: u64 = 15 * MS;
+/// Periodic snapshot cadence; a crash restores the latest one.
+const CHECKPOINT_TICK_NS: u64 = 8 * MS;
 /// Hard ceiling on processed events — a stuck run is a violation, not a
 /// hang.
 const MAX_EVENTS: u64 = 2_000_000;
@@ -63,55 +74,6 @@ const MAX_EVENTS: u64 = 2_000_000;
 /// events), so `verify`'s reconstruction check exercises the overwrite
 /// path, not just the fill path.
 const SIM_FLIGHT_CAPACITY: usize = 64;
-
-/// The in-memory transport the sim serves connections over: frames are
-/// delivered as encoded bytes (so in-flight corruption is byte-level, like
-/// the real wire) and decoded on receipt, exactly where the TCP transport
-/// decodes off the socket.
-#[derive(Default)]
-pub struct SimTransport {
-    inbox: VecDeque<Result<Frame, WireError>>,
-    outbox: Vec<Frame>,
-    peer_closed: bool,
-}
-
-impl SimTransport {
-    /// An empty, open transport.
-    pub fn new() -> SimTransport {
-        SimTransport::default()
-    }
-
-    /// Delivers one frame's (possibly mangled) bytes.
-    pub fn deliver(&mut self, bytes: &[u8]) {
-        self.inbox.push_back(Frame::decode(bytes));
-    }
-
-    /// Marks the peer as gone: once the inbox drains, `recv` reports EOF.
-    pub fn close(&mut self) {
-        self.peer_closed = true;
-    }
-
-    /// Takes every frame the session queued for sending.
-    pub fn take_outbox(&mut self) -> Vec<Frame> {
-        std::mem::take(&mut self.outbox)
-    }
-}
-
-impl Transport for SimTransport {
-    fn send(&mut self, frame: &Frame) -> Result<(), WireError> {
-        self.outbox.push(frame.clone());
-        Ok(())
-    }
-
-    fn recv(&mut self) -> RecvOutcome {
-        match self.inbox.pop_front() {
-            Some(Ok(frame)) => RecvOutcome::Frame(frame),
-            Some(Err(e)) => RecvOutcome::Err(e),
-            None if self.peer_closed => RecvOutcome::Eof,
-            None => RecvOutcome::NoData,
-        }
-    }
-}
 
 /// Everything that parameterises one simulated run.
 #[derive(Debug, Clone)]
@@ -131,10 +93,8 @@ pub struct SimConfig {
     pub queue_capacity: usize,
     /// Batches the worker drains per tick (small values sustain pressure).
     pub drain_per_tick: usize,
-    /// Virtual time of a graceful kill + snapshot + resume, if any.
+    /// Virtual time of a kill + resume, if any.
     pub kill_at_ns: Option<u64>,
-    /// Client retry budget per batch (and per reconnect storm).
-    pub max_attempts: u32,
 }
 
 impl SimConfig {
@@ -149,8 +109,9 @@ impl SimConfig {
             faults: FaultConfig::ALL,
             queue_capacity: 2,
             drain_per_tick: 1,
-            kill_at_ns: Some(120 * MS),
-            max_attempts: 64,
+            // Mid-run: most clients are still sending (a chaos client
+            // finishes at ~19 ms median), so a crash can rewind them.
+            kill_at_ns: Some(14 * MS),
         }
     }
 
@@ -166,7 +127,7 @@ impl SimConfig {
 }
 
 /// What one simulated run produced.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SimReport {
     /// The seed that reproduces this run.
     pub seed: u64,
@@ -189,6 +150,9 @@ pub struct SimReport {
     pub snapshots_quarantined: u64,
     /// Kill + snapshot + resume cycles executed.
     pub kills: u32,
+    /// Hello acks that showed a client the server's cursor behind its
+    /// own (a crash restore lost batches the client had seen acked).
+    pub rewinds: u64,
     /// Clients that exhausted their retry budget (the "or-rejected" arm
     /// of the invariant).
     pub gave_up: usize,
@@ -224,30 +188,16 @@ impl SimReport {
     fn setup_failure(seed: u64, why: String) -> SimReport {
         SimReport {
             seed,
-            events: 0,
-            trace_hash: 0,
-            counts_digest: 0,
-            reports_ingested: 0,
-            server_acked_batches: 0,
-            duplicates: 0,
-            faults_injected: 0,
-            snapshots_quarantined: 0,
-            kills: 0,
-            gave_up: 0,
-            queries_answered: 0,
-            query_warm_hits: 0,
             violations: vec![why],
             fault_token: format!("seed={seed}"),
-            faults_fired: Vec::new(),
-            flight_total: 0,
-            flight_digest: 0,
+            ..SimReport::default()
         }
     }
 }
 
 #[derive(Debug)]
 enum Ev {
-    /// Client `c` takes its next action (connect or send).
+    /// Client `c`'s backoff ended: its core takes the next step.
     ClientWake(usize),
     /// Encoded frame bytes arriving at the server on `conn`.
     ToServer { conn: u64, bytes: Vec<u8> },
@@ -259,7 +209,11 @@ enum Ev {
     Drain,
     /// Query tick: the mixed query client asks the incremental engine.
     Query,
-    /// Graceful kill: drain, snapshot (possibly torn), restore.
+    /// Periodic snapshot: drain, write (possibly torn), keep as the
+    /// crash-restore point.
+    Checkpoint,
+    /// Kill: a graceful drain + snapshot + restore, or a crash that
+    /// restores the last periodic snapshot.
     Kill,
 }
 
@@ -288,28 +242,21 @@ impl Ord for Scheduled {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CState {
-    Disconnected,
-    AwaitHelloAck,
-    Idle,
-    AwaitAck,
-}
-
+/// One simulated client: the shipped [`ClientCore`] plus the driver
+/// state the harness keeps for it.
 struct SimClient {
-    id: u64,
+    core: ClientCore,
+    /// The connection the core speaks on (0: none).
     conn: u64,
-    user_range: std::ops::Range<usize>,
-    total_batches: usize,
-    /// Count of batches acked so far; the next batch id is this + 1.
-    next_batch: usize,
-    state: CState,
-    attempts: u32,
+    /// Bumped at every step the core takes; a reply deadline fires only if
+    /// its token is still current.
     token: u64,
-    gave_up: bool,
+    /// The users this client reports for, in batch order.
+    users: Vec<usize>,
+    /// The core acked every batch.
     done: bool,
-    /// Highest batch id this client saw acked (directly or via Hello).
-    acked: u64,
+    /// The core failed for good (its attempt budget ran out).
+    gave_up: bool,
 }
 
 struct Sim {
@@ -321,7 +268,6 @@ struct Sim {
     seq: u64,
     now: u64,
     schedule: FaultSchedule,
-    policy: RetryPolicy,
     clients: Vec<SimClient>,
     /// Live connections: conn id → owning client index. A connection that
     /// was reset (fault or client teardown) is removed entirely.
@@ -331,8 +277,8 @@ struct Sim {
     /// reach the client.
     server_closed: HashSet<u64>,
     next_conn: u64,
-    /// Server-side per-connection transports and sessions.
-    server_conns: HashMap<u64, (SimTransport, Session)>,
+    /// Server-side per-connection sessions.
+    server_conns: HashMap<u64, Session>,
     ctx: SessionCtx,
     queue: BoundedQueue<Vec<UserReport>>,
     stats: AtomicStats,
@@ -342,6 +288,12 @@ struct Sim {
     events: u64,
     quarantined: u64,
     kills: u32,
+    rewinds: u64,
+    /// Where the server's snapshots go.
+    snap_path: std::path::PathBuf,
+    /// The last snapshot written: `accepted.len()` and the dedup cursors
+    /// it holds.
+    durable: Option<(usize, HashMap<u64, u64>)>,
     /// The sim's mixed query client: the real incremental engine, queried
     /// at deterministic virtual times against the live aggregator.
     query_engine: QueryEngine,
@@ -462,26 +414,37 @@ fn run_sim_inner(cfg: &SimConfig, suppressed: HashSet<u64>) -> SimReport {
     };
 
     let per_client = cfg.users.div_ceil(cfg.clients.max(1));
+    let policy = RetryPolicy {
+        max_attempts: 64,
+        jitter_seed: cfg.seed,
+        ..RetryPolicy::default()
+    };
     let clients: Vec<SimClient> = (0..cfg.clients)
         .map(|c| {
             let start = (c * per_client).min(cfg.users);
             let end = ((c + 1) * per_client).min(cfg.users);
-            let n = end - start;
+            let mut core = ClientCore::new(plan_hash, c as u64 + 1, policy);
+            core.begin((end - start).div_ceil(cfg.batch_size.max(1)) as u64);
             SimClient {
-                id: c as u64 + 1,
+                core,
                 conn: 0,
-                user_range: start..end,
-                total_batches: n.div_ceil(cfg.batch_size.max(1)),
-                next_batch: 0,
-                state: CState::Disconnected,
-                attempts: 0,
                 token: 0,
+                users: (start..end).collect(),
+                done: false,
                 gave_up: false,
-                done: n == 0,
-                acked: 0,
             }
         })
         .collect();
+    // Unique per process *and* per run, so concurrent sims of the same
+    // seed (parallel tests) never share a file; the path feeds no sim
+    // decision, so determinism is unaffected.
+    static SIM_FILE_ID: AtomicU64 = AtomicU64::new(0);
+    let snap_path = std::env::temp_dir().join(format!(
+        "felip-sim-{}-{}-{}.snap",
+        cfg.seed,
+        std::process::id(),
+        SIM_FILE_ID.fetch_add(1, Ordering::Relaxed)
+    ));
 
     let sim = Sim {
         plan: Arc::clone(&plan),
@@ -491,11 +454,6 @@ fn run_sim_inner(cfg: &SimConfig, suppressed: HashSet<u64>) -> SimReport {
         seq: 0,
         now: 0,
         schedule: FaultSchedule::with_suppressed(cfg.seed, cfg.faults, suppressed),
-        policy: RetryPolicy {
-            max_attempts: cfg.max_attempts,
-            jitter_seed: cfg.seed,
-            ..RetryPolicy::default()
-        },
         clients,
         conns: HashMap::new(),
         server_closed: HashSet::new(),
@@ -510,6 +468,9 @@ fn run_sim_inner(cfg: &SimConfig, suppressed: HashSet<u64>) -> SimReport {
         events: 0,
         quarantined: 0,
         kills: 0,
+        rewinds: 0,
+        snap_path,
+        durable: None,
         query_engine: QueryEngine::new(Arc::clone(&plan), Arc::clone(&oracles)),
         probe,
         queries_answered: 0,
@@ -621,113 +582,98 @@ impl Sim {
         self.trace(2, conn, 1);
     }
 
-    fn batch_reports(&self, c: usize, batch_idx: usize) -> Result<Vec<UserReport>> {
-        let cl = &self.clients[c];
-        let start = cl.user_range.start + batch_idx * self.cfg.batch_size;
-        let end = (start + self.cfg.batch_size).min(cl.user_range.end);
-        (start..end)
-            .map(|u| loadgen::user_report(&self.plan, u, self.cfg.seed))
-            .collect()
+    /// Hands client `c`'s core one event, with the client's batches as
+    /// its source, and carries out the step it answers. Every ack the core
+    /// takes must be one the server holds.
+    fn drive_client(
+        &mut self,
+        c: usize,
+        event: impl FnOnce(&mut ClientCore, &mut BatchSource<'_>) -> Step,
+    ) {
+        let (plan, seed, size) = (&self.plan, self.cfg.seed, self.cfg.batch_size);
+        let SimClient { core, users, .. } = &mut self.clients[c];
+        let before = core.cursor();
+        let step = event(core, &mut |id| {
+            loadgen::batch_reports(plan, users, size, seed, id)
+        });
+        let after = self.clients[c].core.cursor();
+        if after < before {
+            self.rewinds += 1;
+            self.trace(15, c as u64, after);
+        }
+        let held = self.ctx.dedup.lock().get(&(c as u64 + 1)).copied();
+        let held = held.unwrap_or(0);
+        if after > before && after > held {
+            self.violations.push(format!(
+                "client {c} took batch {after} as acked but the server holds only {held}"
+            ));
+        }
+        if !matches!(step, Step::Await) {
+            // The wait the last reply deadline guarded is over.
+            self.clients[c].token += 1;
+        }
+        self.act(c, step);
     }
 
-    /// The client declares its connection dead (timeout, garbled reply,
-    /// server error): tear it down and reconnect after backoff — unless
-    /// the attempt budget is spent, in which case it gives up, observably.
-    fn client_fail(&mut self, c: usize) {
-        let conn = self.clients[c].conn;
-        if conn != 0 {
-            self.reset_conn(conn);
-        }
-        self.clients[c].conn = 0;
-        self.clients[c].state = CState::Disconnected;
-        self.clients[c].token += 1;
-        let attempts = self.clients[c].attempts;
-        if attempts >= self.cfg.max_attempts {
-            self.clients[c].gave_up = true;
-            self.trace(3, c as u64, attempts as u64);
-            return;
-        }
-        let delay = self.policy.backoff(attempts.max(1)).as_nanos() as u64;
-        let at = self.now + delay.max(MS);
-        self.schedule_ev(at, Ev::ClientWake(c));
-    }
-
-    fn arm_timeout(&mut self, c: usize) {
-        let token = self.clients[c].token;
-        self.schedule_ev(self.now + CLIENT_TIMEOUT_NS, Ev::ClientTimeout { c, token });
-    }
-
-    fn on_client_wake(&mut self, c: usize) {
-        if self.clients[c].done || self.clients[c].gave_up {
-            return;
-        }
-        match self.clients[c].state {
-            CState::Disconnected => {
-                self.clients[c].attempts += 1;
-                if self.clients[c].attempts > self.cfg.max_attempts {
-                    self.clients[c].gave_up = true;
-                    self.trace(3, c as u64, self.cfg.max_attempts as u64);
-                    return;
-                }
+    /// Carries out one step of client `c`'s core on the virtual network.
+    fn act(&mut self, c: usize, step: Step) {
+        match step {
+            Step::Connect(hello) => {
                 let conn = self.next_conn;
                 self.next_conn += 1;
                 self.conns.insert(conn, c);
                 self.clients[c].conn = conn;
-                self.clients[c].state = CState::AwaitHelloAck;
-                self.clients[c].token += 1;
-                let hello = Frame {
-                    kind: FrameKind::Hello,
-                    plan_hash: self.plan_hash,
-                    payload: encode_hello(self.clients[c].id),
-                };
                 self.trace(4, c as u64, conn);
-                self.route(conn, &hello, true, c);
-                self.arm_timeout(c);
+                self.send_from_client(c, &hello);
             }
-            CState::Idle => {
-                if self.clients[c].next_batch >= self.clients[c].total_batches {
-                    self.clients[c].done = true;
-                    return;
-                }
-                self.clients[c].attempts += 1;
-                if self.clients[c].attempts > self.cfg.max_attempts {
-                    self.clients[c].gave_up = true;
-                    self.trace(3, c as u64, self.cfg.max_attempts as u64);
-                    return;
-                }
-                let idx = self.clients[c].next_batch;
-                let batch_id = idx as u64 + 1;
-                // Report generation and encoding are deterministic functions
-                // of the plan; a failure is a harness defect, recorded as a
-                // violation so the seed fails loudly instead of panicking.
-                let payload = match self
-                    .batch_reports(c, idx)
-                    .map_err(|e| e.to_string())
-                    .and_then(|r| encode_batch(batch_id, &r).map_err(|e| e.to_string()))
-                {
-                    Ok(p) => p,
-                    Err(e) => {
-                        self.violations
-                            .push(format!("client {c}: building batch {batch_id} failed: {e}"));
-                        self.clients[c].gave_up = true;
-                        return;
-                    }
-                };
-                let frame = Frame {
-                    kind: FrameKind::ReportBatch,
-                    plan_hash: self.plan_hash,
-                    payload,
-                };
-                let conn = self.clients[c].conn;
-                self.clients[c].state = CState::AwaitAck;
-                self.clients[c].token += 1;
-                self.trace(5, c as u64, batch_id);
-                self.route(conn, &frame, true, c);
-                self.arm_timeout(c);
+            Step::Send(frame) => {
+                self.trace(5, c as u64, self.clients[c].core.cursor() + 1);
+                self.send_from_client(c, &frame);
             }
-            // Spurious wake while a reply is pending: the timeout or the
-            // reply will move the state machine.
-            CState::AwaitHelloAck | CState::AwaitAck => {}
+            Step::Await => {}
+            Step::Backoff(delay) => {
+                self.trace(10, c as u64, delay.as_nanos() as u64);
+                self.schedule_ev(self.now + delay.as_nanos() as u64, Ev::ClientWake(c));
+            }
+            Step::Reconnect(delay) => {
+                self.close_client_conn(c);
+                self.trace(11, c as u64, delay.as_nanos() as u64);
+                self.schedule_ev(self.now + delay.as_nanos() as u64, Ev::ClientWake(c));
+            }
+            Step::Done => {
+                self.clients[c].done = true;
+                self.trace(9, c as u64, self.clients[c].core.cursor());
+            }
+            Step::Failed(e) => {
+                self.close_client_conn(c);
+                self.clients[c].gave_up = true;
+                self.trace(3, c as u64, self.clients[c].core.cursor());
+                // The sim runs one plan and builds every batch from the
+                // plan's own users: only the budget may end a client.
+                if !matches!(e, WireError::BudgetExhausted { .. }) {
+                    self.violations.push(format!("client {c} failed: {e}"));
+                }
+            }
+        }
+    }
+
+    /// Routes a client frame to the server and arms the reply deadline.
+    fn send_from_client(&mut self, c: usize, frame: &Frame) {
+        let (conn, token) = (self.clients[c].conn, self.clients[c].token);
+        self.route(conn, frame, true, c);
+        self.schedule_ev(self.now + CLIENT_TIMEOUT_NS, Ev::ClientTimeout { c, token });
+    }
+
+    fn close_client_conn(&mut self, c: usize) {
+        let conn = std::mem::take(&mut self.clients[c].conn);
+        if conn != 0 {
+            self.reset_conn(conn);
+        }
+    }
+
+    fn on_client_wake(&mut self, c: usize) {
+        if !(self.clients[c].done || self.clients[c].gave_up) {
+            self.drive_client(c, |core, source| core.wake(source));
         }
     }
 
@@ -741,61 +687,33 @@ impl Sim {
             return;
         };
         self.trace(6, conn, bytes.len() as u64);
-        let (transport, session) = self
-            .server_conns
-            .entry(conn)
-            .or_insert_with(|| (SimTransport::new(), Session::default()));
-        transport.deliver(&bytes);
-        let mut close = false;
-        loop {
-            match transport.recv() {
-                RecvOutcome::Frame(frame) => {
-                    let outcome = session.on_frame(frame, &self.ctx, &self.queue, &self.stats);
+        let session = self.server_conns.entry(conn).or_default();
+        let (reply, close) = match Frame::decode(&bytes) {
+            Ok(frame) => {
+                let outcome = session.on_frame(frame, &self.ctx, &self.queue, &self.stats);
+                if let Some(batch) = outcome.accepted {
+                    self.accepted.push(batch);
+                }
+                match outcome.reply {
+                    Reply::Frame(f) => (f, outcome.close.is_some()),
                     // The sim's query client asks its engine directly; a
                     // wire `Query` has no service here, so it is rejected
                     // and the connection closed.
-                    let (reply, rejected) = match outcome.reply {
-                        Reply::Frame(f) => (f, false),
-                        Reply::Query(_) => {
-                            self.stats.bump_rejected();
-                            let msg = "query serving not enabled on this server";
-                            (Frame::error(self.plan_hash, msg), true)
-                        }
-                    };
-                    // SimTransport::send is an infallible outbox push.
-                    let _ = transport.send(&reply);
-                    if let Some(batch) = outcome.accepted {
-                        self.accepted.push(batch);
-                    }
-                    if outcome.close.is_some() || rejected {
-                        close = true;
-                        break;
+                    Reply::Query(_) => {
+                        self.stats.bump_rejected();
+                        let msg = "query serving not enabled on this server";
+                        (Frame::error(self.plan_hash, msg), true)
                     }
                 }
-                RecvOutcome::Err(_) => {
-                    // Garbled bytes (corruption/truncation in flight): the
-                    // server replies with an error and closes, exactly like
-                    // the TCP path.
-                    let err = Frame::error(self.plan_hash, "garbled frame");
-                    let _ = transport.send(&err);
-                    self.stats.bump_rejected();
-                    close = true;
-                    break;
-                }
-                RecvOutcome::NoData
-                | RecvOutcome::Eof
-                | RecvOutcome::Idle
-                | RecvOutcome::Shutdown => break,
             }
-        }
-        let replies = self
-            .server_conns
-            .get_mut(&conn)
-            .map(|(t, _)| t.take_outbox())
-            .unwrap_or_default();
-        for reply in replies {
-            self.route(conn, &reply, false, owner);
-        }
+            // Garbled bytes (corruption/truncation in flight): the server
+            // replies with an error and closes, exactly like the TCP path.
+            Err(_) => {
+                self.stats.bump_rejected();
+                (Frame::error(self.plan_hash, "garbled frame"), true)
+            }
+        };
+        self.route(conn, &reply, false, owner);
         if close {
             self.server_close(conn);
         }
@@ -807,83 +725,15 @@ impl Sim {
             return;
         }
         self.trace(7, conn, bytes.len() as u64);
-        let frame = match Frame::decode(&bytes) {
-            Ok(f) => f,
-            Err(_) => {
-                // Reply corrupted in flight: treat the conn as broken.
-                self.client_fail(c);
-                return;
-            }
-        };
-        match (self.clients[c].state, frame.kind) {
-            (CState::AwaitHelloAck, FrameKind::Ack) => {
-                let Ok((last, _)) = decode_ack(&frame.payload) else {
-                    self.client_fail(c);
-                    return;
-                };
-                // Resync: everything up to `last` is already accepted
-                // server-side; never re-send it.
-                let total = self.clients[c].total_batches;
-                let cl = &mut self.clients[c];
-                cl.next_batch = (last as usize).min(total);
-                cl.acked = cl.acked.max(last);
-                cl.state = CState::Idle;
-                cl.attempts = 0;
-                cl.token += 1;
-                self.trace(8, c as u64, last);
-                self.schedule_ev(self.now + MS / 10, Ev::ClientWake(c));
-            }
-            (CState::AwaitAck, FrameKind::Ack) => {
-                let Ok((id, _)) = decode_ack(&frame.payload) else {
-                    self.client_fail(c);
-                    return;
-                };
-                let expect = self.clients[c].next_batch as u64 + 1;
-                if id < expect {
-                    return; // stale ack from a duplicated earlier frame
-                }
-                let cl = &mut self.clients[c];
-                cl.acked = cl.acked.max(id);
-                cl.next_batch += 1;
-                cl.attempts = 0;
-                cl.state = CState::Idle;
-                cl.token += 1;
-                self.trace(9, c as u64, id);
-                self.schedule_ev(self.now + MS / 10, Ev::ClientWake(c));
-            }
-            (CState::AwaitAck, FrameKind::Retry) => {
-                // Backpressure: back off and resend the same batch.
-                let cl = &mut self.clients[c];
-                cl.state = CState::Idle;
-                cl.token += 1;
-                let attempts = cl.attempts;
-                self.trace(10, c as u64, attempts as u64);
-                let delay = self.policy.backoff(attempts.max(1)).as_nanos() as u64;
-                self.schedule_ev(self.now + delay.max(MS), Ev::ClientWake(c));
-            }
-            (_, FrameKind::Error) => {
-                // The server rejected something (usually a frame garbled
-                // in flight) and closed; reconnect and resync.
-                self.trace(11, c as u64, 0);
-                self.client_fail(c);
-            }
-            _ => {
-                // A reply that makes no sense in this state (e.g. an ack
-                // duplicated into Idle): ignore.
-            }
-        }
+        self.drive_client(c, |core, source| {
+            core.on_reply(Frame::decode(&bytes), source)
+        });
     }
 
     fn on_client_timeout(&mut self, c: usize, token: u64) {
-        if self.clients[c].token != token {
-            return; // the awaited reply arrived; deadline is stale
-        }
-        if matches!(
-            self.clients[c].state,
-            CState::AwaitHelloAck | CState::AwaitAck
-        ) {
-            self.trace(12, c as u64, self.clients[c].attempts as u64);
-            self.client_fail(c);
+        if self.clients[c].token == token {
+            self.trace(12, c as u64, self.clients[c].core.cursor());
+            self.drive_client(c, |core, _| core.lost());
         }
     }
 
@@ -907,50 +757,45 @@ impl Sim {
         drained
     }
 
-    /// Graceful kill + resume: drain the queue, snapshot counts *and*
-    /// dedup cursors through the verified-write path (the write may be
-    /// torn — then it is quarantined and retried), restore from the file
-    /// just written, and drop every connection. Clients resync via Hello.
-    fn on_kill(&mut self) {
-        use felip_sync::atomic::{AtomicU64, Ordering};
-        // Unique per process *and* per run, so concurrent sims of the same
-        // seed (parallel tests) never share a file; the path feeds no sim
-        // decision, so determinism is unaffected.
-        static SIM_FILE_ID: AtomicU64 = AtomicU64::new(0);
-        self.kills += 1;
+    /// Drains the queue and writes the counts *and* dedup cursors through
+    /// the verified-write path (a torn write is quarantined and retried).
+    /// The snapshot written becomes the crash-restore point.
+    fn write_snapshot(&mut self) -> bool {
         self.drain(usize::MAX);
-        let path = std::env::temp_dir().join(format!(
-            "felip-sim-{}-{}-{}.snap",
-            self.cfg.seed,
-            std::process::id(),
-            SIM_FILE_ID.fetch_add(1, Ordering::Relaxed)
-        ));
-        let snap = Snapshot::capture_with_dedup(&self.agg, self.plan_hash, self.ctx.dedup_pairs());
-        let mut wrote = false;
+        let dedup = self.ctx.dedup_pairs();
+        let snap = Snapshot::capture_with_dedup(&self.agg, self.plan_hash, dedup.clone());
         for _attempt in 0..64 {
             let corrupt = self.schedule.snapshot_write_corrupts();
             let schedule = &mut self.schedule;
-            let mut mangle = |bytes: &[u8]| {
-                if corrupt {
-                    Some(schedule.mangle_snapshot(bytes))
-                } else {
-                    None
-                }
-            };
-            match snap.write_verified(&path, Some(&mut mangle)) {
+            let mut mangle = |bytes: &[u8]| corrupt.then(|| schedule.mangle_snapshot(bytes));
+            match snap.write_verified(&self.snap_path, Some(&mut mangle)) {
                 Ok(()) => {
-                    wrote = true;
-                    break;
+                    self.durable = Some((self.accepted.len(), dedup.into_iter().collect()));
+                    return true;
                 }
                 Err(_) => self.quarantined += 1,
             }
         }
-        if !wrote {
-            self.violations
-                .push("snapshot write never survived verification in 64 attempts".into());
+        self.violations
+            .push("snapshot write never survived verification in 64 attempts".into());
+        false
+    }
+
+    /// Kill + resume. A graceful kill drains and snapshots first; on a
+    /// seeded share of kills the server crashes instead and comes back
+    /// from the last periodic snapshot, losing the batches it accepted
+    /// since. Every connection drops and clients resync via Hello, where
+    /// a crash shows them a cursor behind their own.
+    fn on_kill(&mut self) {
+        self.kills += 1;
+        let crash = self.schedule.draw_below(2) == 0 && self.crash_spares_settled_clients();
+        if !crash && !self.write_snapshot() {
             return;
         }
-        let restored = Snapshot::read(&path).and_then(|s| {
+        let Some((kept, _)) = self.durable else {
+            return;
+        };
+        let restored = Snapshot::read(&self.snap_path).and_then(|s| {
             let dedup = s.dedup.clone();
             s.restore(Arc::clone(&self.plan), Arc::clone(&self.oracles))
                 .map(|agg| (agg, dedup))
@@ -967,6 +812,10 @@ impl Sim {
                 return;
             }
         }
+        // What the restored server does not hold was never accepted, as
+        // far as the final invariants are concerned; its queue died too.
+        self.accepted.truncate(kept);
+        self.queue = BoundedQueue::new(self.cfg.queue_capacity.max(1));
         let open: Vec<u64> = {
             let mut v: Vec<u64> = self.conns.keys().copied().collect();
             v.sort_unstable();
@@ -980,10 +829,20 @@ impl Sim {
         // `expect_cold_query` turns a reused engine into a violation.
         self.query_engine = QueryEngine::new(Arc::clone(&self.plan), Arc::clone(&self.oracles));
         self.expect_cold_query = true;
-        self.trace(13, self.kills as u64, self.quarantined);
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(path.with_extension("quarantine"));
-        let _ = std::fs::remove_file(path.with_extension("tmp"));
+        self.trace(13, self.kills as u64, crash as u64);
+    }
+
+    /// Whether crashing back to the last snapshot keeps every batch of the
+    /// clients that already finished or gave up: those clients are gone
+    /// and resend nothing, so their acked batches must survive.
+    fn crash_spares_settled_clients(&self) -> bool {
+        let Some((_, held)) = &self.durable else {
+            return false;
+        };
+        self.clients.iter().enumerate().all(|(c, cl)| {
+            let settled = cl.done || cl.gave_up;
+            !settled || cl.core.cursor() <= held.get(&(c as u64 + 1)).copied().unwrap_or(0)
+        })
     }
 
     /// One mixed-client query against the live aggregator: refresh the
@@ -1058,6 +917,7 @@ impl Sim {
         self.schedule_ev(DRAIN_TICK_NS, Ev::Drain);
         self.schedule_ev(QUERY_TICK_NS, Ev::Query);
         if let Some(at) = self.cfg.kill_at_ns {
+            self.schedule_ev(CHECKPOINT_TICK_NS, Ev::Checkpoint);
             self.schedule_ev(at, Ev::Kill);
         }
 
@@ -1087,8 +947,20 @@ impl Sim {
                         self.schedule_ev(self.now + QUERY_TICK_NS, Ev::Query);
                     }
                 }
+                Ev::Checkpoint => {
+                    self.write_snapshot();
+                    // Only the last snapshot before the kill is ever
+                    // restored.
+                    let next = self.now + CHECKPOINT_TICK_NS;
+                    if self.cfg.kill_at_ns.is_some_and(|kill| next < kill) {
+                        self.schedule_ev(next, Ev::Checkpoint);
+                    }
+                }
                 Ev::Kill => self.on_kill(),
             }
+        }
+        for ext in ["snap", "quarantine", "tmp"] {
+            let _ = std::fs::remove_file(self.snap_path.with_extension(ext));
         }
 
         // Final graceful drain, a query at the fully-settled cut, then
@@ -1118,6 +990,7 @@ impl Sim {
             faults_injected: self.schedule.injected,
             snapshots_quarantined: self.quarantined,
             kills: self.kills,
+            rewinds: self.rewinds,
             gave_up: self.clients.iter().filter(|c| c.gave_up).count(),
             queries_answered: self.queries_answered,
             query_warm_hits: self.query_warm_hits,
@@ -1166,11 +1039,11 @@ impl Sim {
 
         // (2) Client-acked ⊆ server-acked.
         for (c, cl) in self.clients.iter().enumerate() {
-            let last = server_last(cl.id);
-            if cl.acked > last {
+            let last = server_last(c as u64 + 1);
+            if cl.core.cursor() > last {
                 v.push(format!(
                     "client {c} believes batch {} acked but server accepted only up to {last}",
-                    cl.acked
+                    cl.core.cursor()
                 ));
             }
         }
@@ -1181,11 +1054,11 @@ impl Sim {
             if cl.gave_up {
                 continue;
             }
-            let last = server_last(cl.id);
-            if last < cl.total_batches as u64 {
+            let last = server_last(c as u64 + 1);
+            let total = cl.users.len().div_ceil(self.cfg.batch_size.max(1));
+            if last < total as u64 {
                 v.push(format!(
-                    "client {c} settled without give-up but only {last}/{} batches accepted",
-                    cl.total_batches
+                    "client {c} settled without give-up but only {last}/{total} batches accepted"
                 ));
             }
         }
@@ -1196,8 +1069,9 @@ impl Sim {
             Aggregator::with_oracles(Arc::clone(&self.plan), Arc::clone(&self.oracles));
         for b in &self.accepted {
             let c = (b.client_id - 1) as usize;
-            let offline_batch = self
-                .batch_reports(c, (b.batch_id - 1) as usize)
+            let (size, seed) = (self.cfg.batch_size, self.cfg.seed);
+            let users = &self.clients[c].users;
+            let offline_batch = loadgen::batch_reports(&self.plan, users, size, seed, b.batch_id)
                 .and_then(|reports| offline.ingest_batch(&reports));
             if let Err(e) = offline_batch {
                 v.push(format!(

@@ -1,13 +1,9 @@
-//! The [`Transport`] abstraction over the frame read/write path.
-//!
-//! The portable serve loop (`serve.rs`) speaks over [`TcpTransport`] (a
-//! thin deadline-aware wrapper around `TcpStream` + the wire codec), and
-//! the reactor keeps its deadline semantics; the deterministic chaos
-//! harness drives the *same* session logic over
-//! [`crate::simharness::SimTransport`], an in-memory frame pipe on a
-//! virtual clock. Everything above this trait — the session state machine,
-//! dedup, backpressure — is transport-agnostic, which is what makes the
-//! fault-injection results transfer to the real server.
+//! [`TcpTransport`]: the portable serve loop's (`serve.rs`) frame pipe, a
+//! thin deadline-aware wrapper around `TcpStream` and the wire codec. The
+//! reactor keeps the same deadline semantics on its own event loop. The
+//! session state machine above it does no I/O, which is what lets the
+//! deterministic chaos harness drive the same session logic on a virtual
+//! clock.
 
 use std::io::{self, Read};
 use std::net::TcpStream;
@@ -22,9 +18,6 @@ pub enum RecvOutcome {
     Frame(Frame),
     /// The peer closed the stream cleanly between frames.
     Eof,
-    /// No frame is currently available (non-blocking transports only; the
-    /// TCP transport blocks until one of the other outcomes).
-    NoData,
     /// No bytes arrived within the idle deadline — the connection reaper's
     /// signal to close this connection.
     Idle,
@@ -33,17 +26,6 @@ pub enum RecvOutcome {
     /// The stream is broken: garbled framing, a mid-frame stall past the
     /// read deadline, or a transport error.
     Err(WireError),
-}
-
-/// A bidirectional frame pipe: the server's session loop and the client
-/// speak [`Frame`]s through this, never raw sockets.
-pub trait Transport {
-    /// Sends one frame, blocking until it is written (or the write deadline
-    /// expires on deadline-aware transports).
-    fn send(&mut self, frame: &Frame) -> Result<(), WireError>;
-
-    /// Attempts to receive one frame; see [`RecvOutcome`] for the cases.
-    fn recv(&mut self) -> RecvOutcome;
 }
 
 /// Why a deadline read bailed out.
@@ -145,17 +127,18 @@ impl<'a, F: Fn() -> bool> TcpTransport<'a, F> {
             idle_timeout,
         })
     }
-}
 
-impl<F: Fn() -> bool> Transport for TcpTransport<'_, F> {
-    fn send(&mut self, frame: &Frame) -> Result<(), WireError> {
+    /// Sends one frame, blocking until it is written or the write deadline
+    /// expires.
+    pub fn send(&mut self, frame: &Frame) -> Result<(), WireError> {
         // One `write_all` of the already-contiguous encoding; a `BufWriter`
         // here would only add an 8 KiB allocation and an extra copy per
         // reply frame.
         write_frame(&mut &*self.stream, frame).map_err(WireError::Io)
     }
 
-    fn recv(&mut self) -> RecvOutcome {
+    /// Receives one frame; see [`RecvOutcome`] for the cases.
+    pub fn recv(&mut self) -> RecvOutcome {
         let mut reader = DeadlineRead {
             stream: self.stream,
             stop: self.stop,

@@ -171,8 +171,8 @@ const fn crc32_tables() -> [[u32; 256]; 16] {
 }
 
 /// Folds `bytes` into a running CRC state (`state` is the *raw* register,
-/// i.e. already complemented). Exposed through [`Crc32`]; the hot loop is
-/// the slice-by-16 kernel, with a byte-at-a-time tail for the remainder.
+/// i.e. already complemented). The hot loop is the slice-by-16 kernel,
+/// with a byte-at-a-time tail for the remainder.
 #[inline]
 fn crc32_fold(mut c: u32, bytes: &[u8]) -> u32 {
     let mut chunks = bytes.chunks_exact(16);
@@ -202,35 +202,6 @@ fn crc32_fold(mut c: u32, bytes: &[u8]) -> u32 {
         c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c
-}
-
-/// Incremental IEEE CRC-32: feed discontiguous pieces (header, then
-/// payload) without first copying them into one buffer.
-#[derive(Clone, Copy)]
-pub struct Crc32(u32);
-
-impl Crc32 {
-    /// A fresh CRC state.
-    pub fn new() -> Crc32 {
-        Crc32(0xFFFF_FFFF)
-    }
-
-    /// Folds `bytes` into the state.
-    #[inline]
-    pub fn update(&mut self, bytes: &[u8]) {
-        self.0 = crc32_fold(self.0, bytes);
-    }
-
-    /// The finished checksum.
-    pub fn finish(&self) -> u32 {
-        self.0 ^ 0xFFFF_FFFF
-    }
-}
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Crc32::new()
-    }
 }
 
 /// IEEE CRC-32 (the zlib/Ethernet polynomial) over `bytes`.
@@ -375,40 +346,20 @@ impl Frame {
 
     /// Decodes exactly one frame from `buf`, rejecting trailing bytes.
     ///
-    /// This is the pure-slice twin of [`read_frame`], used by tests and any
-    /// transport that already framed the bytes.
+    /// This is the owned, whole-buffer form of [`FrameView::decode_prefix`],
+    /// used by tests and the sim harness, which deliver framed bytes.
     pub fn decode(buf: &[u8]) -> Result<Frame, WireError> {
-        if buf.len() < HEADER_LEN + TRAILER_LEN {
-            return Err(WireError::Truncated {
-                have: buf.len(),
-                need: HEADER_LEN + TRAILER_LEN,
-            });
-        }
-        let head = parse_header(&buf[..HEADER_LEN])?;
-        let total = HEADER_LEN + head.payload_len as usize + TRAILER_LEN;
-        if buf.len() < total {
-            return Err(WireError::Truncated {
-                have: buf.len(),
-                need: total,
-            });
-        }
-        if buf.len() > total {
-            return Err(WireError::Malformed(format!(
+        match FrameView::decode_prefix(buf)? {
+            Some((view, used)) if used == buf.len() => Ok(view.to_frame()),
+            Some((_, used)) => Err(WireError::Malformed(format!(
                 "{} trailing bytes after frame",
-                buf.len() - total
-            )));
+                buf.len() - used
+            ))),
+            None => Err(WireError::Truncated {
+                have: buf.len(),
+                need: declared_len(buf),
+            }),
         }
-        let payload = &buf[HEADER_LEN..HEADER_LEN + head.payload_len as usize];
-        let expected = crc32(&buf[..total - TRAILER_LEN]);
-        let actual = le_u32(&buf[total - TRAILER_LEN..total]);
-        if expected != actual {
-            return Err(WireError::BadCrc { expected, actual });
-        }
-        Ok(Frame {
-            kind: head.kind,
-            plan_hash: head.plan_hash,
-            payload: payload.to_vec(),
-        })
     }
 }
 
@@ -545,12 +496,14 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> io::Result<()> {
 /// Reads one frame from `r`.
 ///
 /// Returns `Ok(None)` on a clean EOF *between* frames; EOF mid-frame is an
-/// error (a truncated stream, e.g. a client killed mid-write).
+/// error (a truncated stream, e.g. a client killed mid-write). The header
+/// is checked by [`FrameView::decode_prefix`] before its length is trusted
+/// to size the read, and the whole frame by it once read.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Frame>, WireError> {
-    let mut header = [0u8; HEADER_LEN];
+    let mut buf = vec![0u8; HEADER_LEN];
     let mut got = 0;
     while got < HEADER_LEN {
-        match r.read(&mut header[got..]) {
+        match r.read(&mut buf[got..]) {
             Ok(0) if got == 0 => return Ok(None),
             Ok(0) => {
                 return Err(WireError::Io(io::Error::new(
@@ -563,24 +516,30 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Frame>, WireError> {
             Err(e) => return Err(WireError::Io(e)),
         }
     }
-    let head = parse_header(&header)?;
-    let mut rest = vec![0u8; head.payload_len as usize + TRAILER_LEN];
-    r.read_exact(&mut rest).map_err(WireError::Io)?;
-    let body_end = head.payload_len as usize;
-    let mut crc = Crc32::new();
-    crc.update(&header);
-    crc.update(&rest[..body_end]);
-    let expected = crc.finish();
-    let actual = le_u32(&rest[body_end..]);
-    if expected != actual {
-        return Err(WireError::BadCrc { expected, actual });
+    // A lone header is never a whole frame: this only checks it.
+    FrameView::decode_prefix(&buf)?;
+    let need = declared_len(&buf);
+    buf.resize(need, 0);
+    r.read_exact(&mut buf[HEADER_LEN..])
+        .map_err(WireError::Io)?;
+    match FrameView::decode_prefix(&buf)? {
+        Some((view, _)) => Ok(Some(view.to_frame())),
+        None => Err(WireError::Truncated {
+            have: buf.len(),
+            need,
+        }),
     }
-    rest.truncate(body_end);
-    Ok(Some(Frame {
-        kind: head.kind,
-        plan_hash: head.plan_hash,
-        payload: rest,
-    }))
+}
+
+/// The whole frame's length as the header at the front of `buf` declares
+/// it; the shortest possible frame while the header is incomplete.
+fn declared_len(buf: &[u8]) -> usize {
+    let payload = if buf.len() < HEADER_LEN {
+        0
+    } else {
+        le_u32(&buf[8..12]) as usize
+    };
+    HEADER_LEN + payload + TRAILER_LEN
 }
 
 /// Serialises a batch of user reports into a `ReportBatch` payload.
@@ -1097,18 +1056,6 @@ mod tests {
                     CRC_TABLES[0][((reference ^ b as u32) & 0xFF) as usize] ^ (reference >> 8);
             }
             assert_eq!(crc32(bytes), reference ^ 0xFFFF_FFFF, "length {len}");
-        }
-    }
-
-    #[test]
-    fn crc32_streaming_matches_one_shot_across_splits() {
-        let data: Vec<u8> = (0..100u8).collect();
-        let whole = crc32(&data);
-        for split in 0..data.len() {
-            let mut c = Crc32::new();
-            c.update(&data[..split]);
-            c.update(&data[split..]);
-            assert_eq!(c.finish(), whole, "split at {split}");
         }
     }
 

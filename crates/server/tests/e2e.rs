@@ -8,7 +8,7 @@ use std::time::Duration;
 use felip::config::FelipConfig;
 use felip::plan::CollectionPlan;
 use felip_common::{Attribute, Schema};
-use felip_server::loadgen::{offline_reference, user_report};
+use felip_server::loadgen::{batch_reports, offline_reference};
 use felip_server::{Client, RetryPolicy, Server, ServerConfig, ServerRun};
 
 fn plan() -> Arc<CollectionPlan> {
@@ -42,13 +42,10 @@ fn serve_users(
             let plan = Arc::clone(plan);
             s.spawn(move || {
                 let mut client = Client::connect(addr, plan_hash).expect("connect");
-                for batch in slice.chunks(50) {
-                    let reports: Vec<_> = batch
-                        .iter()
-                        .map(|&u| user_report(&plan, u, seed).unwrap())
-                        .collect();
-                    client.send_batch_retrying(&reports).expect("send");
-                }
+                let batches = slice.len().div_ceil(50) as u64;
+                client
+                    .send_through(batches, |id| batch_reports(&plan, slice, 50, seed, id))
+                    .expect("send");
             });
         }
     });
@@ -139,20 +136,20 @@ fn reconnect_keeps_identity_and_never_double_counts() {
     let shutdown = server.shutdown_handle();
     let t = thread::spawn(move || server.run(None).unwrap());
     let plan_hash = plan.schema_hash();
-    let mk = |range: std::ops::Range<usize>| -> Vec<_> {
-        range.map(|u| user_report(&plan, u, 5).unwrap()).collect()
-    };
+    let users: Vec<usize> = (0..150).collect();
+    let batch = |id| batch_reports(&plan, &users, 50, 5, id);
 
     let mut client = Client::connect_with(addr, plan_hash, 42, RetryPolicy::default()).unwrap();
-    client.send_batch_retrying(&mk(0..50)).unwrap();
-    client.send_batch_retrying(&mk(50..100)).unwrap();
+    client.send_through(1, batch).unwrap();
+    client.send_through(2, batch).unwrap();
     assert_eq!(client.last_acked(), 2);
 
     // The connection dies and the same identity comes back: the Hello ack
     // resyncs the cursor, so nothing already accepted is ever re-sent.
-    client.reconnect().unwrap();
+    drop(client);
+    let mut client = Client::connect_with(addr, plan_hash, 42, RetryPolicy::default()).unwrap();
     assert_eq!(client.last_acked(), 2, "identity must survive reconnect");
-    client.send_batch_retrying(&mk(100..150)).unwrap();
+    client.send_through(3, batch).unwrap();
     assert_eq!(client.last_acked(), 3);
 
     // A separate process pinning the same id resumes the same sequence.
@@ -172,7 +169,7 @@ fn reconnect_keeps_identity_and_never_double_counts() {
 #[test]
 fn idle_reaped_client_recovers_transparently() {
     // The reaper closes a quiet connection; the next send must reconnect
-    // under the same identity inside send_batch_retrying and lose nothing.
+    // under the same identity inside send_through and lose nothing.
     let plan = plan();
     let config = ServerConfig {
         idle_timeout: Duration::from_millis(100),
@@ -183,14 +180,13 @@ fn idle_reaped_client_recovers_transparently() {
     let shutdown = server.shutdown_handle();
     let t = thread::spawn(move || server.run(None).unwrap());
     let plan_hash = plan.schema_hash();
-    let mk = |range: std::ops::Range<usize>| -> Vec<_> {
-        range.map(|u| user_report(&plan, u, 11).unwrap()).collect()
-    };
+    let users: Vec<usize> = (0..120).collect();
+    let batch = |id| batch_reports(&plan, &users, 60, 11, id);
 
     let mut client = Client::connect_with(addr, plan_hash, 9, RetryPolicy::default()).unwrap();
-    client.send_batch_retrying(&mk(0..60)).unwrap();
+    client.send_through(1, batch).unwrap();
     thread::sleep(Duration::from_millis(400)); // well past the idle window
-    client.send_batch_retrying(&mk(60..120)).unwrap();
+    client.send_through(2, batch).unwrap();
     assert_eq!(client.last_acked(), 2);
     drop(client);
 
@@ -217,14 +213,10 @@ fn live_queries_match_offline_estimates_bit_identically() {
     let shutdown = server.shutdown_handle();
     let server_thread = thread::spawn(move || server.run(None).expect("serve"));
 
+    let users: Vec<usize> = (0..900).collect();
+    let batch = |id| batch_reports(&plan, &users, 50, 31, id);
     let mut client = Client::connect(addr, plan_hash).expect("connect");
-    for batch in (0..600usize).collect::<Vec<_>>().chunks(50) {
-        let reports: Vec<_> = batch
-            .iter()
-            .map(|&u| user_report(&plan, u, 31).unwrap())
-            .collect();
-        client.send_batch_retrying(&reports).expect("send");
-    }
+    client.send_through(12, batch).expect("send");
 
     let preds = vec![
         Predicate::between(0, 8, 40),
@@ -264,13 +256,7 @@ fn live_queries_match_offline_estimates_bit_identically() {
 
     // More ingest invalidates the cache: the next query re-cuts, advances
     // the epoch, and again matches offline on the new counts.
-    for batch in (600..900usize).collect::<Vec<_>>().chunks(50) {
-        let reports: Vec<_> = batch
-            .iter()
-            .map(|&u| user_report(&plan, u, 31).unwrap())
-            .collect();
-        client.send_batch_retrying(&reports).expect("send");
-    }
+    client.send_through(18, batch).expect("send");
     let after = client
         .query(preds.clone(), QueryMode::Cached)
         .expect("post-ingest query");
@@ -314,4 +300,56 @@ fn mismatched_plan_is_rejected_at_handshake() {
     let run = t.join().unwrap();
     assert_eq!(run.aggregator.reports_ingested(), 0);
     assert!(run.stats.frames_rejected >= 1);
+}
+
+#[test]
+fn a_server_restored_behind_the_client_gets_the_lost_batches_resent() {
+    // Three server lives on one port. The second resumes the first's
+    // snapshot and takes batches 3 and 4; the third resumes a copy of the
+    // first life's snapshot, so its cursor is 2 while the client's is 4.
+    // The client must resend 3 and 4 under their own ids before batch 5.
+    let plan = plan();
+    let snap = std::env::temp_dir().join(format!("felip-e2e-rewind-{}.snap", std::process::id()));
+    let first_life = snap.with_extension("first");
+    let start = |addr: String, resume: Option<std::path::PathBuf>| {
+        let config = ServerConfig {
+            addr,
+            snapshot_path: Some(snap.clone()),
+            resume,
+            ..ServerConfig::default()
+        };
+        let server = Server::bind(Arc::clone(&plan), config).expect("bind");
+        let addr = server.local_addr();
+        let shutdown = server.shutdown_handle();
+        let t = thread::spawn(move || server.run(None).expect("serve"));
+        (addr, move || {
+            shutdown.store(true, std::sync::atomic::Ordering::SeqCst);
+            t.join().expect("join server")
+        })
+    };
+    let users: Vec<usize> = (0..250).collect();
+    let batch = |id| batch_reports(&plan, &users, 50, 41, id);
+
+    let (addr, stop) = start("127.0.0.1:0".into(), None);
+    let mut client =
+        Client::connect_with(addr, plan.schema_hash(), 7, RetryPolicy::default()).expect("connect");
+    client.send_through(2, batch).expect("send");
+    assert_eq!(stop().aggregator.reports_ingested(), 100);
+    std::fs::copy(&snap, &first_life).expect("copy the first life's snapshot");
+
+    let (_, stop) = start(addr.to_string(), Some(snap.clone()));
+    client.send_through(4, batch).expect("send");
+    assert_eq!(client.last_acked(), 4);
+    assert_eq!(stop().aggregator.reports_ingested(), 200);
+
+    let (_, stop) = start(addr.to_string(), Some(first_life.clone()));
+    client.send_through(5, batch).expect("send");
+    assert_eq!(client.last_acked(), 5);
+    let run = stop();
+    let offline = offline_reference(&plan, 0..250, 41).unwrap();
+    assert_eq!(run.aggregator.reports_ingested(), 250);
+    assert_eq!(run.aggregator.counts(), offline.counts());
+    assert_eq!(run.aggregator.group_sizes(), offline.group_sizes());
+    let _ = std::fs::remove_file(&snap);
+    let _ = std::fs::remove_file(&first_life);
 }

@@ -17,7 +17,7 @@ use std::thread;
 use felip::config::FelipConfig;
 use felip::plan::CollectionPlan;
 use felip_common::{Attribute, Predicate, Query, Schema};
-use felip_server::loadgen::{offline_reference, user_report};
+use felip_server::loadgen::{batch_reports, offline_reference};
 use felip_server::wire::{encode_stat, read_frame, write_frame, Frame, FrameKind, StatMode};
 use felip_server::{Client, QueryMode, Server, ServerConfig};
 use serde_json::Value;
@@ -80,11 +80,11 @@ fn concurrent_cached_askers_share_one_refresh() {
     let shutdown = server.shutdown_handle();
     let server_thread = thread::spawn(move || server.run(None).expect("serve"));
 
+    // Batch 1 is users 0..300, batch 2 users 300..400.
+    let users: Vec<usize> = (0..400).collect();
+    let batch = |id| batch_reports(&plan, &users, 300, 5, id);
     let mut feeder = Client::connect(addr, plan_hash).expect("connect");
-    let reports: Vec<_> = (0..300)
-        .map(|u| user_report(&plan, u, 5).unwrap())
-        .collect();
-    feeder.send_batch_retrying(&reports).expect("send");
+    feeder.send_through(1, batch).expect("send");
 
     let preds = vec![Predicate::between(0, 8, 90), Predicate::between(1, 30, 200)];
     let query = Query::new(plan.schema(), preds.clone()).unwrap();
@@ -148,10 +148,7 @@ fn concurrent_cached_askers_share_one_refresh() {
 
     // A `Fresh` query after more ingest refreshes onto the new head and
     // fits the pair's response matrix again; `felip stat` shows the fit.
-    let more: Vec<_> = (300..400)
-        .map(|u| user_report(&plan, u, 5).unwrap())
-        .collect();
-    feeder.send_batch_retrying(&more).expect("send");
+    feeder.send_through(2, batch).expect("send");
     let ans = client.query(preds, QueryMode::Fresh).expect("answer");
     assert_eq!(ans.reports, 400);
     let doc = stat(addr);
