@@ -1,10 +1,21 @@
 //! Server-side aggregation: streaming ingestion of user reports, frequency
 //! estimation, and post-processing.
+//!
+//! Untrusted reports are checked once, against a per-grid table of
+//! [`ReportShape`]s the [`OracleSet`] builds with the plan: the group
+//! index names a grid, and the report has that grid's kind and a value
+//! below its bound. [`OracleSet::admit`] turns a batch that passes into an
+//! [`Admitted`] batch — a type nothing else can build — and
+//! [`Aggregator::ingest_admitted`] counts one without checking it again.
+//! The served ingest path admits on the connection's thread before the
+//! ack and counts on an ingest worker; [`Aggregator::ingest_batch`] does
+//! both in one call.
 
 use std::sync::Arc;
 
 use felip_common::{Error, Result};
 use felip_fo::afo::make_oracle;
+use felip_fo::report::ReportShape;
 use felip_fo::{FrequencyOracle, Report};
 use felip_grid::postprocess::post_process;
 use felip_grid::EstimatedGrid;
@@ -23,17 +34,50 @@ use crate::plan::CollectionPlan;
 /// allocation-free apart from the count vectors.
 pub struct OracleSet {
     oracles: Vec<Box<dyn FrequencyOracle>>,
+    /// `oracles[g].shape()`, tabulated once: the admission table.
+    shapes: Vec<ReportShape>,
 }
 
 impl OracleSet {
     /// Instantiates the oracle for every grid in `plan`, in grid order.
     pub fn build(plan: &CollectionPlan) -> Self {
-        let oracles = plan
+        let oracles: Vec<Box<dyn FrequencyOracle>> = plan
             .grids()
             .iter()
             .map(|g| make_oracle(g.fo, plan.config().epsilon, g.num_cells()))
             .collect();
-        OracleSet { oracles }
+        let shapes = oracles.iter().map(|o| o.shape()).collect();
+        OracleSet { oracles, shapes }
+    }
+
+    /// Checks one untrusted report: its group names a grid, and the report
+    /// has that grid's [`ReportShape`]. A mismatch yields
+    /// [`Error::ReportMismatch`] (or [`Error::InvalidReport`] for an
+    /// out-of-range group), never a panic.
+    #[inline]
+    pub fn check(&self, report: &UserReport) -> Result<()> {
+        match self.shapes.get(report.group) {
+            Some(shape) => shape.check(&report.report),
+            None => Err(Error::InvalidReport(format!(
+                "group {} out of range 0..{}",
+                report.group,
+                self.shapes.len()
+            ))),
+        }
+    }
+
+    /// Checks every report of a batch ([`OracleSet::check`]), stopping at
+    /// the first bad one.
+    pub fn check_batch(&self, reports: &[UserReport]) -> Result<()> {
+        reports.iter().try_for_each(|r| self.check(r))
+    }
+
+    /// The one admission check for untrusted reports: a batch whose every
+    /// report passes [`OracleSet::check`] becomes [`Admitted`]; otherwise
+    /// the first failure is returned and the batch is dropped.
+    pub fn admit(&self, reports: Vec<UserReport>) -> Result<Admitted> {
+        self.check_batch(&reports)?;
+        Ok(Admitted { reports })
     }
 
     /// The oracle serving group/grid `g`.
@@ -57,6 +101,32 @@ impl std::fmt::Debug for OracleSet {
         f.debug_struct("OracleSet")
             .field("oracles", &self.oracles.len())
             .finish()
+    }
+}
+
+/// A batch of user reports that passed [`OracleSet::admit`]. Only `admit`
+/// builds one, so [`Aggregator::ingest_admitted`] counts it without a
+/// second check. Count it into an aggregator sharing the oracle set that
+/// admitted it (every aggregator of one plan does).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Admitted {
+    reports: Vec<UserReport>,
+}
+
+impl Admitted {
+    /// The admitted reports, in arrival order.
+    pub fn reports(&self) -> &[UserReport] {
+        &self.reports
+    }
+
+    /// Number of reports in the batch.
+    pub fn len(&self) -> usize {
+        self.reports.len()
+    }
+
+    /// Whether the batch holds no reports.
+    pub fn is_empty(&self) -> bool {
+        self.reports.is_empty()
     }
 }
 
@@ -307,34 +377,47 @@ impl Aggregator {
     /// Folds a mixed-group batch of user reports into the support counts,
     /// bucketing by group and dispatching one batch-kernel call per grid.
     ///
-    /// Atomic on invalid input: every report's group index, and every
-    /// report against its group's oracle ([`FrequencyOracle::check_report`]:
-    /// protocol and value range), is validated before any state is
-    /// touched, so a failed call leaves the aggregator unchanged. Bucketing
-    /// copies each (fixed-size) report once into one buffer laid out group
-    /// by group ([`sort_by_group`]); when
-    /// reports are already grouped contiguously,
-    /// [`Aggregator::ingest_group_batch`] avoids even that.
+    /// Atomic on invalid input: every report is checked
+    /// ([`OracleSet::check`]: group index, protocol and value range) before
+    /// any state is touched, so a failed call leaves the aggregator
+    /// unchanged. The counting is [`Aggregator::ingest_admitted`]'s.
     pub fn ingest_batch(&mut self, reports: &[UserReport]) -> Result<()> {
-        let num_groups = self.plan.num_groups();
-        for r in reports {
-            if r.group >= num_groups {
-                return Err(Error::InvalidReport(format!(
-                    "group {} out of range 0..{num_groups}",
-                    r.group
-                )));
-            }
-            self.oracles.get(r.group).check_report(&r.report)?;
-        }
-        let groups: Vec<usize> = reports.iter().map(|r| r.group).collect();
-        let (sorted, offsets) =
-            sort_by_group(&groups, reports.iter().map(|r| r.report), num_groups);
-        for (g, run) in offsets.windows(2).enumerate() {
-            if run[0] < run[1] {
-                self.ingest_group_batch(g, &sorted[run[0]..run[1]])?;
-            }
-        }
+        self.oracles.check_batch(reports)?;
+        self.ingest_checked(reports);
         Ok(())
+    }
+
+    /// Folds an [`Admitted`] batch into the support counts. The batch was
+    /// checked when it was admitted, so this cannot fail: it buckets the
+    /// reports by group and runs each grid's unchecked kernel
+    /// ([`FrequencyOracle::count_batch`]) once.
+    pub fn ingest_admitted(&mut self, batch: &Admitted) {
+        self.ingest_checked(batch.reports());
+    }
+
+    /// Counts reports that passed [`OracleSet::check`]. Bucketing copies
+    /// each (fixed-size) report once into one buffer laid out group by
+    /// group ([`sort_by_group`]); when reports are already grouped
+    /// contiguously, [`Aggregator::ingest_group_batch`] avoids even that.
+    fn ingest_checked(&mut self, reports: &[UserReport]) {
+        let groups: Vec<usize> = reports.iter().map(|r| r.group).collect();
+        let (sorted, offsets) = sort_by_group(
+            &groups,
+            reports.iter().map(|r| r.report),
+            self.plan.num_groups(),
+        );
+        for (g, run) in offsets.windows(2).enumerate() {
+            let run = &sorted[run[0]..run[1]];
+            if run.is_empty() {
+                continue;
+            }
+            felip_obs::counter!("felip.ingest.batches", 1, "batches");
+            felip_obs::counter!("felip.ingest.reports", run.len(), "reports");
+            self.oracles.get(g).count_batch(run, &mut self.counts[g]);
+            // ARITH: a usize tally cannot reach 2^64 reports, like the
+            // u64 support counts beside it; merge paths use checked_add.
+            self.group_sizes[g] = self.group_sizes[g].wrapping_add(run.len());
+        }
     }
 
     /// Merges another aggregator built from the *same plan* (used to combine

@@ -2,11 +2,10 @@
 
 use rand::RngCore;
 
-use felip_common::{Error, Result};
+use felip_common::Result;
 use felip_fo::afo::make_oracle;
 use felip_fo::Report;
 
-use crate::aggregator::OracleSet;
 use crate::plan::CollectionPlan;
 
 /// One user's perturbed contribution: which group (grid) it belongs to and
@@ -17,26 +16,6 @@ pub struct UserReport {
     pub group: usize,
     /// The perturbed cell report.
     pub report: Report,
-}
-
-impl UserReport {
-    /// Checks that this report could have been produced by a client
-    /// following `plan`: the group index names an existing grid and the
-    /// report's kind/shape matches that grid's oracle.
-    ///
-    /// This is the server's admission check for untrusted wire input; a
-    /// mismatch yields [`Error::ReportMismatch`] (or
-    /// [`Error::InvalidReport`] for an out-of-range group), never a panic.
-    pub fn validate(&self, plan: &CollectionPlan, oracles: &OracleSet) -> Result<()> {
-        if self.group >= plan.num_groups() {
-            return Err(Error::InvalidReport(format!(
-                "group {} out of range 0..{}",
-                self.group,
-                plan.num_groups()
-            )));
-        }
-        oracles.get(self.group).check_report(&self.report)
-    }
 }
 
 /// Produces the user's ε-LDP report (§5, user side).
@@ -66,8 +45,10 @@ pub fn respond(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregator::OracleSet;
     use crate::config::FelipConfig;
     use felip_common::rng::seeded_rng;
+    use felip_common::Error;
     use felip_common::{Attribute, Schema};
     use felip_fo::FoKind;
 
@@ -108,12 +89,12 @@ mod tests {
                 }
                 _ => {}
             }
-            r.validate(&p, &oracles).unwrap();
+            oracles.check(&r).unwrap();
         }
     }
 
     #[test]
-    fn validate_rejects_mismatched_reports() {
+    fn check_rejects_mismatched_reports() {
         let p = plan();
         let oracles = OracleSet::build(&p);
         let mut rng = seeded_rng(1);
@@ -132,7 +113,7 @@ mod tests {
                 group,
                 report: foreign,
             };
-            let err = mismatched.validate(&p, &oracles).unwrap_err();
+            let err = oracles.check(&mismatched).unwrap_err();
             assert!(matches!(err, Error::ReportMismatch(_)), "{fo:?}: {err}");
         }
 
@@ -141,7 +122,7 @@ mod tests {
             group: p.num_groups(),
             report: honest.report,
         };
-        let err = foreign_group.validate(&p, &oracles).unwrap_err();
+        let err = oracles.check(&foreign_group).unwrap_err();
         assert!(matches!(err, Error::InvalidReport(_)), "{err}");
     }
 

@@ -2,9 +2,9 @@
 
 use rand::{Rng, RngCore};
 
-use felip_common::{Error, Result};
+use felip_common::Result;
 
-use crate::report::Report;
+use crate::report::{Report, ReportKind, ReportShape};
 use crate::traits::FrequencyOracle;
 use crate::variance::grr_variance;
 
@@ -91,29 +91,28 @@ impl FrequencyOracle for Grr {
         }
     }
 
-    fn check_report(&self, report: &Report) -> Result<()> {
-        match report {
-            Report::Grr(v) if *v < self.domain => Ok(()),
-            Report::Grr(v) => Err(Error::ReportMismatch(format!(
-                "GRR report {v} out of domain {}",
-                self.domain
-            ))),
-            other => Err(Error::ReportMismatch(format!(
-                "GRR aggregator received non-GRR report {:?}",
-                other.kind()
-            ))),
+    fn shape(&self) -> ReportShape {
+        ReportShape {
+            kind: ReportKind::Grr,
+            bound: self.domain,
         }
     }
 
     fn accumulate(&self, report: &Report, counts: &mut [u64]) -> Result<()> {
         self.check_report(report)?;
-        match report {
-            // ARITH: hot accumulate kernel; a u64 tally cannot reach 2^64
-            // reports in practice, and merge paths re-check with checked_add.
-            Report::Grr(v) => counts[*v as usize] = counts[*v as usize].wrapping_add(1),
-            _ => unreachable!("check_report admits only GRR reports"),
-        }
+        self.count_batch(std::slice::from_ref(report), counts);
         Ok(())
+    }
+
+    fn count_batch(&self, reports: &[Report], counts: &mut [u64]) {
+        for report in reports {
+            let Report::Grr(v) = *report else {
+                unreachable!("reports are checked before counting");
+            };
+            // ARITH: hot count kernel; a u64 tally cannot reach 2^64
+            // reports in practice, and merge paths re-check with checked_add.
+            counts[v as usize] = counts[v as usize].wrapping_add(1);
+        }
     }
 
     fn estimate_from_counts(&self, counts: &[u64], n: usize) -> Vec<f64> {

@@ -4,9 +4,9 @@ use rand::{Rng, RngCore};
 use rayon::prelude::*;
 
 use felip_common::hash::{bucket_bounds, mix64, universal_hash, value_key};
-use felip_common::{Error, Result};
+use felip_common::Result;
 
-use crate::report::Report;
+use crate::report::{Report, ReportKind, ReportShape};
 use crate::traits::FrequencyOracle;
 use crate::variance::olh_variance;
 
@@ -64,7 +64,7 @@ pub fn kernel_dispatch_path() -> &'static str {
 /// `block[i] += |{ j : H_{seed_j}(base + i) = x_j }|`.
 ///
 /// `reports` must all be OLH reports with values below the hash range
-/// (the caller validates them first); `bounds` holds [`shifted_bounds`]
+/// (the caller checks them first); `bounds` holds [`shifted_bounds`]
 /// for the first [`BOUNDS_TABLE_MAX`] buckets of the hash range `g`.
 ///
 /// Reports go through in tiles of [`TILE_REPORTS`], each unpacked once
@@ -87,7 +87,7 @@ fn support_count_reports(
     for chunk in reports.chunks(TILE_REPORTS) {
         for (j, report) in chunk.iter().enumerate() {
             let Report::Olh { seed, value } = *report else {
-                unreachable!("reports are validated before counting");
+                unreachable!("reports are checked before counting");
             };
             let (lo, width) = bounds
                 .get(value as usize)
@@ -274,17 +274,10 @@ impl FrequencyOracle for Olh {
         Report::Olh { seed, value: out }
     }
 
-    fn check_report(&self, report: &Report) -> Result<()> {
-        match report {
-            Report::Olh { value, .. } if *value < self.g => Ok(()),
-            Report::Olh { value, .. } => Err(Error::ReportMismatch(format!(
-                "OLH report value {value} out of hash range {}",
-                self.g
-            ))),
-            other => Err(Error::ReportMismatch(format!(
-                "OLH aggregator received non-OLH report {:?}",
-                other.kind()
-            ))),
+    fn shape(&self) -> ReportShape {
+        ReportShape {
+            kind: ReportKind::Olh,
+            bound: self.g,
         }
     }
 
@@ -306,7 +299,7 @@ impl FrequencyOracle for Olh {
         Ok(())
     }
 
-    fn accumulate_batch(&self, reports: &[Report], counts: &mut [u64]) -> Result<()> {
+    fn count_batch(&self, reports: &[Report], counts: &mut [u64]) {
         // One counter bump per *batch* (not per report), so the hot loop
         // below stays untouched.
         match kernel_dispatch_path() {
@@ -315,11 +308,6 @@ impl FrequencyOracle for Olh {
             _ => felip_obs::counter!("fo.olh.batch.scalar", 1, "batches"),
         }
         felip_obs::counter!("fo.olh.batch.reports", reports.len(), "reports");
-        // Every report is checked before any count is touched, so a bad
-        // report fails the whole batch and leaves `counts` unchanged.
-        for r in reports {
-            self.check_report(r)?;
-        }
         let g = self.g;
         let bounds: Vec<(u64, u64)> = (0..g.min(BOUNDS_TABLE_MAX))
             .map(|b| shifted_bounds(b, g))
@@ -336,7 +324,6 @@ impl FrequencyOracle for Olh {
             .for_each(|(b, block)| {
                 support_count_reports(reports, &bounds, g, (b * BLOCK_VALUES) as u32, block);
             });
-        Ok(())
     }
 
     fn estimate_from_counts(&self, counts: &[u64], n: usize) -> Vec<f64> {
@@ -366,6 +353,7 @@ impl FrequencyOracle for Olh {
 mod tests {
     use super::*;
     use felip_common::rng::seeded_rng;
+    use felip_common::Error;
 
     #[test]
     fn optimal_hash_range() {

@@ -4,7 +4,7 @@ use rand::RngCore;
 
 use felip_common::Result;
 
-use crate::report::Report;
+use crate::report::{Report, ReportShape};
 
 /// A local-DP frequency oracle: client-side randomiser `Ψ` plus server-side
 /// estimator `Φ` (§2.2).
@@ -34,14 +34,22 @@ pub trait FrequencyOracle: Send + Sync {
     /// input.
     fn perturb(&self, value: u32, rng: &mut dyn RngCore) -> Report;
 
+    /// The kind and value bound of every report this oracle's randomiser
+    /// produces (GRR: values below the domain; OLH: values below the hash
+    /// range) — the whole admission rule, as data an aggregator can
+    /// tabulate once per grid.
+    fn shape(&self) -> ReportShape;
+
     /// Validates that `report` could have been produced by this oracle's
-    /// randomiser: right protocol, right payload shape (GRR value within the
-    /// domain, OLH value within the hash range).
+    /// randomiser: right protocol, right payload shape
+    /// ([`FrequencyOracle::shape`]).
     ///
     /// Returns [`felip_common::Error::ReportMismatch`] otherwise. The
     /// accumulation entry points call this before touching any state, so a
     /// rejected report leaves counts unchanged.
-    fn check_report(&self, report: &Report) -> Result<()>;
+    fn check_report(&self, report: &Report) -> Result<()> {
+        self.shape().check(report)
+    }
 
     /// Server side: unbiased frequency estimates (fractions of the reporting
     /// population, one per domain value) from the collected reports.
@@ -75,26 +83,35 @@ pub trait FrequencyOracle: Send + Sync {
     fn accumulate(&self, report: &Report, counts: &mut [u64]) -> Result<()>;
 
     /// Batched server side: folds a slice of reports into the support-count
-    /// vector in one call.
+    /// vector in one call — [`FrequencyOracle::check_report`] on every
+    /// report, then [`FrequencyOracle::count_batch`].
     ///
-    /// Semantically identical to calling [`FrequencyOracle::accumulate`] per
-    /// report — implementations that override this (OLH's cache-blocked
-    /// kernel) must stay bit-for-bit equivalent to that scalar path, since
-    /// all counts are exact `u64` tallies. The batched entry point exists so
-    /// protocols whose per-report cost is `O(domain)` can amortise work
-    /// across reports instead of re-walking the count vector per report.
-    ///
-    /// Every report is validated *before* any is accumulated, so a failed
-    /// call leaves `counts` unchanged.
+    /// Every report is validated *before* any is counted, so a failed call
+    /// leaves `counts` unchanged.
     fn accumulate_batch(&self, reports: &[Report], counts: &mut [u64]) -> Result<()> {
         for report in reports {
             self.check_report(report)?;
         }
-        for report in reports {
-            self.accumulate(report, counts)?;
-        }
+        self.count_batch(reports, counts);
         Ok(())
     }
+
+    /// The unchecked batch kernel: folds `reports`, every one of which has
+    /// already passed [`FrequencyOracle::check_report`] (or the caller's
+    /// tabulated [`FrequencyOracle::shape`]), into the support-count vector.
+    ///
+    /// Semantically identical to calling [`FrequencyOracle::accumulate`] per
+    /// report — OLH's cache-blocked kernel must stay bit-for-bit equivalent
+    /// to that scalar path, since all counts are exact `u64` tallies. The
+    /// batched entry point exists so protocols whose per-report cost is
+    /// `O(domain)` can amortise work across reports instead of re-walking
+    /// the count vector per report.
+    ///
+    /// # Panics
+    /// May panic on a report of the wrong kind or out of range: admitting
+    /// only checked reports is the caller's obligation, so such a report
+    /// is a bug in the caller, not untrusted input.
+    fn count_batch(&self, reports: &[Report], counts: &mut [u64]);
 
     /// Streaming server side: turns accumulated support counts for `n`
     /// ingested reports into unbiased frequency estimates.

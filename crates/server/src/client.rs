@@ -146,6 +146,8 @@ pub(crate) struct ClientCore {
     target: u64,
     /// Connects and sends since the cursor last moved forward.
     attempts: u32,
+    /// Why the last attempt failed: [`WireError::BudgetExhausted`] names it.
+    last_failure: String,
 }
 
 impl ClientCore {
@@ -159,6 +161,7 @@ impl ClientCore {
             cursor: 0,
             target: 0,
             attempts: 0,
+            last_failure: String::new(),
         }
     }
 
@@ -218,8 +221,9 @@ impl ClientCore {
             // Nothing is awaited: a late or duplicated reply.
             return Step::Await;
         }
-        let Ok(frame) = reply else {
-            return self.lost();
+        let frame = match reply {
+            Ok(frame) => frame,
+            Err(e) => return self.lost(&e),
         };
         match frame.kind {
             FrameKind::Ack => match decode_ack(&frame.payload) {
@@ -231,9 +235,12 @@ impl ClientCore {
                 // reply): keep waiting for ours.
                 Ok((id, _)) if id <= self.cursor => Step::Await,
                 Ok(_) => self.acked(self.cursor + 1, source),
-                Err(_) => self.lost(),
+                Err(e) => self.lost(&e),
             },
-            FrameKind::Retry if self.phase == Phase::Batch => self.back_off(Phase::Idle),
+            FrameKind::Retry if self.phase == Phase::Batch => {
+                self.last_failure = "server queue full (RETRY)".into();
+                self.back_off(Phase::Idle)
+            }
             FrameKind::Error if frame.plan_hash != self.plan_hash => {
                 self.phase = Phase::Disconnected;
                 Step::Failed(WireError::Rejected(
@@ -241,15 +248,20 @@ impl ClientCore {
                 ))
             }
             // An `Error` from a server on our plan (it dropped a garbled
-            // or stalled frame and closed), or a reply that makes no sense
-            // here: the connection is unusable.
-            _ => self.lost(),
+            // or stalled frame and closed): the connection is unusable.
+            FrameKind::Error => self.lost(&WireError::Rejected(
+                String::from_utf8_lossy(&frame.payload).into_owned(),
+            )),
+            // A reply that makes no sense here: likewise.
+            other => self.lost(&WireError::Malformed(format!("unexpected {other:?} reply"))),
         }
     }
 
-    /// The connection is gone, or its reply deadline expired: reconnect
-    /// under the same id after backing off, unless the budget is spent.
-    pub(crate) fn lost(&mut self) -> Step {
+    /// The connection is gone, or its reply deadline expired (`cause`
+    /// says which): reconnect under the same id after backing off, unless
+    /// the budget is spent.
+    pub(crate) fn lost(&mut self, cause: &WireError) -> Step {
+        self.last_failure = cause.to_string();
         self.back_off(Phase::Disconnected)
     }
 
@@ -266,6 +278,7 @@ impl ClientCore {
         if self.attempts >= self.policy.max_attempts {
             return Step::Failed(WireError::BudgetExhausted {
                 attempts: self.attempts,
+                last: std::mem::take(&mut self.last_failure),
             });
         }
         let delay = self.policy.backoff(self.attempts);
@@ -522,10 +535,33 @@ mod tests {
             .recv_timeout(Duration::from_secs(60))
             .expect("connect_with still blocked on a silent server after 60 s");
         assert!(
-            matches!(outcome, Err(WireError::BudgetExhausted { attempts: 2 })),
+            matches!(outcome, Err(WireError::BudgetExhausted { attempts: 2, .. })),
             "{outcome:?}"
         );
         drop(listener);
+    }
+
+    #[test]
+    fn a_spent_budget_names_the_refused_connection() {
+        // Bind, learn the port, and close it again: connecting is refused.
+        let addr = TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        let policy = RetryPolicy {
+            max_attempts: 2,
+            ..RetryPolicy::default()
+        };
+        let err = match Client::connect_with(addr, PLAN, 1, policy) {
+            Ok(_) => panic!("connected to a closed port"),
+            Err(e) => e,
+        };
+        assert!(
+            matches!(err, WireError::BudgetExhausted { attempts: 2, .. }),
+            "{err:?}"
+        );
+        let text = err.to_string().to_lowercase();
+        assert!(text.contains("connection refused"), "{text}");
     }
 
     #[test]

@@ -37,6 +37,9 @@ pub enum FaultKind {
     Reset,
     /// Delivery stalls long enough to trip the receiver's deadline.
     Stall,
+    /// A snapshot write is torn (short write / ENOSPC) or bit-rotted
+    /// before it reaches "disk" — drawn once per write, not per frame.
+    TornSnapshot,
 }
 
 /// Per-fault-kind probabilities in parts per million, applied independently
@@ -110,13 +113,14 @@ pub struct FaultSchedule {
     config: FaultConfig,
     /// Faults injected so far, for reporting.
     pub injected: u64,
-    /// Draw indices whose frame fault is *suppressed* (delivered normally
-    /// instead). The draw stream is unshifted — every other decision stays
-    /// put — which is what lets [`crate::simharness::minimize_failing_seed`]
-    /// remove faults one at a time from a failing run.
+    /// Draw indices whose fault is *suppressed* (the frame is delivered
+    /// normally, the snapshot written intact). The draw stream is
+    /// unshifted — every other decision stays put — which is what lets
+    /// [`crate::simharness::minimize_failing_seed`] remove faults one at a
+    /// time from a failing run.
     suppressed: HashSet<u64>,
-    /// `(draw index, kind)` of every frame fault that actually fired, in
-    /// firing order — the raw material of the schedule token.
+    /// `(draw index, kind)` of every fault that actually fired, in firing
+    /// order — the raw material of the schedule token.
     fired: Vec<(u64, FaultKind)>,
 }
 
@@ -126,8 +130,9 @@ impl FaultSchedule {
         FaultSchedule::with_suppressed(seed, config, HashSet::new())
     }
 
-    /// A schedule that replays `seed` but delivers the frame sends at the
-    /// given draw indices normally even when the seed says to fault them.
+    /// A schedule that replays `seed` but lets the frame sends and snapshot
+    /// writes at the given draw indices through intact even when the seed
+    /// says to fault them.
     pub fn with_suppressed(seed: u64, config: FaultConfig, suppressed: HashSet<u64>) -> Self {
         FaultSchedule {
             seed,
@@ -139,7 +144,7 @@ impl FaultSchedule {
         }
     }
 
-    /// The frame faults that fired this run, as `(draw index, kind)`.
+    /// The faults that fired this run, as `(draw index, kind)`.
     pub fn fired(&self) -> &[(u64, FaultKind)] {
         &self.fired
     }
@@ -234,14 +239,18 @@ impl FaultSchedule {
         None
     }
 
-    /// Whether this snapshot write is torn (drawn once per write).
+    /// Whether this snapshot write is torn (drawn once per write). A torn
+    /// write is a fired [`FaultKind::TornSnapshot`], suppressible like a
+    /// frame fault.
     pub fn snapshot_write_corrupts(&mut self) -> bool {
+        let idx = self.draws;
         let x = self.draw() % 1_000_000;
-        let hit = x < self.config.snapshot_corrupt_ppm as u64;
-        if hit {
-            self.injected += 1;
+        if x >= self.config.snapshot_corrupt_ppm as u64 || self.suppressed.contains(&idx) {
+            return false;
         }
-        hit
+        self.injected += 1;
+        self.fired.push((idx, FaultKind::TornSnapshot));
+        true
     }
 
     /// Mangles snapshot bytes the way a torn write would: either truncate
@@ -337,6 +346,28 @@ mod tests {
         // The counter advanced: enabling faults later starts from the same
         // stream position as a run that had them all along.
         assert_eq!(s.draws, 1_000);
+    }
+
+    #[test]
+    fn torn_snapshot_writes_fire_and_can_be_suppressed() {
+        let mut s = FaultSchedule::new(5, FaultConfig::ALL);
+        let torn: Vec<u64> = (0..64)
+            .filter_map(|_| {
+                let idx = s.draws;
+                s.snapshot_write_corrupts().then_some(idx)
+            })
+            .collect();
+        assert!(!torn.is_empty(), "20% per write must tear one of 64");
+        let fired: Vec<u64> = s.fired().iter().map(|&(i, _)| i).collect();
+        assert_eq!(fired, torn);
+        assert!(s.fired().iter().all(|&(_, k)| k == FaultKind::TornSnapshot));
+        assert_eq!(s.injected, torn.len() as u64);
+
+        let mut calm =
+            FaultSchedule::with_suppressed(5, FaultConfig::ALL, torn.into_iter().collect());
+        assert!((0..64).all(|_| !calm.snapshot_write_corrupts()));
+        assert!(calm.fired().is_empty());
+        assert_eq!(calm.injected, 0);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use felip_sync::atomic::{AtomicU64, Ordering};
 use felip_sync::model::{self, Config};
 use felip_sync::{thread, Arc, Mutex};
 
-use felip::aggregator::{Aggregator, OracleSet};
+use felip::aggregator::{Admitted, Aggregator, OracleSet};
 use felip::client::UserReport;
 use felip::config::FelipConfig;
 use felip::plan::CollectionPlan;
@@ -65,11 +65,11 @@ fn batch_frame(plan_hash: u64, batch_id: u64, reports: &[UserReport]) -> Frame {
 
 /// Pops exactly one batch (waiting as long as it takes), ingests it into
 /// `shard`, and acknowledges it — a one-shot ingest worker.
-fn drain_one(q: &BoundedQueue<Vec<UserReport>>, shard: &Mutex<Aggregator>) {
+fn drain_one(q: &BoundedQueue<Admitted>, shard: &Mutex<Aggregator>) {
     loop {
         match q.pop_timeout(Duration::from_millis(1)) {
             PopResult::Item(batch) => {
-                shard.lock().ingest_batch(&batch).expect("admitted batch");
+                shard.lock().ingest_admitted(&batch);
                 q.task_done();
                 return;
             }
@@ -133,7 +133,7 @@ fn model_racing_sessions_accept_exactly_once() {
             Arc::clone(&oracles),
             vec![],
         ));
-        let q = Arc::new(BoundedQueue::<Vec<UserReport>>::new(4));
+        let q = Arc::new(BoundedQueue::<Admitted>::new(4));
         let stats = Arc::new(AtomicStats::default());
         let spawn_conn = |_| {
             let (ctx, q, stats) = (Arc::clone(&ctx), Arc::clone(&q), Arc::clone(&stats));
@@ -177,7 +177,7 @@ fn model_consistent_cut_counts_match_cursors() {
             Arc::clone(&oracles),
             vec![],
         ));
-        let q = Arc::new(BoundedQueue::<Vec<UserReport>>::new(4));
+        let q = Arc::new(BoundedQueue::<Admitted>::new(4));
         let stats = Arc::new(AtomicStats::default());
         let base = Mutex::new(Aggregator::with_oracles(
             Arc::clone(&plan),
@@ -299,7 +299,7 @@ fn model_blocking_cut_never_captures_cursors_ahead_of_counts() {
             Arc::clone(&oracles),
             vec![],
         ));
-        let q = Arc::new(BoundedQueue::<Vec<UserReport>>::new(4));
+        let q = Arc::new(BoundedQueue::<Admitted>::new(4));
         let stats = Arc::new(AtomicStats::default());
         let base = Mutex::new(Aggregator::with_oracles(
             Arc::clone(&plan),
@@ -345,17 +345,18 @@ fn model_blocking_cut_never_captures_cursors_ahead_of_counts() {
 /// a double count.
 fn buggy_accept(
     ctx: &SessionCtx,
-    q: &BoundedQueue<Vec<UserReport>>,
+    q: &BoundedQueue<Admitted>,
     client_id: u64,
     batch_id: u64,
     reports: Vec<UserReport>,
 ) -> bool {
+    let batch = ctx.oracles.admit(reports).expect("valid reports");
     // Bug: the lock is dropped between the duplicate check and the push.
     let last = ctx.dedup.lock().get(&client_id).copied().unwrap_or(0);
     if batch_id <= last {
         return false;
     }
-    if q.try_push(reports).is_err() {
+    if q.try_push(batch).is_err() {
         return false;
     }
     ctx.dedup.lock().insert(client_id, batch_id);
@@ -377,7 +378,7 @@ fn model_mutation_pre_review_ordering_is_caught() {
             Arc::clone(&oracles),
             vec![],
         ));
-        let q = Arc::new(BoundedQueue::<Vec<UserReport>>::new(4));
+        let q = Arc::new(BoundedQueue::<Admitted>::new(4));
         let race = |_| {
             let (ctx, q) = (Arc::clone(&ctx), Arc::clone(&q));
             let reports = reports.clone();
@@ -425,7 +426,7 @@ fn model_mutation_needs_preemptions() {
             Arc::clone(&oracles),
             vec![],
         ));
-        let q = Arc::new(BoundedQueue::<Vec<UserReport>>::new(4));
+        let q = Arc::new(BoundedQueue::<Admitted>::new(4));
         let race = |_| {
             let (ctx, q) = (Arc::clone(&ctx), Arc::clone(&q));
             let reports = reports.clone();
@@ -504,7 +505,7 @@ fn model_query_epoch_and_counts_never_tear() {
             Arc::clone(&oracles),
             vec![],
         ));
-        let q = Arc::new(BoundedQueue::<Vec<UserReport>>::new(4));
+        let q = Arc::new(BoundedQueue::<Admitted>::new(4));
         let stats = Arc::new(AtomicStats::default());
         let base = Arc::new(Mutex::new(Aggregator::with_oracles(
             Arc::clone(&plan),

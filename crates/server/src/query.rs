@@ -27,8 +27,7 @@ use std::time::Instant;
 
 use felip_sync::{Arc, Mutex};
 
-use felip::aggregator::{Aggregator, OracleSet};
-use felip::client::UserReport;
+use felip::aggregator::{Admitted, Aggregator, OracleSet};
 use felip::plan::CollectionPlan;
 use felip::query::QueryEngine;
 use felip_common::Query;
@@ -68,7 +67,7 @@ pub(crate) struct ServeCut {
     pub stats: Arc<AtomicStats>,
     pub base: Arc<Mutex<Aggregator>>,
     pub shards: Arc<Vec<Mutex<Aggregator>>>,
-    pub queues: Vec<Arc<BoundedQueue<Vec<UserReport>>>>,
+    pub queues: Vec<Arc<BoundedQueue<Admitted>>>,
     /// Reports already inside the resume base at startup; accepted-report
     /// counters start at zero.
     pub base_reports: u64,

@@ -3,11 +3,13 @@
 //! snapshots.
 //!
 //! Data path (DESIGN.md §12.2): the serve loop decodes frames and the
-//! session *validates* them, then `try_push`es whole batches onto the
-//! worker queue the connection was pinned to at accept time. A full queue
+//! session admits them (the one report check, [`OracleSet::admit`]), then
+//! `try_push`es whole [`Admitted`] batches onto the worker queue the
+//! connection was pinned to at accept time. A full queue
 //! answers RETRY — the client backs off and resends, so a slow worker
 //! never grows memory beyond `workers × queue_capacity` batches. Each
-//! worker folds batches into its private shard [`Aggregator`]; exact `u64`
+//! worker counts batches into its private shard [`Aggregator`] without
+//! checking them again; exact `u64`
 //! counts make the final merge independent of how batches interleaved,
 //! which is why a served run reproduces an offline collection bit for bit.
 
@@ -20,8 +22,7 @@ use std::time::Duration;
 use felip_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use felip_sync::{thread, Arc, Mutex};
 
-use felip::aggregator::{Aggregator, OracleSet};
-use felip::client::UserReport;
+use felip::aggregator::{Admitted, Aggregator, OracleSet};
 use felip::plan::CollectionPlan;
 
 use crate::query::{QueryService, ServeCut};
@@ -366,7 +367,7 @@ impl Server {
         let base_reports = base.reports_ingested() as u64;
         let base = Arc::new(Mutex::new(base));
 
-        let queues: Vec<Arc<BoundedQueue<Vec<UserReport>>>> = (0..workers)
+        let queues: Vec<Arc<BoundedQueue<Admitted>>> = (0..workers)
             .map(|_| Arc::new(BoundedQueue::new(self.config.queue_capacity.max(1))))
             .collect();
         let shards: Arc<Vec<Mutex<Aggregator>>> = Arc::new(
@@ -418,17 +419,9 @@ impl Server {
                         match queue.pop_timeout(Duration::from_millis(50)) {
                             PopResult::Item(batch) => {
                                 queue_depth_gauge(w, queue.len());
-                                {
-                                    let mut agg = shard.lock();
-                                    // Batches were validated at the connection
-                                    // edge, so ingest failures are server bugs;
-                                    // count and drop rather than crash the
-                                    // worker.
-                                    if let Err(e) = agg.ingest_batch(&batch) {
-                                        felip_obs::counter!("server.ingest.errors", 1, "batches");
-                                        felip_obs::diag::error(&format!("worker {w}: {e}"));
-                                    }
-                                }
+                                // Admitted at the connection edge: counting
+                                // cannot fail.
+                                shard.lock().ingest_admitted(&batch);
                                 // Only after the batch is in the shard: the
                                 // snapshot cut waits on this mark.
                                 queue.task_done();
@@ -630,7 +623,7 @@ pub(crate) fn consistent_cut(
     oracles: &Arc<OracleSet>,
     base: &Mutex<Aggregator>,
     shards: &[Mutex<Aggregator>],
-    queues: &[Arc<BoundedQueue<Vec<UserReport>>>],
+    queues: &[Arc<BoundedQueue<Admitted>>],
 ) -> Result<(Aggregator, Vec<(u64, u64)>), felip_common::Error> {
     let dedup = ctx.dedup.lock();
     // No session can push while we hold the dedup lock, so each queue only
@@ -668,7 +661,7 @@ fn merge_state(
 /// the worker queue it was pinned to round-robin at accept time.
 struct IngestHandler<'a> {
     ctx: &'a SessionCtx,
-    queues: &'a [Arc<BoundedQueue<Vec<UserReport>>>],
+    queues: &'a [Arc<BoundedQueue<Admitted>>],
     stats: &'a AtomicStats,
 }
 
@@ -857,7 +850,7 @@ mod tests {
                 match queue.pop_timeout(Duration::from_millis(5)) {
                     PopResult::Item(batch) => {
                         thread::sleep(Duration::from_millis(10));
-                        shards[0].lock().ingest_batch(&batch).unwrap();
+                        shards[0].lock().ingest_admitted(&batch);
                         queue.task_done();
                     }
                     PopResult::Empty => continue,

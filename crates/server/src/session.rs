@@ -23,13 +23,22 @@
 //!
 //! The `Hello` ack echoes `last`, so a reconnecting client learns which of
 //! its batches already made it and never re-sends them.
+//!
+//! ## One admission check
+//!
+//! A decoded `ReportBatch` is checked here, once, before the dedup cursor
+//! moves and before the ack: [`OracleSet::admit`] tests each report's
+//! group, kind and value bound against the plan's per-grid shape table.
+//! What passes is an [`Admitted`] batch — the only type the shard queues
+//! carry — and the ingest worker counts it without checking it again. A
+//! batch that fails is rejected as [`WireError::Malformed`] and reaches
+//! neither the cursor nor a queue.
 
 use std::collections::HashMap;
 
 use felip_sync::{Arc, Mutex};
 
-use felip::aggregator::OracleSet;
-use felip::client::UserReport;
+use felip::aggregator::{Admitted, OracleSet};
 use felip::plan::CollectionPlan;
 
 use crate::queue::{BoundedQueue, PushError};
@@ -39,12 +48,12 @@ use crate::wire::{
     QueryRequest, WireError,
 };
 
-/// Server-wide state shared by every session: the plan, the oracles used
-/// for admission validation, and the per-client dedup table.
+/// Server-wide state shared by every session: the plan, the oracle set
+/// whose shape table admits reports, and the per-client dedup table.
 pub(crate) struct SessionCtx {
     /// The collection plan this server aggregates for.
     pub plan: Arc<CollectionPlan>,
-    /// Oracle set used to validate incoming reports.
+    /// Oracle set whose admission table checks incoming reports.
     pub oracles: Arc<OracleSet>,
     /// `plan.schema_hash()`, checked against every frame.
     pub plan_hash: u64,
@@ -217,7 +226,7 @@ impl Session {
         &mut self,
         frame: Frame,
         ctx: &SessionCtx,
-        queue: &BoundedQueue<Vec<UserReport>>,
+        queue: &BoundedQueue<Admitted>,
         stats: &AtomicStats,
     ) -> FrameOutcome {
         let view = frame.view();
@@ -230,7 +239,7 @@ impl Session {
         &mut self,
         frame: FrameView<'_>,
         ctx: &SessionCtx,
-        queue: &BoundedQueue<Vec<UserReport>>,
+        queue: &BoundedQueue<Admitted>,
         stats: &AtomicStats,
     ) -> FrameOutcome {
         let reject = |e: WireError| FrameOutcome::reject(ctx.plan_hash, e, stats);
@@ -262,15 +271,14 @@ impl Session {
                 if batch_id == 0 {
                     return reject(WireError::Malformed("batch id zero is reserved".into()));
                 }
-                // Admission check: every report must match its group's
-                // oracle, *before* dedup or queueing, so a malformed batch
-                // can neither advance the dedup cursor nor reach a worker.
-                if let Some(err) = reports
-                    .iter()
-                    .find_map(|r| r.validate(&ctx.plan, &ctx.oracles).err())
-                {
-                    return reject(WireError::Malformed(err.to_string()));
-                }
+                // The one admission check: every report against its
+                // group's shape, *before* dedup or queueing, so a malformed
+                // batch can neither advance the dedup cursor nor reach a
+                // worker, and the worker counts the batch unchecked.
+                let reports = match ctx.oracles.admit(reports) {
+                    Ok(admitted) => admitted,
+                    Err(e) => return reject(WireError::Malformed(e.to_string())),
+                };
                 let count = reports.len() as u32;
                 // The dedup lock is held across the cursor check, the queue
                 // push, and the cursor advance: a snapshot (which freezes
@@ -341,5 +349,241 @@ impl Session {
             },
             other => reject(WireError::Malformed(format!("client sent {other:?} frame"))),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeMap;
+
+    use felip::aggregator::Aggregator;
+    use felip::client::UserReport;
+    use felip::config::FelipConfig;
+    use felip_common::{Attribute, Schema};
+    use felip_fo::report::{ReportKind, ReportShape};
+    use felip_fo::Report;
+
+    use super::*;
+    use crate::queue::PopResult;
+    use crate::wire::{encode_batch, encode_hello, Frame, FrameKind};
+
+    const CLIENT: u64 = 7;
+
+    /// A plan whose grids use both oracles, its admission shapes, and a
+    /// batch of one report per group at value = bound − 1 — the largest
+    /// value each group admits.
+    fn edge_batch() -> (Arc<CollectionPlan>, Vec<ReportShape>, Vec<UserReport>) {
+        let schema = Schema::new(vec![
+            Attribute::numerical("a", 64),
+            Attribute::numerical("b", 64),
+        ])
+        .unwrap();
+        let plan =
+            Arc::new(CollectionPlan::build(&schema, 10_000, &FelipConfig::new(1.0), 3).unwrap());
+        let oracles = OracleSet::build(&plan);
+        let shapes: Vec<ReportShape> = (0..oracles.len()).map(|g| oracles.get(g).shape()).collect();
+        for kind in [ReportKind::Grr, ReportKind::Olh] {
+            assert!(shapes.iter().any(|s| s.kind == kind), "plan lacks {kind}");
+        }
+        let reports = shapes
+            .iter()
+            .enumerate()
+            .map(|(group, s)| UserReport {
+                group,
+                report: report_of(s.kind, s.bound - 1),
+            })
+            .collect();
+        (plan, shapes, reports)
+    }
+
+    fn report_of(kind: ReportKind, value: u32) -> Report {
+        match kind {
+            ReportKind::Grr => Report::Grr(value),
+            ReportKind::Olh => Report::Olh {
+                seed: 0x5eed ^ value as u64,
+                value,
+            },
+        }
+    }
+
+    fn batch_frame(plan_hash: u64, payload: Vec<u8>) -> Frame {
+        Frame {
+            kind: FrameKind::ReportBatch,
+            plan_hash,
+            payload,
+        }
+    }
+
+    /// A fresh connection for `CLIENT`, past its `Hello`.
+    fn connect(ctx: &SessionCtx, queue: &BoundedQueue<Admitted>, stats: &AtomicStats) -> Session {
+        let mut session = Session::for_worker(0);
+        let hello = Frame {
+            kind: FrameKind::Hello,
+            plan_hash: ctx.plan_hash,
+            payload: encode_hello(CLIENT),
+        };
+        assert!(session.on_frame(hello, ctx, queue, stats).close.is_none());
+        session
+    }
+
+    /// Byte offset of each report's group field in a `ReportBatch` payload.
+    fn report_offsets(reports: &[UserReport]) -> Vec<usize> {
+        let mut at = 12; // batch_id:u64, count:u32
+        reports
+            .iter()
+            .map(|r| {
+                let here = at;
+                at += match r.report {
+                    Report::Grr(_) => 9,
+                    Report::Olh { .. } => 17,
+                };
+                here
+            })
+            .collect()
+    }
+
+    /// Structure-aware hostile `ReportBatch` payloads through the one
+    /// admission path: each is rejected, closes the connection, and leaves
+    /// the dedup cursor and the queue as they were; the untouched batch is
+    /// admitted and counted exactly once. `--nocapture` prints the error
+    /// path each case reached.
+    #[test]
+    fn hostile_report_batches_are_rejected_at_admission() {
+        let (plan, shapes, edge) = edge_batch();
+        let oracles = Arc::new(OracleSet::build(&plan));
+        let ctx = SessionCtx::new(Arc::clone(&plan), Arc::clone(&oracles), Vec::new());
+        let queue = BoundedQueue::<Admitted>::new(8);
+        let stats = AtomicStats::default();
+        let num_groups = plan.num_groups() as u32;
+
+        // Batch 1 is the edge batch: admitted, cursor 1, one queued batch.
+        let mut session = connect(&ctx, &queue, &stats);
+        let out = session.on_frame(
+            batch_frame(ctx.plan_hash, encode_batch(1, &edge).unwrap()),
+            &ctx,
+            &queue,
+            &stats,
+        );
+        assert!(out.close.is_none() && out.accepted.is_some(), "edge batch");
+        assert_eq!(queue.len(), 1);
+
+        // Every hostile case claims batch 2, the next expected id.
+        let valid = encode_batch(2, &edge).unwrap();
+        let offsets = report_offsets(&edge);
+        // (case, payload, whether only `Malformed` may reject it). A
+        // payload cut short, or one whose count or tag byte makes the
+        // reader run past its end, may also stop at the reader's bound
+        // check (`Truncated`); everything the decoder parses whole must
+        // reach a `Malformed` verdict.
+        let mut cases: Vec<(String, Vec<u8>, bool)> = Vec::new();
+        for cut in 0..valid.len() {
+            cases.push((
+                format!("truncated to {cut} B"),
+                valid[..cut].to_vec(),
+                false,
+            ));
+        }
+        let count = edge.len() as u32;
+        for (name, n) in [
+            ("count + 1", count + 1),
+            ("count - 1", count - 1),
+            ("count u32::MAX", u32::MAX),
+        ] {
+            let mut p = valid.clone();
+            p[8..12].copy_from_slice(&n.to_le_bytes());
+            cases.push((name.into(), p, n != count + 1));
+        }
+        for (i, &at) in offsets.iter().enumerate() {
+            for group in [num_groups, u32::MAX] {
+                let mut p = valid.clone();
+                p[at..at + 4].copy_from_slice(&group.to_le_bytes());
+                cases.push((format!("report {i}: group {group}"), p, true));
+            }
+            for tag in [1 - valid[at + 4], 2] {
+                let mut p = valid.clone();
+                p[at + 4] = tag;
+                cases.push((format!("report {i}: tag byte {tag}"), p, tag == 2));
+            }
+            let shape = shapes[i];
+            let foreign = match shape.kind {
+                ReportKind::Grr => ReportKind::Olh,
+                ReportKind::Olh => ReportKind::Grr,
+            };
+            for (what, report) in [
+                (format!("{foreign} report"), report_of(foreign, 0)),
+                (
+                    format!("value = bound {}", shape.bound),
+                    report_of(shape.kind, shape.bound),
+                ),
+            ] {
+                let mut reports = edge.clone();
+                reports[i].report = report;
+                let p = encode_batch(2, &reports).unwrap();
+                cases.push((
+                    format!("report {i} ({} group): {what}", shape.kind),
+                    p,
+                    true,
+                ));
+            }
+        }
+        let mut trailing = valid.clone();
+        trailing.push(0);
+        cases.push(("one trailing byte".into(), trailing, true));
+        cases.push(("batch id 0".into(), encode_batch(0, &edge).unwrap(), true));
+
+        let mut reached: BTreeMap<String, usize> = BTreeMap::new();
+        for (name, payload, malformed_only) in cases {
+            let mut session = connect(&ctx, &queue, &stats);
+            let out = session.on_frame(batch_frame(ctx.plan_hash, payload), &ctx, &queue, &stats);
+            let err = out.close.unwrap_or_else(|| panic!("{name}: accepted"));
+            assert!(out.accepted.is_none(), "{name}: accepted");
+            assert!(
+                matches!(&out.reply, Reply::Frame(f) if f.kind == FrameKind::Error),
+                "{name}: no Error reply"
+            );
+            let path = match &err {
+                WireError::Truncated { .. } if !malformed_only => "Truncated".to_string(),
+                WireError::Malformed(m) => {
+                    // The message with its numbers elided names the path.
+                    let mut cause = String::new();
+                    for c in m.chars() {
+                        let c = if c.is_ascii_digit() { '#' } else { c };
+                        if !(c == '#' && cause.ends_with('#')) {
+                            cause.push(c);
+                        }
+                    }
+                    format!("Malformed({cause})")
+                }
+                other => panic!("{name}: unexpected {other:?}"),
+            };
+            *reached.entry(path).or_default() += 1;
+            assert_eq!(ctx.dedup_pairs(), vec![(CLIENT, 1)], "{name}: cursor moved");
+            assert_eq!(queue.len(), 1, "{name}: queue changed");
+        }
+        for (path, n) in &reached {
+            println!("{n:4} × {path}");
+        }
+
+        // Resending batch 1 is a duplicate: acked, not queued again.
+        let out = session.on_frame(
+            batch_frame(ctx.plan_hash, encode_batch(1, &edge).unwrap()),
+            &ctx,
+            &queue,
+            &stats,
+        );
+        assert!(out.close.is_none() && out.accepted.is_none(), "duplicate");
+        assert_eq!(queue.len(), 1);
+
+        // The edge batch is counted once, exactly as offline ingestion
+        // counts it.
+        let mut served = Aggregator::with_oracles(Arc::clone(&plan), Arc::clone(&oracles));
+        match queue.pop_timeout(std::time::Duration::ZERO) {
+            PopResult::Item(batch) => served.ingest_admitted(&batch),
+            _ => panic!("the edge batch must be queued"),
+        }
+        let mut offline = Aggregator::with_oracles(Arc::clone(&plan), oracles);
+        offline.ingest_batch(&edge).unwrap();
+        assert!(served.group_sizes().iter().all(|&n| n == 1));
+        assert_eq!(served.counts_digest(), offline.counts_digest());
     }
 }

@@ -33,8 +33,7 @@ use felip_sync::atomic::{AtomicU64, Ordering};
 use felip_sync::Arc;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 
-use felip::aggregator::{Aggregator, OracleSet};
-use felip::client::UserReport;
+use felip::aggregator::{Admitted, Aggregator, OracleSet};
 use felip::config::FelipConfig;
 use felip::plan::CollectionPlan;
 use felip::query::QueryEngine;
@@ -166,7 +165,7 @@ pub struct SimReport {
     /// Replayable fault-schedule token (`seed=…[;suppress=…]`); pass it to
     /// [`replay_token`] to re-run this exact run, faults and all.
     pub fault_token: String,
-    /// `(draw index, kind)` of every frame fault that fired, in order —
+    /// `(draw index, kind)` of every fault that fired, in order —
     /// what [`minimize_failing_seed`] tries to switch off one by one.
     pub faults_fired: Vec<(u64, FaultKind)>,
     /// Events recorded into the sim's deterministic flight ring.
@@ -280,7 +279,7 @@ struct Sim {
     /// Server-side per-connection sessions.
     server_conns: HashMap<u64, Session>,
     ctx: SessionCtx,
-    queue: BoundedQueue<Vec<UserReport>>,
+    queue: BoundedQueue<Admitted>,
     stats: AtomicStats,
     agg: Aggregator,
     accepted: Vec<AcceptedBatch>,
@@ -545,6 +544,9 @@ impl Sim {
                 return;
             }
             Some(FaultKind::Stall) => deliveries.push((STALL_NS + lat, bytes)),
+            Some(FaultKind::TornSnapshot) => {
+                unreachable!("drawn per snapshot write, not per frame")
+            }
         }
         for (delay, payload) in deliveries {
             let ev = if to_server {
@@ -733,7 +735,8 @@ impl Sim {
     fn on_client_timeout(&mut self, c: usize, token: u64) {
         if self.clients[c].token == token {
             self.trace(12, c as u64, self.clients[c].core.cursor());
-            self.drive_client(c, |core, _| core.lost());
+            let deadline = WireError::Io(std::io::ErrorKind::TimedOut.into());
+            self.drive_client(c, |core, _| core.lost(&deadline));
         }
     }
 
@@ -742,12 +745,7 @@ impl Sim {
         while drained < limit {
             match self.queue.pop_timeout(std::time::Duration::ZERO) {
                 PopResult::Item(batch) => {
-                    // Batches were validated at admission; a failure here
-                    // means the server counted something it never checked.
-                    if let Err(e) = self.agg.ingest_batch(&batch) {
-                        self.violations
-                            .push(format!("admitted batch failed to ingest: {e}"));
-                    }
+                    self.agg.ingest_admitted(&batch);
                     self.queue.task_done();
                     drained += 1;
                 }

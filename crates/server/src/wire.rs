@@ -15,7 +15,8 @@
 //! ```
 //!
 //! All integers are explicit little-endian; encoding and decoding use only
-//! safe byte slicing (no `unsafe`, no transmutes), and decoding untrusted
+//! safe byte slicing (no transmutes; the one `unsafe` is the CRC-32
+//! kernel's vector loads), and decoding untrusted
 //! bytes returns a typed [`WireError`] — it never panics and never
 //! allocates more than the declared (bounded) payload length.
 //!
@@ -204,9 +205,120 @@ fn crc32_fold(mut c: u32, bytes: &[u8]) -> u32 {
     c
 }
 
+/// Inputs at least this long take the carry-less-multiply kernel; below
+/// it, the kernel's 64-byte load and final reduction cost more than the
+/// slice-by-16 loop they replace.
+#[cfg(target_arch = "x86_64")]
+const CLMUL_MIN_LEN: usize = 128;
+
 /// IEEE CRC-32 (the zlib/Ethernet polynomial) over `bytes`.
+///
+/// The kernel is picked at runtime: on x86_64 hosts with `pclmulqdq` and
+/// `sse4.1`, an input of at least [`CLMUL_MIN_LEN`] bytes folds its
+/// 16-byte-aligned head with [`crc32_clmul`] and its tail with
+/// [`crc32_fold`]; everywhere else [`crc32_fold`] does it all. Both
+/// evaluate the same polynomial, so the value never depends on the host.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if bytes.len() >= CLMUL_MIN_LEN
+        && std::arch::is_x86_feature_detected!("pclmulqdq")
+        && std::arch::is_x86_feature_detected!("sse4.1")
+    {
+        let (head, tail) = bytes.split_at(bytes.len() & !15);
+        // SAFETY: the pclmulqdq and sse4.1 features were just detected at
+        // runtime; `head` is a multiple of 16 bytes long.
+        let c = unsafe { crc32_clmul(0xFFFF_FFFF, head) };
+        return crc32_fold(c, tail) ^ 0xFFFF_FFFF;
+    }
     crc32_fold(0xFFFF_FFFF, bytes) ^ 0xFFFF_FFFF
+}
+
+/// Folding constants for the bit-reflected IEEE polynomial, from Gopal et
+/// al., "Fast CRC Computation for Generic Polynomials Using PCLMULQDQ
+/// Instruction" (Intel, 2009), as `(low, high)` lane pairs: `x^(k) mod P`
+/// for the fold distances 4 × 128 bits (`FOLD_512`) and 128 bits
+/// (`FOLD_128`), then the 64 → 32-bit step (`FOLD_64`).
+#[cfg(target_arch = "x86_64")]
+const FOLD_512: (i64, i64) = (0x01_5444_2bd4, 0x01_c6e4_1596);
+#[cfg(target_arch = "x86_64")]
+const FOLD_128: (i64, i64) = (0x01_7519_97d0, 0x00_ccaa_009e);
+#[cfg(target_arch = "x86_64")]
+const FOLD_64: i64 = 0x01_63cd_6124;
+/// Barrett reduction pair: the reflected polynomial `P'` and
+/// `μ = ⌊x^64 / P⌋`, reflected.
+#[cfg(target_arch = "x86_64")]
+const BARRETT: (i64, i64) = (0x01_db71_0641, 0x01_f701_1641);
+
+/// Carry-less-multiply CRC-32: folds four 128-bit lanes 64 bytes at a
+/// time, folds them into one, folds the remaining 16-byte blocks, then
+/// reduces 128 → 64 → 32 bits with a Barrett reduction. Like
+/// [`crc32_fold`], it takes and returns the raw (complemented) register.
+///
+/// # Safety
+/// The host must support `pclmulqdq` and `sse4.1`. `bytes.len()` must be a
+/// multiple of 16 for the value to be right; memory safety does not
+/// depend on it.
+// SAFETY: `unsafe fn` because of `#[target_feature]`: callers must have
+// runtime-detected both features first; every load is bounds-checked.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "pclmulqdq,sse4.1")]
+unsafe fn crc32_clmul(c: u32, bytes: &[u8]) -> u32 {
+    use std::arch::x86_64::*;
+
+    /// One unaligned 16-byte lane from the front of `b`.
+    #[inline(always)]
+    fn lane(b: &[u8]) -> __m128i {
+        assert!(b.len() >= 16, "a lane needs 16 bytes");
+        // SAFETY: the assert above keeps the 16-byte read inside `b`, and
+        // `loadu` has no alignment requirement.
+        unsafe { _mm_loadu_si128(b.as_ptr().cast()) }
+    }
+
+    /// `x · k` carry-lessly, 128 bits ahead, xor the next lane.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn fold(x: __m128i, k: __m128i, next: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128::<0x00>(x, k);
+        let hi = _mm_clmulepi64_si128::<0x11>(x, k);
+        _mm_xor_si128(_mm_xor_si128(lo, hi), next)
+    }
+
+    debug_assert!(bytes.len().is_multiple_of(16));
+    if bytes.len() < 64 {
+        return crc32_fold(c, bytes);
+    }
+    let (first, rest) = bytes.split_at(64);
+    let mut blocks = rest.chunks_exact(64);
+    let mut x1 = _mm_xor_si128(lane(first), _mm_cvtsi32_si128(c as i32));
+    let mut x2 = lane(&first[16..]);
+    let mut x3 = lane(&first[32..]);
+    let mut x4 = lane(&first[48..]);
+    let k = _mm_set_epi64x(FOLD_512.1, FOLD_512.0);
+    for b in blocks.by_ref() {
+        x1 = fold(x1, k, lane(b));
+        x2 = fold(x2, k, lane(&b[16..]));
+        x3 = fold(x3, k, lane(&b[32..]));
+        x4 = fold(x4, k, lane(&b[48..]));
+    }
+    let k = _mm_set_epi64x(FOLD_128.1, FOLD_128.0);
+    let mut x = fold(fold(fold(x1, k, x2), k, x3), k, x4);
+    for b in blocks.remainder().chunks_exact(16) {
+        x = fold(x, k, lane(b));
+    }
+
+    // 128 → 64 bits.
+    let low32 = _mm_setr_epi32(!0, 0, !0, 0);
+    x = _mm_xor_si128(_mm_srli_si128::<8>(x), _mm_clmulepi64_si128::<0x10>(x, k));
+    let k = _mm_set_epi64x(0, FOLD_64);
+    x = _mm_xor_si128(
+        _mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, low32), k),
+        _mm_srli_si128::<4>(x),
+    );
+    // Barrett: 64 → 32 bits.
+    let k = _mm_set_epi64x(BARRETT.1, BARRETT.0);
+    let mut t = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, low32), k);
+    t = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t, low32), k);
+    _mm_extract_epi32::<1>(_mm_xor_si128(x, t)) as u32
 }
 
 /// What kind of frame this is.
@@ -989,6 +1101,9 @@ pub enum WireError {
     BudgetExhausted {
         /// Attempts made (connects + sends) before giving up.
         attempts: u32,
+        /// Why the last attempt failed: the connect or io error, the
+        /// server's error reply, or its backpressure.
+        last: String,
     },
 }
 
@@ -1015,8 +1130,11 @@ impl fmt::Display for WireError {
                 "collection plan mismatch: ours {ours:#018x}, peer {theirs:#018x}"
             ),
             WireError::Rejected(m) => write!(f, "rejected by server: {m}"),
-            WireError::BudgetExhausted { attempts } => {
-                write!(f, "retry budget exhausted after {attempts} attempts")
+            WireError::BudgetExhausted { attempts, last } => {
+                write!(
+                    f,
+                    "retry budget exhausted after {attempts} attempts; last failure: {last}"
+                )
             }
         }
     }
@@ -1043,9 +1161,11 @@ mod tests {
 
     #[test]
     fn crc32_slice_by_16_agrees_with_bytewise_at_every_length() {
-        // Exercise every remainder length through the 16-byte kernel
-        // boundary against a reference byte-at-a-time implementation.
-        let data: Vec<u8> = (0..64u32)
+        // The fallback kernel, called directly (on every host): every
+        // remainder length through the 16-byte kernel boundary and past
+        // the 128-byte carry-less-multiply threshold, against a reference
+        // byte-at-a-time implementation.
+        let data: Vec<u8> = (0..256u32)
             .map(|i| (i.wrapping_mul(167) ^ 91) as u8)
             .collect();
         for len in 0..data.len() {
@@ -1055,7 +1175,31 @@ mod tests {
                 reference =
                     CRC_TABLES[0][((reference ^ b as u32) & 0xFF) as usize] ^ (reference >> 8);
             }
-            assert_eq!(crc32(bytes), reference ^ 0xFFFF_FFFF, "length {len}");
+            assert_eq!(crc32_fold(0xFFFF_FFFF, bytes), reference, "length {len}");
+        }
+    }
+
+    #[test]
+    fn dispatched_crc32_equals_the_fallback_at_every_length_and_offset() {
+        // Whatever kernel this host dispatches to must equal `crc32_fold`:
+        // every length 0..=1024 (both sides of the carry-less-multiply
+        // threshold, every 16-byte tail), one ingest frame's worth
+        // (68 036 B) and a page, each at every start offset 0..16 so
+        // unaligned loads are covered.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let data: Vec<u8> = (0..68_036 + 16)
+            .map(|_| {
+                x = felip_common::hash::mix64(x);
+                x as u8
+            })
+            .collect();
+        let lengths = (0..=1024).chain([4096, 68_036]);
+        for len in lengths {
+            for off in 0..16 {
+                let bytes = &data[off..off + len];
+                let fallback = crc32_fold(0xFFFF_FFFF, bytes) ^ 0xFFFF_FFFF;
+                assert_eq!(crc32(bytes), fallback, "length {len}, offset {off}");
+            }
         }
     }
 

@@ -7,7 +7,7 @@
 
 use std::collections::HashSet;
 
-use felip_server::fault::FaultConfig;
+use felip_server::fault::{FaultConfig, FaultKind};
 use felip_server::simharness::{
     minimize_failing_seed, replay_token, run_sim, run_sim_suppressed, SimConfig,
 };
@@ -129,11 +129,18 @@ fn fault_token_replays_bit_identically() {
 
 #[test]
 fn suppressing_every_fault_reduces_chaos_to_lossless_behaviour() {
-    // A seed whose faults are all frame faults: a torn snapshot write is
-    // not suppressible, so a seed with one never calms down.
-    let cfg = SimConfig::chaos(19);
+    // Torn snapshot writes are fired faults too, so every fault of the
+    // seed — seed 16 tears a snapshot write — can be switched off.
+    let cfg = SimConfig::chaos(16);
     let chaotic = run_sim(&cfg);
-    assert!(chaotic.faults_injected > 0, "seed 19 must inject something");
+    assert!(chaotic.faults_injected > 0, "seed 16 must inject something");
+    assert!(
+        chaotic
+            .faults_fired
+            .iter()
+            .any(|&(_, k)| k == FaultKind::TornSnapshot),
+        "seed 16 must tear a snapshot write"
+    );
     // Suppress every fault that fired; the re-run may fire faults at new
     // indices (the event flow changed), so iterate to a fixed point.
     let mut suppressed: HashSet<u64> = HashSet::new();
@@ -146,7 +153,7 @@ fn suppressing_every_fault_reduces_chaos_to_lossless_behaviour() {
     };
     assert!(calm.ok(), "suppressed run failed: {:?}", calm.violations);
     assert_eq!(calm.faults_injected, 0);
-    assert!(calm.fault_token.starts_with("seed=19;suppress="));
+    assert!(calm.fault_token.starts_with("seed=16;suppress="));
     // And the token round-trips the suppressed run exactly.
     let replayed = replay_token(&cfg, &calm.fault_token).expect("token parses");
     assert_eq!(calm, replayed, "suppressed-token replay diverged");
