@@ -171,7 +171,6 @@ mod tests {
                 upstream: upstream.to_string(),
                 node_id: node + 1,
                 plan_hash: plan.schema_hash(),
-                ..StreamerConfig::default()
             });
             let config = ServerConfig {
                 cut_hook: Some(streamer.hook()),

@@ -62,7 +62,6 @@ pub fn serve(args: &[String]) -> CmdResult {
             upstream: upstream.to_string(),
             node_id: flags.get_or("node-id", 1u64)?,
             plan_hash: plan.schema_hash(),
-            ..StreamerConfig::default()
         })),
         None => None,
     };

@@ -13,7 +13,7 @@
 //! tallies and merging is addition, a deterministic loadgen split across N
 //! nodes produces merged counts **bit-identical** to the single-node run —
 //! including across node kill+resume and aggregator restart, which the
-//! 64-seed chaos sweep in `tests/chaos.rs` verifies per seed.
+//! 64-seed virtual-clock sweep in `src/sim.rs` verifies per seed.
 //!
 //! * [`state`] — per-node cumulative state, the epoch rule, FCLU
 //!   persistence.
@@ -27,6 +27,8 @@
 #[cfg(all(test, feature = "model"))]
 mod model_tests;
 pub mod server;
+#[cfg(test)]
+mod sim;
 pub mod state;
 pub mod streamer;
 

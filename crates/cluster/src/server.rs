@@ -83,7 +83,7 @@ pub struct AggregatorStats {
 
 /// Delta dispositions; the serve loop counts connections and rejections.
 #[derive(Default)]
-struct DeltaCounts {
+pub(crate) struct DeltaCounts {
     applied: AtomicU64,
     duplicate: AtomicU64,
 }
@@ -287,10 +287,10 @@ impl AggregatorServer {
 /// cluster lock. Query needs no handshake — a
 /// read-only client may connect just to ask — and the serve loop answers
 /// it from the merged view.
-struct AggregatorHandler<'a> {
-    state: &'a ClusterState,
-    stats: &'a AtomicStats,
-    deltas: DeltaCounts,
+pub(crate) struct AggregatorHandler<'a> {
+    pub(crate) state: &'a ClusterState,
+    pub(crate) stats: &'a AtomicStats,
+    pub(crate) deltas: DeltaCounts,
 }
 
 impl Handler for AggregatorHandler<'_> {

@@ -5,14 +5,17 @@
 
 mod common;
 
+use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use felip_cluster::{AggregatorConfig, AggregatorServer, StreamerConfig, UpstreamStreamer};
+use felip_common::{Predicate, Query};
 use felip_server::loadgen::offline_reference;
-use felip_server::ServerConfig;
+use felip_server::wire::{self, Frame, FrameKind, QueryAnswer, QueryMode, QueryRequest};
+use felip_server::{ServerConfig, Snapshot};
 
 use common::{cut_of, plan, serve_and_stream, split_users, NodeExit};
 
@@ -289,8 +292,6 @@ fn final_flush_lands_on_a_fresh_aggregator_that_replaced_the_acking_one() {
         upstream: upstream.to_string(),
         node_id: 1,
         plan_hash: plan.schema_hash(),
-        io_timeout: Duration::from_secs(5),
-        reconnect_delay: Duration::from_millis(10),
     });
     (streamer.hook())(cut_of(&node));
     let start = Instant::now();
@@ -324,4 +325,162 @@ fn final_flush_lands_on_a_fresh_aggregator_that_replaced_the_acking_one() {
     assert_eq!(run_b.merged.reports_ingested(), 30);
     assert_eq!(run_b.merged.counts(), node.counts());
     assert_eq!(run_b.nodes.len(), 1);
+}
+
+/// The λ-D probe the resume test asks.
+fn probe_predicates() -> Vec<Predicate> {
+    vec![
+        Predicate::between(0, 4, 20),
+        Predicate::in_set(1, vec![1, 2]),
+    ]
+}
+
+/// One `Query` round-trip against an aggregator. `Ok(None)` is an `Error`
+/// frame (nothing merged yet — the connection stays usable); `Err` is a
+/// transport failure (e.g. the aggregator is mid-bounce).
+fn ask_cluster(
+    conn: &mut TcpStream,
+    plan_hash: u64,
+    query_id: u64,
+    mode: QueryMode,
+) -> Result<Option<QueryAnswer>, String> {
+    wire::write_frame(
+        conn,
+        &Frame {
+            kind: FrameKind::Query,
+            plan_hash,
+            payload: wire::encode_query(&QueryRequest {
+                query_id,
+                mode,
+                predicates: probe_predicates(),
+            })
+            .map_err(|e| e.to_string())?,
+        },
+    )
+    .map_err(|e| e.to_string())?;
+    let reply = wire::read_frame(conn)
+        .map_err(|e| e.to_string())?
+        .ok_or_else(|| "connection closed mid-query".to_string())?;
+    match reply.kind {
+        FrameKind::QueryReply => wire::decode_query_reply(&reply.payload)
+            .map(Some)
+            .map_err(|e| e.to_string()),
+        FrameKind::Error => Ok(None),
+        other => Err(format!("unexpected reply to query: {other:?}")),
+    }
+}
+
+/// Kill+resume must never serve a pre-restore cached grid: the first
+/// answer of the resumed aggregator's life is a cold build from the
+/// restored FCLU state (epoch restarts at 1), bit-identical to the
+/// offline batch estimate on the restored counts.
+#[test]
+fn aggregator_resume_answers_cold_from_restored_state() {
+    let plan = plan();
+    let plan_hash = plan.schema_hash();
+    let dir =
+        std::env::temp_dir().join(format!("felip-cluster-resume-query-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let state_path = dir.join("agg.fclu");
+
+    let probe = Query::new(plan.schema(), probe_predicates()).expect("probe");
+    let warm = offline_reference(&plan, 0..20, 9).expect("offline 20");
+    let grown = offline_reference(&plan, 0..40, 9).expect("offline 40");
+    let grown_bits = grown
+        .estimate()
+        .expect("offline estimate")
+        .answer(&probe)
+        .expect("offline answer")
+        .to_bits();
+
+    let send_full = |conn: &mut TcpStream, epoch: u64, agg: &felip::Aggregator| {
+        wire::write_frame(
+            conn,
+            &Frame {
+                kind: FrameKind::Delta,
+                plan_hash,
+                payload: wire::encode_delta(epoch, &Snapshot::capture(agg, plan_hash)),
+            },
+        )
+        .expect("send delta");
+        let ack = wire::read_frame(conn)
+            .expect("ack read")
+            .expect("ack frame");
+        assert_eq!(ack.kind, FrameKind::DeltaAck, "delta must be acked");
+    };
+
+    // Life 1: ingest two epochs, observing the engine advance 1 → 2, then
+    // shut down (the aggregator persists once more on the way out).
+    let cfg = AggregatorConfig {
+        state_path: Some(state_path.clone()),
+        persist_every: Duration::from_millis(10),
+        ..AggregatorConfig::default()
+    };
+    let agg1 = AggregatorServer::bind(Arc::clone(&plan), cfg).expect("bind life 1");
+    let upstream = agg1.local_addr();
+    let stop1 = agg1.shutdown_handle();
+    let life1 = thread::spawn(move || agg1.run(None).expect("life 1 run"));
+    {
+        let mut conn = TcpStream::connect(upstream).expect("connect life 1");
+        wire::write_frame(
+            &mut conn,
+            &Frame {
+                kind: FrameKind::Hello,
+                plan_hash,
+                payload: wire::encode_hello(7),
+            },
+        )
+        .expect("hello");
+        wire::read_frame(&mut conn)
+            .expect("hello ack")
+            .expect("ack");
+
+        send_full(&mut conn, 1, &warm);
+        let first = ask_cluster(&mut conn, plan_hash, 1, QueryMode::Cached)
+            .expect("query 1")
+            .expect("answer 1");
+        assert_eq!(first.epoch, 1);
+        assert_eq!(first.reports, 20);
+
+        send_full(&mut conn, 2, &grown);
+        let second = ask_cluster(&mut conn, plan_hash, 2, QueryMode::Cached)
+            .expect("query 2")
+            .expect("answer 2");
+        assert_eq!(second.epoch, 2, "changed counts must advance the epoch");
+        assert_eq!(second.reports, 40);
+        assert_eq!(second.answer.to_bits(), grown_bits);
+    }
+    stop1.store(true, Ordering::SeqCst);
+    life1.join().expect("join life 1");
+
+    // Life 2: resume from the persisted state. The very first answer must
+    // be a cold build — epoch 1, never the pre-restore cache's epoch 2 —
+    // over the full restored 40-report cut.
+    let cfg = AggregatorConfig {
+        state_path: Some(state_path.clone()),
+        resume: Some(state_path.clone()),
+        persist_every: Duration::from_millis(10),
+        ..AggregatorConfig::default()
+    };
+    let agg2 = AggregatorServer::bind(Arc::clone(&plan), cfg).expect("bind life 2");
+    let upstream = agg2.local_addr();
+    let stop2 = agg2.shutdown_handle();
+    let life2 = thread::spawn(move || agg2.run(None).expect("life 2 run"));
+    {
+        let mut conn = TcpStream::connect(upstream).expect("connect life 2");
+        let resumed = ask_cluster(&mut conn, plan_hash, 3, QueryMode::Cached)
+            .expect("resumed query")
+            .expect("resumed answer");
+        assert_eq!(
+            resumed.epoch, 1,
+            "resumed aggregator served a pre-restore cached grid"
+        );
+        assert_eq!(resumed.head_epoch, 1);
+        assert_eq!(resumed.reports, 40, "restored cut must cover the stream");
+        assert_eq!(resumed.answer.to_bits(), grown_bits);
+    }
+    stop2.store(true, Ordering::SeqCst);
+    life2.join().expect("join life 2");
+
+    let _ = std::fs::remove_dir_all(&dir);
 }

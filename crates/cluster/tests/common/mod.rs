@@ -12,7 +12,7 @@ use felip::config::FelipConfig;
 use felip::plan::CollectionPlan;
 use felip_cluster::{StreamerConfig, StreamerReport, UpstreamStreamer};
 use felip_common::{Attribute, Schema};
-use felip_server::loadgen::{batch_reports, user_report};
+use felip_server::loadgen::batch_reports;
 use felip_server::{Client, CutState, Server, ServerConfig, ServerRun};
 
 /// A small two-attribute plan every test shares.
@@ -80,8 +80,6 @@ pub fn serve_and_stream(
         upstream: upstream.to_string(),
         node_id,
         plan_hash: plan.schema_hash(),
-        io_timeout: Duration::from_secs(5),
-        reconnect_delay: Duration::from_millis(10),
     });
     server_cfg.cut_hook = Some(streamer.hook());
     server_cfg.cut_every = Duration::from_millis(10);
@@ -110,67 +108,4 @@ pub fn serve_and_stream(
         }
     };
     NodeOutcome { run, report }
-}
-
-/// Like [`serve_and_stream`] (always flushing), but pauses the load after
-/// `users[..split_at]` and calls `pause` before streaming the rest — the
-/// chaos sweep parks every node on a barrier there while it bounces the
-/// aggregator, so the catch-up path (reconnect, take the restarted
-/// aggregator's epoch cursor, resend the cumulative state) is exercised
-/// deterministically rather than by timing luck.
-// Shared across the integration-test binaries; not every binary calls it,
-// and the chaos harness needs the full parameter set in one call.
-#[allow(dead_code, clippy::too_many_arguments)]
-pub fn serve_and_stream_paused(
-    plan: &Arc<CollectionPlan>,
-    upstream: SocketAddr,
-    node_id: u64,
-    users: &[usize],
-    seed: u64,
-    mut server_cfg: ServerConfig,
-    split_at: usize,
-    pause: impl FnOnce(),
-) -> NodeOutcome {
-    let streamer = UpstreamStreamer::start(StreamerConfig {
-        upstream: upstream.to_string(),
-        node_id,
-        plan_hash: plan.schema_hash(),
-        io_timeout: Duration::from_secs(5),
-        reconnect_delay: Duration::from_millis(10),
-    });
-    server_cfg.cut_hook = Some(streamer.hook());
-    server_cfg.cut_every = Duration::from_millis(10);
-    let server = Server::bind(Arc::clone(plan), server_cfg).expect("bind ingest node");
-    let addr = server.local_addr();
-    let shutdown = server.shutdown_handle();
-    let server_thread = thread::spawn(move || server.run(None).expect("serve"));
-
-    let plan_hash = plan.schema_hash();
-    let split_at = split_at.min(users.len());
-    // The batches on either side of the pause, numbered across both.
-    let (before, after) = users.split_at(split_at);
-    let batches: Vec<&[usize]> = before.chunks(25).chain(after.chunks(25)).collect();
-    let batch = |id: u64| {
-        batches[id as usize - 1]
-            .iter()
-            .map(|&u| user_report(plan, u, seed))
-            .collect()
-    };
-    let mut client = Client::connect(addr, plan_hash).expect("connect");
-    client
-        .send_through(before.len().div_ceil(25) as u64, batch)
-        .expect("send");
-    pause();
-    client
-        .send_through(batches.len() as u64, batch)
-        .expect("send");
-    drop(client);
-
-    shutdown.store(true, std::sync::atomic::Ordering::SeqCst);
-    let run = server_thread.join().expect("join server");
-    let report = streamer.finish(cut_of(&run.aggregator), Duration::from_secs(60));
-    NodeOutcome {
-        run,
-        report: Some(report),
-    }
 }

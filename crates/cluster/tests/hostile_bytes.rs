@@ -9,19 +9,32 @@
 //!   around it recomputed so only the structure checks can object, is a
 //!   typed error or decodes to a value that re-encodes to the same bytes.
 //!
+//! * Every truncation of a `Hello` payload, and one with a trailing byte,
+//!   is a typed error from the codec and an `Error` reply from both tiers.
+//! * The header, plan-hash, duplicate-node and shape checks that no length
+//!   rewrite reaches are each hit by a hand-built input, and the
+//!   aggregator's handler rejects a `Delta` before `Hello` and a kind it
+//!   does not accept.
+//!
 //! Run with `--nocapture` to print the error paths each codec reached.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::thread;
 
 use felip::aggregator::OracleSet;
 use felip::config::FelipConfig;
 use felip::plan::CollectionPlan;
-use felip_cluster::ClusterState;
+use felip_cluster::{AggregatorConfig, AggregatorServer, ClusterState};
 use felip_common::{Attribute, Schema};
 use felip_server::loadgen::offline_reference;
-use felip_server::wire::{crc32, decode_delta, encode_delta, WireError};
-use felip_server::Snapshot;
+use felip_server::wire::{
+    crc32, decode_delta, decode_hello, encode_delta, encode_hello, read_frame, write_frame, Frame,
+    FrameKind, WireError,
+};
+use felip_server::{Server, ServerConfig, Snapshot};
 
 fn plan() -> Arc<CollectionPlan> {
     let schema = Schema::new(vec![
@@ -220,4 +233,223 @@ fn fclu_container_survives_hostile_bytes() {
         ClusterState::decode(b, Arc::clone(&plan), Arc::clone(&oracles)).map(|s| s.encode())
     });
     assert!(reached["num_nodes"].contains("Truncated"));
+}
+
+/// Sends `frame` on a fresh connection and returns the reply.
+fn exchange(addr: SocketAddr, frame: &Frame) -> Frame {
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    write_frame(&mut conn, frame).expect("write");
+    read_frame(&mut conn).expect("read").expect("a reply")
+}
+
+/// Every strict prefix of a `Hello` payload is `Truncated` and one byte too
+/// many is "oversized hello payload", from the codec and from both tiers'
+/// handlers, which answer an `Error` frame and keep serving.
+#[test]
+fn hostile_hello_payloads_get_typed_errors_on_both_tiers() {
+    let plan = plan();
+    let plan_hash = plan.schema_hash();
+    let good = encode_hello(7);
+    let mut hostile: Vec<Vec<u8>> = (0..good.len()).map(|cut| good[..cut].to_vec()).collect();
+    hostile.push([good.as_slice(), &[0]].concat());
+    for payload in &hostile {
+        match decode_hello(payload) {
+            Err(WireError::Truncated { .. }) if payload.len() < good.len() => {}
+            Err(WireError::Malformed(m)) if m == "oversized hello payload" => {}
+            other => panic!("{} byte hello: {other:?}", payload.len()),
+        }
+    }
+
+    let node = Server::bind(Arc::clone(&plan), ServerConfig::default()).expect("bind node");
+    let agg = AggregatorServer::bind(Arc::clone(&plan), AggregatorConfig::default())
+        .expect("bind aggregator");
+    let tiers = [
+        ("ingest", node.local_addr(), node.shutdown_handle()),
+        ("aggregator", agg.local_addr(), agg.shutdown_handle()),
+    ];
+    let node_thread = thread::spawn(move || node.run(None).expect("node run"));
+    let agg_thread = thread::spawn(move || agg.run(None).expect("aggregator run"));
+    for (tier, addr, _) in &tiers {
+        for payload in &hostile {
+            let hello = Frame {
+                kind: FrameKind::Hello,
+                plan_hash,
+                payload: payload.clone(),
+            };
+            let reply = exchange(*addr, &hello);
+            let text = String::from_utf8_lossy(&reply.payload).into_owned();
+            assert_eq!(reply.kind, FrameKind::Error, "{tier}: {text}");
+            let expected = if payload.len() < good.len() {
+                "truncated"
+            } else {
+                "oversized hello payload"
+            };
+            assert!(
+                text.contains(expected),
+                "{tier}, {} bytes: {text}",
+                payload.len()
+            );
+        }
+        let hello = Frame {
+            kind: FrameKind::Hello,
+            plan_hash,
+            payload: good.clone(),
+        };
+        assert_eq!(
+            exchange(*addr, &hello).kind,
+            FrameKind::Ack,
+            "{tier} stopped serving"
+        );
+    }
+    for (_, _, stop) in &tiers {
+        stop.store(true, Ordering::SeqCst);
+    }
+    node_thread.join().expect("join node");
+    let run = agg_thread.join().expect("join aggregator");
+    assert_eq!(run.stats.frames_rejected, hostile.len() as u64);
+}
+
+/// `bytes` with its trailing CRC recomputed over everything before it.
+fn resealed(mut bytes: Vec<u8>) -> Vec<u8> {
+    let n = bytes.len();
+    let crc = crc32(&bytes[..n - 4]);
+    bytes[n - 4..].copy_from_slice(&crc.to_le_bytes());
+    bytes
+}
+
+/// The header, plan, duplicate-node and shape checks no length rewrite
+/// reaches: each hand-built input gets its own typed error.
+#[test]
+fn header_plan_and_shape_checks_are_typed_errors() {
+    let plan = plan();
+    let oracles = Arc::new(OracleSet::build(&plan));
+    let snap = snapshot(&plan, 0..20);
+    let fsnp = snap.encode();
+    let state = ClusterState::new(Arc::clone(&plan), Arc::clone(&oracles));
+    state.apply(1, 3, snapshot(&plan, 0..20)).expect("node 1");
+    let fclu = state.encode();
+    let fclu_decode = |bytes: &[u8]| {
+        ClusterState::decode(bytes, Arc::clone(&plan), Arc::clone(&oracles)).map(drop)
+    };
+    let mut reached: Vec<String> = Vec::new();
+    let mut expect = |what: &str, got: Result<(), WireError>, want: &str| {
+        let e = got.expect_err(what);
+        let text = label(&e);
+        assert!(text.contains(want), "{what}: {text}");
+        reached.push(format!("{what}: {text}"));
+    };
+
+    // Header bytes, on both containers: magic, version, reserved.
+    for (name, good) in [("FSNP", &fsnp), ("FCLU", &fclu)] {
+        let decode = |bytes: &[u8]| match name {
+            "FSNP" => Snapshot::decode(bytes).map(drop),
+            _ => fclu_decode(bytes),
+        };
+        for (at, flip, want) in [
+            (0, 1u8, "BadMagic"),
+            (4, 0x40, "BadVersion"),
+            (5, 1, "reserved"),
+        ] {
+            let mut bytes = good.clone();
+            bytes[at] ^= flip;
+            expect(&format!("{name} byte {at}"), decode(&resealed(bytes)), want);
+        }
+    }
+
+    // Plan hashes: a snapshot restored against another plan, the FCLU
+    // header's, and the FSNP embedded in an FCLU node record.
+    let foreign = Snapshot {
+        plan_hash: plan.schema_hash() ^ 1,
+        ..snap.clone()
+    };
+    let restored = foreign.restore(Arc::clone(&plan), Arc::clone(&oracles));
+    expect("foreign FSNP", restored.map(drop), "PlanMismatch");
+    let mut bytes = fclu.clone();
+    bytes[8] ^= 1;
+    expect(
+        "FCLU plan hash",
+        fclu_decode(&resealed(bytes)),
+        "PlanMismatch",
+    );
+    // node_id, epoch, snap_len, then the embedded FSNP's plan hash.
+    let embedded = 20 + 20;
+    let mut bytes = fclu.clone();
+    bytes[embedded + 8] ^= 1;
+    let inner = embedded..embedded + fsnp.len();
+    let crc = crc32(&bytes[inner.start..inner.end - 4]);
+    bytes[inner.end - 4..inner.end].copy_from_slice(&crc.to_le_bytes());
+    expect(
+        "FCLU embedded FSNP plan hash",
+        fclu_decode(&resealed(bytes)),
+        "PlanMismatch",
+    );
+
+    // One node's record twice.
+    let record = &fclu[20..fclu.len() - 4];
+    let mut bytes = fclu[..20].to_vec();
+    bytes[16..20].copy_from_slice(&2u32.to_le_bytes());
+    bytes.extend_from_slice(record);
+    bytes.extend_from_slice(record);
+    bytes.extend_from_slice(&[0; 4]);
+    expect(
+        "FCLU duplicate node",
+        fclu_decode(&resealed(bytes)),
+        "appears twice",
+    );
+
+    // `Aggregator::restore`'s shape checks: grids, cells, groups.
+    let mut grids = snap.clone();
+    grids.counts.pop();
+    let mut cells = snap.clone();
+    cells.counts[0].push(0);
+    let mut groups = snap.clone();
+    groups.group_sizes.push(0);
+    for (what, bad, want) in [
+        ("grid count", grids, "grids, plan has"),
+        ("cell count", cells, "cells, plan expects"),
+        ("group count", groups, "groups, plan has"),
+    ] {
+        let restored = bad.restore(Arc::clone(&plan), Arc::clone(&oracles));
+        expect(what, restored.map(drop), want);
+    }
+    println!("header, plan and shape paths:");
+    for line in &reached {
+        println!("  {line}");
+    }
+}
+
+/// Through the aggregator's handler: a `Delta` before any `Hello`, and a
+/// kind a node may not send, each get an `Error` reply.
+#[test]
+fn handler_rejects_delta_before_hello_and_foreign_kinds() {
+    let plan = plan();
+    let plan_hash = plan.schema_hash();
+    let agg = AggregatorServer::bind(Arc::clone(&plan), AggregatorConfig::default())
+        .expect("bind aggregator");
+    let (addr, stop) = (agg.local_addr(), agg.shutdown_handle());
+    let agg_thread = thread::spawn(move || agg.run(None).expect("aggregator run"));
+    let delta = Frame {
+        kind: FrameKind::Delta,
+        plan_hash,
+        payload: encode_delta(1, &snapshot(&plan, 0..10)),
+    };
+    let foreign = Frame {
+        kind: FrameKind::ReportBatch,
+        plan_hash,
+        payload: Vec::new(),
+    };
+    for (frame, want) in [
+        (&delta, "delta before hello handshake"),
+        (&foreign, "node sent ReportBatch frame"),
+    ] {
+        let reply = exchange(addr, frame);
+        let text = String::from_utf8_lossy(&reply.payload).into_owned();
+        assert_eq!(reply.kind, FrameKind::Error, "{text}");
+        assert!(text.contains(want), "{text}");
+        println!("handler: {text}");
+    }
+    stop.store(true, Ordering::SeqCst);
+    let run = agg_thread.join().expect("join aggregator");
+    assert_eq!(run.stats.frames_rejected, 2);
+    assert_eq!(run.merged.reports_ingested(), 0);
 }

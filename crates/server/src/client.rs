@@ -40,10 +40,11 @@ use crate::wire::{
 /// `connect_with` lets callers pin ids for reproducible runs).
 static NEXT_CLIENT_ID: AtomicU64 = AtomicU64::new(1);
 
-/// How long a [`Client`] waits on one read or write before it counts the
-/// connection as lost: the server's default mid-frame read deadline, so a
-/// server that accepts and never answers costs one attempt, not a hang.
-const REPLY_DEADLINE: Duration = Duration::from_secs(5);
+/// How long a [`Client`] (and the cluster tier's delta streamer) waits on
+/// one read or write before it counts the connection as lost: the server's
+/// default mid-frame read deadline, so a server that accepts and never
+/// answers costs one attempt, not a hang.
+pub const REPLY_DEADLINE: Duration = Duration::from_secs(5);
 
 /// How a client spaces resends: exponential backoff from `base` capped at
 /// `cap`, each delay jittered deterministically from `jitter_seed` (so two
@@ -99,22 +100,22 @@ impl RetryPolicy {
 /// again after a server rewound its cursor past it.
 pub(crate) type BatchSource<'a> = dyn FnMut(u64) -> felip_common::Result<Vec<UserReport>> + 'a;
 
-/// What the driver of a [`ClientCore`] does next.
+/// What the driver of a sans-I/O protocol core does next: the ingest
+/// client's [`ClientCore`], or the cluster tier's delta streamer core.
 #[derive(Debug)]
-pub(crate) enum Step {
+pub enum Step {
     /// Open a new connection, write this `Hello` on it and await a reply.
     Connect(Frame),
     /// Write this frame on the connection and await a reply.
     Send(Frame),
     /// Await the next reply on the connection.
     Await,
-    /// Sleep this long, keeping the connection, then call
-    /// [`ClientCore::wake`].
+    /// Sleep this long, keeping the connection, then wake the core.
     Backoff(Duration),
-    /// Close the connection, sleep this long, then call
-    /// [`ClientCore::wake`].
+    /// Close the connection, sleep this long, then wake the core.
     Reconnect(Duration),
-    /// Every batch through the target is acked.
+    /// Nothing left to send: every batch through the client's target is
+    /// acked, or the streamer has no cut to ship until the next offer.
     Done,
     /// The send failed for good.
     Failed(WireError),

@@ -20,6 +20,26 @@ use std::collections::HashSet;
 use felip_common::hash::mix64;
 use felip_common::rng::derive_seed;
 
+/// One millisecond of virtual time, in nanoseconds.
+pub const MS: u64 = 1_000_000;
+/// Base one-way frame latency on the simulated network.
+const LATENCY_NS: u64 = MS;
+/// How long a simulated peer waits for a reply before it counts the
+/// connection lost.
+pub const REPLY_DEADLINE_NS: u64 = 50 * MS;
+/// How late a `Stall` fault delivers a frame: past the reply deadline.
+const STALL_NS: u64 = 4 * REPLY_DEADLINE_NS;
+
+/// What the simulated network does with one frame send.
+#[derive(Debug)]
+pub struct Routed {
+    /// The fault that fired, if any.
+    pub fault: Option<FaultKind>,
+    /// `(delay, bytes)` per arrival: none when dropped or reset, two when
+    /// duplicated.
+    pub arrivals: Vec<(u64, Vec<u8>)>,
+}
+
 /// The injectable fault kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
@@ -116,8 +136,8 @@ pub struct FaultSchedule {
     /// Draw indices whose fault is *suppressed* (the frame is delivered
     /// normally, the snapshot written intact). The draw stream is
     /// unshifted — every other decision stays put — which is what lets
-    /// [`crate::simharness::minimize_failing_seed`] remove faults one at a
-    /// time from a failing run.
+    /// [`crate::simharness::minimize`] remove faults one at a time from a
+    /// failing run.
     suppressed: HashSet<u64>,
     /// `(draw index, kind)` of every fault that actually fired, in firing
     /// order — the raw material of the schedule token.
@@ -237,6 +257,44 @@ impl FaultSchedule {
             }
         }
         None
+    }
+
+    /// Routes one encoded frame through the fault pipeline: draws its
+    /// fault, then its latency, then whatever the fault needs. A
+    /// [`FaultKind::Reset`] delivers nothing; the caller resets the
+    /// connection.
+    pub fn route(&mut self, mut bytes: Vec<u8>) -> Routed {
+        let fault = self.next_frame_fault();
+        let lat = self.latency();
+        let mut arrivals = Vec::new();
+        match fault {
+            None => arrivals.push((lat, bytes)),
+            Some(FaultKind::Drop | FaultKind::Reset) => {}
+            Some(FaultKind::Truncate) => {
+                let t = self.truncate_frame(&bytes);
+                arrivals.push((lat, t));
+            }
+            Some(FaultKind::Duplicate) => {
+                arrivals.push((lat, bytes.clone()));
+                let second = lat + self.latency();
+                arrivals.push((second, bytes));
+            }
+            Some(FaultKind::Reorder) => arrivals.push((3 * lat, bytes)),
+            Some(FaultKind::Corrupt) => {
+                self.corrupt_frame(&mut bytes);
+                arrivals.push((lat, bytes));
+            }
+            Some(FaultKind::Stall) => arrivals.push((STALL_NS + lat, bytes)),
+            Some(FaultKind::TornSnapshot) => {
+                unreachable!("drawn per snapshot write, not per frame")
+            }
+        }
+        Routed { fault, arrivals }
+    }
+
+    /// One frame's one-way latency: the base plus up to 0.1 ms of jitter.
+    fn latency(&mut self) -> u64 {
+        LATENCY_NS + self.draw_below(MS / 10)
     }
 
     /// Whether this snapshot write is torn (drawn once per write). A torn

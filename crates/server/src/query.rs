@@ -8,9 +8,10 @@
 //! Answering a query:
 //!
 //! 1. Validate the query's predicates against the plan's schema.
-//! 2. Under the engine lock, a `Cached` query whose source **head token**
-//!    is the one the engine's estimate was built from is served straight
-//!    from that estimator — no cut, no estimate.
+//! 2. Under the engine lock, a query whose source **head token** is the
+//!    one the engine's estimate was built from is served straight from
+//!    that estimator — no cut, no estimate. This holds for `Fresh` as for
+//!    `Cached`: an unmoved head proves a cut would carry the same token.
 //! 3. Otherwise take **one** consistent cut and refresh the engine at the
 //!    cut's token: a cut that carries the cached token reuses the cached
 //!    estimator, any other is estimated once and advances the epoch.
@@ -35,7 +36,7 @@ use felip_common::Query;
 use crate::queue::BoundedQueue;
 use crate::server::{consistent_cut, AtomicStats};
 use crate::session::SessionCtx;
-use crate::wire::{Frame, FrameKind, QueryAnswer, QueryMode, QueryRequest, WireError};
+use crate::wire::{Frame, FrameKind, QueryAnswer, QueryRequest, WireError};
 
 /// Where a [`QueryService`] takes its consistent cuts from.
 pub trait CutSource {
@@ -115,8 +116,7 @@ impl<S: CutSource> QueryService<S> {
     }
 
     /// Answers one query, serving from the cached estimate when its head
-    /// token has not moved and the query asks `Cached`, and otherwise from
-    /// one consistent cut. The answer is bit-identical to the offline
+    /// token has not moved, and otherwise from one consistent cut. The answer is bit-identical to the offline
     /// estimate on that cut. Errors (invalid predicates, empty collection)
     /// are `Malformed` — callers answer them with an `Error` frame without
     /// closing the connection.
@@ -127,11 +127,7 @@ impl<S: CutSource> QueryService<S> {
 
         let mut engine = self.engine.lock();
         let head = self.source.head();
-        let cached = match req.mode {
-            QueryMode::Cached => engine.cached(head),
-            QueryMode::Fresh => None,
-        };
-        let (out, token) = match cached {
+        let (out, token) = match engine.cached(head) {
             Some(out) => (out, head),
             None => {
                 let t = Instant::now();
@@ -189,9 +185,10 @@ pub(crate) fn reply_frame(plan_hash: u64, answer: Result<QueryAnswer, WireError>
 mod tests {
     use super::*;
     use crate::loadgen::offline_reference;
-    use crate::wire::decode_query_reply;
+    use crate::wire::{decode_query_reply, QueryMode};
     use felip::config::FelipConfig;
     use felip_common::{Attribute, Predicate, Schema};
+    use felip_sync::atomic::{AtomicU64, Ordering};
 
     /// A cut source over fixed counts.
     struct Fixed {
@@ -209,6 +206,71 @@ mod tests {
             copy.merge(&self.counts)?;
             Ok((copy, self.head()))
         }
+    }
+
+    /// A cut source whose counts grow on demand and which counts its cuts.
+    struct Counting {
+        plan: Arc<CollectionPlan>,
+        counts: Mutex<Aggregator>,
+        cuts: AtomicU64,
+    }
+
+    impl CutSource for Counting {
+        fn head(&self) -> u64 {
+            self.counts.lock().reports_ingested() as u64
+        }
+
+        fn cut(&self) -> Result<(Aggregator, u64), felip_common::Error> {
+            self.cuts.fetch_add(1, Ordering::SeqCst);
+            let counts = self.counts.lock();
+            let mut copy = Aggregator::with_oracles(Arc::clone(&self.plan), counts.oracles());
+            copy.merge(&counts)?;
+            let head = counts.reports_ingested() as u64;
+            Ok((copy, head))
+        }
+    }
+
+    /// Neither mode cuts while the head token stands still; after the head
+    /// moves, the next query of either mode takes exactly one cut.
+    #[test]
+    fn an_unmoved_head_takes_no_cut_in_either_mode() {
+        let schema = Schema::new(vec![
+            Attribute::numerical("a", 32),
+            Attribute::categorical("c", 4),
+        ])
+        .unwrap();
+        let plan =
+            Arc::new(CollectionPlan::build(&schema, 200, &FelipConfig::new(1.0), 3).unwrap());
+        let source = Arc::new(Counting {
+            plan: Arc::clone(&plan),
+            counts: Mutex::new(offline_reference(&plan, 0..100, 5).unwrap()),
+            cuts: AtomicU64::new(0),
+        });
+        let oracles = source.counts.lock().oracles();
+        let service = QueryService::new(Arc::clone(&plan), oracles, Arc::clone(&source));
+        let ask = |query_id, mode| QueryRequest {
+            query_id,
+            mode,
+            predicates: vec![Predicate::between(0, 4, 20)],
+        };
+        let cuts = || source.cuts.load(Ordering::SeqCst);
+
+        let first = service.answer(&ask(1, QueryMode::Fresh)).unwrap();
+        assert_eq!(cuts(), 1, "a cold engine cuts once");
+        for (id, mode) in [(2, QueryMode::Fresh), (3, QueryMode::Cached)] {
+            let again = service.answer(&ask(id, mode)).unwrap();
+            assert_eq!(cuts(), 1, "{mode:?} on an unmoved head took a cut");
+            assert_eq!(again.epoch, first.epoch);
+            assert_eq!(again.answer.to_bits(), first.answer.to_bits());
+        }
+
+        let more = offline_reference(&plan, 100..150, 5).unwrap();
+        source.counts.lock().merge(&more).unwrap();
+        let moved = service.answer(&ask(4, QueryMode::Fresh)).unwrap();
+        assert_eq!(cuts(), 2, "a moved head takes exactly one cut");
+        assert_eq!((moved.reports, moved.epoch), (150, first.epoch + 1));
+        service.answer(&ask(5, QueryMode::Cached)).unwrap();
+        assert_eq!(cuts(), 2);
     }
 
     /// A query with more predicates than the λ-D fit takes (its cap is

@@ -63,13 +63,25 @@ pub trait Handler: Sync {
 }
 
 /// Runs one frame through the shared prelude, then the tier's handler.
-pub(crate) fn dispatch<H: Handler, C>(
+pub fn dispatch<H: Handler, C>(
     tier: &Tier<'_, C>,
     handler: &H,
     conn: &mut H::Conn,
     frame: FrameView<'_>,
 ) -> FrameOutcome {
     prelude(&frame, tier.plan_hash, tier.stats).unwrap_or_else(|| handler.on_frame(conn, frame))
+}
+
+impl FrameOutcome {
+    /// The reply to send, with a `Query` answered on the spot by the
+    /// tier's service, and why the connection closes after it, if it does.
+    pub fn into_reply<C: CutSource>(self, tier: &Tier<'_, C>) -> (Frame, Option<WireError>) {
+        let reply = match self.reply {
+            Reply::Frame(f) => f,
+            Reply::Query(req) => reply_frame(tier.plan_hash, tier.query.answer(&req)),
+        };
+        (reply, self.close)
+    }
 }
 
 /// Which loop serves a tier's connections.
@@ -155,12 +167,9 @@ fn serve_conn<C: CutSource, H: Handler, F: Fn() -> bool>(
     loop {
         match transport.recv() {
             RecvOutcome::Frame(frame) => {
-                let outcome = dispatch(tier, handler, &mut conn, frame.view());
-                let reply = match outcome.reply {
-                    Reply::Frame(f) => f,
-                    Reply::Query(req) => reply_frame(tier.plan_hash, tier.query.answer(&req)),
-                };
-                match outcome.close {
+                let (reply, close) =
+                    dispatch(tier, handler, &mut conn, frame.view()).into_reply(tier);
+                match close {
                     // Closing anyway: the error reply is best-effort.
                     Some(e) => {
                         let _ = transport.send(&reply);

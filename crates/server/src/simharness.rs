@@ -28,6 +28,11 @@
 //!
 //! A failing seed reproduces from the CLI:
 //! `cargo run --release -p bench --bin chaos -- --seed N`.
+//!
+//! The virtual clock ([`EventQueue`]), the per-frame fault routing
+//! ([`FaultSchedule::route`]) and the shrinker ([`minimize`]) are public
+//! pieces: the cluster tier's sweep drives its delta streamers and
+//! aggregator on them too.
 
 use felip_sync::atomic::{AtomicU64, Ordering};
 use felip_sync::Arc;
@@ -41,7 +46,7 @@ use felip_common::hash::mix64;
 use felip_common::{Attribute, Predicate, Query, Result, Schema};
 
 use crate::client::{BatchSource, ClientCore, RetryPolicy, Step};
-use crate::fault::{FaultConfig, FaultKind, FaultSchedule};
+use crate::fault::{FaultConfig, FaultKind, FaultSchedule, MS, REPLY_DEADLINE_NS};
 use crate::loadgen;
 use crate::queue::{BoundedQueue, PopResult};
 use crate::server::AtomicStats;
@@ -49,14 +54,6 @@ use crate::session::{AcceptedBatch, Reply, Session, SessionCtx};
 use crate::snapshot::Snapshot;
 use crate::wire::{Frame, WireError};
 
-/// One millisecond of virtual time, in nanoseconds.
-const MS: u64 = 1_000_000;
-/// Base one-way frame latency.
-const LATENCY_NS: u64 = MS;
-/// Client reply deadline before it declares the connection dead.
-const CLIENT_TIMEOUT_NS: u64 = 50 * MS;
-/// How late a `Stall` fault delivers a frame (past the client deadline).
-const STALL_NS: u64 = 200 * MS;
 /// Worker drain cadence.
 const DRAIN_TICK_NS: u64 = 2 * MS;
 /// Query client cadence: sparse enough that ingest moves between asks, so
@@ -66,7 +63,7 @@ const QUERY_TICK_NS: u64 = 15 * MS;
 const CHECKPOINT_TICK_NS: u64 = 8 * MS;
 /// Hard ceiling on processed events — a stuck run is a violation, not a
 /// hang.
-const MAX_EVENTS: u64 = 2_000_000;
+pub const MAX_EVENTS: u64 = 2_000_000;
 
 /// Capacity of the sim's deterministic flight ring — small enough that a
 /// chaos run wraps it (a standard chaos seed records ~100–300 trace
@@ -216,28 +213,96 @@ enum Ev {
     Kill,
 }
 
-struct Scheduled {
-    at: u64,
+/// A sim's event heap on a virtual clock: events pop earliest first, ties
+/// in scheduling order, and [`EventQueue::trace`] folds each step into an
+/// order-sensitive hash — equal across runs of the same seed.
+pub struct EventQueue<E> {
+    heap: BinaryHeap<Scheduled<E>>,
     seq: u64,
-    ev: Ev,
+    now: u64,
+    popped: u64,
+    trace_hash: u64,
 }
 
-impl PartialEq for Scheduled {
+struct Scheduled<E> {
+    at: u64,
+    seq: u64,
+    ev: E,
+}
+
+impl<E> PartialEq for Scheduled<E> {
     fn eq(&self, other: &Self) -> bool {
         (self.at, self.seq) == (other.at, other.seq)
     }
 }
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
+impl<E> Eq for Scheduled<E> {}
+impl<E> PartialOrd for Scheduled<E> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for Scheduled {
+impl<E> Ord for Scheduled<E> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // BinaryHeap is a max-heap; invert for earliest-first, with the
         // schedule sequence as a deterministic tie-break.
         (other.at, other.seq).cmp(&(self.at, self.seq))
+    }
+}
+
+impl<E> Default for EventQueue<E> {
+    fn default() -> Self {
+        EventQueue {
+            heap: BinaryHeap::new(),
+            seq: 0,
+            now: 0,
+            popped: 0,
+            trace_hash: 0x5eed_cafe_f00d_0001,
+        }
+    }
+}
+
+impl<E> EventQueue<E> {
+    /// The virtual time of the event being handled, in nanoseconds.
+    pub fn now(&self) -> u64 {
+        self.now
+    }
+
+    /// Events popped so far.
+    pub fn popped(&self) -> u64 {
+        self.popped
+    }
+
+    /// The trace digest so far.
+    pub fn trace_hash(&self) -> u64 {
+        self.trace_hash
+    }
+
+    /// Schedules `ev` at virtual time `at`.
+    pub fn at(&mut self, at: u64, ev: E) {
+        let seq = self.seq;
+        self.seq += 1;
+        self.heap.push(Scheduled { at, seq, ev });
+    }
+
+    /// Schedules `ev` `delay` nanoseconds from now.
+    pub fn after(&mut self, delay: u64, ev: E) {
+        self.at(self.now + delay, ev);
+    }
+
+    /// The next event, advancing the clock to its time.
+    pub fn pop(&mut self) -> Option<E> {
+        let Scheduled { at, ev, .. } = self.heap.pop()?;
+        self.now = at.max(self.now);
+        self.popped += 1;
+        Some(ev)
+    }
+
+    /// Folds one step (`tag` plus two words) at the current time into the
+    /// trace hash.
+    pub fn trace(&mut self, tag: u64, a: u64, b: u64) {
+        for word in [self.now, tag, a, b] {
+            self.trace_hash = mix64(self.trace_hash ^ word);
+        }
     }
 }
 
@@ -263,9 +328,7 @@ struct Sim {
     plan: Arc<CollectionPlan>,
     oracles: Arc<OracleSet>,
     plan_hash: u64,
-    heap: BinaryHeap<Scheduled>,
-    seq: u64,
-    now: u64,
+    q: EventQueue<Ev>,
     schedule: FaultSchedule,
     clients: Vec<SimClient>,
     /// Live connections: conn id → owning client index. A connection that
@@ -283,8 +346,6 @@ struct Sim {
     stats: AtomicStats,
     agg: Aggregator,
     accepted: Vec<AcceptedBatch>,
-    trace_hash: u64,
-    events: u64,
     quarantined: u64,
     kills: u32,
     rewinds: u64,
@@ -336,40 +397,65 @@ pub fn replay_token(cfg: &SimConfig, token: &str) -> Result<SimReport, String> {
     Ok(run_sim_inner(&cfg, suppressed))
 }
 
+/// What [`minimize`] needs to know of a sim run.
+pub trait FaultRun {
+    /// Whether every invariant held.
+    fn ok(&self) -> bool;
+    /// `(draw index, kind)` of every fault that fired, in order.
+    fn faults_fired(&self) -> &[(u64, FaultKind)];
+    /// The token that replays this run.
+    fn fault_token(&self) -> &str;
+}
+
+impl FaultRun for SimReport {
+    fn ok(&self) -> bool {
+        self.violations.is_empty()
+    }
+
+    fn faults_fired(&self) -> &[(u64, FaultKind)] {
+        &self.faults_fired
+    }
+
+    fn fault_token(&self) -> &str {
+        &self.fault_token
+    }
+}
+
 /// A failing chaos seed, shrunk: the smallest fault subset (found by
 /// greedily suppressing fired faults that are not needed for the failure)
 /// that still violates an invariant, plus the token that replays it.
 #[derive(Debug, Clone)]
-pub struct MinimizedFailure {
+pub struct MinimizedFailure<R = SimReport> {
     /// Replay token of the minimized failing run (`seed=…;suppress=…`).
     pub token: String,
     /// Faults still firing in the minimized run.
     pub faults: Vec<(u64, FaultKind)>,
     /// The minimized run's report (still failing).
-    pub report: SimReport,
+    pub report: R,
 }
 
-/// Shrinks a failing seed to a minimal fault schedule: repeatedly tries
-/// suppressing each fired fault and keeps every suppression that preserves
-/// the failure. Returns `None` when `cfg`'s run passes (nothing to shrink).
+/// Shrinks a failing run to a minimal fault schedule: `run` replays the
+/// seed with the given draw indices suppressed, and every suppression
+/// that preserves the failure is kept. Returns `None` when the
+/// unsuppressed run passes (nothing to shrink).
 ///
 /// The resulting [`MinimizedFailure::token`] pins the exact run — print it
-/// in the test failure, replay it with [`replay_token`].
-pub fn minimize_failing_seed(cfg: &SimConfig) -> Option<MinimizedFailure> {
-    let mut failing = run_sim(cfg);
+/// in the test failure and replay it.
+pub fn minimize<R: FaultRun>(run: impl Fn(&HashSet<u64>) -> R) -> Option<MinimizedFailure<R>> {
+    let mut suppressed: HashSet<u64> = HashSet::new();
+    let mut failing = run(&suppressed);
     if failing.ok() {
         return None;
     }
-    let mut suppressed: HashSet<u64> = HashSet::new();
     loop {
         let mut progressed = false;
-        for (idx, _) in failing.faults_fired.clone() {
+        for (idx, _) in failing.faults_fired().to_vec() {
             if suppressed.contains(&idx) {
                 continue;
             }
             let mut trial = suppressed.clone();
             trial.insert(idx);
-            let r = run_sim_suppressed(cfg, &trial);
+            let r = run(&trial);
             if !r.ok() {
                 suppressed = trial;
                 failing = r;
@@ -381,10 +467,15 @@ pub fn minimize_failing_seed(cfg: &SimConfig) -> Option<MinimizedFailure> {
         }
     }
     Some(MinimizedFailure {
-        token: failing.fault_token.clone(),
-        faults: failing.faults_fired.clone(),
+        token: failing.fault_token().to_string(),
+        faults: failing.faults_fired().to_vec(),
         report: failing,
     })
+}
+
+/// [`minimize`] for a server sim run under `cfg`.
+pub fn minimize_failing_seed(cfg: &SimConfig) -> Option<MinimizedFailure> {
+    minimize(|suppressed| run_sim_suppressed(cfg, suppressed))
 }
 
 fn run_sim_inner(cfg: &SimConfig, suppressed: HashSet<u64>) -> SimReport {
@@ -449,9 +540,7 @@ fn run_sim_inner(cfg: &SimConfig, suppressed: HashSet<u64>) -> SimReport {
         plan: Arc::clone(&plan),
         oracles: Arc::clone(&oracles),
         plan_hash,
-        heap: BinaryHeap::new(),
-        seq: 0,
-        now: 0,
+        q: EventQueue::default(),
         schedule: FaultSchedule::with_suppressed(cfg.seed, cfg.faults, suppressed),
         clients,
         conns: HashMap::new(),
@@ -463,8 +552,6 @@ fn run_sim_inner(cfg: &SimConfig, suppressed: HashSet<u64>) -> SimReport {
         stats: AtomicStats::default(),
         agg: Aggregator::with_oracles(Arc::clone(&plan), Arc::clone(&oracles)),
         accepted: Vec::new(),
-        trace_hash: 0x5eed_cafe_f00d_0001,
-        events: 0,
         quarantined: 0,
         kills: 0,
         rewinds: 0,
@@ -484,17 +571,8 @@ fn run_sim_inner(cfg: &SimConfig, suppressed: HashSet<u64>) -> SimReport {
 }
 
 impl Sim {
-    fn schedule_ev(&mut self, at: u64, ev: Ev) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Scheduled { at, seq, ev });
-    }
-
     fn trace(&mut self, tag: u64, a: u64, b: u64) {
-        self.trace_hash = mix64(self.trace_hash ^ self.now);
-        self.trace_hash = mix64(self.trace_hash ^ tag);
-        self.trace_hash = mix64(self.trace_hash ^ a);
-        self.trace_hash = mix64(self.trace_hash ^ b);
+        self.q.trace(tag, a, b);
         // Tee into the deterministic flight ring (and the unbounded
         // shadow that `verify` checks the ring's dump against).
         let code = tag as u16;
@@ -510,59 +588,22 @@ impl Sim {
         });
     }
 
-    fn latency(&mut self) -> u64 {
-        LATENCY_NS + self.schedule.draw_below(MS / 10)
-    }
-
     /// Routes one encoded frame through the fault pipeline. `to_server`
     /// picks the direction; `c` is the destination client otherwise.
     fn route(&mut self, conn: u64, frame: &Frame, to_server: bool, c: usize) {
-        let mut bytes = frame.encode();
-        let fault = self.schedule.next_frame_fault();
-        self.trace(1, conn, fault.map_or(0, |k| k as u64 + 1));
-        let lat = self.latency();
-        let mut deliveries: Vec<(u64, Vec<u8>)> = Vec::new();
-        match fault {
-            None => deliveries.push((lat, bytes)),
-            Some(FaultKind::Drop) => {}
-            Some(FaultKind::Truncate) => {
-                let t = self.schedule.truncate_frame(&bytes);
-                deliveries.push((lat, t));
-            }
-            Some(FaultKind::Duplicate) => {
-                deliveries.push((lat, bytes.clone()));
-                let second = lat + self.latency();
-                deliveries.push((second, bytes));
-            }
-            Some(FaultKind::Reorder) => deliveries.push((3 * lat, bytes)),
-            Some(FaultKind::Corrupt) => {
-                self.schedule.corrupt_frame(&mut bytes);
-                deliveries.push((lat, bytes));
-            }
-            Some(FaultKind::Reset) => {
-                self.reset_conn(conn);
-                return;
-            }
-            Some(FaultKind::Stall) => deliveries.push((STALL_NS + lat, bytes)),
-            Some(FaultKind::TornSnapshot) => {
-                unreachable!("drawn per snapshot write, not per frame")
-            }
+        let routed = self.schedule.route(frame.encode());
+        self.trace(1, conn, routed.fault.map_or(0, |k| k as u64 + 1));
+        if routed.fault == Some(FaultKind::Reset) {
+            self.reset_conn(conn);
+            return;
         }
-        for (delay, payload) in deliveries {
+        for (delay, bytes) in routed.arrivals {
             let ev = if to_server {
-                Ev::ToServer {
-                    conn,
-                    bytes: payload,
-                }
+                Ev::ToServer { conn, bytes }
             } else {
-                Ev::ToClient {
-                    c,
-                    conn,
-                    bytes: payload,
-                }
+                Ev::ToClient { c, conn, bytes }
             };
-            let at = self.now + delay;
-            self.schedule_ev(at, ev);
+            self.q.after(delay, ev);
         }
     }
 
@@ -635,12 +676,12 @@ impl Sim {
             Step::Await => {}
             Step::Backoff(delay) => {
                 self.trace(10, c as u64, delay.as_nanos() as u64);
-                self.schedule_ev(self.now + delay.as_nanos() as u64, Ev::ClientWake(c));
+                self.q.after(delay.as_nanos() as u64, Ev::ClientWake(c));
             }
             Step::Reconnect(delay) => {
                 self.close_client_conn(c);
                 self.trace(11, c as u64, delay.as_nanos() as u64);
-                self.schedule_ev(self.now + delay.as_nanos() as u64, Ev::ClientWake(c));
+                self.q.after(delay.as_nanos() as u64, Ev::ClientWake(c));
             }
             Step::Done => {
                 self.clients[c].done = true;
@@ -663,7 +704,8 @@ impl Sim {
     fn send_from_client(&mut self, c: usize, frame: &Frame) {
         let (conn, token) = (self.clients[c].conn, self.clients[c].token);
         self.route(conn, frame, true, c);
-        self.schedule_ev(self.now + CLIENT_TIMEOUT_NS, Ev::ClientTimeout { c, token });
+        self.q
+            .after(REPLY_DEADLINE_NS, Ev::ClientTimeout { c, token });
     }
 
     fn close_client_conn(&mut self, c: usize) {
@@ -910,19 +952,17 @@ impl Sim {
     fn run(mut self) -> SimReport {
         for c in 0..self.clients.len() {
             let jitter = self.schedule.draw_below(MS);
-            self.schedule_ev(jitter, Ev::ClientWake(c));
+            self.q.at(jitter, Ev::ClientWake(c));
         }
-        self.schedule_ev(DRAIN_TICK_NS, Ev::Drain);
-        self.schedule_ev(QUERY_TICK_NS, Ev::Query);
+        self.q.at(DRAIN_TICK_NS, Ev::Drain);
+        self.q.at(QUERY_TICK_NS, Ev::Query);
         if let Some(at) = self.cfg.kill_at_ns {
-            self.schedule_ev(CHECKPOINT_TICK_NS, Ev::Checkpoint);
-            self.schedule_ev(at, Ev::Kill);
+            self.q.at(CHECKPOINT_TICK_NS, Ev::Checkpoint);
+            self.q.at(at, Ev::Kill);
         }
 
-        while let Some(Scheduled { at, ev, .. }) = self.heap.pop() {
-            self.now = at.max(self.now);
-            self.events += 1;
-            if self.events > MAX_EVENTS {
+        while let Some(ev) = self.q.pop() {
+            if self.q.popped() > MAX_EVENTS {
                 self.violations.push(format!(
                     "simulation did not settle within {MAX_EVENTS} events"
                 ));
@@ -936,22 +976,22 @@ impl Sim {
                 Ev::Drain => {
                     self.drain(self.cfg.drain_per_tick.max(1));
                     if !(self.all_settled() && self.queue.is_empty()) {
-                        self.schedule_ev(self.now + DRAIN_TICK_NS, Ev::Drain);
+                        self.q.after(DRAIN_TICK_NS, Ev::Drain);
                     }
                 }
                 Ev::Query => {
                     self.on_query();
                     if !(self.all_settled() && self.queue.is_empty()) {
-                        self.schedule_ev(self.now + QUERY_TICK_NS, Ev::Query);
+                        self.q.after(QUERY_TICK_NS, Ev::Query);
                     }
                 }
                 Ev::Checkpoint => {
                     self.write_snapshot();
                     // Only the last snapshot before the kill is ever
                     // restored.
-                    let next = self.now + CHECKPOINT_TICK_NS;
+                    let next = self.q.now() + CHECKPOINT_TICK_NS;
                     if self.cfg.kill_at_ns.is_some_and(|kill| next < kill) {
-                        self.schedule_ev(next, Ev::Checkpoint);
+                        self.q.at(next, Ev::Checkpoint);
                     }
                 }
                 Ev::Kill => self.on_kill(),
@@ -979,8 +1019,8 @@ impl Sim {
 
         SimReport {
             seed: self.cfg.seed,
-            events: self.events,
-            trace_hash: self.trace_hash,
+            events: self.q.popped(),
+            trace_hash: self.q.trace_hash(),
             counts_digest: self.agg.counts_digest(),
             reports_ingested: self.agg.reports_ingested(),
             server_acked_batches: self.accepted.len(),

@@ -128,8 +128,8 @@ fn concurrent_cached_askers_share_one_refresh() {
         assert!(hist_count(&doc, name) > 0, "felip stat misses {name}");
     }
 
-    // A `Fresh` query on the unmoved head cuts, finds the cached token
-    // and reuses the warm estimator: same epoch, no new matrix fit.
+    // A `Fresh` query on the unmoved head takes no cut: the head token
+    // proves the cached estimator is current. Same epoch, no new fit.
     let builds = hist_count(&doc, "grid.response.build");
     let mut client = Client::connect(addr, plan_hash).expect("connect");
     let cached = client
@@ -141,7 +141,7 @@ fn concurrent_cached_askers_share_one_refresh() {
     assert_eq!(fresh.epoch, cached.epoch);
     assert_eq!(fresh.answer.to_bits(), expected.to_bits());
     let doc = stat(addr);
-    assert_eq!(hist_count(&doc, "server.query.cut"), 2);
+    assert_eq!(hist_count(&doc, "server.query.cut"), 1);
     assert_eq!(hist_count(&doc, "grid.response.build"), builds);
     assert_eq!(counter(&doc, "query.cache.hit"), ASKERS as u64 + 1);
     assert_eq!(counter(&doc, "query.cache.miss"), 1);
