@@ -125,7 +125,7 @@ pub fn estimate(args: &[String]) -> CmdResult {
 mod tests {
     use super::*;
     use felip_cluster::{StreamerConfig, UpstreamStreamer};
-    use felip_server::{CutState, Server, ServerConfig};
+    use felip_server::{Server, ServerConfig, Snapshot};
     use std::sync::atomic::Ordering;
     use std::time::Duration;
 
@@ -198,11 +198,7 @@ mod tests {
             let run = t.join().unwrap();
             let report = streamer
                 .finish(
-                    CutState {
-                        counts: run.aggregator.counts().to_vec(),
-                        group_sizes: run.aggregator.group_sizes().to_vec(),
-                        reports: run.aggregator.reports_ingested() as u64,
-                    },
+                    Snapshot::capture(&run.aggregator, plan.schema_hash()),
                     Duration::from_secs(30),
                 )
                 .unwrap();

@@ -18,9 +18,7 @@ use felip_common::rng::derive_seed;
 use felip_obs::diag;
 use felip_server::loadgen::{batch_reports, offline_reference};
 use felip_server::wire::{encode_stat, read_frame, write_frame, QueryMode, StatMode};
-use felip_server::{
-    signal, Client, CutState, Frame, FrameKind, RetryPolicy, Server, ServerConfig, Snapshot,
-};
+use felip_server::{signal, Client, Frame, FrameKind, RetryPolicy, Server, ServerConfig, Snapshot};
 
 use crate::args::{parse_schema, Flags};
 
@@ -108,11 +106,7 @@ pub fn serve(args: &[String]) -> CmdResult {
     // aggregator's view of this node is complete before we exit.
     let mut upstream_json = serde_json::Value::Null;
     if let Some(streamer) = streamer {
-        let final_cut = CutState {
-            counts: run.aggregator.counts().to_vec(),
-            group_sizes: run.aggregator.group_sizes().to_vec(),
-            reports: run.aggregator.reports_ingested() as u64,
-        };
+        let final_cut = Snapshot::capture(&run.aggregator, plan.schema_hash());
         let (flushed, report) = match streamer.finish(final_cut, Duration::from_secs(30)) {
             Ok(report) => (true, report),
             Err(report) => (false, report),

@@ -34,10 +34,9 @@ use felip_server::client::{RetryPolicy, Step};
 use felip_server::fault::{FaultConfig, FaultKind, FaultSchedule, MS, REPLY_DEADLINE_NS};
 use felip_server::loadgen::{batch_reports, offline_reference};
 use felip_server::serve::{dispatch, AtomicStats, Tier};
-use felip_server::server::CutState;
 use felip_server::simharness::{minimize, EventQueue, FaultRun, MAX_EVENTS};
 use felip_server::wire::{Frame, QueryMode, QueryRequest};
-use felip_server::QueryService;
+use felip_server::{QueryService, Snapshot};
 
 use crate::server::{AggregatorHandler, DeltaCounts};
 use crate::state::ClusterState;
@@ -157,7 +156,7 @@ struct Node {
     ingested: u64,
     cuts: u64,
     /// The node's local snapshot: batches covered, and its cut.
-    snapshot: Option<(u64, CutState)>,
+    snapshot: Option<(u64, Snapshot)>,
     core: StreamerCore,
     life: Life,
     /// Bumped at each kill, so events of a dead life are dropped.
@@ -323,14 +322,6 @@ fn core(plan: &CollectionPlan, seed: u64, i: usize) -> StreamerCore {
     StreamerCore::new(plan.schema_hash(), i as u64 + 1, policy)
 }
 
-fn cut_of(agg: &Aggregator) -> CutState {
-    CutState {
-        counts: agg.counts().to_vec(),
-        group_sizes: agg.group_sizes().to_vec(),
-        reports: agg.reports_ingested() as u64,
-    }
-}
-
 impl Agg {
     /// An aggregator life over `state`; its query engine starts cold.
     fn new(state: ClusterState) -> Agg {
@@ -468,12 +459,12 @@ impl Sim {
         if node.gen != life || !matches!(node.life, Life::Ingesting | Life::Idle) {
             return;
         }
-        let cut = cut_of(&node.counts);
+        let cut = Snapshot::capture(&node.counts, self.plan_hash);
         node.cuts += 1;
         if node.cuts % 2 == 1 {
             node.snapshot = Some((node.ingested, cut.clone()));
         }
-        self.q.trace(21, n as u64, cut.reports);
+        self.q.trace(21, n as u64, cut.reports_ingested() as u64);
         node.core.offer(cut);
         self.q.after(CUT_TICK_NS, Ev::Cut { node: n, life });
         if self.nodes[n].parked {
@@ -487,7 +478,8 @@ impl Sim {
             return;
         }
         node.life = Life::Finishing;
-        node.core.finish(cut_of(&node.counts));
+        node.core
+            .finish(Snapshot::capture(&node.counts, self.plan_hash));
         self.q.trace(22, n as u64, node.ingested);
         self.q.after(FINISH_DEADLINE_NS, Ev::FinishDeadline(n));
         if self.nodes[n].parked {
@@ -682,13 +674,9 @@ impl Sim {
         let from_snapshot = self.faults.from_snapshot;
         let snapshot = self.nodes[n].snapshot.take().filter(|_| from_snapshot);
         let restored = match snapshot {
-            Some((ingested, cut)) => Aggregator::restore(
-                Arc::clone(&self.plan),
-                Arc::clone(&self.oracles),
-                cut.counts,
-                cut.group_sizes,
-            )
-            .map(|counts| (ingested, counts)),
+            Some((ingested, cut)) => cut
+                .restore(Arc::clone(&self.plan), Arc::clone(&self.oracles))
+                .map(|counts| (ingested, counts)),
             None => Ok((
                 0,
                 Aggregator::with_oracles(Arc::clone(&self.plan), Arc::clone(&self.oracles)),

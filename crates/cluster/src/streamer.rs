@@ -1,5 +1,5 @@
-//! The ingest-node side of the cluster tier: turns periodic [`CutState`]s
-//! into epoch-numbered `Delta` frames and ships them upstream with the
+//! The ingest-node side of the cluster tier: ships each periodic cut's
+//! [`Snapshot`] upstream as an epoch-numbered `Delta` frame, with the
 //! same exactly-once-or-rejected discipline clients use for report
 //! batches (DESIGN.md §16).
 //!
@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 use felip_sync::{thread, Arc, Condvar, Mutex};
 
 use felip_server::client::{RetryPolicy, Step, REPLY_DEADLINE};
-use felip_server::server::{CutHook, CutState};
+use felip_server::server::CutHook;
 use felip_server::wire::{
     decode_ack, decode_delta_ack, encode_delta, encode_hello, read_frame, write_frame, Frame,
     FrameKind, WireError,
@@ -73,15 +73,15 @@ pub(crate) struct StreamerCore {
     policy: RetryPolicy,
     phase: Phase,
     /// The newest cut not yet shipped: an offer replaces it.
-    pending: Option<CutState>,
+    pending: Option<Snapshot>,
     /// The delta in flight: its epoch, its cut, and whether it is the
     /// final flush.
-    in_flight: Option<(u64, CutState, bool)>,
+    in_flight: Option<(u64, Snapshot, bool)>,
     /// The final cut was offered and the aggregator up now has not acked
     /// it yet.
     flush: bool,
     /// The last cut the aggregator acked.
-    acked: Option<CutState>,
+    acked: Option<Snapshot>,
     /// The aggregator's last applied epoch for this node, per its last
     /// `Hello` ack or `DeltaAck`.
     last_applied: u64,
@@ -109,13 +109,13 @@ impl StreamerCore {
     }
 
     /// Offers a periodic cut; it replaces any older pending one.
-    pub(crate) fn offer(&mut self, cut: CutState) {
+    pub(crate) fn offer(&mut self, cut: Snapshot) {
         self.pending = Some(cut);
     }
 
     /// Offers the final cut, which is shipped even when it equals the last
     /// acked one.
-    pub(crate) fn finish(&mut self, cut: CutState) {
+    pub(crate) fn finish(&mut self, cut: Snapshot) {
         self.pending = Some(cut);
         self.flush = true;
     }
@@ -168,16 +168,10 @@ impl StreamerCore {
                     return Step::Done;
                 }
                 let epoch = self.last_applied + 1;
-                let snapshot = Snapshot {
-                    plan_hash: self.plan_hash,
-                    counts: cut.counts.clone(),
-                    group_sizes: cut.group_sizes.clone(),
-                    dedup: Vec::new(),
-                };
                 let frame = Frame {
                     kind: FrameKind::Delta,
                     plan_hash: self.plan_hash,
-                    payload: encode_delta(epoch, &snapshot),
+                    payload: encode_delta(epoch, &cut),
                 };
                 self.in_flight = Some((epoch, cut, self.flush));
                 self.attempts += 1;
@@ -215,7 +209,7 @@ impl StreamerCore {
                     return self.lost();
                 };
                 self.report.deltas_acked += 1;
-                self.report.flushed_reports = cut.reports;
+                self.report.flushed_reports = cut.reports_ingested() as u64;
                 self.flush &= !flush;
                 self.acked = Some(cut);
                 self.last_applied = last_applied;
@@ -282,7 +276,7 @@ impl UpstreamStreamer {
     /// A [`CutHook`] that offers each periodic cut to the core.
     pub fn hook(&self) -> CutHook {
         let shared = Arc::clone(&self.shared);
-        Arc::new(move |cut: CutState| {
+        Arc::new(move |cut: Snapshot| {
             shared.slot.lock().core.offer(cut);
             shared.cv.notify_all();
         })
@@ -295,7 +289,7 @@ impl UpstreamStreamer {
     /// (the aggregator stayed unreachable).
     pub fn finish(
         mut self,
-        final_cut: CutState,
+        final_cut: Snapshot,
         deadline: Duration,
     ) -> Result<StreamerReport, StreamerReport> {
         let end = Instant::now() + deadline;
@@ -401,11 +395,12 @@ mod tests {
         StreamerCore::new(PLAN, 7, RetryPolicy::default())
     }
 
-    fn cut(reports: u64) -> CutState {
-        CutState {
+    fn cut(reports: u64) -> Snapshot {
+        Snapshot {
+            plan_hash: PLAN,
             counts: vec![vec![reports, 1], vec![2, reports]],
             group_sizes: vec![reports as usize],
-            reports,
+            dedup: Vec::new(),
         }
     }
 
@@ -438,7 +433,7 @@ mod tests {
 
     /// Offers `cut` to a connected core whose aggregator holds
     /// `last_applied`, returning the step that ships it.
-    fn connected(core: &mut StreamerCore, last_applied: u64, first: CutState) -> Step {
+    fn connected(core: &mut StreamerCore, last_applied: u64, first: Snapshot) -> Step {
         core.offer(first);
         assert!(matches!(core.wake(), Step::Connect(_)));
         core.on_reply(hello_ack(last_applied))

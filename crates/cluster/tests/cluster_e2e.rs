@@ -17,7 +17,7 @@ use felip_server::loadgen::offline_reference;
 use felip_server::wire::{self, Frame, FrameKind, QueryAnswer, QueryMode, QueryRequest};
 use felip_server::{ServerConfig, Snapshot};
 
-use common::{cut_of, plan, serve_and_stream, split_users, NodeExit};
+use common::{plan, serve_and_stream, split_users, NodeExit};
 
 #[test]
 fn three_node_split_merges_bit_identical_to_single_node() {
@@ -282,6 +282,7 @@ fn aggregator_restart_mid_load_converges_with_resume() {
 fn final_flush_lands_on_a_fresh_aggregator_that_replaced_the_acking_one() {
     let plan = plan();
     let node = offline_reference(&plan, 0..30, 17).expect("offline");
+    let cut = Snapshot::capture(&node, plan.schema_hash());
 
     let a = AggregatorServer::bind(Arc::clone(&plan), AggregatorConfig::default()).expect("bind A");
     let upstream = a.local_addr();
@@ -293,7 +294,7 @@ fn final_flush_lands_on_a_fresh_aggregator_that_replaced_the_acking_one() {
         node_id: 1,
         plan_hash: plan.schema_hash(),
     });
-    (streamer.hook())(cut_of(&node));
+    (streamer.hook())(cut.clone());
     let start = Instant::now();
     while state_a.merged().expect("merge").reports_ingested() < 30 {
         assert!(
@@ -317,7 +318,7 @@ fn final_flush_lands_on_a_fresh_aggregator_that_replaced_the_acking_one() {
     let b_thread = thread::spawn(move || b.run(None).expect("aggregator B run"));
 
     let report = streamer
-        .finish(cut_of(&node), Duration::from_secs(30))
+        .finish(cut, Duration::from_secs(30))
         .expect("final flush");
     assert_eq!(report.flushed_reports, 30);
     stop_b.store(true, Ordering::SeqCst);

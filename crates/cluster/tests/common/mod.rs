@@ -7,13 +7,12 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use felip::aggregator::Aggregator;
 use felip::config::FelipConfig;
 use felip::plan::CollectionPlan;
 use felip_cluster::{StreamerConfig, StreamerReport, UpstreamStreamer};
 use felip_common::{Attribute, Schema};
 use felip_server::loadgen::batch_reports;
-use felip_server::{Client, CutState, Server, ServerConfig, ServerRun};
+use felip_server::{Client, Server, ServerConfig, ServerRun, Snapshot};
 
 /// A small two-attribute plan every test shares.
 pub fn plan() -> Arc<CollectionPlan> {
@@ -23,16 +22,6 @@ pub fn plan() -> Arc<CollectionPlan> {
     ])
     .expect("schema");
     Arc::new(CollectionPlan::build(&schema, 1_000, &FelipConfig::new(1.0), 5).expect("plan"))
-}
-
-/// The cut equivalent of a finished server run's merged aggregator — what
-/// the final flush offers the streamer.
-pub fn cut_of(agg: &Aggregator) -> CutState {
-    CutState {
-        counts: agg.counts().to_vec(),
-        group_sizes: agg.group_sizes().to_vec(),
-        reports: agg.reports_ingested() as u64,
-    }
 }
 
 /// Round-robin partition of `0..total`: node `i` of `n` gets every user
@@ -101,7 +90,10 @@ pub fn serve_and_stream(
     shutdown.store(true, std::sync::atomic::Ordering::SeqCst);
     let run = server_thread.join().expect("join server");
     let report = match exit {
-        NodeExit::Flush => Some(streamer.finish(cut_of(&run.aggregator), Duration::from_secs(60))),
+        NodeExit::Flush => {
+            let cut = Snapshot::capture(&run.aggregator, plan_hash);
+            Some(streamer.finish(cut, Duration::from_secs(60)))
+        }
         NodeExit::Abandon => {
             streamer.abandon();
             None

@@ -42,14 +42,13 @@ pub mod signal;
 pub mod simharness;
 pub mod snapshot;
 pub mod stat;
-pub mod transport;
+mod transport;
 pub mod wire;
 
 pub use client::{Client, RetryPolicy};
 pub use fault::{FaultConfig, FaultKind, FaultSchedule};
 pub use query::{CutSource, QueryService};
-pub use server::{CutHook, CutState, Server, ServerConfig, ServerError, ServerRun, ServerStats};
+pub use server::{CutHook, Server, ServerConfig, ServerError, ServerRun, ServerStats};
 pub use simharness::{SimConfig, SimReport};
 pub use snapshot::Snapshot;
-pub use transport::{RecvOutcome, TcpTransport};
 pub use wire::{Frame, FrameKind, QueryAnswer, QueryMode, QueryRequest, WireError};

@@ -22,10 +22,9 @@ use felip_common::{Attribute, Schema};
 use felip::query::QueryEngine;
 
 use crate::loadgen;
-use crate::query::{QueryService, ServeCut};
 use crate::queue::{BoundedQueue, Periodic, PopResult};
-use crate::server::{consistent_cut, AtomicStats};
-use crate::session::{Session, SessionCtx};
+use crate::server::IngestState;
+use crate::session::Session;
 use crate::wire::{encode_batch, encode_hello, Frame, FrameKind, QueryMode, QueryRequest};
 
 /// A tiny but real plan (one 8-bin attribute, 4 users) shared by every
@@ -40,6 +39,11 @@ fn tiny_plan() -> (Arc<CollectionPlan>, Arc<OracleSet>) {
     (plan, oracles)
 }
 
+/// A fresh one-worker ingest state over the tiny plan.
+fn fresh_state(plan: &Arc<CollectionPlan>, oracles: &Arc<OracleSet>) -> Arc<IngestState> {
+    IngestState::new(Arc::clone(plan), Arc::clone(oracles), 1, 4, None).expect("fresh state")
+}
+
 /// Two valid reports for the plan — the payload of every test batch.
 fn two_reports(plan: &Arc<CollectionPlan>) -> Vec<UserReport> {
     (0..2)
@@ -47,20 +51,28 @@ fn two_reports(plan: &Arc<CollectionPlan>) -> Vec<UserReport> {
         .collect()
 }
 
-fn hello_frame(plan_hash: u64, client_id: u64) -> Frame {
-    Frame {
+/// One connection of `client` through the tier's dispatch: its `Hello`,
+/// then `batches` as batch ids 1, 2, …. Returns how many were accepted.
+fn send_batches(state: &Arc<IngestState>, client: u64, batches: &[Vec<UserReport>]) -> usize {
+    let (query, mut session) = (state.query_service(), Session::default());
+    let plan_hash = state.ctx.plan_hash;
+    let hello = Frame {
         kind: FrameKind::Hello,
         plan_hash,
-        payload: encode_hello(client_id),
-    }
-}
-
-fn batch_frame(plan_hash: u64, batch_id: u64, reports: &[UserReport]) -> Frame {
-    Frame {
-        kind: FrameKind::ReportBatch,
-        plan_hash,
-        payload: encode_batch(batch_id, reports).expect("encode batch"),
-    }
+        payload: encode_hello(client),
+    };
+    state.serve_frame(&query, &mut session, &hello);
+    (1..)
+        .zip(batches)
+        .filter(|(batch_id, reports)| {
+            let frame = Frame {
+                kind: FrameKind::ReportBatch,
+                plan_hash,
+                payload: encode_batch(*batch_id, reports).expect("encode batch"),
+            };
+            state.serve_frame(&query, &mut session, &frame).1.is_some()
+        })
+        .count()
 }
 
 /// Pops exactly one batch (waiting as long as it takes), ingests it into
@@ -126,34 +138,26 @@ fn model_queue_quiescence_is_exact() {
 fn model_racing_sessions_accept_exactly_once() {
     let (plan, oracles) = tiny_plan();
     let reports = two_reports(&plan);
-    let plan_hash = plan.schema_hash();
     let stats = model::check(move || {
-        let ctx = Arc::new(SessionCtx::new(
-            Arc::clone(&plan),
-            Arc::clone(&oracles),
-            vec![],
-        ));
-        let q = Arc::new(BoundedQueue::<Admitted>::new(4));
-        let stats = Arc::new(AtomicStats::default());
+        let state = fresh_state(&plan, &oracles);
         let spawn_conn = |_| {
-            let (ctx, q, stats) = (Arc::clone(&ctx), Arc::clone(&q), Arc::clone(&stats));
+            let state = Arc::clone(&state);
             let reports = reports.clone();
-            thread::spawn(move || {
-                let mut session = Session::default();
-                session.on_frame(hello_frame(plan_hash, 9), &ctx, &q, &stats);
-                let out = session.on_frame(batch_frame(plan_hash, 1, &reports), &ctx, &q, &stats);
-                u32::from(out.accepted.is_some())
-            })
+            thread::spawn(move || send_batches(&state, 9, &[reports]))
         };
-        let accepted: u32 = (0..2)
+        let accepted: usize = (0..2)
             .map(spawn_conn)
             .collect::<Vec<_>>()
             .into_iter()
             .map(|h| h.join().expect("conn task"))
             .sum();
         assert_eq!(accepted, 1, "same batch accepted {accepted} times");
-        assert_eq!(q.len(), 1, "queue must hold the batch exactly once");
-        let cursor = ctx.dedup.lock().get(&9).copied().unwrap_or(0);
+        assert_eq!(
+            state.queues[0].len(),
+            1,
+            "queue must hold the batch exactly once"
+        );
+        let cursor = state.ctx.dedup.lock().get(&9).copied().unwrap_or(0);
         assert_eq!(cursor, 1, "cursor must land on the accepted batch");
     })
     .expect("exactly-once admission must hold on every schedule");
@@ -169,42 +173,24 @@ fn model_racing_sessions_accept_exactly_once() {
 fn model_consistent_cut_counts_match_cursors() {
     let (plan, oracles) = tiny_plan();
     let reports = two_reports(&plan);
-    let plan_hash = plan.schema_hash();
     let per_batch = reports.len() as u64;
     let stats = model::check(move || {
-        let ctx = Arc::new(SessionCtx::new(
-            Arc::clone(&plan),
-            Arc::clone(&oracles),
-            vec![],
-        ));
-        let q = Arc::new(BoundedQueue::<Admitted>::new(4));
-        let stats = Arc::new(AtomicStats::default());
-        let base = Mutex::new(Aggregator::with_oracles(
-            Arc::clone(&plan),
-            Arc::clone(&oracles),
-        ));
-        let shards = Arc::new(vec![Mutex::new(Aggregator::with_oracles(
-            Arc::clone(&plan),
-            Arc::clone(&oracles),
-        ))]);
+        let state = fresh_state(&plan, &oracles);
         let session = {
-            let (ctx, q, stats) = (Arc::clone(&ctx), Arc::clone(&q), Arc::clone(&stats));
+            let state = Arc::clone(&state);
             let reports = reports.clone();
             thread::spawn(move || {
-                let mut s = Session::default();
-                s.on_frame(hello_frame(plan_hash, 3), &ctx, &q, &stats);
-                let out = s.on_frame(batch_frame(plan_hash, 1, &reports), &ctx, &q, &stats);
-                assert!(out.accepted.is_some(), "uncontended batch must be accepted");
+                let accepted = send_batches(&state, 3, &[reports]);
+                assert_eq!(accepted, 1, "uncontended batch must be accepted");
             })
         };
         let worker = {
-            let (q, shards) = (Arc::clone(&q), Arc::clone(&shards));
-            thread::spawn(move || drain_one(&q, &shards[0]))
+            let state = Arc::clone(&state);
+            thread::spawn(move || drain_one(&state.queues[0], &state.shards[0]))
         };
         // The cut races the session and the worker; whatever it freezes
         // must be internally consistent.
-        let (cut, pairs) =
-            consistent_cut(&ctx, &plan, &oracles, &base, &shards, &[Arc::clone(&q)]).expect("cut");
+        let (cut, pairs) = state.cut_with_cursors().expect("cut");
         let cursor = pairs
             .iter()
             .find(|&&(c, _)| c == 3)
@@ -291,42 +277,21 @@ fn model_periodic_stop_is_never_lost() {
 fn model_blocking_cut_never_captures_cursors_ahead_of_counts() {
     let (plan, oracles) = tiny_plan();
     let reports = two_reports(&plan);
-    let plan_hash = plan.schema_hash();
     let per_batch = reports.len() as u64;
     let stats = model::check(move || {
-        let ctx = Arc::new(SessionCtx::new(
-            Arc::clone(&plan),
-            Arc::clone(&oracles),
-            vec![],
-        ));
-        let q = Arc::new(BoundedQueue::<Admitted>::new(4));
-        let stats = Arc::new(AtomicStats::default());
-        let base = Mutex::new(Aggregator::with_oracles(
-            Arc::clone(&plan),
-            Arc::clone(&oracles),
-        ));
-        let shards = Arc::new(vec![Mutex::new(Aggregator::with_oracles(
-            Arc::clone(&plan),
-            Arc::clone(&oracles),
-        ))]);
+        let state = fresh_state(&plan, &oracles);
         // Both batches are acked before the race starts: the cut can only
         // wait for the worker.
-        let mut session = Session::default();
-        session.on_frame(hello_frame(plan_hash, 3), &ctx, &q, &stats);
-        for batch_id in 1..=2 {
-            let out =
-                session.on_frame(batch_frame(plan_hash, batch_id, &reports), &ctx, &q, &stats);
-            assert!(out.accepted.is_some(), "uncontended batch must be accepted");
-        }
+        let accepted = send_batches(&state, 3, &[reports.clone(), reports.clone()]);
+        assert_eq!(accepted, 2, "uncontended batches must be accepted");
         let worker = {
-            let (q, shards) = (Arc::clone(&q), Arc::clone(&shards));
+            let state = Arc::clone(&state);
             thread::spawn(move || {
-                drain_one(&q, &shards[0]);
-                drain_one(&q, &shards[0]);
+                drain_one(&state.queues[0], &state.shards[0]);
+                drain_one(&state.queues[0], &state.shards[0]);
             })
         };
-        let (cut, pairs) =
-            consistent_cut(&ctx, &plan, &oracles, &base, &shards, &[Arc::clone(&q)]).expect("cut");
+        let (cut, pairs) = state.cut_with_cursors().expect("cut");
         assert_eq!(pairs, vec![(3, 2)]);
         assert_eq!(
             cut.reports_ingested() as u64,
@@ -344,12 +309,12 @@ fn model_blocking_cut_never_captures_cursors_ahead_of_counts() {
 /// the same batch can then both pass the check and both queue the batch —
 /// a double count.
 fn buggy_accept(
-    ctx: &SessionCtx,
-    q: &BoundedQueue<Admitted>,
+    state: &IngestState,
     client_id: u64,
     batch_id: u64,
     reports: Vec<UserReport>,
 ) -> bool {
+    let (ctx, q) = (&state.ctx, &state.queues[0]);
     let batch = ctx.oracles.admit(reports).expect("valid reports");
     // Bug: the lock is dropped between the duplicate check and the push.
     let last = ctx.dedup.lock().get(&client_id).copied().unwrap_or(0);
@@ -373,16 +338,11 @@ fn model_mutation_pre_review_ordering_is_caught() {
     let (plan, oracles) = tiny_plan();
     let reports = two_reports(&plan);
     let scenario = move || {
-        let ctx = Arc::new(SessionCtx::new(
-            Arc::clone(&plan),
-            Arc::clone(&oracles),
-            vec![],
-        ));
-        let q = Arc::new(BoundedQueue::<Admitted>::new(4));
+        let state = fresh_state(&plan, &oracles);
         let race = |_| {
-            let (ctx, q) = (Arc::clone(&ctx), Arc::clone(&q));
+            let state = Arc::clone(&state);
             let reports = reports.clone();
-            thread::spawn(move || u32::from(buggy_accept(&ctx, &q, 9, 1, reports)))
+            thread::spawn(move || u32::from(buggy_accept(&state, 9, 1, reports)))
         };
         let accepted: u32 = (0..2)
             .map(race)
@@ -390,10 +350,10 @@ fn model_mutation_pre_review_ordering_is_caught() {
             .into_iter()
             .map(|h| h.join().expect("race task"))
             .sum();
+        let depth = state.queues[0].len();
         assert!(
-            accepted <= 1 && q.len() <= 1,
-            "batch double-queued: {accepted} accepts, queue depth {}",
-            q.len()
+            accepted <= 1 && depth <= 1,
+            "batch double-queued: {accepted} accepts, queue depth {depth}"
         );
     };
     let violation = model::check(scenario.clone())
@@ -421,16 +381,11 @@ fn model_mutation_needs_preemptions() {
     let (plan, oracles) = tiny_plan();
     let reports = two_reports(&plan);
     let scenario = move || {
-        let ctx = Arc::new(SessionCtx::new(
-            Arc::clone(&plan),
-            Arc::clone(&oracles),
-            vec![],
-        ));
-        let q = Arc::new(BoundedQueue::<Admitted>::new(4));
+        let state = fresh_state(&plan, &oracles);
         let race = |_| {
-            let (ctx, q) = (Arc::clone(&ctx), Arc::clone(&q));
+            let state = Arc::clone(&state);
             let reports = reports.clone();
-            thread::spawn(move || u32::from(buggy_accept(&ctx, &q, 9, 1, reports)))
+            thread::spawn(move || u32::from(buggy_accept(&state, 9, 1, reports)))
         };
         let accepted: u32 = (0..2)
             .map(race)
@@ -438,7 +393,8 @@ fn model_mutation_needs_preemptions() {
             .into_iter()
             .map(|h| h.join().expect("race task"))
             .sum();
-        assert!(accepted <= 1 && q.len() <= 1, "batch double-queued");
+        let depth = state.queues[0].len();
+        assert!(accepted <= 1 && depth <= 1, "batch double-queued");
     };
     let cfg = Config {
         preemption_bound: 0,
@@ -490,7 +446,6 @@ fn offline_bits(plan: &Arc<CollectionPlan>, oracles: &Arc<OracleSet>, users: usi
 #[test]
 fn model_query_epoch_and_counts_never_tear() {
     let (plan, oracles) = tiny_plan();
-    let plan_hash = plan.schema_hash();
     // Batch 1 carries users {0, 1}, batch 2 user {2}: the two admissible
     // cuts have distinct report totals, so `reports` names the cut and
     // the expected bits are a lookup. (An empty cut is a query error.)
@@ -500,49 +455,18 @@ fn model_query_epoch_and_counts_never_tear() {
     let after_b2 = offline_bits(&plan, &oracles, 3);
     assert_ne!(after_b1, after_b2, "probe cannot distinguish the cuts");
     let stats = model::check(move || {
-        let ctx = Arc::new(SessionCtx::new(
-            Arc::clone(&plan),
-            Arc::clone(&oracles),
-            vec![],
-        ));
-        let q = Arc::new(BoundedQueue::<Admitted>::new(4));
-        let stats = Arc::new(AtomicStats::default());
-        let base = Arc::new(Mutex::new(Aggregator::with_oracles(
-            Arc::clone(&plan),
-            Arc::clone(&oracles),
-        )));
-        let shards = Arc::new(vec![Mutex::new(Aggregator::with_oracles(
-            Arc::clone(&plan),
-            Arc::clone(&oracles),
-        ))]);
-        let service = Arc::new(QueryService::new(
-            Arc::clone(&plan),
-            Arc::clone(&oracles),
-            ServeCut {
-                ctx: Arc::clone(&ctx),
-                stats: Arc::clone(&stats),
-                base: Arc::clone(&base),
-                shards: Arc::clone(&shards),
-                queues: vec![Arc::clone(&q)],
-                base_reports: 0,
-            },
-        ));
+        let state = fresh_state(&plan, &oracles);
+        let service = Arc::new(state.query_service());
         let session = {
-            let (ctx, q, stats) = (Arc::clone(&ctx), Arc::clone(&q), Arc::clone(&stats));
-            let (batch1, batch2) = (batch1.clone(), batch2.clone());
-            thread::spawn(move || {
-                let mut s = Session::default();
-                s.on_frame(hello_frame(plan_hash, 3), &ctx, &q, &stats);
-                let a = s.on_frame(batch_frame(plan_hash, 1, &batch1), &ctx, &q, &stats);
-                let b = s.on_frame(batch_frame(plan_hash, 2, &batch2), &ctx, &q, &stats);
-                assert!(a.accepted.is_some() && b.accepted.is_some());
-            })
+            let state = Arc::clone(&state);
+            let batches = [batch1.clone(), batch2.clone()];
+            thread::spawn(move || assert_eq!(send_batches(&state, 3, &batches), 2))
         };
         let worker = {
-            let (q, shards) = (Arc::clone(&q), Arc::clone(&shards));
+            let state = Arc::clone(&state);
             thread::spawn(move || {
-                drain_one(&q, &shards[0]);
-                drain_one(&q, &shards[0]);
+                drain_one(&state.queues[0], &state.shards[0]);
+                drain_one(&state.queues[0], &state.shards[0]);
             })
         };
         let querier = {

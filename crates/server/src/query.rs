@@ -3,8 +3,12 @@
 //!
 //! A [`QueryService`] owns a [`QueryEngine`] guarded by one mutex and a
 //! [`CutSource`] — where consistent count cuts come from. The ingest
-//! server's source ([`ServeCut`]) freezes admission and merges base +
-//! shards; the cluster aggregator's is its `ClusterState` versioned merge.
+//! tier's source is its one state, `IngestState` (`server.rs`), whose cut
+//! freezes admission and merges base + shards and whose head token is
+//! base + accepted reports; the cluster aggregator's is its
+//! `ClusterState` versioned merge. The ingest sim harness and the cluster
+//! sweep both answer their query mixers through this service.
+//!
 //! Answering a query:
 //!
 //! 1. Validate the query's predicates against the plan's schema.
@@ -28,14 +32,11 @@ use std::time::Instant;
 
 use felip_sync::{Arc, Mutex};
 
-use felip::aggregator::{Admitted, Aggregator, OracleSet};
+use felip::aggregator::{Aggregator, OracleSet};
 use felip::plan::CollectionPlan;
 use felip::query::QueryEngine;
 use felip_common::Query;
 
-use crate::queue::BoundedQueue;
-use crate::server::{consistent_cut, AtomicStats};
-use crate::session::SessionCtx;
 use crate::wire::{Frame, FrameKind, QueryAnswer, QueryRequest, WireError};
 
 /// Where a [`QueryService`] takes its consistent cuts from.
@@ -57,41 +58,6 @@ impl<S: CutSource + ?Sized> CutSource for Arc<S> {
 
     fn cut(&self) -> Result<(Aggregator, u64), felip_common::Error> {
         (**self).cut()
-    }
-}
-
-/// The serve run's cut source: the resume base, the worker shards and
-/// their queues, cut by [`consistent_cut`]. The head token is resume-base
-/// reports + reports accepted so far (one relaxed load).
-pub(crate) struct ServeCut {
-    pub ctx: Arc<SessionCtx>,
-    pub stats: Arc<AtomicStats>,
-    pub base: Arc<Mutex<Aggregator>>,
-    pub shards: Arc<Vec<Mutex<Aggregator>>>,
-    pub queues: Vec<Arc<BoundedQueue<Admitted>>>,
-    /// Reports already inside the resume base at startup; accepted-report
-    /// counters start at zero.
-    pub base_reports: u64,
-}
-
-impl CutSource for ServeCut {
-    fn head(&self) -> u64 {
-        self.base_reports + self.stats.reports_accepted()
-    }
-
-    fn cut(&self) -> Result<(Aggregator, u64), felip_common::Error> {
-        let (merged, _cursors) = consistent_cut(
-            &self.ctx,
-            &self.ctx.plan,
-            &self.ctx.oracles,
-            &self.base,
-            &self.shards,
-            &self.queues,
-        )?;
-        // At the cut instant, accepted == drained, so the merged report
-        // count *is* the head token the cut corresponds to.
-        let token = merged.reports_ingested() as u64;
-        Ok((merged, token))
     }
 }
 

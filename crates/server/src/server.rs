@@ -12,6 +12,11 @@
 //! checking them again; exact `u64`
 //! counts make the final merge independent of how batches interleaved,
 //! which is why a served run reproduces an offline collection bit for bit.
+//!
+//! The tier's state is one [`IngestState`], built by one constructor over
+//! an optional restored snapshot. [`Server::run`], the deterministic sim
+//! harness and the tests all build it there, and take its consistent cut,
+//! its snapshot capture, its frame handling and its query service from it.
 
 use std::fs::OpenOptions;
 use std::io::{self, Write};
@@ -25,31 +30,19 @@ use felip_sync::{thread, Arc, Mutex};
 use felip::aggregator::{Admitted, Aggregator, OracleSet};
 use felip::plan::CollectionPlan;
 
-use crate::query::{QueryService, ServeCut};
+use crate::query::{CutSource, QueryService};
 use crate::queue::{BoundedQueue, Periodic, PopResult};
-use crate::serve::{serve, FrameOutcome, Handler, Loop, Tier};
-use crate::session::{Session, SessionCtx};
+use crate::serve::{dispatch, serve, FrameOutcome, Handler, Loop, Tier};
+use crate::session::{AcceptedBatch, Session, SessionCtx};
 use crate::snapshot::Snapshot;
-use crate::wire::{FrameView, WireError};
+use crate::wire::{Frame, FrameView, WireError};
 
-/// A point-in-time copy of the server's merged count state, captured at a
-/// consistent cut and handed to [`ServerConfig::cut_hook`]. This is the
-/// cluster tier's tap: the upstream streamer derives epoch deltas from
-/// successive cut states without the server knowing anything about
-/// aggregator peers.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CutState {
-    /// Per-grid count vectors (cumulative since the run's resume base).
-    pub counts: Vec<Vec<u64>>,
-    /// Per-group user totals.
-    pub group_sizes: Vec<usize>,
-    /// Total reports the counts represent.
-    pub reports: u64,
-}
-
-/// A callback invoked with each periodic [`CutState`]; shared, so the
-/// config stays `Clone`.
-pub type CutHook = Arc<dyn Fn(CutState) + Send + Sync>;
+/// A callback invoked with each periodic consistent cut, as the
+/// [`Snapshot`] of its counts (no dedup cursors). This is the cluster
+/// tier's tap: the upstream streamer ships each as a cumulative `Delta`
+/// without the server knowing anything about aggregator peers. Shared, so
+/// the config stays `Clone`.
+pub type CutHook = Arc<dyn Fn(Snapshot) + Send + Sync>;
 
 /// How a serve run is wired together.
 #[derive(Clone)]
@@ -345,59 +338,20 @@ impl Server {
     ) -> Result<ServerRun, ServerError> {
         let _run_span = felip_obs::span!("server.run");
         let workers = self.config.workers.max(1);
-
-        // Resume base: restored snapshot state (counts *and* the dedup
-        // cursors, so duplicates stay suppressed across the restart), or a
-        // fresh aggregator.
-        let (base, dedup0) = match &self.config.resume {
-            Some(path) => {
-                let snap = Snapshot::read(path)?;
-                felip_obs::counter!("server.snapshot.restored", 1, "snapshots");
-                let dedup = snap.dedup.clone();
-                (
-                    snap.restore(Arc::clone(&self.plan), Arc::clone(&self.oracles))?,
-                    dedup,
-                )
-            }
-            None => (
-                Aggregator::with_oracles(Arc::clone(&self.plan), Arc::clone(&self.oracles)),
-                Vec::new(),
-            ),
-        };
-        let base_reports = base.reports_ingested() as u64;
-        let base = Arc::new(Mutex::new(base));
-
-        let queues: Vec<Arc<BoundedQueue<Admitted>>> = (0..workers)
-            .map(|_| Arc::new(BoundedQueue::new(self.config.queue_capacity.max(1))))
-            .collect();
-        let shards: Arc<Vec<Mutex<Aggregator>>> = Arc::new(
-            (0..workers)
-                .map(|_| {
-                    Mutex::new(Aggregator::with_oracles(
-                        Arc::clone(&self.plan),
-                        Arc::clone(&self.oracles),
-                    ))
-                })
-                .collect(),
-        );
-        let ctx = Arc::new(SessionCtx::new(
+        let resume = self
+            .config
+            .resume
+            .as_deref()
+            .map(Snapshot::read)
+            .transpose()?;
+        let state = IngestState::new(
             Arc::clone(&self.plan),
             Arc::clone(&self.oracles),
-            dedup0,
-        ));
-        let stats = Arc::new(AtomicStats::default());
-        let query = QueryService::new(
-            Arc::clone(&self.plan),
-            Arc::clone(&self.oracles),
-            ServeCut {
-                ctx: Arc::clone(&ctx),
-                stats: Arc::clone(&stats),
-                base: Arc::clone(&base),
-                shards: Arc::clone(&shards),
-                queues: queues.clone(),
-                base_reports,
-            },
-        );
+            workers,
+            self.config.queue_capacity,
+            resume,
+        )?;
+        let query = state.query_service();
         let periodic = Periodic::default();
 
         let should_stop = || {
@@ -407,8 +361,7 @@ impl Server {
 
         thread::scope(|scope| -> Result<(), ServerError> {
             // Ingest workers: drain their queue into their shard.
-            for (w, (queue, shard)) in queues.iter().zip(shards.iter()).enumerate() {
-                let queue = Arc::clone(queue);
+            for (w, (queue, shard)) in state.queues.iter().zip(&state.shards).enumerate() {
                 scope.spawn(move || {
                     // Pinning policy (DESIGN.md §15): the reactor owns
                     // core 0, ingest workers round-robin over the rest
@@ -433,20 +386,18 @@ impl Server {
                 });
             }
 
-            // What the snapshot and cut threads capture on each tick.
-            let cut = || consistent_cut(&ctx, &self.plan, &self.oracles, &base, &shards, &queues);
-            let periodic = &periodic;
+            let (state, periodic, plan_hash) = (&*state, &periodic, self.plan_hash);
 
-            // Periodic snapshot thread: merge base + shards and persist.
+            // Periodic snapshot thread: capture a consistent cut and persist.
             if let (Some(path), Some(every)) = (
                 self.config.snapshot_path.clone(),
                 self.config.snapshot_every,
             ) {
-                let (stats, plan_hash) = (&stats, self.plan_hash);
+                let stats = &state.stats;
                 scope.spawn(move || {
                     periodic.every(every, || {
-                        let (merged, dedup) = match cut() {
-                            Ok(cut) => cut,
+                        let snap = match state.cut_snapshot() {
+                            Ok(snap) => snap,
                             Err(e) => {
                                 // Counts overflowed mid-run: the shards
                                 // are intact, but no consistent merged
@@ -457,8 +408,7 @@ impl Server {
                                 return;
                             }
                         };
-                        let reports = merged.reports_ingested() as u64;
-                        let snap = Snapshot::capture_with_dedup(&merged, plan_hash, dedup);
+                        let reports = snap.reports_ingested() as u64;
                         match snap.write_verified(&path, None) {
                             Ok(()) => {
                                 stats.snapshots_written.fetch_add(1, Ordering::Relaxed);
@@ -493,20 +443,15 @@ impl Server {
                 });
             }
 
-            // Periodic cut thread: hand the merged state to the cut hook
+            // Periodic cut thread: hand the cut's counts to the cut hook
             // (the cluster tier's upstream delta streamer). Separate from
             // the snapshot thread so the two cadences stay independent;
-            // `consistent_cut` serialises on the dedup lock, so concurrent
-            // cuts are safe.
+            // cuts serialise on the dedup lock, so concurrent ones are safe.
             if let Some(hook) = self.config.cut_hook.clone() {
                 let every = self.config.cut_every;
                 scope.spawn(move || {
-                    periodic.every(every, || match cut() {
-                        Ok((merged, _dedup)) => hook(CutState {
-                            counts: merged.counts().to_vec(),
-                            group_sizes: merged.group_sizes().to_vec(),
-                            reports: merged.reports_ingested() as u64,
-                        }),
+                    periodic.every(every, || match state.cut_with_cursors() {
+                        Ok((merged, _)) => hook(Snapshot::capture(&merged, plan_hash)),
                         Err(e) => felip_obs::diag::error(&format!("periodic cut skipped: {e}")),
                     });
                 });
@@ -554,23 +499,18 @@ impl Server {
             // Serve until shutdown: the reactor on Linux/x86_64, the
             // portable loop elsewhere (`serve.rs`, DESIGN.md §15).
             let tier = Tier {
-                plan_hash: self.plan_hash,
-                stats: &stats,
+                plan_hash,
+                stats: &state.stats,
                 query: &query,
                 read_timeout: self.config.read_timeout,
                 idle_timeout: self.config.idle_timeout,
                 workers,
             };
-            let handler = IngestHandler {
-                ctx: &ctx,
-                queues: &queues,
-                stats: &stats,
-            };
-            let served = serve(serve_loop, &self.listener, &tier, &handler, &should_stop);
+            let served = serve(serve_loop, &self.listener, &tier, state, &should_stop);
 
             // Close queues so workers drain their backlog and exit, and
             // wake the periodic threads.
-            for q in &queues {
+            for q in &state.queues {
                 q.close();
             }
             periodic.stop();
@@ -578,15 +518,15 @@ impl Server {
             Ok(())
         })?;
 
-        // All workers joined (scope end): merge shards into the base. The
-        // query service still holds handles to base and shards, so the
-        // merge goes through the (now uncontended) locks rather than
-        // consuming the mutexes.
-        let aggregator = merge_state(&self.plan, &self.oracles, &base, &shards)?;
+        // All workers joined (scope end): the cut is uncontended now.
+        let (aggregator, dedup) = state.cut_with_cursors()?;
         if let Some(path) = &self.config.snapshot_path {
-            Snapshot::capture_with_dedup(&aggregator, self.plan_hash, ctx.dedup_pairs())
+            Snapshot::capture_with_dedup(&aggregator, self.plan_hash, dedup)
                 .write_verified(path, None)?;
-            stats.snapshots_written.fetch_add(1, Ordering::Relaxed);
+            state
+                .stats
+                .snapshots_written
+                .fetch_add(1, Ordering::Relaxed);
             felip_obs::flight::flight().record(
                 felip_obs::flight::KIND_SNAPSHOT,
                 0,
@@ -598,74 +538,170 @@ impl Server {
         // flight window so operators can see the last protocol events of
         // the run. No-op unless a postmortem path was configured.
         felip_obs::flight::postmortem("shutdown");
-        let final_stats = stats.snapshot();
         Ok(ServerRun {
             aggregator,
-            stats: final_stats,
+            stats: state.stats.snapshot(),
         })
     }
 }
 
-/// Captures counts *and* dedup cursors at one consistent point while
-/// ingestion continues — the periodic-snapshot path.
-///
-/// Sessions advance a dedup cursor atomically with queueing its batch,
-/// both under the `ctx.dedup` lock. Holding that lock here freezes
-/// admission; waiting for every queue to go quiescent (empty, nothing
-/// popped-but-unprocessed) then guarantees each accepted batch is in a
-/// shard. The state captured therefore satisfies: cursors == exactly the
-/// batches in the counts. Without this cut, a restore could tell clients
-/// batches were accepted whose reports never reached the snapshot (acked
-/// reports silently lost), or the reverse (double-counted on resend).
-pub(crate) fn consistent_cut(
-    ctx: &SessionCtx,
-    plan: &Arc<CollectionPlan>,
-    oracles: &Arc<OracleSet>,
-    base: &Mutex<Aggregator>,
-    shards: &[Mutex<Aggregator>],
-    queues: &[Arc<BoundedQueue<Admitted>>],
-) -> Result<(Aggregator, Vec<(u64, u64)>), felip_common::Error> {
-    let dedup = ctx.dedup.lock();
-    // No session can push while we hold the dedup lock, so each queue only
-    // drains from here on: once quiescent it stays so, and its worker's
-    // last `task_done` wakes the wait.
-    for q in queues {
-        q.wait_quiescent();
+/// The ingest tier's state, built once by [`IngestState::new`]: the resume
+/// base and its report count, the worker shards and their queues, the
+/// session context and the counters. The serve run, the sim harness and
+/// the tests all build it there. It is the tier's [`Handler`] (each
+/// connection a [`Session`] pinned round-robin to a worker queue) and,
+/// behind an `Arc`, the [`CutSource`] of its [`QueryService`].
+pub(crate) struct IngestState {
+    /// The plan, its admission table and the per-client dedup cursors.
+    pub ctx: SessionCtx,
+    /// The run's counters.
+    pub stats: AtomicStats,
+    /// The restored snapshot's counts (empty on a fresh start).
+    base: Aggregator,
+    /// Reports in `base`; accepted-report counters start at zero.
+    base_reports: u64,
+    /// Worker `w` counts the batches of `queues[w]` into `shards[w]`.
+    pub shards: Vec<Mutex<Aggregator>>,
+    /// Admitted batches awaiting their worker.
+    pub queues: Vec<BoundedQueue<Admitted>>,
+}
+
+impl IngestState {
+    /// The state of `workers` shards whose queues buffer `queue_capacity`
+    /// batches each, over `resume` — a restored snapshot's counts *and*
+    /// dedup cursors, so duplicates stay suppressed across the restart —
+    /// or over nothing. `Err` when the snapshot does not fit the plan.
+    pub fn new(
+        plan: Arc<CollectionPlan>,
+        oracles: Arc<OracleSet>,
+        workers: usize,
+        queue_capacity: usize,
+        resume: Option<Snapshot>,
+    ) -> Result<Arc<IngestState>, WireError> {
+        let empty = || Aggregator::with_oracles(Arc::clone(&plan), Arc::clone(&oracles));
+        let (base, dedup) = match resume {
+            Some(mut snap) => {
+                felip_obs::counter!("server.snapshot.restored", 1, "snapshots");
+                let dedup = std::mem::take(&mut snap.dedup);
+                (
+                    snap.restore(Arc::clone(&plan), Arc::clone(&oracles))?,
+                    dedup,
+                )
+            }
+            None => (empty(), Vec::new()),
+        };
+        let workers = workers.max(1);
+        Ok(Arc::new(IngestState {
+            base_reports: base.reports_ingested() as u64,
+            base,
+            shards: (0..workers).map(|_| Mutex::new(empty())).collect(),
+            queues: (0..workers)
+                .map(|_| BoundedQueue::new(queue_capacity.max(1)))
+                .collect(),
+            ctx: SessionCtx {
+                plan_hash: plan.schema_hash(),
+                plan,
+                oracles,
+                dedup: Mutex::new(dedup.into_iter().collect()),
+            },
+            stats: AtomicStats::default(),
+        }))
     }
-    let merged = merge_state(plan, oracles, base, shards)?;
-    let pairs = SessionCtx::sorted_pairs(&dedup);
-    Ok((merged, pairs))
-}
 
-/// Point-in-time merge of the resume base and every worker shard, used by
-/// periodic snapshots while ingestion continues. `Err` means a support
-/// count overflowed `u64` — the shards themselves are untouched, but no
-/// consistent merged view exists.
-fn merge_state(
-    plan: &Arc<CollectionPlan>,
-    oracles: &Arc<OracleSet>,
-    base: &Mutex<Aggregator>,
-    shards: &[Mutex<Aggregator>],
-) -> Result<Aggregator, felip_common::Error> {
-    let mut merged = Aggregator::with_oracles(Arc::clone(plan), Arc::clone(oracles));
-    merged.merge(&base.lock())?;
-    for shard in shards {
-        // Each lock is held only for the copy; workers hold their shard
-        // lock across a whole batch, so snapshots see batch-atomic states.
-        merged.merge(&shard.lock())?;
+    /// A cold query service over this state.
+    pub fn query_service(self: &Arc<Self>) -> QueryService<Arc<IngestState>> {
+        let (plan, oracles) = (&self.ctx.plan, &self.ctx.oracles);
+        QueryService::new(Arc::clone(plan), Arc::clone(oracles), Arc::clone(self))
     }
-    Ok(merged)
+
+    /// The consistent cut: counts *and* dedup cursors (unsorted; a
+    /// snapshot stores them sorted) captured at one point while ingestion
+    /// continues.
+    ///
+    /// Sessions advance a dedup cursor atomically with queueing its batch,
+    /// both under the `ctx.dedup` lock. Holding that lock here freezes
+    /// admission; waiting for every queue to go quiescent (empty, nothing
+    /// popped-but-unprocessed) then guarantees each accepted batch is in a
+    /// shard. The state captured therefore satisfies: cursors == exactly
+    /// the batches in the counts. Without this cut, a restore could tell
+    /// clients batches were accepted whose reports never reached the
+    /// snapshot (acked reports silently lost), or the reverse
+    /// (double-counted on resend). `Err` means a support count overflowed
+    /// `u64`: the shards are untouched, but no consistent merged view
+    /// exists.
+    pub fn cut_with_cursors(&self) -> Result<(Aggregator, Vec<(u64, u64)>), felip_common::Error> {
+        let dedup = self.ctx.dedup.lock();
+        // No session can push while we hold the dedup lock, so each queue
+        // only drains from here on: once quiescent it stays so, and its
+        // worker's last `task_done` wakes the wait.
+        for q in &self.queues {
+            q.wait_quiescent();
+        }
+        let (plan, oracles) = (&self.ctx.plan, &self.ctx.oracles);
+        let mut merged = Aggregator::with_oracles(Arc::clone(plan), Arc::clone(oracles));
+        merged.merge(&self.base)?;
+        for shard in &self.shards {
+            // Each lock is held only for the copy; workers hold their shard
+            // lock across a whole batch, so cuts see batch-atomic states.
+            merged.merge(&shard.lock())?;
+        }
+        Ok((merged, dedup.iter().map(|(&c, &b)| (c, b)).collect()))
+    }
+
+    /// The consistent cut as the snapshot that restores it — what the
+    /// periodic snapshot thread and the sim harness's checkpoints write.
+    pub fn cut_snapshot(&self) -> Result<Snapshot, felip_common::Error> {
+        let (merged, dedup) = self.cut_with_cursors()?;
+        Ok(Snapshot::capture_with_dedup(
+            &merged,
+            self.ctx.plan_hash,
+            dedup,
+        ))
+    }
+
+    /// Runs one frame as a serve loop does: the shared prelude, this
+    /// tier's handler, and `query` for a `Query`. Returns the reply, the
+    /// batch it accepted, and why the connection closes after it, if it
+    /// does. The sim harness and the tests drive the tier through it.
+    pub fn serve_frame(
+        &self,
+        query: &QueryService<Arc<IngestState>>,
+        session: &mut Session,
+        frame: &Frame,
+    ) -> (Frame, Option<AcceptedBatch>, Option<WireError>) {
+        let tier = Tier {
+            plan_hash: self.ctx.plan_hash,
+            stats: &self.stats,
+            query,
+            read_timeout: Duration::ZERO,
+            idle_timeout: Duration::ZERO,
+            workers: self.queues.len(),
+        };
+        let outcome = dispatch(&tier, self, session, frame.view());
+        let accepted = outcome.accepted;
+        let (reply, close) = outcome.into_reply(&tier);
+        (reply, accepted, close)
+    }
 }
 
-/// The ingest tier's [`Handler`]: each connection is a [`Session`] feeding
-/// the worker queue it was pinned to round-robin at accept time.
-struct IngestHandler<'a> {
-    ctx: &'a SessionCtx,
-    queues: &'a [Arc<BoundedQueue<Admitted>>],
-    stats: &'a AtomicStats,
+/// The head token is resume-base reports + reports accepted so far (one
+/// relaxed load); a cut's token is its merged report count, since at the
+/// cut instant accepted == drained.
+impl CutSource for IngestState {
+    fn head(&self) -> u64 {
+        self.base_reports + self.stats.reports_accepted()
+    }
+
+    fn cut(&self) -> Result<(Aggregator, u64), felip_common::Error> {
+        let (merged, _cursors) = self.cut_with_cursors()?;
+        let token = merged.reports_ingested() as u64;
+        Ok((merged, token))
+    }
 }
 
-impl Handler for IngestHandler<'_> {
+/// Each connection is a [`Session`] feeding the worker queue it was
+/// pinned to round-robin at accept time.
+impl Handler for IngestState {
     type Conn = Session;
 
     fn open(&self, seq: u64) -> Session {
@@ -674,7 +710,7 @@ impl Handler for IngestHandler<'_> {
 
     fn on_frame(&self, session: &mut Session, frame: FrameView<'_>) -> FrameOutcome {
         let queue = &self.queues[session.worker()];
-        session.handle(frame, self.ctx, queue, self.stats)
+        session.handle(frame, &self.ctx, queue, &self.stats)
     }
 
     fn peer_id(&self, session: &Session) -> u64 {
@@ -685,8 +721,7 @@ impl Handler for IngestHandler<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::Session;
-    use crate::wire::{encode_batch, encode_hello, Frame, FrameKind};
+    use crate::wire::{encode_batch, encode_hello, FrameKind};
     use felip::config::FelipConfig;
     use felip_common::{Attribute, Schema};
 
@@ -804,28 +839,15 @@ mod tests {
         let plan = Arc::new(CollectionPlan::build(&schema, 60, &FelipConfig::new(1.0), 3).unwrap());
         let oracles = Arc::new(OracleSet::build(&plan));
         let plan_hash = plan.schema_hash();
-        let ctx = SessionCtx::new(Arc::clone(&plan), Arc::clone(&oracles), Vec::new());
-        let queue = Arc::new(BoundedQueue::new(8));
-        let base = Mutex::new(Aggregator::with_oracles(
-            Arc::clone(&plan),
-            Arc::clone(&oracles),
-        ));
-        let shards = vec![Mutex::new(Aggregator::with_oracles(
-            Arc::clone(&plan),
-            Arc::clone(&oracles),
-        ))];
-        let stats = AtomicStats::default();
-        let mut session = Session::default();
+        let state = IngestState::new(Arc::clone(&plan), oracles, 1, 8, None).unwrap();
+        let (query, mut session) = (state.query_service(), Session::default());
 
         let hello = Frame {
             kind: FrameKind::Hello,
             plan_hash,
             payload: encode_hello(7),
         };
-        assert!(session
-            .on_frame(hello, &ctx, &queue, &stats)
-            .close
-            .is_none());
+        assert!(state.serve_frame(&query, &mut session, &hello).2.is_none());
         let mut total = 0usize;
         for batch_id in 1..=3u64 {
             let lo = (batch_id as usize - 1) * 20;
@@ -838,27 +860,26 @@ mod tests {
                 plan_hash,
                 payload: encode_batch(batch_id, &reports).unwrap(),
             };
-            let out = session.on_frame(frame, &ctx, &queue, &stats);
-            assert!(out.accepted.is_some(), "batch {batch_id} must be accepted");
+            let (_, accepted, _) = state.serve_frame(&query, &mut session, &frame);
+            assert!(accepted.is_some(), "batch {batch_id} must be accepted");
         }
 
         // All three batches are acked but still queued; a deliberately
         // slow worker drains them while the cut runs.
-        let queues = vec![Arc::clone(&queue)];
+        let (queue, shard) = (&state.queues[0], &state.shards[0]);
         thread::scope(|s| {
             s.spawn(|| loop {
                 match queue.pop_timeout(Duration::from_millis(5)) {
                     PopResult::Item(batch) => {
                         thread::sleep(Duration::from_millis(10));
-                        shards[0].lock().ingest_admitted(&batch);
+                        shard.lock().ingest_admitted(&batch);
                         queue.task_done();
                     }
                     PopResult::Empty => continue,
                     PopResult::Done => break,
                 }
             });
-            let (merged, cursors) =
-                consistent_cut(&ctx, &plan, &oracles, &base, &shards, &queues).expect("cut");
+            let (merged, cursors) = state.cut_with_cursors().expect("cut");
             assert_eq!(cursors, vec![(7, 3)]);
             assert_eq!(
                 merged.reports_ingested(),

@@ -1,8 +1,9 @@
 //! The transport-agnostic per-connection protocol state machine.
 //!
 //! Both serve loops (DESIGN.md §15) and the deterministic sim harness
-//! feed decoded frames through the same [`prelude`] and
-//! [`Session::handle`]; all protocol decisions — plan pinning, batch
+//! feed decoded frames through the same `serve::dispatch`: the
+//! [`prelude`], then the ingest tier's handler, which is
+//! [`Session::handle`]. All protocol decisions — plan pinning, batch
 //! validation, duplicate suppression, backpressure — live here exactly
 //! once, so what the chaos harness proves about the session logic holds
 //! for the production server verbatim. The prelude (STAT first, then the
@@ -50,6 +51,8 @@ use crate::wire::{
 
 /// Server-wide state shared by every session: the plan, the oracle set
 /// whose shape table admits reports, and the per-client dedup table.
+/// Built only by `IngestState::new`, its dedup table seeded from a
+/// restored snapshot's cursors or empty.
 pub(crate) struct SessionCtx {
     /// The collection plan this server aggregates for.
     pub plan: Arc<CollectionPlan>,
@@ -59,38 +62,6 @@ pub(crate) struct SessionCtx {
     pub plan_hash: u64,
     /// client id → highest accepted batch id.
     pub dedup: Mutex<HashMap<u64, u64>>,
-}
-
-impl SessionCtx {
-    /// Builds a context, seeding the dedup table (from a restored
-    /// snapshot; empty for a fresh server).
-    pub fn new(
-        plan: Arc<CollectionPlan>,
-        oracles: Arc<OracleSet>,
-        dedup: Vec<(u64, u64)>,
-    ) -> SessionCtx {
-        let plan_hash = plan.schema_hash();
-        SessionCtx {
-            plan,
-            oracles,
-            plan_hash,
-            dedup: Mutex::new(dedup.into_iter().collect()),
-        }
-    }
-
-    /// The dedup table as sorted pairs (the snapshot encoding).
-    pub fn dedup_pairs(&self) -> Vec<(u64, u64)> {
-        Self::sorted_pairs(&self.dedup.lock())
-    }
-
-    /// Sorted-pair encoding of an already-locked dedup table — for callers
-    /// (the snapshot consistent cut) that must capture the cursors under a
-    /// guard they are still holding.
-    pub fn sorted_pairs(map: &HashMap<u64, u64>) -> Vec<(u64, u64)> {
-        let mut pairs: Vec<(u64, u64)> = map.iter().map(|(&c, &b)| (c, b)).collect();
-        pairs.sort_unstable();
-        pairs
-    }
 }
 
 /// A batch the session just accepted (queued for ingestion) — the unit the
@@ -218,19 +189,6 @@ impl Session {
     /// stamps it on flight-recorder events.
     pub fn client_id(&self) -> Option<u64> {
         self.client_id
-    }
-
-    /// Runs one decoded frame through the [`prelude`] and, if it passes,
-    /// [`Session::handle`] — the entry the sim harness drives.
-    pub fn on_frame(
-        &mut self,
-        frame: Frame,
-        ctx: &SessionCtx,
-        queue: &BoundedQueue<Admitted>,
-        stats: &AtomicStats,
-    ) -> FrameOutcome {
-        let view = frame.view();
-        prelude(&view, ctx.plan_hash, stats).unwrap_or_else(|| self.handle(view, ctx, queue, stats))
     }
 
     /// Decides the reply to one frame that passed the [`prelude`]
@@ -364,7 +322,9 @@ mod tests {
     use felip_fo::Report;
 
     use super::*;
+    use crate::query::QueryService;
     use crate::queue::PopResult;
+    use crate::server::IngestState;
     use crate::wire::{encode_batch, encode_hello, Frame, FrameKind};
 
     const CLIENT: u64 = 7;
@@ -415,14 +375,14 @@ mod tests {
     }
 
     /// A fresh connection for `CLIENT`, past its `Hello`.
-    fn connect(ctx: &SessionCtx, queue: &BoundedQueue<Admitted>, stats: &AtomicStats) -> Session {
+    fn connect(state: &IngestState, query: &QueryService<Arc<IngestState>>) -> Session {
         let mut session = Session::for_worker(0);
         let hello = Frame {
             kind: FrameKind::Hello,
-            plan_hash: ctx.plan_hash,
+            plan_hash: state.ctx.plan_hash,
             payload: encode_hello(CLIENT),
         };
-        assert!(session.on_frame(hello, ctx, queue, stats).close.is_none());
+        assert!(state.serve_frame(query, &mut session, &hello).2.is_none());
         session
     }
 
@@ -451,20 +411,16 @@ mod tests {
     fn hostile_report_batches_are_rejected_at_admission() {
         let (plan, shapes, edge) = edge_batch();
         let oracles = Arc::new(OracleSet::build(&plan));
-        let ctx = SessionCtx::new(Arc::clone(&plan), Arc::clone(&oracles), Vec::new());
-        let queue = BoundedQueue::<Admitted>::new(8);
-        let stats = AtomicStats::default();
+        let state = IngestState::new(Arc::clone(&plan), Arc::clone(&oracles), 1, 8, None).unwrap();
+        let (query, queue, plan_hash) =
+            (state.query_service(), &state.queues[0], plan.schema_hash());
         let num_groups = plan.num_groups() as u32;
 
         // Batch 1 is the edge batch: admitted, cursor 1, one queued batch.
-        let mut session = connect(&ctx, &queue, &stats);
-        let out = session.on_frame(
-            batch_frame(ctx.plan_hash, encode_batch(1, &edge).unwrap()),
-            &ctx,
-            &queue,
-            &stats,
-        );
-        assert!(out.close.is_none() && out.accepted.is_some(), "edge batch");
+        let mut session = connect(&state, &query);
+        let edge_frame = batch_frame(plan_hash, encode_batch(1, &edge).unwrap());
+        let (_, accepted, close) = state.serve_frame(&query, &mut session, &edge_frame);
+        assert!(close.is_none() && accepted.is_some(), "edge batch");
         assert_eq!(queue.len(), 1);
 
         // Every hostile case claims batch 2, the next expected id.
@@ -533,14 +489,12 @@ mod tests {
 
         let mut reached: BTreeMap<String, usize> = BTreeMap::new();
         for (name, payload, malformed_only) in cases {
-            let mut session = connect(&ctx, &queue, &stats);
-            let out = session.on_frame(batch_frame(ctx.plan_hash, payload), &ctx, &queue, &stats);
-            let err = out.close.unwrap_or_else(|| panic!("{name}: accepted"));
-            assert!(out.accepted.is_none(), "{name}: accepted");
-            assert!(
-                matches!(&out.reply, Reply::Frame(f) if f.kind == FrameKind::Error),
-                "{name}: no Error reply"
-            );
+            let mut session = connect(&state, &query);
+            let frame = batch_frame(plan_hash, payload);
+            let (reply, accepted, close) = state.serve_frame(&query, &mut session, &frame);
+            let err = close.unwrap_or_else(|| panic!("{name}: accepted"));
+            assert!(accepted.is_none(), "{name}: accepted");
+            assert_eq!(reply.kind, FrameKind::Error, "{name}: no Error reply");
             let path = match &err {
                 WireError::Truncated { .. } if !malformed_only => "Truncated".to_string(),
                 WireError::Malformed(m) => {
@@ -557,7 +511,8 @@ mod tests {
                 other => panic!("{name}: unexpected {other:?}"),
             };
             *reached.entry(path).or_default() += 1;
-            assert_eq!(ctx.dedup_pairs(), vec![(CLIENT, 1)], "{name}: cursor moved");
+            let cursors: Vec<_> = state.ctx.dedup.lock().clone().into_iter().collect();
+            assert_eq!(cursors, vec![(CLIENT, 1)], "{name}: cursor moved");
             assert_eq!(queue.len(), 1, "{name}: queue changed");
         }
         for (path, n) in &reached {
@@ -565,13 +520,8 @@ mod tests {
         }
 
         // Resending batch 1 is a duplicate: acked, not queued again.
-        let out = session.on_frame(
-            batch_frame(ctx.plan_hash, encode_batch(1, &edge).unwrap()),
-            &ctx,
-            &queue,
-            &stats,
-        );
-        assert!(out.close.is_none() && out.accepted.is_none(), "duplicate");
+        let (_, accepted, close) = state.serve_frame(&query, &mut session, &edge_frame);
+        assert!(close.is_none() && accepted.is_none(), "duplicate");
         assert_eq!(queue.len(), 1);
 
         // The edge batch is counted once, exactly as offline ingestion

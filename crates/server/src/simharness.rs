@@ -1,19 +1,23 @@
 //! Deterministic fault-injection simulation of the full ingest protocol.
 //!
-//! The harness runs the real server-side session state machine, the real
-//! [`BoundedQueue`] backpressure, the real [`Snapshot`] durability path,
-//! and the shipped client's protocol core (the one [`crate::Client`]
-//! drives over TCP) — all single-threaded on a **virtual clock**, with
-//! every encoded frame routed through a seeded [`FaultSchedule`]. The
-//! harness only drives the client core: it opens connections, routes its
-//! frames, arms its reply deadline and wakes it after the backoff it asks
-//! for. Same seed, same run: the event order is a pure function of the
-//! seed, which the trace hash in [`SimReport`] asserts.
+//! The harness runs the shipped server and client single-threaded on a
+//! **virtual clock**, every encoded frame routed through a seeded
+//! [`FaultSchedule`]. The server is `IngestState`, built by the
+//! constructor `felip serve --resume` uses; frames go through the serve
+//! loop's `dispatch` and `FrameOutcome::into_reply`, checkpoints through
+//! the snapshot thread's cut-and-capture, and the query mixer's wire
+//! `Query` frames through the shipped [`QueryService`]. The clients are
+//! the core [`crate::Client`] drives over TCP. The harness only routes
+//! frames, arms reply deadlines, wakes cores after their backoff, and
+//! stands in for the worker: it drains the queue on a tick and before
+//! every cut. Same seed, same run: the trace hash in [`SimReport`]
+//! asserts that the event order is a pure function of the seed.
 //!
 //! Each kill either drains and snapshots gracefully, or (on a seeded
 //! share of kills) crashes: the server comes back from the periodic
 //! snapshot taken at an earlier virtual time, so clients find its cursor
-//! behind theirs and must resend what it lost.
+//! behind theirs and must resend what it lost. Either way it restarts
+//! through the same constructor, with a cold query service.
 //!
 //! Per seed the harness checks the *exactly-once-or-rejected* invariant:
 //!
@@ -25,6 +29,11 @@
 //!    client takes, not just at the end;
 //! 3. every batch was either server-accepted or its client exhausted the
 //!    retry budget (a typed, observable failure — never silence).
+//!
+//! Every query answer is held to the cluster sweep's invariants: it is at
+//! the ingest head with no staleness, bit-identical to the offline
+//! estimate of the same counts, at an epoch that never rewinds within a
+//! server life and is 1 for the first answer after a kill.
 //!
 //! A failing seed reproduces from the CLI:
 //! `cargo run --release -p bench --bin chaos -- --seed N`.
@@ -38,21 +47,23 @@ use felip_sync::atomic::{AtomicU64, Ordering};
 use felip_sync::Arc;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 
-use felip::aggregator::{Admitted, Aggregator, OracleSet};
+use felip::aggregator::{Aggregator, OracleSet};
 use felip::config::FelipConfig;
 use felip::plan::CollectionPlan;
-use felip::query::QueryEngine;
 use felip_common::hash::mix64;
 use felip_common::{Attribute, Predicate, Query, Result, Schema};
 
 use crate::client::{BatchSource, ClientCore, RetryPolicy, Step};
 use crate::fault::{FaultConfig, FaultKind, FaultSchedule, MS, REPLY_DEADLINE_NS};
 use crate::loadgen;
-use crate::queue::{BoundedQueue, PopResult};
-use crate::server::AtomicStats;
-use crate::session::{AcceptedBatch, Reply, Session, SessionCtx};
+use crate::query::QueryService;
+use crate::queue::PopResult;
+use crate::server::IngestState;
+use crate::session::{AcceptedBatch, Session};
 use crate::snapshot::Snapshot;
-use crate::wire::{Frame, WireError};
+use crate::wire::{
+    decode_query_reply, encode_query, Frame, FrameKind, QueryMode, QueryRequest, WireError,
+};
 
 /// Worker drain cadence.
 const DRAIN_TICK_NS: u64 = 2 * MS;
@@ -138,7 +149,8 @@ pub struct SimReport {
     pub reports_ingested: usize,
     /// Batches the server accepted (acked and counted exactly once).
     pub server_acked_batches: usize,
-    /// Duplicate batches re-acked without re-ingestion.
+    /// Duplicate batches re-acked without re-ingestion, over both server
+    /// lives.
     pub duplicates: u64,
     /// Frame faults injected by the schedule.
     pub faults_injected: u64,
@@ -155,7 +167,8 @@ pub struct SimReport {
     /// Queries the sim's mixed query client answered (each checked
     /// bit-identical to the offline batch estimate of its cut).
     pub queries_answered: u64,
-    /// Queries served straight from the warm epoch cache (no re-estimate).
+    /// Answers whose epoch is unchanged from the previous answer: served
+    /// from the warm cache, with no re-estimate.
     pub query_warm_hits: u64,
     /// Invariant violations; empty means the seed passed.
     pub violations: Vec<String>,
@@ -203,7 +216,7 @@ enum Ev {
     ClientTimeout { c: usize, token: u64 },
     /// Worker tick: drain up to `drain_per_tick` batches.
     Drain,
-    /// Query tick: the mixed query client asks the incremental engine.
+    /// Query tick: the mixed query client sends a wire `Query`.
     Query,
     /// Periodic snapshot: drain, write (possibly torn), keep as the
     /// crash-restore point.
@@ -341,10 +354,10 @@ struct Sim {
     next_conn: u64,
     /// Server-side per-connection sessions.
     server_conns: HashMap<u64, Session>,
-    ctx: SessionCtx,
-    queue: BoundedQueue<Admitted>,
-    stats: AtomicStats,
-    agg: Aggregator,
+    /// The server of this life, built by the constructor `--resume` uses.
+    state: Arc<IngestState>,
+    /// The query service over `state`, cold each life.
+    query: QueryService<Arc<IngestState>>,
     accepted: Vec<AcceptedBatch>,
     quarantined: u64,
     kills: u32,
@@ -354,16 +367,14 @@ struct Sim {
     /// The last snapshot written: `accepted.len()` and the dedup cursors
     /// it holds.
     durable: Option<(usize, HashMap<u64, u64>)>,
-    /// The sim's mixed query client: the real incremental engine, queried
-    /// at deterministic virtual times against the live aggregator.
-    query_engine: QueryEngine,
     /// The fixed λ-D probe every query tick asks.
     probe: Query,
     queries_answered: u64,
     query_warm_hits: u64,
-    /// Armed by kill+resume: the next query must rebuild from the restored
-    /// counts, never serve the pre-restore cached grid.
-    expect_cold_query: bool,
+    /// The epoch of this server life's last answer (0: none yet).
+    last_epoch: u64,
+    /// Duplicates re-acked by the server lives before this one.
+    duplicates: u64,
     violations: Vec<String>,
     /// Sim-local deterministic flight ring: every [`Sim::trace`] call is
     /// teed into it, mirroring how the production server tees protocol
@@ -479,29 +490,31 @@ pub fn minimize_failing_seed(cfg: &SimConfig) -> Option<MinimizedFailure> {
 }
 
 fn run_sim_inner(cfg: &SimConfig, suppressed: HashSet<u64>) -> SimReport {
-    let built = Schema::new(vec![
+    match setup(cfg, suppressed) {
+        Ok(sim) => sim.run(),
+        Err(why) => SimReport::setup_failure(cfg.seed, why),
+    }
+}
+
+/// Builds one run: the plan, the probe, the clients and a fresh server.
+fn setup(cfg: &SimConfig, suppressed: HashSet<u64>) -> std::result::Result<Sim, String> {
+    let plan = Schema::new(vec![
         Attribute::numerical("a", 32),
         Attribute::categorical("c", 4),
     ])
-    .and_then(|schema| CollectionPlan::build(&schema, cfg.users, &FelipConfig::new(1.0), 5));
-    let plan = match built {
-        Ok(p) => Arc::new(p),
-        Err(e) => return SimReport::setup_failure(cfg.seed, format!("sim plan setup failed: {e}")),
-    };
+    .and_then(|schema| CollectionPlan::build(&schema, cfg.users, &FelipConfig::new(1.0), 5))
+    .map_err(|e| format!("sim plan setup failed: {e}"))?;
+    let plan = Arc::new(plan);
     let oracles = Arc::new(OracleSet::build(&plan));
     let plan_hash = plan.schema_hash();
-    let probe = match Query::new(
+    let probe = Query::new(
         plan.schema(),
         vec![
             Predicate::between(0, 4, 19),
             Predicate::in_set(1, vec![1, 3]),
         ],
-    ) {
-        Ok(q) => q,
-        Err(e) => {
-            return SimReport::setup_failure(cfg.seed, format!("sim probe setup failed: {e}"))
-        }
-    };
+    )
+    .map_err(|e| format!("sim probe setup failed: {e}"))?;
 
     let per_client = cfg.users.div_ceil(cfg.clients.max(1));
     let policy = RetryPolicy {
@@ -536,7 +549,15 @@ fn run_sim_inner(cfg: &SimConfig, suppressed: HashSet<u64>) -> SimReport {
         SIM_FILE_ID.fetch_add(1, Ordering::Relaxed)
     ));
 
-    let sim = Sim {
+    let state = IngestState::new(
+        Arc::clone(&plan),
+        Arc::clone(&oracles),
+        1,
+        cfg.queue_capacity,
+        None,
+    )
+    .map_err(|e| format!("sim server setup failed: {e}"))?;
+    Ok(Sim {
         plan: Arc::clone(&plan),
         oracles: Arc::clone(&oracles),
         plan_hash,
@@ -547,27 +568,24 @@ fn run_sim_inner(cfg: &SimConfig, suppressed: HashSet<u64>) -> SimReport {
         server_closed: HashSet::new(),
         next_conn: 1,
         server_conns: HashMap::new(),
-        ctx: SessionCtx::new(Arc::clone(&plan), Arc::clone(&oracles), Vec::new()),
-        queue: BoundedQueue::new(cfg.queue_capacity.max(1)),
-        stats: AtomicStats::default(),
-        agg: Aggregator::with_oracles(Arc::clone(&plan), Arc::clone(&oracles)),
+        query: state.query_service(),
+        state,
         accepted: Vec::new(),
         quarantined: 0,
         kills: 0,
         rewinds: 0,
         snap_path,
         durable: None,
-        query_engine: QueryEngine::new(Arc::clone(&plan), Arc::clone(&oracles)),
         probe,
         queries_answered: 0,
         query_warm_hits: 0,
-        expect_cold_query: false,
+        last_epoch: 0,
+        duplicates: 0,
         violations: Vec::new(),
         flight: felip_obs::flight::FlightRecorder::deterministic(SIM_FLIGHT_CAPACITY),
         flight_shadow: Vec::new(),
         cfg: cfg.clone(),
-    };
-    sim.run()
+    })
 }
 
 impl Sim {
@@ -644,7 +662,7 @@ impl Sim {
             self.rewinds += 1;
             self.trace(15, c as u64, after);
         }
-        let held = self.ctx.dedup.lock().get(&(c as u64 + 1)).copied();
+        let held = self.state.ctx.dedup.lock().get(&(c as u64 + 1)).copied();
         let held = held.unwrap_or(0);
         if after > before && after > held {
             self.violations.push(format!(
@@ -734,26 +752,14 @@ impl Sim {
         let session = self.server_conns.entry(conn).or_default();
         let (reply, close) = match Frame::decode(&bytes) {
             Ok(frame) => {
-                let outcome = session.on_frame(frame, &self.ctx, &self.queue, &self.stats);
-                if let Some(batch) = outcome.accepted {
-                    self.accepted.push(batch);
-                }
-                match outcome.reply {
-                    Reply::Frame(f) => (f, outcome.close.is_some()),
-                    // The sim's query client asks its engine directly; a
-                    // wire `Query` has no service here, so it is rejected
-                    // and the connection closed.
-                    Reply::Query(_) => {
-                        self.stats.bump_rejected();
-                        let msg = "query serving not enabled on this server";
-                        (Frame::error(self.plan_hash, msg), true)
-                    }
-                }
+                let (reply, accepted, close) = self.state.serve_frame(&self.query, session, &frame);
+                self.accepted.extend(accepted);
+                (reply, close.is_some())
             }
             // Garbled bytes (corruption/truncation in flight): the server
             // replies with an error and closes, exactly like the TCP path.
             Err(_) => {
-                self.stats.bump_rejected();
+                self.state.stats.bump_rejected();
                 (Frame::error(self.plan_hash, "garbled frame"), true)
             }
         };
@@ -782,35 +788,56 @@ impl Sim {
         }
     }
 
-    fn drain(&mut self, limit: usize) -> usize {
-        let mut drained = 0;
-        while drained < limit {
-            match self.queue.pop_timeout(std::time::Duration::ZERO) {
+    /// Stands in for the worker: counts up to `limit` queued batches into
+    /// the shard.
+    fn drain(&self, limit: usize) {
+        let (queue, shard) = (&self.state.queues[0], &self.state.shards[0]);
+        for _ in 0..limit {
+            match queue.pop_timeout(std::time::Duration::ZERO) {
                 PopResult::Item(batch) => {
-                    self.agg.ingest_admitted(&batch);
-                    self.queue.task_done();
-                    drained += 1;
+                    shard.lock().ingest_admitted(&batch);
+                    queue.task_done();
                 }
                 PopResult::Empty | PopResult::Done => break,
             }
         }
-        drained
     }
 
-    /// Drains the queue and writes the counts *and* dedup cursors through
-    /// the verified-write path (a torn write is quarantined and retried).
-    /// The snapshot written becomes the crash-restore point.
+    /// The server's consistent cut, taken as a real cut takes it: the
+    /// queue drains first, as the workers drain it while a cut waits.
+    fn cut(&mut self) -> Option<Aggregator> {
+        self.drain(usize::MAX);
+        match self.state.cut_with_cursors() {
+            Ok((merged, _)) => Some(merged),
+            Err(e) => {
+                self.violations.push(format!("consistent cut failed: {e}"));
+                None
+            }
+        }
+    }
+
+    /// Captures the server's cut as the periodic snapshot thread does and
+    /// writes it through the verified-write path (a torn write is
+    /// quarantined and retried). The snapshot written becomes the
+    /// crash-restore point.
     fn write_snapshot(&mut self) -> bool {
         self.drain(usize::MAX);
-        let dedup = self.ctx.dedup_pairs();
-        let snap = Snapshot::capture_with_dedup(&self.agg, self.plan_hash, dedup.clone());
+        let snap = match self.state.cut_snapshot() {
+            Ok(snap) => snap,
+            Err(e) => {
+                self.violations
+                    .push(format!("snapshot capture failed: {e}"));
+                return false;
+            }
+        };
         for _attempt in 0..64 {
             let corrupt = self.schedule.snapshot_write_corrupts();
             let schedule = &mut self.schedule;
             let mut mangle = |bytes: &[u8]| corrupt.then(|| schedule.mangle_snapshot(bytes));
             match snap.write_verified(&self.snap_path, Some(&mut mangle)) {
                 Ok(()) => {
-                    self.durable = Some((self.accepted.len(), dedup.into_iter().collect()));
+                    let held = snap.dedup.iter().copied().collect();
+                    self.durable = Some((self.accepted.len(), held));
                     return true;
                 }
                 Err(_) => self.quarantined += 1,
@@ -824,8 +851,9 @@ impl Sim {
     /// Kill + resume. A graceful kill drains and snapshots first; on a
     /// seeded share of kills the server crashes instead and comes back
     /// from the last periodic snapshot, losing the batches it accepted
-    /// since. Every connection drops and clients resync via Hello, where
-    /// a crash shows them a cursor behind their own.
+    /// since. Either way the server restarts as `--resume` starts it, with
+    /// a cold query service. Every connection drops and clients resync via
+    /// Hello, where a crash shows them a cursor behind their own.
     fn on_kill(&mut self) {
         self.kills += 1;
         let crash = self.schedule.draw_below(2) == 0 && self.crash_spares_settled_clients();
@@ -835,27 +863,31 @@ impl Sim {
         let Some((kept, _)) = self.durable else {
             return;
         };
-        let restored = Snapshot::read(&self.snap_path).and_then(|s| {
-            let dedup = s.dedup.clone();
-            s.restore(Arc::clone(&self.plan), Arc::clone(&self.oracles))
-                .map(|agg| (agg, dedup))
+        let (plan, oracles, capacity) = (&self.plan, &self.oracles, self.cfg.queue_capacity);
+        let restored = Snapshot::read(&self.snap_path).and_then(|snap| {
+            IngestState::new(
+                Arc::clone(plan),
+                Arc::clone(oracles),
+                1,
+                capacity,
+                Some(snap),
+            )
         });
-        match restored {
-            Ok((agg, dedup)) => {
-                self.agg = agg;
-                self.ctx =
-                    SessionCtx::new(Arc::clone(&self.plan), Arc::clone(&self.oracles), dedup);
-            }
+        let state = match restored {
+            Ok(state) => state,
             Err(e) => {
                 self.violations
                     .push(format!("restore from verified snapshot failed: {e}"));
                 return;
             }
-        }
+        };
+        self.duplicates += self.state.stats.snapshot().frames_duplicate;
+        self.query = state.query_service();
+        self.state = state;
+        self.last_epoch = 0;
         // What the restored server does not hold was never accepted, as
         // far as the final invariants are concerned; its queue died too.
         self.accepted.truncate(kept);
-        self.queue = BoundedQueue::new(self.cfg.queue_capacity.max(1));
         let open: Vec<u64> = {
             let mut v: Vec<u64> = self.conns.keys().copied().collect();
             v.sort_unstable();
@@ -864,11 +896,6 @@ impl Sim {
         for conn in open {
             self.reset_conn(conn);
         }
-        // The production server builds its query engine cold at startup —
-        // resume included — so the restored sim builds a fresh one too.
-        // `expect_cold_query` turns a reused engine into a violation.
-        self.query_engine = QueryEngine::new(Arc::clone(&self.plan), Arc::clone(&self.oracles));
-        self.expect_cold_query = true;
         self.trace(13, self.kills as u64, crash as u64);
     }
 
@@ -885,62 +912,70 @@ impl Sim {
         })
     }
 
-    /// One mixed-client query against the live aggregator: refresh the
-    /// incremental engine from the current (single-threaded, hence
-    /// consistent) cut and hold it to the invariants — the answer's cut is
-    /// exactly the ingest head, the epoch never rewinds, the first query
-    /// after a kill+resume is cold, and the answer is bit-identical to the
-    /// offline batch estimate of the same counts.
+    /// One mixer query: a wire `Query` frame, alternating `Cached` and
+    /// `Fresh`, through the server's dispatch and query service once the
+    /// queue has drained. The answer must be at the ingest head with no
+    /// staleness, at an epoch that never rewinds and is 1 first after a
+    /// kill, and bit-identical to the offline estimate of the same counts.
     fn on_query(&mut self) {
-        let head = self.agg.reports_ingested();
-        self.trace(14, head as u64, self.query_engine.epoch());
-        if head == 0 {
+        let Some(merged) = self.cut() else {
             return;
-        }
-        let before = self.query_engine.epoch();
-        let out = match self.query_engine.refresh_from(&self.agg) {
-            Ok(out) => out,
+        };
+        let head = merged.reports_ingested() as u64;
+        let n = self.queries_answered;
+        let req = QueryRequest {
+            query_id: n + 1,
+            mode: [QueryMode::Cached, QueryMode::Fresh][n as usize % 2],
+            predicates: self.probe.predicates().to_vec(),
+        };
+        let frame = encode_query(&req).map(|payload| Frame {
+            kind: FrameKind::Query,
+            plan_hash: self.plan_hash,
+            payload,
+        });
+        let session = &mut Session::default();
+        let answer = frame.and_then(|frame| {
+            let (reply, _, _) = self.state.serve_frame(&self.query, session, &frame);
+            match reply.kind {
+                FrameKind::QueryReply => decode_query_reply(&reply.payload),
+                _ => Err(WireError::Malformed(
+                    String::from_utf8_lossy(&reply.payload).into(),
+                )),
+            }
+        });
+        self.trace(14, head, answer.as_ref().map_or(0, |a| a.epoch));
+        let ans = match answer {
+            Ok(ans) => ans,
+            // An empty collection has no estimate to answer from.
+            Err(_) if head == 0 => return,
             Err(e) => {
                 self.violations
-                    .push(format!("query refresh at {head} reports failed: {e}"));
+                    .push(format!("query at {head} reports failed: {e}"));
                 return;
             }
         };
         self.queries_answered += 1;
-        if out.warm {
+        if ans.epoch == self.last_epoch {
             self.query_warm_hits += 1;
         }
-        if self.expect_cold_query {
-            if out.warm {
-                self.violations.push(
-                    "first query after kill+resume served the pre-restore cached grid".into(),
-                );
-            }
-            self.expect_cold_query = false;
-        }
-        if out.reports as usize != head {
+        let first = self.last_epoch == 0;
+        if ans.reports != head
+            || ans.epoch != ans.head_epoch
+            || ans.epoch < self.last_epoch
+            || (first && ans.epoch != 1)
+        {
             self.violations.push(format!(
-                "query answered at {} reports but the ingest head is {head}",
-                out.reports
+                "query answered {ans:?} at ingest head {head} after epoch {}",
+                self.last_epoch
             ));
         }
-        if out.epoch < before {
-            self.violations
-                .push(format!("query epoch rewound: {before} -> {}", out.epoch));
-        }
-        let incremental = out.estimator.answer(&self.probe);
-        let offline = self.agg.estimate().and_then(|e| e.answer(&self.probe));
-        match (incremental, offline) {
-            (Ok(inc), Ok(off)) => {
-                if inc.to_bits() != off.to_bits() {
-                    self.violations.push(format!(
-                        "query answer {inc} diverges from the offline batch estimate {off} \
-                         at {head} reports"
-                    ));
-                }
-            }
-            (inc, off) => self.violations.push(format!(
-                "query answering failed at {head} reports: incremental {inc:?}, offline {off:?}"
+        self.last_epoch = ans.epoch;
+        match merged.estimate().and_then(|e| e.answer(&self.probe)) {
+            Ok(offline) if offline.to_bits() == ans.answer.to_bits() => {}
+            offline => self.violations.push(format!(
+                "query answer {} diverges from the offline batch estimate {offline:?} \
+                 at {head} reports",
+                ans.answer
             )),
         }
     }
@@ -975,13 +1010,13 @@ impl Sim {
                 Ev::ClientTimeout { c, token } => self.on_client_timeout(c, token),
                 Ev::Drain => {
                     self.drain(self.cfg.drain_per_tick.max(1));
-                    if !(self.all_settled() && self.queue.is_empty()) {
+                    if !(self.all_settled() && self.state.queues[0].is_empty()) {
                         self.q.after(DRAIN_TICK_NS, Ev::Drain);
                     }
                 }
                 Ev::Query => {
                     self.on_query();
-                    if !(self.all_settled() && self.queue.is_empty()) {
+                    if !(self.all_settled() && self.state.queues[0].is_empty()) {
                         self.q.after(QUERY_TICK_NS, Ev::Query);
                     }
                 }
@@ -1001,11 +1036,14 @@ impl Sim {
             let _ = std::fs::remove_file(self.snap_path.with_extension(ext));
         }
 
-        // Final graceful drain, a query at the fully-settled cut, then
-        // verify every invariant.
-        self.drain(usize::MAX);
+        // A query at the fully settled cut, then verify every invariant
+        // against the final counts.
         self.on_query();
-        let violations = self.verify();
+        let fin = match self.cut() {
+            Some(fin) => fin,
+            None => Aggregator::with_oracles(Arc::clone(&self.plan), Arc::clone(&self.oracles)),
+        };
+        let violations = self.verify(&fin);
         self.violations.extend(violations);
 
         let dump = self.flight.dump();
@@ -1021,10 +1059,10 @@ impl Sim {
             seed: self.cfg.seed,
             events: self.q.popped(),
             trace_hash: self.q.trace_hash(),
-            counts_digest: self.agg.counts_digest(),
-            reports_ingested: self.agg.reports_ingested(),
+            counts_digest: fin.counts_digest(),
+            reports_ingested: fin.reports_ingested(),
             server_acked_batches: self.accepted.len(),
-            duplicates: self.stats.snapshot().frames_duplicate,
+            duplicates: self.duplicates + self.state.stats.snapshot().frames_duplicate,
             faults_injected: self.schedule.injected,
             snapshots_quarantined: self.quarantined,
             kills: self.kills,
@@ -1040,7 +1078,7 @@ impl Sim {
         }
     }
 
-    fn verify(&self) -> Vec<String> {
+    fn verify(&self, fin: &Aggregator) -> Vec<String> {
         let mut v = Vec::new();
 
         // (1) Accepted batches per client are exactly 1..=max: no gaps, no
@@ -1118,10 +1156,10 @@ impl Sim {
                 ));
             }
         }
-        if offline.counts() != self.agg.counts() {
+        if offline.counts() != fin.counts() {
             v.push("final counts differ from offline collection of acked batches".into());
         }
-        if offline.group_sizes() != self.agg.group_sizes() {
+        if offline.group_sizes() != fin.group_sizes() {
             v.push("group sizes differ from offline collection of acked batches".into());
         }
 

@@ -5,7 +5,7 @@
 //! ```text
 //! offset  size  field
 //!      0     4  magic        "FELP", little-endian u32
-//!      4     1  version      protocol version (currently 5)
+//!      4     1  version      protocol version (currently 6)
 //!      5     1  kind         frame kind discriminant
 //!      6     2  reserved     must be zero
 //!      8     4  payload_len  payload byte count, ≤ MAX_PAYLOAD
